@@ -123,9 +123,14 @@ def _cmd_reduce(args) -> int:
     context = QuotContext(descriptor, len(ell), ell)
     with open(args.matrix, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    rows = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+        raise RatPencilError(
+            "matrix JSON must be an object whose 'entries' is a list of rows"
+        )
     split = int(doc.get("split", 1))
     grid = []
-    for row in doc["entries"]:
+    for row in rows:
         out_row = []
         for cell in row:
             value = parse_expression(cell, descriptor, context.n_vars)

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .matrices import RationalMatrix, mat_det
 from .pencil import LinearPencil
-from .poly import Polynomial
 
 
 def _match(p: LinearPencil, q: LinearPencil):
@@ -288,17 +287,10 @@ def op_product(p: LinearPencil, x, q: LinearPencil,
     if check:
         _require_block(p)
         _require_block(q)
-        x_mat = RationalMatrix(
-            [
-                [
-                    _coeffs_entry_ratfun(xc, d, p.n_vars, i, j)
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-        )
-        if mat_det(x_mat).is_zero():
-            raise SingularX("middle factor X has zero determinant")
+        if x is not None:
+            x_mat = x.as_matrix() if isinstance(x, LinearPencil) else x
+            if mat_det(x_mat).is_zero():
+                raise SingularX("middle factor X has zero determinant")
     m, l = p.m, q.m
     size = m + l
     r1, r2, r3 = k, l, m + l - k           # row group offsets after group 0
@@ -319,20 +311,6 @@ def op_product(p: LinearPencil, x, q: LinearPencil,
             _paste(c, {(i, j): value}, 0, k, 0, k, r3, c3, d, negate=True)
         coeffs.append(c)
     return LinearPencil(d, p.n_vars, size, k, coeffs)
-
-
-def _coeffs_entry_ratfun(coeffs, descriptor, n_vars, i, j):
-    from .poly import RationalFunction
-
-    terms = {}
-    c0 = coeffs[0].get((i, j))
-    if c0:
-        terms[(0,) * n_vars] = c0
-    for v in range(n_vars):
-        cv = coeffs[v + 1].get((i, j))
-        if cv:
-            terms[tuple(1 if t == v else 0 for t in range(n_vars))] = cv
-    return RationalFunction(Polynomial(descriptor, n_vars, terms))
 
 
 def op_inverse(p: LinearPencil, check: bool = True) -> LinearPencil:

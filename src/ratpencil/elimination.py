@@ -11,10 +11,10 @@ polynomial denominator per row: the update
 touches only rows with a nonzero entry in the pivot column, stays entirely in
 polynomial arithmetic, and never divides.  After eliminating the rows and
 columns of the (2,2) block, the surviving top-left entries over their row
-denominators are exactly the Schur complement, the product of pivot values
+denominators are exactly the Schur complement, and the product of pivot values
 (over the pivot-row denominators, with the permutation sign) is the block
-determinant, and continuing the elimination to the end yields the full
-determinant.
+determinant.  Eliminating with pivots anywhere yields the full determinant
+(:func:`sparse_determinant`).
 
 Pivots are chosen by a Markowitz-style score to limit fill-in, preferring
 short polynomials; a cheap monomial-content strip keeps rows small when
@@ -59,12 +59,11 @@ def _shift_down(p: Polynomial, shift) -> Polynomial:
 
 
 class SchurEliminationResult:
-    __slots__ = ("schur", "det_block", "det_full")
+    __slots__ = ("schur", "det_block")
 
-    def __init__(self, schur, det_block, det_full):
+    def __init__(self, schur, det_block):
         self.schur = schur
         self.det_block = det_block
-        self.det_full = det_full
 
 
 class _State:
@@ -179,19 +178,15 @@ class _State:
         return RationalFunction(num, self.piv_den)
 
 
-def _rows_from_pencil_entries(entries):
-    return entries
-
-
 def schur_eliminate(
     rows: dict[int, dict[int, Polynomial]],
     m: int,
     split: int,
     descriptor,
     n_vars: int,
-    want_full_det: bool = False,
 ) -> SchurEliminationResult:
-    """Schur complement and determinants of a sparse polynomial matrix.
+    """Schur complement and (2,2)-block determinant of a sparse polynomial
+    matrix.
 
     ``rows`` is the m-by-m matrix in dict-of-dicts form; ``split`` is the
     size of the (1,1) block.  Raises :class:`SingularBlock` when the (2,2)
@@ -215,15 +210,7 @@ def schur_eliminate(
                 for j in range(split)
             ]
         )
-    det_full = None
-    if want_full_det:
-        rows_ok = set(range(split))
-        cols_ok = set(range(split))
-        if state.eliminate(rows_ok, cols_ok, split) < split:
-            det_full = zero
-        else:
-            det_full = state.det_fraction()
-    return SchurEliminationResult(schur, det_block, det_full)
+    return SchurEliminationResult(schur, det_block)
 
 
 def sparse_determinant(

@@ -13,7 +13,7 @@ import json
 from enum import Enum
 
 from .elimination import schur_eliminate, sparse_determinant
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RatPencilError
 from .fields import FieldDescriptor, parse_field
 from .matrices import RationalMatrix, mat_det
 from .poly import Polynomial, RationalFunction
@@ -189,12 +189,11 @@ class LinearPencil:
         return RationalMatrix(result.schur)
 
     def schur_with_dets(self):
-        """(schur, det_block, det_full) from one elimination pass."""
+        """(schur, det_block) from one elimination pass."""
         result = schur_eliminate(
-            self.sparse_rows(), self.m, self.split, self.descriptor,
-            self.n_vars, want_full_det=True,
+            self.sparse_rows(), self.m, self.split, self.descriptor, self.n_vars
         )
-        return RationalMatrix(result.schur), result.det_block, result.det_full
+        return RationalMatrix(result.schur), result.det_block
 
     def block_det(self) -> RationalFunction:
         result = schur_eliminate(
@@ -208,9 +207,12 @@ class LinearPencil:
         )
 
     def det_identity_check(self) -> bool:
-        """det A = det(A22) * det(A / A22), checked exactly."""
-        schur, det_block, det_full = self.schur_with_dets()
-        return det_full == det_block * mat_det(schur)
+        """det A = det(A22) * det(A / A22), checked exactly.
+
+        The left side is a separate elimination with pivots anywhere.
+        """
+        schur, det_block = self.schur_with_dets()
+        return self.det() == det_block * mat_det(schur)
 
     # -- file format ----------------------------------------------------------------
 
@@ -236,16 +238,23 @@ class LinearPencil:
     @classmethod
     def from_json(cls, text: str) -> "LinearPencil":
         doc = json.loads(text)
+        keys = ("field", "n_vars", "m", "split", "coeffs")
+        if not isinstance(doc, dict) or any(key not in doc for key in keys):
+            raise RatPencilError(
+                "pencil JSON must be an object with keys " + ", ".join(keys)
+            )
         descriptor = parse_field(doc["field"])
         n_vars = int(doc["n_vars"])
         m = int(doc["m"])
         split = int(doc["split"])
         raw = doc["coeffs"]
-        if len(raw) != n_vars + 1:
+        if not isinstance(raw, list) or len(raw) != n_vars + 1:
             raise DimensionMismatch("coefficient count does not match n_vars")
         matrices = []
         for grid in raw:
-            if len(grid) != m or any(len(row) != m for row in grid):
+            if not isinstance(grid, list) or len(grid) != m or any(
+                not isinstance(row, list) or len(row) != m for row in grid
+            ):
                 raise DimensionMismatch("coefficient matrix is not m x m")
             matrices.append(
                 [[descriptor.parse_value(cell) for cell in row] for row in grid]
@@ -253,17 +262,5 @@ class LinearPencil:
         return cls.from_dense(descriptor, n_vars, split, matrices)
 
 
-def pencil_as_matrix(p: LinearPencil) -> RationalMatrix:
-    return p.as_matrix()
-
-
-def classify(p: LinearPencil) -> set[str]:
-    return p.classify()
-
-
 def schur_complement(p: LinearPencil) -> RationalMatrix:
     return p.schur_complement()
-
-
-def det_identity_check(p: LinearPencil) -> bool:
-    return p.det_identity_check()

@@ -67,12 +67,6 @@ class Char2Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _atom_one(descriptor, n_vars) -> LinearPencil:
-    one = descriptor.one
-    coeffs = [{(0, 0): one, (1, 1): one}] + [{} for _ in range(n_vars)]
-    return LinearPencil(descriptor, n_vars, 2, 1, coeffs)
-
-
 def _atom_var(descriptor, n_vars, index) -> LinearPencil:
     one = descriptor.one
     coeffs = [dict() for _ in range(n_vars + 1)]
@@ -81,14 +75,9 @@ def _atom_var(descriptor, n_vars, index) -> LinearPencil:
     return LinearPencil(descriptor, n_vars, 2, 1, coeffs)
 
 
-def _zero_pencil(descriptor, n_vars, k) -> LinearPencil:
-    """Realizes the k x k zero matrix: [[0, 0], [0, 1]] with split k."""
-    coeffs = [{(k, k): descriptor.one}] + [{} for _ in range(n_vars)]
-    return LinearPencil(descriptor, n_vars, k + 1, k, coeffs)
-
-
 def _const_matrix_pencil(descriptor, n_vars, values) -> LinearPencil:
-    """Realizes a constant k x k matrix B as [[B, 0], [0, 1]] with split k."""
+    """Realizes a constant k x k matrix B as [[B, 0], [0, 1]] with split k
+    (the zero matrix and the 1x1 one included)."""
     k = len(values)
     c0 = {}
     for i in range(k):
@@ -123,6 +112,22 @@ def _sorted_terms(p: Polynomial):
     return sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
 
+def _scaled(p: LinearPencil, value) -> LinearPencil:
+    return p if value == p.descriptor.one else op_scale(p, value, check=False)
+
+
+def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
+    """Pencil for the sum of the parts' Schur complements, left to right;
+    the k x k zero pencil when there are no parts."""
+    if not parts:
+        zero = [[descriptor.zero] * k for _ in range(k)]
+        return _const_matrix_pencil(descriptor, n_vars, zero)
+    acc = parts[0]
+    for term in parts[1:]:
+        acc = op_add(acc, term, check=False)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # plain realizations
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ def _sorted_terms(p: Polynomial):
 def _br_monomial(descriptor, n_vars, exps) -> LinearPencil:
     factors = [v for v in range(n_vars) for _ in range(exps[v])]
     if not factors:
-        return _atom_one(descriptor, n_vars)
+        return _const_matrix_pencil(descriptor, n_vars, [[descriptor.one]])
     pencil = _atom_var(descriptor, n_vars, factors[0])
     for v in factors[1:]:
         pencil = op_product(pencil, None, _atom_var(descriptor, n_vars, v),
@@ -141,15 +146,9 @@ def _br_monomial(descriptor, n_vars, exps) -> LinearPencil:
 
 def _br_poly_scalar(p: Polynomial) -> LinearPencil:
     d, n = p.descriptor, p.n_vars
-    if p.is_zero():
-        return _zero_pencil(d, n, 1)
-    acc = None
-    for exps, value in _sorted_terms(p):
-        term = _br_monomial(d, n, exps)
-        if value != d.one:
-            term = op_scale(term, value, check=False)
-        acc = term if acc is None else op_add(acc, term, check=False)
-    return acc
+    parts = [_scaled(_br_monomial(d, n, exps), value)
+             for exps, value in _sorted_terms(p)]
+    return _sum(parts, d, n, 1)
 
 
 def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
@@ -166,19 +165,16 @@ def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
                     exps, [[d.zero] * k for _ in range(k)]
                 )
                 coeff[i][j] = value
-    if not support:
-        return _zero_pencil(d, n, k)
-    acc = None
+    parts = []
     identity = _identity_rows(d, k)
     for exps in sorted(support, key=grlex_key, reverse=True):
         const = support[exps]
         if not any(e for e in exps):
-            term = _const_matrix_pencil(d, n, const)
+            parts.append(_const_matrix_pencil(d, n, const))
         else:
             base = op_kron_identity(_br_monomial(d, n, exps), k, check=False)
-            term = op_sandwich(identity, base, const, check=False)
-        acc = term if acc is None else op_add(acc, term, check=False)
-    return acc
+            parts.append(op_sandwich(identity, base, const, check=False))
+    return _sum(parts, d, n, k)
 
 
 def realize_br(f: RationalMatrix) -> RealizationResult:
@@ -253,12 +249,23 @@ def _hbr_single_var(f: RationalMatrix, pairs) -> LinearPencil:
     return LinearPencil(d, 1, k + 1, k, [c0, c1])
 
 
-def realize_hbr(f: RationalMatrix) -> RealizationResult:
-    """Homogeneous realization of a matrix of degree-1 homogeneous entries.
+def _dehomogenize(pairs) -> RationalMatrix:
+    """The matrix of homogeneous pairs with the last variable set to 1."""
+    return RationalMatrix(
+        [
+            [
+                RationalFunction(num.dehomogenize_last(), den.dehomogenize_last())
+                for num, den in row
+            ]
+            for row in pairs
+        ]
+    )
 
-    One variable: the pencil z1*A1 directly, padded with a z1 block.  More:
-    dehomogenize at the last variable, realize, homogenize back.
-    """
+
+def _realize_homogeneous(f: RationalMatrix, realize,
+                         kind: RealizationKind) -> RealizationResult:
+    """The path of :func:`realize_hbr`, with ``realize`` building the
+    realization of the dehomogenization."""
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if f.n_vars < 1:
@@ -267,19 +274,18 @@ def realize_hbr(f: RationalMatrix) -> RealizationResult:
     if f.n_vars == 1:
         pencil = _hbr_single_var(f, pairs)
     else:
-        dropped = RationalMatrix(
-            [
-                [
-                    RationalFunction(
-                        num.dehomogenize_last(), den.dehomogenize_last()
-                    )
-                    for num, den in row
-                ]
-                for row in pairs
-            ]
-        )
-        pencil = op_homogenize(realize_br(dropped).pencil, check=False)
-    return RealizationResult(pencil, RealizationKind.HBR, f)
+        pencil = op_homogenize(realize(_dehomogenize(pairs)).pencil, check=False)
+    return RealizationResult(pencil, kind, f)
+
+
+def realize_hbr(f: RationalMatrix) -> RealizationResult:
+    """Homogeneous realization of a matrix of degree-1 homogeneous entries.
+
+    One variable: the pencil z1*A1 directly, padded with a z1 block.  More:
+    the :func:`realize_br` realization of the dehomogenization at the last
+    variable, homogenized back.
+    """
+    return _realize_homogeneous(f, realize_br, RealizationKind.HBR)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +323,29 @@ def decide_sbr_scalar_char2(f: RationalFunction) -> Char2Certificate:
     return Char2Certificate("realizable", decomposition=decomposition)
 
 
-def _transposed(p: LinearPencil) -> LinearPencil:
-    return p.transpose()
+def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
+    """The parity certificate of every diagonal entry, each computed once.
+
+    Raises :class:`NotRealizableChar2` naming the first failing diagonal.
+    """
+    certs = []
+    for i in range(f.rows):
+        cert = decide_sbr_scalar_char2(f.entries[i][i])
+        if not cert.realizable:
+            raise NotRealizableChar2(cert, diagonal=i)
+        certs.append(cert)
+    return certs
 
 
 def _sym_square(p: LinearPencil, x=None) -> LinearPencil:
     """Symmetric pencil for (schur P) * X^{-1} * (schur P)^T."""
-    return op_product(p, x, _transposed(p), check=False)
+    return op_product(p, x, p.transpose(), check=False)
 
 
-def _sbr_power_one_var(descriptor, e: int) -> LinearPencil:
-    """Symmetric pencil realizing z1^e over one variable."""
+def _sbr_power_one_var(descriptor, n_vars, e: int) -> LinearPencil:
+    """Symmetric pencil realizing z1^e over n_vars <= 1 variables."""
     if e == 0:
-        return _atom_one(descriptor, 1)
+        return _const_matrix_pencil(descriptor, n_vars, [[descriptor.one]])
     if e == 1:
         return _atom_var(descriptor, 1, 0)
     half = e // 2
@@ -342,16 +358,11 @@ def _sbr_power_one_var(descriptor, e: int) -> LinearPencil:
 
 
 def _sbr_poly_one_var(p: Polynomial) -> LinearPencil:
-    d = p.descriptor
-    if p.is_zero():
-        return _zero_pencil(d, 1, 1)
-    acc = None
-    for exps, value in _sorted_terms(p):
-        term = _sbr_power_one_var(d, exps[0])
-        if value != d.one:
-            term = op_scale(term, value, check=False)
-        acc = term if acc is None else op_add(acc, term, check=False)
-    return acc
+    """Symmetric pencil for a polynomial in at most one variable."""
+    d, n = p.descriptor, p.n_vars
+    parts = [_scaled(_sbr_power_one_var(d, n, sum(exps)), value)
+             for exps, value in _sorted_terms(p)]
+    return _sum(parts, d, n, 1)
 
 
 def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
@@ -367,8 +378,7 @@ def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
     col = _basis_column(d, size, 0)
     row = _basis_row(d, size, 0)
     wrapped = op_sandwich(col, _br_poly_scalar(x), row, check=False)
-    congruence = op_product(wrapped, base, _transposed(wrapped), check=False)
-    return op_sandwich(row, congruence, col, check=False)
+    return op_sandwich(row, _sym_square(wrapped, base), col, check=False)
 
 
 def _sbr_from_certificate(cert: Char2Certificate, descriptor, n_vars) -> LinearPencil:
@@ -395,58 +405,19 @@ def _sbr_from_certificate(cert: Char2Certificate, descriptor, n_vars) -> LinearP
                 term = _sym_square(
                     _br_monomial(descriptor, n_vars, shifted), x
                 )
-            if value != descriptor.one:
-                term = op_scale(term, value, check=False)
-            parts.append(term)
-    if not parts:
-        return _zero_pencil(descriptor, n_vars, 1)
-    acc = parts[0]
-    for term in parts[1:]:
-        acc = op_add(acc, term, check=False)
-    return acc
+            parts.append(_scaled(term, value))
+    return _sum(parts, descriptor, n_vars, 1)
 
 
-def _sbr_scalar_char2(f: RationalFunction) -> LinearPencil:
-    cert = decide_sbr_scalar_char2(f)
-    if not cert.realizable:
-        raise NotRealizableChar2(cert)
-    if f.num.is_zero():
-        return _zero_pencil(f.descriptor, f.n_vars, 1)
-    base = _sbr_from_certificate(cert, f.descriptor, f.n_vars)
+def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
+    """Symmetric pencil for f = p/q from a symmetric pencil realizing h = p*q.
+
+    ``h_pencil`` comes from the one-variable power construction or from the
+    characteristic-2 parity certificate of h.
+    """
     if f.den == Polynomial.one(f.descriptor, f.n_vars):
-        return base  # h = p * 1 is the function itself
-    return _sbr_square_over(f.num, base)  # p^2 / (p q) = p / q
-
-
-def _sbr_scalar_one_var(f: RationalFunction) -> LinearPencil:
-    d = f.descriptor
-    if f.num.is_zero():
-        return _zero_pencil(d, f.n_vars, 1)
-    if f.den == Polynomial.one(d, f.n_vars):
-        return _sbr_poly_one_var(f.num)
-    product = f.num * f.den
-    return _sbr_square_over(f.num, _sbr_poly_one_var(product))
-
-
-def _sbr_constant(f: RationalFunction) -> LinearPencil:
-    d, n = f.descriptor, f.n_vars
-    value = d.div(f.num.constant_value(), f.den.constant_value())
-    if not value:
-        return _zero_pencil(d, n, 1)
-    return op_scale(_atom_one(d, n), value, check=False)
-
-
-def _sbr_scalar(f: RationalFunction) -> LinearPencil:
-    d = f.descriptor
-    if f.n_vars == 0 or (f.num.is_constant() and f.den.is_constant()):
-        return _sbr_constant(f)
-    if f.n_vars == 1:
-        return _sbr_scalar_one_var(f)
-    if d.characteristic != 2:
-        half = d.inv(d.add(d.one, d.one))
-        plain = realize_br(RationalMatrix.scalar(f)).pencil
-        return op_scale(op_symmetrize(plain, check=False), half, check=False)
-    return _sbr_scalar_char2(f)
+        return h_pencil  # h = p * 1 is f itself
+    return _sbr_square_over(f.num, h_pencil)  # p^2 / (p q) = p / q
 
 
 def _strict_upper(f: RationalMatrix) -> RationalMatrix:
@@ -459,119 +430,77 @@ def _strict_upper(f: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _sbr_matrix_by_diagonal(f: RationalMatrix, scalar_builder,
-                            off_diagonal_builder) -> LinearPencil:
-    """F = F_upp + F_upp^T + diag F with symmetric pieces summed."""
-    d, k = f.descriptor, f.rows
+def _sbr_by_diagonal(f: RationalMatrix, diagonal) -> LinearPencil:
+    """F = F_upp + F_upp^T + diag F with symmetric pieces summed, given the
+    symmetric pencils of the diagonal entries (a 1x1 F is its entry's)."""
+    d, n, k = f.descriptor, f.n_vars, f.rows
+    if k == 1:
+        return diagonal[0]
     parts = []
     upper = _strict_upper(f)
     if any(not e.is_zero() for row in upper.entries for e in row):
-        parts.append(op_symmetrize(off_diagonal_builder(upper), check=False))
-    for i in range(k):
-        try:
-            scalar = scalar_builder(f.entries[i][i])
-        except NotRealizableChar2 as exc:
-            raise NotRealizableChar2(exc.certificate, diagonal=i) from None
+        parts.append(op_symmetrize(realize_br(upper).pencil, check=False))
+    for i, scalar in enumerate(diagonal):
         parts.append(
             op_sandwich(
                 _basis_column(d, k, i), scalar, _basis_row(d, k, i), check=False
             )
         )
-    acc = parts[0]
-    for term in parts[1:]:
-        acc = op_add(acc, term, check=False)
-    return acc
+    return _sum(parts, d, n, k)
 
 
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
-    One variable uses the even/odd power constructions entrywise; away from
-    characteristic 2 the whole matrix is realized as (1/2)(F + F^T); in
-    characteristic 2 with n >= 2 each diagonal entry must pass the parity
-    test, and the matrix is assembled from the certificate constructions.
+    Away from characteristic 2 with n >= 2 the whole matrix is realized as
+    (1/2)(F + F^T).  Otherwise the strict upper triangle becomes
+    F_upp + F_upp^T, and each diagonal entry f = p/q comes from a symmetric
+    pencil for h = p*q as p^2 / (p q).  With n <= 1 that pencil is built
+    from even/odd powers of z1.  In characteristic 2 with n >= 2 every
+    diagonal entry must first pass the parity test, whose certificate
+    builds the pencil; the first failure raises :class:`NotRealizableChar2`.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    d, n, k = f.descriptor, f.n_vars, f.rows
-    if n <= 1:
-        if k == 1:
-            pencil = _sbr_scalar(f.entries[0][0])
-        else:
-            pencil = _sbr_matrix_by_diagonal(
-                f, _sbr_scalar, lambda upper: realize_br(upper).pencil
-            )
-    elif d.characteristic != 2:
+    d, n = f.descriptor, f.n_vars
+    if n >= 2 and d.characteristic != 2:
         half = d.inv(d.add(d.one, d.one))
         pencil = op_scale(
             op_symmetrize(realize_br(f).pencil, check=False), half, check=False
         )
     else:
-        for i in range(k):
-            cert = decide_sbr_scalar_char2(f.entries[i][i])
-            if not cert.realizable:
-                raise NotRealizableChar2(cert, diagonal=i)
-        if k == 1:
-            pencil = _sbr_scalar_char2(f.entries[0][0])
+        diagonal = [f.entries[i][i] for i in range(f.rows)]
+        if n <= 1:
+            hs = [_sbr_poly_one_var(g.num * g.den) for g in diagonal]
         else:
-            pencil = _sbr_matrix_by_diagonal(
-                f, _sbr_scalar_char2, lambda upper: realize_br(upper).pencil
-            )
+            hs = [_sbr_from_certificate(cert, d, n)
+                  for cert in _diagonal_certificates(f)]
+        pencil = _sbr_by_diagonal(
+            f, [_sbr_scalar(g, h) for g, h in zip(diagonal, hs)]
+        )
     return RealizationResult(pencil, RealizationKind.SBR, f)
 
 
 def decide_and_realize_hsbr(f: RationalMatrix):
     """Homogeneous symmetric realization, or the failing parity certificate.
 
-    For n <= 2 or characteristic != 2 the symmetric realization of the
-    dehomogenization is homogenized back.  In characteristic 2 with n >= 3
-    every diagonal entry is dehomogenized at the last variable and must pass
-    the parity test in n-1 variables; the first failure is returned as a
-    :class:`Char2Certificate` instead of a pencil.
+    One variable: the pencil z1*A1 directly.  More: the
+    :func:`realize_sbr` realization of the dehomogenization at the last
+    variable, homogenized back.  In characteristic 2 with n >= 3 every
+    dehomogenized diagonal entry must pass the parity test in n-1
+    variables; the first failure is returned as a :class:`Char2Certificate`
+    instead of a pencil.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    pairs = _homogeneous_pairs(f)
-    d, n, k = f.descriptor, f.n_vars, f.rows
-    if n < 1:
-        raise NotHomogeneousDegreeOne("need at least one variable")
-    if n == 1:
-        pencil = _hbr_single_var(f, pairs)
-    else:
-        dropped = RationalMatrix(
-            [
-                [
-                    RationalFunction(
-                        num.dehomogenize_last(), den.dehomogenize_last()
-                    )
-                    for num, den in row
-                ]
-                for row in pairs
-            ]
-        )
-        if d.characteristic == 2 and n >= 3:
-            for i in range(k):
-                cert = decide_sbr_scalar_char2(dropped.entries[i][i])
-                if not cert.realizable:
-                    return cert
-            if k == 1:
-                pencil = op_homogenize(
-                    _sbr_scalar_char2(dropped.entries[0][0]), check=False
-                )
-            else:
-                pencil = _sbr_matrix_by_diagonal(
-                    dropped,
-                    _sbr_scalar_char2,
-                    lambda upper: realize_br(upper).pencil,
-                )
-                pencil = op_homogenize(pencil, check=False)
-        else:
-            pencil = op_homogenize(realize_sbr(dropped).pencil, check=False)
-    return RealizationResult(pencil, RealizationKind.HSBR, f)
+    try:
+        return _realize_homogeneous(f, realize_sbr, RealizationKind.HSBR)
+    except NotRealizableChar2 as exc:
+        return exc.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +516,14 @@ class Decision:
     certificate: Char2Certificate | None = None
 
 
+def _parity_decision(f: RationalMatrix, obstruction: str) -> Decision:
+    try:
+        _diagonal_certificates(f)
+    except NotRealizableChar2 as exc:
+        return Decision(False, obstruction, exc.diagonal, exc.certificate)
+    return Decision(True, "all diagonal parity certificates pass")
+
+
 def decide_sbr(f: RationalMatrix) -> Decision:
     """Does the symmetric matrix f have a symmetric realization?"""
     if not f.is_square() or not f.is_symmetric():
@@ -595,11 +532,7 @@ def decide_sbr(f: RationalMatrix) -> Decision:
         return Decision(True, "single-variable functions always realize")
     if f.descriptor.characteristic != 2:
         return Decision(True, "characteristic is not 2")
-    for i in range(f.rows):
-        cert = decide_sbr_scalar_char2(f.entries[i][i])
-        if not cert.realizable:
-            return Decision(False, "parity obstruction", i, cert)
-    return Decision(True, "all diagonal parity certificates pass")
+    return _parity_decision(f, "parity obstruction")
 
 
 def decide_hsbr(f: RationalMatrix) -> Decision:
@@ -614,11 +547,6 @@ def decide_hsbr(f: RationalMatrix) -> Decision:
         return Decision(True, "at most two variables always realize")
     if f.descriptor.characteristic != 2:
         return Decision(True, "characteristic is not 2")
-    for i in range(f.rows):
-        num, den = pairs[i][i]
-        g = RationalFunction(num.dehomogenize_last(), den.dehomogenize_last())
-        cert = decide_sbr_scalar_char2(g)
-        if not cert.realizable:
-            return Decision(False, "parity obstruction after dehomogenizing",
-                            i, cert)
-    return Decision(True, "all diagonal parity certificates pass")
+    return _parity_decision(
+        _dehomogenize(pairs), "parity obstruction after dehomogenizing"
+    )

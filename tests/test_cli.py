@@ -116,6 +116,29 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify", "{}"),
+        ("verify", "[1]"),
+        ("reduce", '{"split": 1}'),
+        ("reduce", "[1]"),
+    ],
+)
+def test_malformed_json_exits_two(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    if command == "verify":
+        argv = ("verify", "--pencil", str(path), "--expr", "z1",
+                "--kind", "br")
+    else:
+        argv = ("reduce", "--field", "gf2", "--ell", "0,0",
+                "--matrix", str(path), "--r", "0")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_reduce_trace_golden(capsys):
     code, out, _ = run(
         capsys, "reduce", "--field", "gf2", "--ell", "0,0",

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import ratpencil.realize as realize_module
 from ratpencil.errors import (
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
@@ -254,6 +255,25 @@ def test_sbr_mixed_verdict_reports_first_diagonal():
     with pytest.raises(NotRealizableChar2) as err:
         realize_sbr(target)
     assert err.value.diagonal == 1
+
+
+def test_parity_test_runs_once_per_diagonal(monkeypatch):
+    calls = []
+    original = realize_module.decide_sbr_scalar_char2
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(realize_module, "decide_sbr_scalar_char2", counted)
+    g1, g2 = _z(G2, 2, 0), _z(G2, 2, 1)
+    _check(realize_sbr(RationalMatrix([[g1, g2], [g2, g1 * g1 + g2]])))
+    assert len(calls) == 2
+    calls.clear()
+    h1, h2, h3 = (_z(G2, 3, i) for i in range(3))
+    target = RationalMatrix([[h1, h2], [h2, h1 * h1 / h3 + h2]])
+    _check(decide_and_realize_hsbr(target))
+    assert len(calls) == 2
 
 
 def test_sbr_single_variable_all_fields(rng):
