@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 
-from .errors import NotRealizableChar2, RatPencilError
+from .errors import NotARealizer, NotRealizableChar2, RatPencilError
 from .expr import parse_expression
 from .fields import parse_field
 from .pencil import LinearPencil, RealizationKind
 from .poly import Polynomial
-from .quotring import QuotContext, QuotMatrix, is_ring_realizer, reduce_realizer
+from .quotring import QuotContext, QuotMatrix, reduce_realizer
 from .realize import (
     Char2Certificate,
     decide_and_realize_hsbr,
@@ -128,7 +128,13 @@ def _cmd_reduce(args) -> int:
         raise RatPencilError(
             "matrix JSON must be an object whose 'entries' is a list of rows"
         )
-    split = int(doc.get("split", 1))
+    split = doc.get("split", 1)
+    if type(split) is not int or any(
+        not isinstance(cell, str) for row in rows for cell in row
+    ):
+        raise RatPencilError(
+            "matrix 'split' must be an integer and its entries strings"
+        )
     grid = []
     for row in rows:
         out_row = []
@@ -144,11 +150,12 @@ def _cmd_reduce(args) -> int:
     if not r_value.is_polynomial():
         raise RatPencilError("r must be a polynomial")
     element = context.project(r_value.as_polynomial())
-    if not is_ring_realizer(matrix, element):
+    trace = [] if args.trace else None
+    try:
+        result = reduce_realizer(matrix, element, trace=trace)
+    except NotARealizer:
         print("input matrix is not a realizer of r", file=sys.stderr)
         return 2
-    trace = [] if args.trace else None
-    result = reduce_realizer(matrix, element, trace=trace)
     if trace is not None:
         for label, snapshot in trace:
             print(f"step {label}")

@@ -58,14 +58,6 @@ def _shift_down(p: Polynomial, shift) -> Polynomial:
     return out
 
 
-class SchurEliminationResult:
-    __slots__ = ("schur", "det_block")
-
-    def __init__(self, schur, det_block):
-        self.schur = schur
-        self.det_block = det_block
-
-
 class _State:
     def __init__(self, rows, m, descriptor, n_vars):
         self.m = m
@@ -184,9 +176,9 @@ def schur_eliminate(
     split: int,
     descriptor,
     n_vars: int,
-) -> SchurEliminationResult:
-    """Schur complement and (2,2)-block determinant of a sparse polynomial
-    matrix.
+) -> tuple[list[list[RationalFunction]], RationalFunction]:
+    """``(schur, det_block)``: the Schur complement, as split-by-split rows,
+    and the (2,2)-block determinant of a sparse polynomial matrix.
 
     ``rows`` is the m-by-m matrix in dict-of-dicts form; ``split`` is the
     size of the (1,1) block.  Raises :class:`SingularBlock` when the (2,2)
@@ -210,7 +202,7 @@ def schur_eliminate(
                 for j in range(split)
             ]
         )
-    return SchurEliminationResult(schur, det_block)
+    return schur, det_block
 
 
 def sparse_determinant(

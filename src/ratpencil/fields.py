@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DescriptorMismatch, DivisionByZero
+from .errors import DescriptorMismatch, DivisionByZero, FieldLiteralError
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
@@ -136,7 +136,12 @@ class FieldDescriptor:
 
     def parse_value(self, text: str):
         """Parse ``"3"``, ``"-2"``, or (over Q) ``"3/4"``."""
-        text = text.strip()
+        try:
+            text = text.strip()
+        except AttributeError:
+            raise FieldLiteralError(
+                f"field literal {text!r} is not a string"
+            ) from None
         if self.kind == RATIONALS:
             return Fraction(text)
         if "/" in text:

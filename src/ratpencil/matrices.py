@@ -1,14 +1,19 @@
 """Matrices of rational functions: exact arithmetic, determinant, inverse.
 
-The determinant clears all entries to one common denominator (the product of
-the entry denominators), runs fraction-free Bareiss elimination over the
-polynomial matrix, and divides the result by the denominator power.  The
-inverse is adjugate over determinant.  Both are meant for the small matrices
-that appear as realization targets, Schur complements, and product factors —
-not for the full pencils, which have their own sparse machinery.
+The determinant clears denominators row by row: each row is multiplied by
+the product of its distinct entry denominators, fraction-free Bareiss
+elimination runs over the resulting polynomial matrix, and the result is
+divided by the product of those row multipliers.  Rows that already share
+one denominator, as the rows of a Schur complement do, are cleared without
+any multiplication.  The inverse is adjugate over determinant.  Both are
+meant for the small matrices that appear as realization targets, Schur
+complements, product factors and verification pencils up to 16x16 — not for
+the large pencils, which have their own sparse machinery.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DimensionMismatch, SingularMatrix
 from .fields import FieldDescriptor
@@ -224,27 +229,24 @@ def bareiss_det(grid: list[list[Polynomial]]) -> Polynomial:
 
 
 def mat_det(a: RationalMatrix) -> RationalFunction:
-    """Exact determinant via common-denominator clearing and Bareiss."""
+    """Exact determinant via per-row denominator clearing and Bareiss.
+
+    Row i is multiplied by D_i, the product of its distinct non-constant
+    entry denominators; the result is the Bareiss determinant of the
+    cleared rows over D_1 * ... * D_m.
+    """
     if not a.is_square():
         raise DimensionMismatch("determinant needs a square matrix")
-    m = a.rows
-    dens = [a.entries[i][j].den for i in range(m) for j in range(m)]
-    # Clearing entry (i, j) multiplies its numerator by every other denominator.
-    suffix = [Polynomial.one(a.descriptor, a.n_vars)] * (len(dens) + 1)
-    for t in range(len(dens) - 1, -1, -1):
-        suffix[t] = suffix[t + 1] * dens[t]
+    one = Polynomial.one(a.descriptor, a.n_vars)
     cleared = []
-    prefix = Polynomial.one(a.descriptor, a.n_vars)
-    for i in range(m):
-        row = []
-        for j in range(m):
-            t = i * m + j
-            row.append(a.entries[i][j].num * prefix * suffix[t + 1])
-            prefix = prefix * dens[t]
-        cleared.append(row)
-    common = suffix[0]
-    det = bareiss_det(cleared)
-    return RationalFunction(det, common**m)
+    den = one
+    for row in a.entries:
+        dens = [d for d in dict.fromkeys(e.den for e in row) if d != one]
+        cleared.append(
+            [math.prod((d for d in dens if d != e.den), start=e.num) for e in row]
+        )
+        den = math.prod(dens, start=den)
+    return RationalFunction(bareiss_det(cleared), den)
 
 
 def mat_minor(a: RationalMatrix, drop_row: int, drop_col: int) -> RationalMatrix:

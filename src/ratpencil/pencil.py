@@ -183,23 +183,17 @@ class LinearPencil:
 
     def schur_complement(self) -> RationalMatrix:
         """A11 - A12 * A22^{-1} * A21, exact; raises SingularBlock."""
-        result = schur_eliminate(
-            self.sparse_rows(), self.m, self.split, self.descriptor, self.n_vars
-        )
-        return RationalMatrix(result.schur)
+        return self.schur_with_dets()[0]
 
     def schur_with_dets(self):
         """(schur, det_block) from one elimination pass."""
-        result = schur_eliminate(
+        schur, det_block = schur_eliminate(
             self.sparse_rows(), self.m, self.split, self.descriptor, self.n_vars
         )
-        return RationalMatrix(result.schur), result.det_block
+        return RationalMatrix(schur), det_block
 
     def block_det(self) -> RationalFunction:
-        result = schur_eliminate(
-            self.sparse_rows(), self.m, self.split, self.descriptor, self.n_vars
-        )
-        return result.det_block
+        return self.schur_with_dets()[1]
 
     def det(self) -> RationalFunction:
         return sparse_determinant(
@@ -243,10 +237,16 @@ class LinearPencil:
             raise RatPencilError(
                 "pencil JSON must be an object with keys " + ", ".join(keys)
             )
+        if not isinstance(doc["field"], str) or any(
+            type(doc[key]) is not int or doc[key] < 0
+            for key in ("n_vars", "m", "split")
+        ):
+            raise RatPencilError(
+                "pencil 'field' must be a string and 'n_vars', 'm' and "
+                "'split' non-negative integers"
+            )
         descriptor = parse_field(doc["field"])
-        n_vars = int(doc["n_vars"])
-        m = int(doc["m"])
-        split = int(doc["split"])
+        n_vars, m, split = doc["n_vars"], doc["m"], doc["split"]
         raw = doc["coeffs"]
         if not isinstance(raw, list) or len(raw) != n_vars + 1:
             raise DimensionMismatch("coefficient count does not match n_vars")

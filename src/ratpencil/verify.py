@@ -4,11 +4,12 @@ A claimed realization is accepted only when three exact checks pass: the
 Schur complement equals the target entrywise (cross-multiplication), the
 pencil's derived structure classes cover the claimed kind, and the block
 determinant identity det A = det(A22) det(A/A22) holds with the full
-determinant recomputed through a separate code path: cofactor expansion up
-to 5x5, dense fraction-free elimination up to 16x16.  Above 16x16 the full
-determinant is a fresh sparse elimination with pivots anywhere, which
-shares ``_State.eliminate`` with the Schur elimination under test, so there
-it is independent only in its pivot order.
+determinant recomputed through a separate code path.  Up to 16x16 that path
+is dense fraction-free Bareiss elimination (:func:`mat_det`), which shares
+nothing with the sparse Schur elimination under test.  Above 16x16 the full
+determinant is a fresh sparse elimination with pivots anywhere, which shares
+``_State.eliminate`` with the Schur elimination under test, so there it is
+independent only in its pivot order.
 """
 
 from __future__ import annotations
@@ -17,40 +18,14 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
-from .matrices import RationalMatrix, mat_det, mat_minor
+from .matrices import RationalMatrix, mat_det
 from .pencil import LinearPencil, RealizationKind
 from .poly import RationalFunction
 
-_COFACTOR_LIMIT = 5
 _DENSE_LIMIT = 16
 
 
-def det_cofactor(a: RationalMatrix) -> RationalFunction:
-    """Determinant by recursive cofactor expansion (oracle for small sizes)."""
-    if not a.is_square():
-        raise DimensionMismatch("determinant needs a square matrix")
-    if a.rows > _COFACTOR_LIMIT:
-        raise ValueError(f"cofactor oracle limited to {_COFACTOR_LIMIT}x{_COFACTOR_LIMIT}")
-    return _det_cofactor(a)
-
-
-def _det_cofactor(a: RationalMatrix) -> RationalFunction:
-    m = a.rows
-    if m == 1:
-        return a.entries[0][0]
-    acc = RationalFunction.zero(a.descriptor, a.n_vars)
-    for j in range(m):
-        entry = a.entries[0][j]
-        if entry.is_zero():
-            continue
-        piece = entry * _det_cofactor(mat_minor(a, 0, j))
-        acc = acc - piece if j % 2 else acc + piece
-    return acc
-
-
 def _independent_det(p: LinearPencil) -> RationalFunction:
-    if p.m <= _COFACTOR_LIMIT:
-        return _det_cofactor(p.as_matrix())
     if p.m <= _DENSE_LIMIT:
         return mat_det(p.as_matrix())
     return p.det()
@@ -107,7 +82,11 @@ def check_realization(p: LinearPencil, target: RationalMatrix,
 
 
 def cross_validate_det(p: LinearPencil) -> bool:
-    """Both sides of det A = det(A22) det(A/A22), computed independently."""
+    """Both sides of det A = det(A22) det(A/A22), computed independently.
+
+    Up to 16x16 the free-pivot sparse determinant ``p.det()`` must agree as
+    well; above that it is the independent determinant itself.
+    """
     schur, det_block = p.schur_with_dets()
     rhs = det_block * mat_det(schur)
-    return _independent_det(p) == rhs and p.det() == rhs
+    return _independent_det(p) == rhs and (p.m > _DENSE_LIMIT or p.det() == rhs)

@@ -123,6 +123,14 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "[1]"),
         ("reduce", '{"split": 1}'),
         ("reduce", "[1]"),
+        ("verify", '{"field": 2, "n_vars": 0, "m": 1, "split": 1, '
+                   '"coeffs": [[["1"]]]}'),
+        ("verify", '{"field": "q", "n_vars": 0, "m": 1, "split": 1, '
+                   '"coeffs": [[[1]]]}'),
+        ("verify", '{"field": "q", "n_vars": -1, "m": 1, "split": 1, '
+                   '"coeffs": []}'),
+        ("reduce", '{"entries": [[1]]}'),
+        ("reduce", '{"entries": [["0"]], "split": [1]}'),
     ],
 )
 def test_malformed_json_exits_two(tmp_path, capsys, command, text):
@@ -159,6 +167,27 @@ def test_reduce_rejects_wrong_r(capsys):
     )
     assert code == 2
     assert "not a realizer" in err
+
+
+def test_reduce_decides_realizer_once(monkeypatch, capsys):
+    import ratpencil.cli as cli
+    import ratpencil.quotring as quotring
+
+    calls = []
+    original = quotring.is_ring_realizer
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (quotring, cli):
+        monkeypatch.setattr(module, "is_ring_realizer", counting, raising=False)
+    code, out, _ = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "0,0",
+        "--matrix", str(FIXTURES / "ring_4x4_ell00.json"), "--r", "0",
+    )
+    assert code == 0 and out == "reduced: 0\n"
+    assert len(calls) == 1
 
 
 def test_cli_determinism(tmp_path, capsys):

@@ -84,6 +84,19 @@ def test_det_matches_cofactor_oracle_random(rng):
         assert mat_det(a) == det_cofactor_oracle(a)
 
 
+def test_det_denominator_is_the_product_of_row_denominators():
+    z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
+    one = RationalFunction.one(Q, 2)
+    dens = [one + z1, z1 + z2, one + z2 * z2]
+    nums = [[z1, z2, one], [one, z1 * z2, z2], [z2, one, z1 + one]]
+    a = RationalMatrix(
+        [[num / den for num in row] for row, den in zip(nums, dens)]
+    )
+    det = mat_det(a)
+    assert det == det_cofactor_oracle(a)
+    assert det.den.total_degree() == sum(d.num.total_degree() for d in dens)
+
+
 def test_inverse_examples():
     z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
     one = RationalFunction.one(Q, 2)

@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 
 from ratpencil.errors import DimensionMismatch
+from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import LinearPencil, RealizationKind
 from ratpencil.poly import RationalFunction
 from ratpencil.realize import realize_br, realize_sbr
-from ratpencil.verify import check_realization, cross_validate_det, det_cofactor
+from ratpencil.verify import check_realization, cross_validate_det
 
-from conftest import random_matrix, det_cofactor_oracle
+from conftest import random_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 Q = rationals()
@@ -73,15 +74,6 @@ def test_dimension_guard():
         check_realization(_golden(), target, RealizationKind.BR)
 
 
-def test_det_cofactor_limit_and_agreement(rng):
-    a = random_matrix(rng, Q, 2, 3, max_deg=1, max_terms=2,
-                      polynomial_bias=1.0)
-    assert det_cofactor(a) == det_cofactor_oracle(a)
-    big = RationalMatrix.identity(Q, 1, 6)
-    with pytest.raises(ValueError):
-        det_cofactor(big)
-
-
 def test_cross_validate_golden_and_random(rng):
     assert cross_validate_det(_golden())
     assert cross_validate_det(_golden_h())
@@ -100,3 +92,30 @@ def test_builders_always_verify(rng):
         f = random_matrix(rng, d, n, 1)
         result = realize_br(f)
         assert check_realization(result.pencil, f, result.kind).passed
+
+
+def test_up_to_16x16_verification_never_runs_the_sparse_determinant(monkeypatch):
+    # The independent side of the determinant identity must not share the
+    # sparse elimination it checks.
+    def refuse(*args):
+        raise AssertionError("sparse_determinant called")
+
+    monkeypatch.setattr("ratpencil.pencil.sparse_determinant", refuse)
+    target = RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1))
+    assert _golden().m == 3
+    assert check_realization(_golden(), target, RealizationKind.SBR).passed
+    target = parse_expression("z1/(1+z2) + z2^2", Q, 2)
+    result = realize_br(target)
+    assert 6 <= result.pencil.m <= 16
+    assert check_realization(result.pencil, target, result.kind).passed
+
+
+def test_three_by_three_br_with_shared_denominators_verifies():
+    target = parse_expression(
+        "[[z1+z2^3, z1*z2/(1+z1), z3],[z2, z3^2/(z1+z2), 1],"
+        "[z1*z2*z3, 0, 1/(1+z3)]]",
+        Q, 3,
+    )
+    result = realize_br(target)
+    assert result.pencil.m == 792
+    assert check_realization(result.pencil, target, result.kind).passed
