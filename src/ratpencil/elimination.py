@@ -51,11 +51,7 @@ def _shift_down(p: Polynomial, shift) -> Polynomial:
     terms = {
         tuple(e - s for e, s in zip(exps, shift)): v for exps, v in p.terms.items()
     }
-    out = Polynomial.__new__(Polynomial)
-    object.__setattr__(out, "descriptor", p.descriptor)
-    object.__setattr__(out, "n_vars", p.n_vars)
-    object.__setattr__(out, "terms", terms)
-    return out
+    return Polynomial._wrap(p.descriptor, p.n_vars, terms)
 
 
 class _State:

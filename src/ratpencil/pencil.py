@@ -79,17 +79,12 @@ class LinearPencil:
     @classmethod
     def from_dense(cls, descriptor, n_vars, split, matrices) -> "LinearPencil":
         """Build from n+1 dense m-by-m grids of raw values."""
-        m = len(matrices[0])
-        coeffs = []
-        for grid in matrices:
-            c = {}
-            for i, row in enumerate(grid):
-                for j, value in enumerate(row):
-                    value = descriptor.coerce(value)
-                    if value:
-                        c[(i, j)] = value
-            coeffs.append(c)
-        return cls(descriptor, n_vars, m, split, coeffs)
+        coeffs = [
+            {(i, j): value for i, row in enumerate(grid)
+             for j, value in enumerate(row)}
+            for grid in matrices
+        ]
+        return cls(descriptor, n_vars, len(matrices[0]), split, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, LinearPencil):
@@ -250,16 +245,21 @@ class LinearPencil:
         raw = doc["coeffs"]
         if not isinstance(raw, list) or len(raw) != n_vars + 1:
             raise DimensionMismatch("coefficient count does not match n_vars")
-        matrices = []
+        parse = descriptor.parse_value
+        coeffs = []
         for grid in raw:
             if not isinstance(grid, list) or len(grid) != m or any(
                 not isinstance(row, list) or len(row) != m for row in grid
             ):
                 raise DimensionMismatch("coefficient matrix is not m x m")
-            matrices.append(
-                [[descriptor.parse_value(cell) for cell in row] for row in grid]
-            )
-        return cls.from_dense(descriptor, n_vars, split, matrices)
+            c = {}
+            for i, row in enumerate(grid):
+                for j, cell in enumerate(row):
+                    value = parse(cell)
+                    if value:
+                        c[(i, j)] = value
+            coeffs.append(c)
+        return cls(descriptor, n_vars, m, split, coeffs)
 
 
 def schur_complement(p: LinearPencil) -> RationalMatrix:

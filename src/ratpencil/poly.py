@@ -23,14 +23,6 @@ from .fields import FieldDescriptor, FieldElement
 NEG_INFINITY = float("-inf")
 
 
-def monomial_degree(exps: tuple[int, ...]) -> int:
-    return sum(exps)
-
-
-def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
@@ -68,6 +60,15 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, descriptor, n_vars, terms) -> "Polynomial":
+        """Wrap a term map that is already clean: tuple keys, nonzero values."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "descriptor", descriptor)
+        object.__setattr__(out, "n_vars", n_vars)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def zero(cls, descriptor, n_vars) -> "Polynomial":
@@ -143,20 +144,12 @@ class Polynomial:
                     terms[exps] = merged
                 else:
                     del terms[exps]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "descriptor", self.descriptor)
-        object.__setattr__(out, "n_vars", self.n_vars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
 
     def __neg__(self) -> "Polynomial":
         neg = self.descriptor.neg
         terms = {exps: neg(value) for exps, value in self.terms.items()}
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "descriptor", self.descriptor)
-        object.__setattr__(out, "n_vars", self.n_vars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -183,11 +176,7 @@ class Polynomial:
                         terms[exps] = merged
                     else:
                         del terms[exps]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "descriptor", d)
-        object.__setattr__(out, "n_vars", self.n_vars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Polynomial._wrap(d, self.n_vars, terms)
 
     def scale(self, value) -> "Polynomial":
         raw = self.descriptor.coerce(value)
@@ -195,11 +184,7 @@ class Polynomial:
             return Polynomial.zero(self.descriptor, self.n_vars)
         mul = self.descriptor.mul
         terms = {exps: mul(v, raw) for exps, v in self.terms.items()}
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "descriptor", self.descriptor)
-        object.__setattr__(out, "n_vars", self.n_vars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -415,10 +400,6 @@ class RationalFunction:
     @property
     def n_vars(self):
         return self.num.n_vars
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p)
 
     @classmethod
     def zero(cls, descriptor, n_vars) -> "RationalFunction":

@@ -7,11 +7,14 @@ normal form replaces every ``z_i^(2a+b)`` by ``(ell_i^2)^a * z_i^b``, so
 elements are multilinear polynomials.  On top of the elements sit symmetric
 matrices with the CLEAN / ADD / ISOLATE transformations and the constructive
 reduction that squeezes a ring realizer down to its linear value.
+
+The ring has zero divisors, so matrix determinants use Berkowitz's
+division-free algorithm (O(m^4) ring operations, no size limit).  The
+involution sum :func:`det_involution_sum` is an independent second formula
+for symmetric matrices; realizer checks compare the two.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .errors import (
     BadIndices,
@@ -26,8 +29,6 @@ from .errors import (
 )
 from .fields import FieldDescriptor, FieldElement
 from .poly import Polynomial
-
-_MAX_LEIBNIZ = 8
 
 
 class QuotContext:
@@ -304,10 +305,10 @@ class QuotMatrix:
         return [list(row[k:]) for row in self.entries[k:]]
 
     def det(self) -> QuotElement:
-        return _det_leibniz(self.context, self.entries)
+        return _det_berkowitz(self.context, self.entries)
 
     def det22(self) -> QuotElement:
-        return _det_leibniz(self.context, self.block22())
+        return _det_berkowitz(self.context, self.block22())
 
     def delete_row_col(self, index: int) -> "QuotMatrix":
         if not 0 <= index < self.m:
@@ -329,20 +330,40 @@ class QuotMatrix:
         return f"QuotMatrix({self.m}x{self.m}, split={self.split}, {self})"
 
 
-def _det_leibniz(context: QuotContext, grid) -> QuotElement:
-    m = len(grid)
-    if m > _MAX_LEIBNIZ:
-        raise ValueError(f"Leibniz determinant limited to {_MAX_LEIBNIZ}x{_MAX_LEIBNIZ}")
-    acc = context.zero()
-    for sigma in permutations(range(m)):
-        term = context.one()
-        for i in range(m):
-            term = term * grid[i][sigma[i]]
-            if term.is_zero():
-                break
-        # permutation signs are trivial in characteristic 2
-        acc = acc + term
-    return acc
+def _dot(zero: QuotElement, xs, ys) -> QuotElement:
+    return sum(
+        (x * y for x, y in zip(xs, ys) if not (x.is_zero() or y.is_zero())),
+        zero,
+    )
+
+
+def _det_berkowitz(context: QuotContext, grid) -> QuotElement:
+    """Division-free determinant (Berkowitz 1984) in O(m^4) ring operations.
+
+    Walking up from the bottom-right corner, ``coeffs`` holds the
+    characteristic polynomial of the trailing principal block S.  Adding
+    the corner a, row R and column C in front of S multiplies ``coeffs`` by
+    the lower-triangular Toeplitz matrix with first column
+    1, a, RC, RSC, RS^2C, ...; the last coefficient is the determinant.
+    Only products and sums occur, so zero divisors do no harm, and every
+    sign of the textbook form vanishes in characteristic 2.
+    """
+    zero = context.zero()
+    coeffs = [context.one()]
+    for k in range(len(grid) - 1, -1, -1):
+        block = [r[k + 1:] for r in grid[k + 1:]]
+        row = grid[k][k + 1:]
+        column = [r[k] for r in grid[k + 1:]]
+        toeplitz = [grid[k][k]]
+        for t in range(len(block)):
+            if t:
+                column = [_dot(zero, r, column) for r in block]
+            toeplitz.append(_dot(zero, row, column))
+        coeffs = [
+            c + _dot(zero, reversed(toeplitz[:i]), coeffs[:i])
+            for i, c in enumerate(coeffs + [zero])
+        ]
+    return coeffs[-1]
 
 
 def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
@@ -416,8 +437,9 @@ def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
 def is_ring_realizer(matrix: QuotMatrix, r: QuotElement) -> bool:
     """Does det(A) = r det(A22) hold with det(A22) invertible?
 
-    The Leibniz determinant is cross-checked against the involution sum,
-    which must agree for symmetric matrices in characteristic 2.
+    The Berkowitz determinant is cross-checked against the involution sum,
+    an independent formula that must agree for symmetric matrices in
+    characteristic 2.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("realizers are symmetric")
@@ -442,7 +464,6 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
     det(A) / det(A22) directly.  The 2x2 base case is L1 + c^2 L2^{-1}.
     Every intermediate matrix stays a clean realizer of r.
     """
-    ctx = matrix.context
     if not is_ring_realizer(matrix, r):
         raise NotARealizer("input does not realize the claimed element")
     work = clean(matrix)

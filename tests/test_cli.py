@@ -160,6 +160,15 @@ def test_reduce_trace_golden(capsys):
     assert "[0, z1, 0, 1]" in out
 
 
+def test_reduce_nine_by_nine_fixture(capsys):
+    code, out, _ = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "1,0",
+        "--matrix", str(FIXTURES / "ring_9x9_ell10.json"), "--r", "z1",
+    )
+    assert code == 0
+    assert out == "reduced: z1\n"
+
+
 def test_reduce_rejects_wrong_r(capsys):
     code, _, err = run(
         capsys, "reduce", "--field", "gf2", "--ell", "1,1",

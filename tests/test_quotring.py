@@ -17,6 +17,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.poly import Polynomial
 from ratpencil.quotring import (
     QuotContext,
+    QuotElement,
     QuotMatrix,
     add_transform,
     clean,
@@ -152,7 +153,7 @@ def test_projection_commutes_with_det(rng):
     for _ in range(60):
         n = rng.randint(1, 3)
         ctx = _ctx(n, [rng.randrange(2) for _ in range(n)])
-        m = rng.randint(2, 3)
+        m = rng.randint(2, 6)
         grid = [
             [random_poly(rng, G2, n, max_deg=2, max_terms=2) for _ in range(m)]
             for _ in range(m)
@@ -255,7 +256,7 @@ def test_involution_sum_matches_leibniz(rng):
     for _ in range(200):
         n = rng.randint(1, 2)
         ctx = _ctx(n, [rng.randrange(2) for _ in range(n)])
-        m = rng.randint(2, 4)
+        m = rng.randint(2, 8)
         grid = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
@@ -263,6 +264,30 @@ def test_involution_sum_matches_leibniz(rng):
                 grid[i][j] = grid[j][i] = e
         matrix = QuotMatrix(ctx, 1, grid)
         assert det_involution_sum(matrix) == matrix.det()
+
+
+def test_det_multiplications_grow_polynomially(monkeypatch):
+    ctx = _ctx(2, [0, 0])
+    one = ctx.one()
+    m = 10
+    grid = [
+        [ctx.variable(i % 2) + one if i == j else ctx.variable(i * j % 2)
+         for j in range(m)]
+        for i in range(m)
+    ]
+    matrix = QuotMatrix(ctx, 1, grid)
+    expected = det_involution_sum(matrix)
+    calls = []
+    original = QuotElement.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(QuotElement, "__mul__", counting)
+    assert matrix.det() == expected
+    # about 2000 products here; enumerating 10! permutations needs millions
+    assert 0 < len(calls) <= 10**4
 
 
 def _random_realizer(rng, ctx, pad):
@@ -366,3 +391,12 @@ def test_reduce_randomized(rng):
         result = reduce_realizer(matrix, r)
         assert result.is_linear()
         assert result == r
+
+
+@pytest.mark.parametrize("pad", [7, 8])
+def test_reduce_nine_and_ten_square_realizers(rng, pad):
+    ctx = _ctx(2, [1, 0])
+    matrix, r = _random_realizer(rng, ctx, pad=pad)
+    assert matrix.m == 2 + pad
+    assert is_ring_realizer(matrix, r)
+    assert reduce_realizer(matrix, r) == r
