@@ -4,12 +4,24 @@ stated algebraic combination of the inputs' Schur complements.
 The block layouts below are load-bearing: they are what make the Schur
 complement identities hold and what transfer symmetry/homogeneity from
 inputs to outputs, so they are assembled verbatim and documented per
-operation.  All precondition checks on block invertibility run eagerly by
-exact determinant; pass ``check=False`` to defer them when composing long
+operation.
+
+Each layout is an index relabeling: every entry ``(i, j)`` of an input
+coefficient goes once to ``(rows[i], cols[j])`` (or to the transposed cell,
+or negated), where ``rows`` and ``cols`` send the input's two blocks to
+their offsets (:func:`_split`), and each output coefficient is one
+:func:`ratpencil.fields.accumulate` over the moved entries.  Only
+:func:`op_sandwich` weights entries, spreading the first block through the
+constant factors U and V.
+
+All precondition checks on block invertibility run eagerly by exact
+determinant; pass ``check=False`` to defer them when composing long
 pipelines that are verified once at the end.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import (
     BlockSizeMismatch,
@@ -19,6 +31,7 @@ from .errors import (
     SingularX,
     ZeroScalar,
 )
+from .fields import accumulate
 from .matrices import RationalMatrix, mat_det
 from .pencil import LinearPencil
 
@@ -32,67 +45,18 @@ def _require_block(p: LinearPencil):
     p.block_det()  # raises SingularBlock when det A22 == 0
 
 
-def _paste(dst, src, row_lo, row_hi, col_lo, col_hi, row_off, col_off,
-           descriptor, transpose=False, negate=False):
-    """Accumulate a source block into a destination coefficient dict."""
-    add, neg = descriptor.add, descriptor.neg
-    for (i, j), value in src.items():
-        if not (row_lo <= i < row_hi and col_lo <= j < col_hi):
-            continue
-        if transpose:
-            key = (row_off + (j - col_lo), col_off + (i - row_lo))
-        else:
-            key = (row_off + (i - row_lo), col_off + (j - col_lo))
-        if negate:
-            value = neg(value)
-        prior = dst.get(key)
-        if prior is None:
-            dst[key] = value
-        else:
-            merged = add(prior, value)
-            if merged:
-                dst[key] = merged
-            else:
-                del dst[key]
+def _split(k: int, size: int, low: int, high: int) -> list[int]:
+    """Output index of each input index ``t < size``: the first block
+    ``t < k`` goes to ``low + t``, the second to ``high + (t - k)``."""
+    return list(range(low, low + k)) + list(range(high, high + size - k))
 
 
-def _sparse_from_dense(grid, descriptor):
-    out = {}
-    for i, row in enumerate(grid):
-        for j, value in enumerate(row):
-            value = descriptor.coerce(value)
-            if value:
-                out[(i, j)] = value
-    return out
-
-
-def _sparse_matmul(a, b, descriptor):
-    add, mul = descriptor.add, descriptor.mul
-    by_row: dict[int, dict[int, object]] = {}
-    for (i, t), v in a.items():
-        by_row.setdefault(i, {})[t] = v
-    b_rows: dict[int, dict[int, object]] = {}
-    for (t, j), v in b.items():
-        b_rows.setdefault(t, {})[j] = v
-    out = {}
-    for i, arow in by_row.items():
-        for t, av in arow.items():
-            brow = b_rows.get(t)
-            if not brow:
-                continue
-            for j, bv in brow.items():
-                piece = mul(av, bv)
-                prior = out.get((i, j))
-                if prior is None:
-                    if piece:
-                        out[(i, j)] = piece
-                else:
-                    merged = add(prior, piece)
-                    if merged:
-                        out[(i, j)] = merged
-                    else:
-                        del out[(i, j)]
-    return out
+def _moved(c: dict, rows, cols, neg=None):
+    """Entries of ``c`` sent from ``(i, j)`` to ``(rows[i], cols[j])``,
+    negated by ``neg`` when it is given."""
+    if neg is None:
+        return (((rows[i], cols[j]), value) for (i, j), value in c.items())
+    return (((rows[i], cols[j]), neg(value)) for (i, j), value in c.items())
 
 
 def op_scale(p: LinearPencil, scalar, check: bool = True) -> LinearPencil:
@@ -129,21 +93,13 @@ def op_add(p: LinearPencil, q: LinearPencil, check: bool = True) -> LinearPencil
         _require_block(p)
         _require_block(q)
     m, l = p.m, q.m
-    size = m + l - k
     d = p.descriptor
-    coeffs = []
-    for pc, qc in zip(p.coeffs, q.coeffs):
-        c: dict = {}
-        _paste(c, pc, 0, k, 0, k, 0, 0, d)          # A11
-        _paste(c, qc, 0, k, 0, k, 0, 0, d)          # + B11
-        _paste(c, pc, 0, k, k, m, 0, k, d)          # A12
-        _paste(c, qc, 0, k, k, l, 0, m, d)          # B12
-        _paste(c, pc, k, m, 0, k, k, 0, d)          # A21
-        _paste(c, pc, k, m, k, m, k, k, d)          # A22
-        _paste(c, qc, k, l, 0, k, m, 0, d)          # B21
-        _paste(c, qc, k, l, k, l, m, m, d)          # B22
-        coeffs.append(c)
-    return LinearPencil(d, p.n_vars, size, k, coeffs)
+    b_index = _split(k, l, 0, m)
+    coeffs = [
+        accumulate(dict(pc), _moved(qc, b_index, b_index), d.add)
+        for pc, qc in zip(p.coeffs, q.coeffs)
+    ]
+    return LinearPencil(d, p.n_vars, m + l - k, k, coeffs)
 
 
 def op_symmetrize(p: LinearPencil, check: bool = True) -> LinearPencil:
@@ -160,21 +116,15 @@ def op_symmetrize(p: LinearPencil, check: bool = True) -> LinearPencil:
     if check:
         _require_block(p)
     k, m = p.split, p.m
-    size = 2 * m - k
     d = p.descriptor
-    coeffs = []
-    for pc in p.coeffs:
-        c: dict = {}
-        _paste(c, pc, 0, k, 0, k, 0, 0, d)                      # A11
-        _paste(c, pc, 0, k, 0, k, 0, 0, d, transpose=True)      # + A11^T
-        _paste(c, pc, k, m, 0, k, 0, k, d, transpose=True)      # A21^T
-        _paste(c, pc, 0, k, k, m, 0, m, d)                      # A12
-        _paste(c, pc, k, m, 0, k, k, 0, d)                      # A21
-        _paste(c, pc, k, m, k, m, k, m, d)                      # A22
-        _paste(c, pc, 0, k, k, m, m, 0, d, transpose=True)      # A12^T
-        _paste(c, pc, k, m, k, m, m, k, d, transpose=True)      # A22^T
-        coeffs.append(c)
-    return LinearPencil(d, p.n_vars, size, k, coeffs)
+    rows, cols = _split(k, m, 0, k), _split(k, m, 0, m)
+    coeffs = [
+        accumulate({}, chain(_moved(pc, rows, cols), (
+            ((cols[j], rows[i]), value) for (i, j), value in pc.items()
+        )), d.add)
+        for pc in p.coeffs
+    ]
+    return LinearPencil(d, p.n_vars, 2 * m - k, k, coeffs)
 
 
 def op_sandwich(u, p: LinearPencil, v, check: bool = True) -> LinearPencil:
@@ -201,30 +151,25 @@ def op_sandwich(u, p: LinearPencil, v, check: bool = True) -> LinearPencil:
     if check:
         _require_block(p)
     l = u_rows
-    us = _sparse_from_dense(u, d)
-    vs = _sparse_from_dense(v, d)
-    size = l + m - k
-    coeffs = []
-    for pc in p.coeffs:
-        c: dict = {}
-        a11 = {key: val for key, val in pc.items() if key[0] < k and key[1] < k}
-        _paste(c, _sparse_matmul(_sparse_matmul(us, a11, d), vs, d),
-               0, l, 0, l, 0, 0, d)                              # U A11 V
-        a12 = {
-            (i, j - k): val
-            for (i, j), val in pc.items()
-            if i < k and j >= k
-        }
-        _paste(c, _sparse_matmul(us, a12, d), 0, l, 0, m - k, 0, l, d)   # U A12
-        a21 = {
-            (i - k, j): val
-            for (i, j), val in pc.items()
-            if i >= k and j < k
-        }
-        _paste(c, _sparse_matmul(a21, vs, d), 0, m - k, 0, l, l, 0, d)   # A21 V
-        _paste(c, pc, k, m, k, m, l, l, d)                               # A22
-        coeffs.append(c)
-    return LinearPencil(d, p.n_vars, size, l, coeffs)
+    us = [[d.coerce(value) for value in row] for row in u]
+    vs = [[d.coerce(value) for value in row] for row in v]
+    # Row t < k of A spreads over the rows of U's column t, column t < k
+    # over the columns of V's row t; index t >= k moves on with weight one.
+    tail = [[(s, d.one)] for s in _split(k, m, 0, l)[k:]]
+    down = [[(r, us[r][t]) for r in range(l) if us[r][t]] for t in range(k)]
+    across = [[(s, vs[t][s]) for s in range(l) if vs[t][s]] for t in range(k)]
+    down, across = down + tail, across + tail
+    mul = d.mul
+    coeffs = [
+        accumulate({}, (
+            ((r, s), mul(mul(x, value), y))
+            for (i, j), value in pc.items()
+            for r, x in down[i]
+            for s, y in across[j]
+        ), d.add)
+        for pc in p.coeffs
+    ]
+    return LinearPencil(d, p.n_vars, l + m - k, l, coeffs)
 
 
 def _x_coeffs(x, descriptor, n_vars, k):
@@ -293,23 +238,18 @@ def op_product(p: LinearPencil, x, q: LinearPencil,
                 raise SingularX("middle factor X has zero determinant")
     m, l = p.m, q.m
     size = m + l
-    r1, r2, r3 = k, l, m + l - k           # row group offsets after group 0
-    c1, c2, c3 = k, m, m + l - k           # column group offsets after group 0
-    coeffs = []
-    for idx in range(p.n_vars + 1):
-        pc, qc = p.coeffs[idx], q.coeffs[idx]
-        c: dict = {}
-        _paste(c, pc, 0, k, k, m, 0, c1, d)            # A12
-        _paste(c, pc, 0, k, 0, k, 0, c3, d)            # A11
-        _paste(c, qc, k, l, 0, k, r1, 0, d)            # B21
-        _paste(c, qc, k, l, k, l, r1, c2, d)           # B22
-        _paste(c, pc, k, m, k, m, r2, c1, d)           # A22
-        _paste(c, pc, k, m, 0, k, r2, c3, d)           # A21
-        _paste(c, qc, 0, k, 0, k, r3, 0, d)            # B11
-        _paste(c, qc, 0, k, k, l, r3, c2, d)           # B12
-        for (i, j), value in xc[idx].items():          # -X
-            _paste(c, {(i, j): value}, 0, k, 0, k, r3, c3, d, negate=True)
-        coeffs.append(c)
+    last = size - k                        # offset of the last row/column group
+    a_rows, a_cols = _split(k, m, 0, l), _split(k, m, last, k)
+    b_rows, b_cols = _split(k, l, last, k), _split(k, l, 0, m)
+    x_index = _split(k, k, last, size)
+    coeffs = [
+        accumulate({}, chain(
+            _moved(pc, a_rows, a_cols),
+            _moved(qc, b_rows, b_cols),
+            _moved(xc_t, x_index, x_index, d.neg),
+        ), d.add)
+        for pc, qc, xc_t in zip(p.coeffs, q.coeffs, xc)
+    ]
     return LinearPencil(d, p.n_vars, size, k, coeffs)
 
 
@@ -331,21 +271,16 @@ def op_inverse(p: LinearPencil, check: bool = True) -> LinearPencil:
             raise SingularSchurComplement("Schur complement is not invertible")
     k, m = p.split, p.m
     d = p.descriptor
-    size = m + k
-    coeffs = []
-    for idx in range(p.n_vars + 1):
-        pc = p.coeffs[idx]
-        c: dict = {}
-        if idx == 0:
-            for t in range(k):
-                c[(t, k + t)] = d.one
-                c[(k + t, t)] = d.one
-        _paste(c, pc, 0, k, 0, k, k, k, d, negate=True)        # -A11
-        _paste(c, pc, 0, k, k, m, k, 2 * k, d, negate=True)    # -A12
-        _paste(c, pc, k, m, 0, k, 2 * k, k, d, negate=True)    # -A21
-        _paste(c, pc, k, m, k, m, 2 * k, 2 * k, d, negate=True)  # -A22
-        coeffs.append(c)
-    return LinearPencil(d, p.n_vars, size, k, coeffs)
+    index = _split(k, m, k, 2 * k)
+    identity = {}
+    for t in range(k):
+        identity[(t, k + t)] = identity[(k + t, t)] = d.one
+    coeffs = [
+        accumulate(dict(identity) if idx == 0 else {},
+                   _moved(pc, index, index, d.neg), d.add)
+        for idx, pc in enumerate(p.coeffs)
+    ]
+    return LinearPencil(d, p.n_vars, m + k, k, coeffs)
 
 
 def op_kron_identity(p: LinearPencil, copies: int, check: bool = True) -> LinearPencil:

@@ -180,75 +180,69 @@ def _scalar(matrix: RationalMatrix) -> RationalFunction | None:
     return None
 
 
-def _evaluate(node, descriptor: FieldDescriptor, n_vars: int):
-    """Returns (RationalMatrix, uses_variables)."""
+def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
     kind = node[0]
     if kind == "int":
         value = RationalFunction.constant(descriptor, n_vars, node[1])
-        return RationalMatrix.scalar(value), False
+        return RationalMatrix.scalar(value)
     if kind == "var":
         value = RationalFunction.variable(descriptor, n_vars, node[1] - 1)
-        return RationalMatrix.scalar(value), True
+        return RationalMatrix.scalar(value)
     if kind == "neg":
-        inner, has_var = _evaluate(node[1], descriptor, n_vars)
-        return -inner, has_var
+        return -_evaluate(node[1], descriptor, n_vars)
     if kind == "pow":
-        base, has_var = _evaluate(node[1], descriptor, n_vars)
+        base = _evaluate(node[1], descriptor, n_vars)
         exponent = node[2]
         scalar = _scalar(base)
         if scalar is not None:
             acc = RationalFunction.one(descriptor, n_vars)
             for _ in range(exponent):
                 acc = acc * scalar
-            return RationalMatrix.scalar(acc), has_var
+            return RationalMatrix.scalar(acc)
         if not base.is_square():
             raise ParseError("power of a non-square matrix", node[3])
         acc = RationalMatrix.identity(descriptor, n_vars, base.rows)
         for _ in range(exponent):
             acc = acc * base
-        return acc, has_var
+        return acc
     if kind == "matrix":
         rows = []
-        has_var = False
         for row in node[1]:
             out_row = []
             for e in row:
-                value, hv = _evaluate(e, descriptor, n_vars)
-                has_var = has_var or hv
-                scalar = _scalar(value)
+                scalar = _scalar(_evaluate(e, descriptor, n_vars))
                 if scalar is None:
                     raise ParseError("matrix entries must be scalars", e[-1])
                 out_row.append(scalar)
             rows.append(out_row)
-        return RationalMatrix(rows), has_var
+        return RationalMatrix(rows)
     if kind == "bin":
         _, op, left, right, pos = node
-        a, var_a = _evaluate(left, descriptor, n_vars)
-        b, var_b = _evaluate(right, descriptor, n_vars)
-        has_var = var_a or var_b
+        a = _evaluate(left, descriptor, n_vars)
+        b = _evaluate(right, descriptor, n_vars)
         sa, sb = _scalar(a), _scalar(b)
         try:
             if op == "+":
                 if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa + sb), has_var
-                return a + b, has_var
+                    return RationalMatrix.scalar(sa + sb)
+                return a + b
             if op == "-":
                 if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa - sb), has_var
-                return a - b, has_var
+                    return RationalMatrix.scalar(sa - sb)
+                return a - b
             if op == "*":
                 if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa * sb), has_var
+                    return RationalMatrix.scalar(sa * sb)
                 if sa is not None:
-                    return b.scale(sa), has_var
+                    return b.scale(sa)
                 if sb is not None:
-                    return a.scale(sb), has_var
-                return a * b, has_var
+                    return a.scale(sb)
+                return a * b
             if op == "/":
                 if sb is None:
                     raise ParseError("division by a matrix", pos)
                 if sb.is_zero():
-                    if var_b:
+                    if max_variable(right) > 0:
                         raise DivisionByZeroPolynomial(
                             "divisor is identically zero"
                         )
@@ -256,8 +250,8 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int):
                         f"constant divisor is zero in {descriptor.name()}"
                     )
                 if sa is not None:
-                    return RationalMatrix.scalar(sa / sb), has_var
-                return a.scale(sb.inverse()), has_var
+                    return RationalMatrix.scalar(sa / sb)
+                return a.scale(sb.inverse())
         except DimensionMismatch as exc:
             raise ParseError(str(exc), pos) from None
     raise ValueError(f"unknown node {kind!r}")
@@ -274,5 +268,4 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
         raise ParseError(
             f"expression uses z{needed} but only {n_vars} variables allowed", 0
         )
-    matrix, _ = _evaluate(ast, descriptor, n_vars)
-    return matrix
+    return _evaluate(ast, descriptor, n_vars)

@@ -5,6 +5,11 @@ values; higher layers store raw values and only look at the descriptor.  Raw
 values are :class:`fractions.Fraction` over Q (always canonically reduced with
 positive denominator) and integers in ``[0, p)`` over GF(p).  The thin
 :class:`FieldElement` wrapper gives operator syntax plus descriptor checks.
+
+Every sparse sum in the library goes through :func:`accumulate`: polynomial
+term maps keyed by exponent tuple, quotient-ring normal forms, and pencil
+coefficient maps keyed by cell.  Callers say where each value goes (a new
+key); the routine adds it in and drops the key when the sum is zero.
 """
 
 from __future__ import annotations
@@ -148,6 +153,27 @@ class FieldDescriptor:
             num, den = text.split("/", 1)
             return self.div(int(num) % self.modulus, int(den) % self.modulus)
         return int(text) % self.modulus
+
+
+def accumulate(dst: dict, pairs, add) -> dict:
+    """Add each ``(key, value)`` of ``pairs`` into ``dst`` and return it.
+
+    ``add`` is a descriptor's raw addition.  Zero values are skipped and a
+    key whose sum becomes zero is deleted, so ``dst`` never holds a zero.
+    """
+    for key, value in pairs:
+        if not value:
+            continue
+        prior = dst.get(key)
+        if prior is None:
+            dst[key] = value
+        else:
+            merged = add(prior, value)
+            if merged:
+                dst[key] = merged
+            else:
+                del dst[key]
+    return dst
 
 
 def rationals() -> FieldDescriptor:

@@ -71,12 +71,6 @@ class RationalMatrix:
         )
 
     @classmethod
-    def zero(cls, descriptor, n_vars, rows, cols=None) -> "RationalMatrix":
-        cols = rows if cols is None else cols
-        z = RationalFunction.zero(descriptor, n_vars)
-        return cls([[z for _ in range(cols)] for _ in range(rows)])
-
-    @classmethod
     def scalar(cls, f: RationalFunction) -> "RationalMatrix":
         return cls([[f]])
 

@@ -2,7 +2,9 @@
 
 Monomials are bare exponent tuples of length ``n_vars``.  A
 :class:`Polynomial` maps monomials to nonzero raw field values (see
-:mod:`ratpencil.fields`); the zero polynomial has an empty term map.  A
+:mod:`ratpencil.fields`); the zero polynomial has an empty term map.  Sums,
+products, exact division and dehomogenization all merge terms through
+:func:`ratpencil.fields.accumulate`, which drops cancelled monomials.  A
 :class:`RationalFunction` is an unreduced fraction of two polynomials —
 there is no multivariate GCD anywhere, equality is by cross-multiplication,
 and the only normalization is scalar: the denominator is made monic in the
@@ -15,16 +17,26 @@ sorts by total degree first and then by the exponent tuple itself, so e.g.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .errors import DescriptorMismatch, DivisionByZero
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, accumulate
 
 NEG_INFINITY = float("-inf")
 
 
 def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _checked_terms(descriptor, n_vars, terms):
+    """``(exponent tuple, raw value)`` pairs of ``terms``, validated."""
+    for exps, value in terms.items():
+        exps = tuple(exps)
+        if len(exps) != n_vars or any(e < 0 for e in exps):
+            raise ValueError(f"bad monomial {exps} for {n_vars} variables")
+        yield exps, descriptor.coerce(value)
 
 
 class Polynomial:
@@ -37,21 +49,9 @@ class Polynomial:
             raise ValueError("n_vars must be non-negative")
         clean = {}
         if terms:
-            for exps, value in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n_vars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad monomial {exps} for {n_vars} variables")
-                value = descriptor.coerce(value)
-                if value:
-                    prior = clean.get(exps)
-                    if prior is None:
-                        clean[exps] = value
-                    else:
-                        merged = descriptor.add(prior, value)
-                        if merged:
-                            clean[exps] = merged
-                        else:
-                            del clean[exps]
+            accumulate(
+                clean, _checked_terms(descriptor, n_vars, terms), descriptor.add
+            )
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", clean)
@@ -132,18 +132,9 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._match(other)
-        add = self.descriptor.add
-        terms = dict(self.terms)
-        for exps, value in other.terms.items():
-            prior = terms.get(exps)
-            if prior is None:
-                terms[exps] = value
-            else:
-                merged = add(prior, value)
-                if merged:
-                    terms[exps] = merged
-                else:
-                    del terms[exps]
+        terms = accumulate(
+            dict(self.terms), other.terms.items(), self.descriptor.add
+        )
         return Polynomial._wrap(self.descriptor, self.n_vars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -157,26 +148,16 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._match(other)
         d = self.descriptor
-        mul, add = d.mul, d.add
+        mul, plus = d.mul, operator.add
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        terms: dict = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                piece = mul(va, vb)
-                prior = terms.get(exps)
-                if prior is None:
-                    if piece:
-                        terms[exps] = piece
-                else:
-                    merged = add(prior, piece)
-                    if merged:
-                        terms[exps] = merged
-                    else:
-                        del terms[exps]
-        return Polynomial._wrap(d, self.n_vars, terms)
+        pieces = (
+            (tuple(map(plus, ea, eb)), mul(va, vb))
+            for ea, va in a.items()
+            for eb, vb in b.items()
+        )
+        return Polynomial._wrap(d, self.n_vars, accumulate({}, pieces, d.add))
 
     def scale(self, value) -> "Polynomial":
         raw = self.descriptor.coerce(value)
@@ -216,18 +197,11 @@ class Polynomial:
             q_exps = tuple(e - le for e, le in zip(exps, lead))
             q_val = d.div(rem[exps], lead_c)
             out[q_exps] = q_val
-            for de, dv in divisor.terms.items():
-                target = tuple(x + y for x, y in zip(q_exps, de))
-                piece = d.mul(q_val, dv)
-                prior = rem.get(target)
-                if prior is None:
-                    rem[target] = d.neg(piece)
-                else:
-                    merged = d.sub(prior, piece)
-                    if merged:
-                        rem[target] = merged
-                    else:
-                        del rem[target]
+            neg_q = d.neg(q_val)
+            accumulate(rem, (
+                (tuple(map(operator.add, q_exps, de)), d.mul(neg_q, dv))
+                for de, dv in divisor.terms.items()
+            ), d.add)
         return Polynomial(d, self.n_vars, out)
 
     def __eq__(self, other):
@@ -303,19 +277,8 @@ class Polynomial:
         if self.n_vars < 1:
             raise ValueError("no variable to drop")
         d = self.descriptor
-        terms: dict = {}
-        for exps, value in self.terms.items():
-            key = exps[:-1]
-            prior = terms.get(key)
-            if prior is None:
-                terms[key] = value
-            else:
-                merged = d.add(prior, value)
-                if merged:
-                    terms[key] = merged
-                else:
-                    del terms[key]
-        return Polynomial(d, self.n_vars - 1, terms)
+        pairs = ((exps[:-1], value) for exps, value in self.terms.items())
+        return Polynomial._wrap(d, self.n_vars - 1, accumulate({}, pairs, d.add))
 
     def homogenize_new_var(self) -> "Polynomial":
         """Append a variable and pad every term up to the total degree."""

@@ -8,10 +8,15 @@ elements are multilinear polynomials.  On top of the elements sit symmetric
 matrices with the CLEAN / ADD / ISOLATE transformations and the constructive
 reduction that squeezes a ring realizer down to its linear value.
 
+Normal forms are built with :func:`ratpencil.fields.accumulate` and
+wrapped without re-validation, since reduced exponent tuples are clean keys.
+
 The ring has zero divisors, so matrix determinants use Berkowitz's
 division-free algorithm (O(m^4) ring operations, no size limit).  The
 involution sum :func:`det_involution_sum` is an independent second formula
-for symmetric matrices; realizer checks compare the two.
+for symmetric matrices; realizer checks compare the two.  It expands along
+the smallest free index (fix it, or pair it with another) and memoizes the
+sums of the index sets it meets, so it never lists the involutions.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     NotSymmetric,
     WrongCharacteristic,
 )
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, accumulate
 from .poly import Polynomial
 
 
@@ -72,27 +77,19 @@ class QuotContext:
         if p.descriptor != self.descriptor or p.n_vars != self.n_vars:
             raise DescriptorMismatch("polynomial does not match the context")
         d = self.descriptor
-        terms: dict = {}
-        for exps, value in p.terms.items():
-            factor = value
-            reduced = []
-            for e, lsq in zip(exps, self.ell_sq):
-                reduced.append(e % 2)
-                if e >= 2:
-                    factor = d.mul(factor, d.pow(lsq, e // 2))
-            if not factor:
-                continue
-            key = tuple(reduced)
-            prior = terms.get(key)
-            if prior is None:
-                terms[key] = factor
-            else:
-                merged = d.add(prior, factor)
-                if merged:
-                    terms[key] = merged
-                else:
-                    del terms[key]
-        return Polynomial(d, self.n_vars, terms)
+        terms = accumulate({}, self._reduced_terms(p.terms), d.add)
+        return Polynomial._wrap(d, self.n_vars, terms)
+
+    def _reduced_terms(self, terms):
+        """Each term of ``terms`` with every exponent reduced mod 2."""
+        d = self.descriptor
+        for exps, value in terms.items():
+            if max(exps, default=0) >= 2:
+                for e, lsq in zip(exps, self.ell_sq):
+                    if e >= 2:
+                        value = d.mul(value, d.pow(lsq, e // 2))
+                exps = tuple([e % 2 for e in exps])
+            yield exps, value
 
     def project(self, p: Polynomial) -> "QuotElement":
         return QuotElement(self, self.mult_normal_form(p))
@@ -205,29 +202,6 @@ def qe_abs(r: QuotElement) -> FieldElement:
 
 def qe_inv(r: QuotElement) -> QuotElement:
     return r.inverse()
-
-
-def _involutions(m: int):
-    """All involutions of range(m) as mappings, via recursive pairing."""
-    def build(free):
-        if not free:
-            yield {}
-            return
-        i = free[0]
-        rest = free[1:]
-        for sub in build(rest):
-            sub = dict(sub)
-            sub[i] = i
-            yield sub
-        for t, j in enumerate(rest):
-            remaining = rest[:t] + rest[t + 1:]
-            for sub in build(remaining):
-                sub = dict(sub)
-                sub[i] = j
-                sub[j] = i
-                yield sub
-
-    yield from build(list(range(m)))
 
 
 class QuotMatrix:
@@ -367,19 +341,35 @@ def _det_berkowitz(context: QuotContext, grid) -> QuotElement:
 
 
 def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
-    """Symmetric determinant as a sum over involutions only."""
+    """Symmetric determinant as a sum over involutions only.
+
+    In characteristic 2 a permutation with a cycle longer than two cancels
+    against the one with that cycle reversed, so only involutions remain.
+    With i the smallest index of a set F, an involution of F either fixes i
+    or swaps it with some j, which gives the expansion
+
+        S(F) = a_ii S(F - {i}) + sum_j a_ij a_ji S(F - {i, j}),  S({}) = 1,
+
+    and det A = S({0, ..., m-1}).  S is memoized on the sets it meets.
+    """
     if not matrix.is_symmetric():
         raise NotSymmetric("involution-sum determinant needs a symmetric matrix")
     grid = matrix.entries
-    acc = matrix.context.zero()
-    for sigma in _involutions(matrix.m):
-        term = matrix.context.one()
-        for i in range(matrix.m):
-            term = term * grid[i][sigma[i]]
-            if term.is_zero():
-                break
-        acc = acc + term
-    return acc
+    memo = {(): matrix.context.one()}
+
+    def involution_sum(free):
+        total = memo.get(free)
+        if total is None:
+            i, rest = free[0], free[1:]
+            total = grid[i][i] * involution_sum(rest)
+            for t, j in enumerate(rest):
+                if not grid[i][j].is_zero():
+                    pair = grid[i][j] * grid[j][i]
+                    total = total + pair * involution_sum(rest[:t] + rest[t + 1:])
+            memo[free] = total
+        return total
+
+    return involution_sum(tuple(range(matrix.m)))
 
 
 def clean(matrix: QuotMatrix) -> QuotMatrix:

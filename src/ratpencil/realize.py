@@ -79,12 +79,8 @@ def _const_matrix_pencil(descriptor, n_vars, values) -> LinearPencil:
     """Realizes a constant k x k matrix B as [[B, 0], [0, 1]] with split k
     (the zero matrix and the 1x1 one included)."""
     k = len(values)
-    c0 = {}
-    for i in range(k):
-        for j in range(k):
-            raw = descriptor.coerce(values[i][j])
-            if raw:
-                c0[(i, j)] = raw
+    c0 = {(i, j): value for i, row in enumerate(values)
+          for j, value in enumerate(row)}
     c0[(k, k)] = descriptor.one
     return LinearPencil(
         descriptor, n_vars, k + 1, k, [c0] + [{} for _ in range(n_vars)]

@@ -44,6 +44,13 @@ def test_division_by_zero_polynomial():
         parse_expression("1/(z1-z1)", Q)
 
 
+def test_zero_constant_divisor_is_a_literal_error():
+    # the divisor names no variable, so a variable in the dividend does not
+    # make this a zero-polynomial division
+    with pytest.raises(FieldLiteralError):
+        parse_expression("z1/(2-2)", Q)
+
+
 def test_precedence():
     out = parse_expression("1+2*z1^2", Q)
     z1 = _z(Q, 1, 0)

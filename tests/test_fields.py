@@ -8,6 +8,7 @@ from ratpencil.errors import DescriptorMismatch, DivisionByZero
 from ratpencil.fields import (
     FieldDescriptor,
     FieldElement,
+    accumulate,
     characteristic,
     field_arith,
     parse_field,
@@ -90,6 +91,48 @@ def test_gf_value_parsing():
 _descriptors = st.sampled_from(
     [rationals(), prime_field(2), prime_field(3), prime_field(7)]
 )
+
+
+def _raw_values(descriptor):
+    if descriptor.characteristic == 0:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, descriptor.characteristic - 1)
+
+
+@st.composite
+def _accumulations(draw):
+    """A field, a start map without zeros, and pairs over few keys: zero
+    values, repeated keys, and pairs that cancel a key exactly."""
+    descriptor = draw(_descriptors)
+    values = _raw_values(descriptor)
+    keys = st.sampled_from([(0, 0), (0, 1), (1, 0), (2, 2)])
+    start = draw(st.dictionaries(keys, values.filter(bool)))
+    pairs = draw(st.lists(st.tuples(keys, values), max_size=12))
+    for key in draw(st.lists(keys, max_size=3)):
+        total = start.get(key, descriptor.zero)
+        for k, v in pairs:
+            if k == key:
+                total = descriptor.add(total, v)
+        pairs.append((key, descriptor.neg(total)))
+        pairs.append((key, descriptor.zero))
+    return descriptor, start, pairs
+
+
+@given(_accumulations())
+def test_accumulate_matches_a_naive_sum(data):
+    descriptor, start, pairs = data
+    expected = {}
+    for key in set(start) | {k for k, _ in pairs}:
+        total = start.get(key, descriptor.zero)
+        for k, v in pairs:
+            if k == key:
+                total = descriptor.add(total, v)
+        if total:
+            expected[key] = total
+    dst = dict(start)
+    assert accumulate(dst, iter(pairs), descriptor.add) is dst
+    assert dst == expected
+    assert all(dst.values())
 
 
 @st.composite

@@ -23,6 +23,14 @@ def _vars(descriptor, n):
     return [Polynomial.variable(descriptor, n, i) for i in range(n)]
 
 
+@pytest.mark.parametrize(
+    "exps", [(1,), (1, 0, 0), (), (1, -1), (-2, 0)]
+)
+def test_constructor_rejects_bad_monomials(exps):
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {exps: 1})
+
+
 def test_poly_add_mul_examples():
     z1, z2 = _vars(G2, 2)
     square = poly_arith(z1 + z2, z1 + z2, "mul")

@@ -290,6 +290,31 @@ def test_det_multiplications_grow_polynomially(monkeypatch):
     assert 0 < len(calls) <= 10**4
 
 
+def test_involution_sum_expands_instead_of_enumerating(monkeypatch):
+    # 140152 involutions of 12 points; the memoized expansion over subsets
+    # needs a few thousand ring products
+    ctx = _ctx(2, [0, 1])
+    one = ctx.one()
+    m = 12
+    grid = [
+        [ctx.variable(i % 2) + one if i == j else ctx.variable(i * j % 2)
+         for j in range(m)]
+        for i in range(m)
+    ]
+    matrix = QuotMatrix(ctx, 1, grid)
+    expected = matrix.det()
+    calls = []
+    original = QuotElement.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(QuotElement, "__mul__", counting)
+    assert det_involution_sum(matrix) == expected
+    assert 0 < len(calls) <= 10**4
+
+
 def _random_realizer(rng, ctx, pad):
     """Build a known (realizer, r) pair: a 2x2 core padded and scrambled."""
     n = ctx.n_vars
