@@ -28,12 +28,21 @@ from .poly import Polynomial, RationalFunction
 
 
 def _parity_sign(order: list[int]) -> int:
-    inversions = 0
-    for s in range(len(order)):
-        for t in range(s + 1, len(order)):
-            if order[s] > order[t]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    """Sign of ``order``, a permutation of consecutive integers: a cycle of
+    length l is l - 1 transpositions."""
+    low = min(order, default=0)
+    seen = [False] * len(order)
+    transpositions = 0
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        t = order[start] - low
+        while t != start:
+            seen[t] = True
+            t = order[t] - low
+            transpositions += 1
+    return -1 if transpositions % 2 else 1
 
 
 def _monomial_content(p: Polynomial):

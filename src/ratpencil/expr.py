@@ -6,13 +6,14 @@ a factor)::
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := '-' factor | power
-    power   := atom ('^' nonneg_integer)?
+    power   := atom ('^' nonneg_integer)?     (at most MAX_EXPONENT)
     atom    := integer | variable | '(' expr ')' | matrix
     matrix  := '[' row (',' row)* ']'      row := '[' expr (',' expr)* ']'
     variable := 'z' digits                  (z1, z2, ...)
 
 Everything evaluates to an exact :class:`RationalMatrix` (scalars are 1x1).
 The variable count is the largest index used unless overridden upward.
+An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .matrices import RationalMatrix
 from .poly import RationalFunction
 
 _SYMBOLS = "+-*/^()[],"
+MAX_EXPONENT = 1000
 
 
 def tokenize(text: str):
@@ -42,7 +44,11 @@ def tokenize(text: str):
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
+            try:
+                value = int(text[start:pos])
+            except ValueError:  # beyond Python's integer string limit
+                raise ParseError("integer literal is too long", start) from None
+            tokens.append(("int", value, start))
             continue
         if ch == "z":
             start = pos
@@ -118,6 +124,10 @@ class _Parser:
             exp = self.advance()
             if exp[0] != "int":
                 raise ParseError("exponent must be a non-negative integer", exp[2])
+            if exp[1] > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent exceeds the limit of {MAX_EXPONENT}", exp[2]
+                )
             node = ("pow", node, exp[1], pos)
         return node
 

@@ -58,6 +58,8 @@ class QuotContext:
         raise AttributeError("QuotContext is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, QuotContext)
             and self.descriptor == other.descriptor

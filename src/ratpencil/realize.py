@@ -4,9 +4,10 @@ the characteristic-2 decision procedures.
 
 Everything is assembled from the combinators; precondition checks are
 deferred during assembly (the outputs are verified independently by the
-:mod:`ratpencil.verify` module and the test suite).  The builders make no
-attempt to minimize pencil sizes — correctness of the Schur complement is
-the only contract.
+:mod:`ratpencil.verify` module and the test suite).  Correctness of the
+Schur complement is the only contract, and pencils are not minimized; the
+one size decision is :func:`realize_br`'s choice, per matrix, of the smaller
+of two constructions, each sized exactly before either is built.
 """
 
 from __future__ import annotations
@@ -148,11 +149,10 @@ def _br_poly_scalar(p: Polynomial) -> LinearPencil:
 
 
 def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
-    """BR of a k x k polynomial matrix written as sum_alpha z^alpha C_alpha."""
+    """BR of a k x k polynomial matrix (k >= 2) written as
+    sum_alpha z^alpha C_alpha."""
     k = len(grid)
     d, n = grid[0][0].descriptor, grid[0][0].n_vars
-    if k == 1:
-        return _br_poly_scalar(grid[0][0])
     support: dict[tuple[int, ...], list[list]] = {}
     for i in range(k):
         for j in range(k):
@@ -173,44 +173,142 @@ def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
     return _sum(parts, d, n, k)
 
 
-def realize_br(f: RationalMatrix) -> RealizationResult:
-    """Bessmertnyi realization of an arbitrary square rational matrix.
+# Pencil sizes are predicted from the term maps before anything is built.
+# Each counts the rows of the (2,2) block: a pencil's m is its split plus
+# these, ``op_add`` adds them, ``op_sandwich`` keeps them, ``op_inverse``
+# adds the split, ``op_product`` adds both inputs' and the split, and
+# ``op_kron_identity`` multiplies them by the copies.  An empty ``_sum``
+# (the zero pencil) has one.
 
-    Pipeline: monomials as product chains of the atomic variable pencils,
-    polynomials as scaled sums, matrix polynomials through Kronecker and
-    sandwich steps, and F = (1/q) P via an inverted denominator pencil.
-    """
-    if not f.is_square():
-        raise DimensionMismatch("realization needs a square matrix")
+
+def _monomial_rows(exps) -> int:
+    """Block rows of :func:`_br_monomial`: 2d - 1 for degree d, 1 for 1."""
+    degree = sum(exps)
+    return 2 * degree - 1 if degree else 1
+
+
+def _scalar_rows(p: Polynomial) -> int:
+    """Block rows of :func:`_br_poly_scalar`."""
+    return sum(map(_monomial_rows, p.terms)) or 1
+
+
+def _entry_rows(f: RationalFunction) -> int:
+    """Block rows of :func:`_br_entry`."""
+    rows = _scalar_rows(f.num)
+    if f.den == Polynomial.one(f.descriptor, f.n_vars):
+        return rows
+    return rows + _scalar_rows(f.den) + 2
+
+
+def _entrywise_size(f: RationalMatrix) -> int:
+    """The m of :func:`_br_entrywise`."""
+    rows = sum(_entry_rows(e) for row in f.entries for e in row
+               if not e.is_zero())
+    return f.rows + (rows or 1)
+
+
+def _shared_size(q: Polynomial | None, grid) -> int:
+    """The m of :func:`_br_shared` on the output of
+    :func:`_shared_denominator`."""
+    k = len(grid)
+    support = {exps for row in grid for p in row for exps in p.terms}
+    rows = sum(k * _monomial_rows(exps) if any(exps) else 1
+               for exps in support) or 1
+    if q is not None:
+        rows += k * (_scalar_rows(q) + 2)
+    return k + rows
+
+
+def _br_entry(f: RationalFunction) -> LinearPencil:
+    """BR of one entry p/q: the pencil of p, times that of q inverted when
+    q is not 1."""
+    p_pencil = _br_poly_scalar(f.num)
+    if f.den == Polynomial.one(f.descriptor, f.n_vars):
+        return p_pencil
+    inv_q = op_inverse(_br_poly_scalar(f.den), check=False)
+    return op_product(inv_q, None, p_pencil, check=False)
+
+
+def _br_entrywise(f: RationalMatrix) -> LinearPencil:
+    """BR of F = sum_ij e_i f_ij e_j^T: each nonzero entry over its own
+    denominator, placed by a sandwich with basis vectors."""
     d, n, k = f.descriptor, f.n_vars, f.rows
-    one = Polynomial.one(d, n)
+    parts = [
+        op_sandwich(_basis_column(d, k, i), _br_entry(entry),
+                    _basis_row(d, k, j), check=False)
+        for i, row in enumerate(f.entries)
+        for j, entry in enumerate(row)
+        if not entry.is_zero()
+    ]
+    return _sum(parts, d, n, k)
+
+
+def _shared_denominator(f: RationalMatrix):
+    """``(q, P)`` with F = (1/q) P: q the product of the distinct
+    denominators other than 1 (``None`` when there are none) and P the
+    numerators cleared over q."""
+    one = Polynomial.one(f.descriptor, f.n_vars)
     dens = []
     for row in f.entries:
         for entry in row:
             if entry.den != one and all(entry.den != q for q in dens):
                 dens.append(entry.den)
     if not dens:
-        grid = [[entry.num for entry in row] for row in f.entries]
-        pencil = _br_poly_matrix(grid)
+        return None, [[entry.num for entry in row] for row in f.entries]
+    q = one
+    for den in dens:
+        q = q * den
+    grid = []
+    for row in f.entries:
+        cleared = []
+        for entry in row:
+            scaled = entry.num
+            for den in dens:
+                if den != entry.den:
+                    scaled = scaled * den
+            cleared.append(scaled)
+        grid.append(cleared)
+    return q, grid
+
+
+def _br_shared(q: Polynomial | None, grid) -> LinearPencil:
+    """BR of (1/q) P for k >= 2: P through Kronecker and sandwich steps,
+    times the inverted pencil of q repeated k times."""
+    p_pencil = _br_poly_matrix(grid)
+    if q is None:
+        return p_pencil
+    inv_q = op_inverse(_br_poly_scalar(q), check=False)
+    return op_product(
+        op_kron_identity(inv_q, len(grid), check=False), None, p_pencil,
+        check=False,
+    )
+
+
+def realize_br(f: RationalMatrix) -> RealizationResult:
+    """Bessmertnyi realization of an arbitrary square rational matrix.
+
+    Monomials are product chains of the atomic variable pencils, and
+    polynomials scaled sums of them; an entry p/q is the pencil of p times
+    the inverted pencil of q.  A 1x1 F is its entry's pencil.  Larger F
+    take the smaller of two constructions, both sized exactly from the term
+    maps before either is built (ties go to the second):
+
+    * entry-wise: each nonzero entry over its own denominator, placed as
+      e_i f_ij e_j^T, the placed pencils summed;
+    * shared: F = (1/q) P with q the product of the distinct denominators,
+      P = sum_alpha z^alpha C_alpha through Kronecker and sandwich steps,
+      each monomial built once for all entries.
+    """
+    if not f.is_square():
+        raise DimensionMismatch("realization needs a square matrix")
+    if f.rows == 1:
+        pencil = _br_entry(f.entries[0][0])
     else:
-        q = one
-        for den in dens:
-            q = q * den
-        grid = []
-        for row in f.entries:
-            cleared = []
-            for entry in row:
-                scaled = entry.num
-                for den in dens:
-                    if den != entry.den:
-                        scaled = scaled * den
-                cleared.append(scaled)
-            grid.append(cleared)
-        p_pencil = _br_poly_matrix(grid)
-        inv_q = op_inverse(_br_poly_scalar(q), check=False)
-        pencil = op_product(
-            op_kron_identity(inv_q, k, check=False), None, p_pencil, check=False
-        )
+        q, grid = _shared_denominator(f)
+        if _entrywise_size(f) < _shared_size(q, grid):
+            pencil = _br_entrywise(f)
+        else:
+            pencil = _br_shared(q, grid)
     return RealizationResult(pencil, RealizationKind.BR, f)
 
 
@@ -426,6 +524,20 @@ def _strict_upper(f: RationalMatrix) -> RationalMatrix:
     )
 
 
+def _doubled_upper(f: RationalMatrix) -> RationalMatrix:
+    """G = 2 F_upp + diag F, so that G + G^T = 2F for a symmetric F."""
+    d = f.descriptor
+    two = d.add(d.one, d.one)
+    zero = RationalFunction.zero(d, f.n_vars)
+    return RationalMatrix(
+        [
+            [entry.scale(two) if j > i else entry if j == i else zero
+             for j, entry in enumerate(row)]
+            for i, row in enumerate(f.entries)
+        ]
+    )
+
+
 def _sbr_by_diagonal(f: RationalMatrix, diagonal) -> LinearPencil:
     """F = F_upp + F_upp^T + diag F with symmetric pieces summed, given the
     symmetric pencils of the diagonal entries (a 1x1 F is its entry's)."""
@@ -448,13 +560,15 @@ def _sbr_by_diagonal(f: RationalMatrix, diagonal) -> LinearPencil:
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
-    Away from characteristic 2 with n >= 2 the whole matrix is realized as
-    (1/2)(F + F^T).  Otherwise the strict upper triangle becomes
-    F_upp + F_upp^T, and each diagonal entry f = p/q comes from a symmetric
-    pencil for h = p*q as p^2 / (p q).  With n <= 1 that pencil is built
-    from even/odd powers of z1.  In characteristic 2 with n >= 2 every
-    diagonal entry must first pass the parity test, whose certificate
-    builds the pencil; the first failure raises :class:`NotRealizableChar2`.
+    Away from characteristic 2 with n >= 2 the matrix is realized as
+    (1/2)(G + G^T) with G = 2 F_upp + diag F, so that :func:`realize_br`
+    builds each off-diagonal entry once (a 1x1 G is F).  Otherwise the
+    strict upper triangle becomes F_upp + F_upp^T, and each diagonal entry
+    f = p/q comes from a symmetric pencil for h = p*q as p^2 / (p q).  With
+    n <= 1 that pencil is built from even/odd powers of z1.  In
+    characteristic 2 with n >= 2 every diagonal entry must first pass the
+    parity test, whose certificate builds the pencil; the first failure
+    raises :class:`NotRealizableChar2`.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -463,9 +577,8 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     d, n = f.descriptor, f.n_vars
     if n >= 2 and d.characteristic != 2:
         half = d.inv(d.add(d.one, d.one))
-        pencil = op_scale(
-            op_symmetrize(realize_br(f).pencil, check=False), half, check=False
-        )
+        g = realize_br(_doubled_upper(f)).pencil
+        pencil = op_scale(op_symmetrize(g, check=False), half, check=False)
     else:
         diagonal = [f.entries[i][i] for i in range(f.rows)]
         if n <= 1:

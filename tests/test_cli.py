@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,17 @@ def test_usage_errors_exit_two(capsys):
         capsys, "realize", "--field", "q", "--kind", "br", "--expr", "z1 + ("
     )
     assert code == 2
+
+
+def test_absurd_exponent_exits_two_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br",
+        "--expr", "z1^100000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exponent" in err
 
 
 @pytest.mark.parametrize(

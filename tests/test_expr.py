@@ -7,7 +7,7 @@ from ratpencil.errors import (
     FieldLiteralError,
     ParseError,
 )
-from ratpencil.expr import parse_expression
+from ratpencil.expr import MAX_EXPONENT, parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.poly import RationalFunction
@@ -88,6 +88,18 @@ def test_parse_errors_carry_position():
         parse_expression("[[z1],[z1, z2]]", Q)
     with pytest.raises(ParseError):
         parse_expression("[[ [[1,0],[0,1]] ]]", Q)
+
+
+def test_exponent_limit():
+    z1 = _z(Q, 1, 0)
+    assert parse_expression(f"z1^{MAX_EXPONENT}", Q) == RationalMatrix.scalar(
+        RationalFunction(z1.num ** MAX_EXPONENT)
+    )
+    with pytest.raises(ParseError) as info:
+        parse_expression(f"(1+z1)^{MAX_EXPONENT + 1}", Q)
+    assert info.value.position == 7
+    with pytest.raises(ParseError):
+        parse_expression("z1^" + "9" * 5000, Q)
 
 
 def test_matrix_arithmetic_in_expressions():

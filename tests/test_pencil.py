@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ratpencil.elimination import _parity_sign
 from ratpencil.errors import SingularBlock
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_det
@@ -121,6 +122,16 @@ def test_det_identity_randomized(rng):
                                max_terms=2)
         pencil = realize_br(target).pencil
         assert pencil.det_identity_check()
+
+
+def test_parity_sign_matches_inversion_count(rng):
+    for m in list(range(6)) + [rng.randint(6, 50) for _ in range(40)]:
+        low = rng.choice([0, 0, 3])
+        order = list(range(low, low + m))
+        rng.shuffle(order)
+        inversions = sum(order[s] > order[t]
+                         for s in range(m) for t in range(s + 1, m))
+        assert _parity_sign(order) == (-1 if inversions % 2 else 1), order
 
 
 def test_symmetric_pencils_have_symmetric_schur(rng):

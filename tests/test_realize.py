@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ratpencil.realize as realize_module
 from ratpencil.errors import (
@@ -29,6 +30,7 @@ from ratpencil.verify import check_realization
 
 from conftest import (
     random_degree_one_ratfun,
+    random_homogeneous_poly,
     random_matrix,
     random_poly,
     random_ratfun,
@@ -38,6 +40,7 @@ from conftest import (
 Q = rationals()
 G2 = prime_field(2)
 G3 = prime_field(3)
+G101 = prime_field(101)
 
 
 def _z(d, n, i):
@@ -83,6 +86,50 @@ def test_br_round_trip_randomized(rng):
         n = rng.randint(1, 3)
         k = rng.choice([1, 1, 2])
         _check(realize_br(random_matrix(rng, d, n, k)))
+
+
+def _grid(k, entry):
+    return RationalMatrix([[entry() for _ in range(k)] for _ in range(k)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.sampled_from([2, 3]), st.booleans())
+def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
+    n = rand.randint(1, 3)
+    common = random_poly(rand, d, n, max_deg=2, max_terms=2, nonzero=True)
+
+    def entry():
+        f = random_ratfun(rand, d, n, max_deg=2, max_terms=2)
+        return RationalFunction(f.num, common) if shared else f
+
+    target = _grid(k, entry)
+    q, grid = realize_module._shared_denominator(target)
+    shared_m = realize_module._br_shared(q, grid).m
+    entrywise_m = realize_module._br_entrywise(target).m
+    assert realize_module._shared_size(q, grid) == shared_m
+    assert realize_module._entrywise_size(target) == entrywise_m
+    result = _check(realize_br(target))
+    assert result.pencil.m == min(shared_m, entrywise_m)
+
+    if d.characteristic != 2:
+        mirrored = RationalMatrix(
+            [[target.entries[min(i, j)][max(i, j)] for j in range(k)]
+             for i in range(k)]
+        )
+        assert _check(realize_sbr(mirrored)).pencil.is_symmetric()
+
+    n_h = rand.randint(2, 3)
+    den_deg = rand.randint(0, 1)
+    den = random_homogeneous_poly(rand, d, n_h, den_deg, nonzero=True)
+
+    def homogeneous_entry():
+        if shared:
+            num = random_homogeneous_poly(rand, d, n_h, den_deg + 1)
+            return RationalFunction(num, den)
+        return random_degree_one_ratfun(rand, d, n_h)
+
+    assert _check(realize_hbr(_grid(k, homogeneous_entry))).pencil.is_homogeneous()
 
 
 # ---------------------------------------------------------------------------
