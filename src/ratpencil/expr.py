@@ -13,7 +13,9 @@ a factor)::
 
 Everything evaluates to an exact :class:`RationalMatrix` (scalars are 1x1).
 The variable count is the largest index used unless overridden upward.
-An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`.
+An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`, and so is a
+power whose exponent times the base's largest degree in one variable (over
+numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
 """
 
 from __future__ import annotations
@@ -190,6 +192,16 @@ def _scalar(matrix: RationalMatrix) -> RationalFunction | None:
     return None
 
 
+def _max_variable_degree(matrix: RationalMatrix) -> int:
+    """Largest exponent of one variable in any numerator or denominator."""
+    return max(
+        (d for row in matrix.entries for entry in row
+         for poly in (entry.num, entry.den) for exps in poly.terms
+         for d in exps),
+        default=0,
+    )
+
+
 def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
     kind = node[0]
     if kind == "int":
@@ -203,6 +215,12 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
     if kind == "pow":
         base = _evaluate(node[1], descriptor, n_vars)
         exponent = node[2]
+        degree = _max_variable_degree(base)
+        if exponent * degree > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {exponent} takes a base of degree {degree} in one "
+                f"variable past the limit of {MAX_EXPONENT}", node[3]
+            )
         scalar = _scalar(base)
         if scalar is not None:
             acc = RationalFunction.one(descriptor, n_vars)

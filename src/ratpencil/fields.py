@@ -140,19 +140,32 @@ class FieldDescriptor:
         return str(a)
 
     def parse_value(self, text: str):
-        """Parse ``"3"``, ``"-2"``, or (over Q) ``"3/4"``."""
+        """Parse ``"3"``, ``"-2"``, or ``"3/4"``.
+
+        A denominator that is zero in the field, and over Q exponent
+        notation (``"1e9"``), are :class:`FieldLiteralError`.
+        """
         try:
             text = text.strip()
         except AttributeError:
             raise FieldLiteralError(
                 f"field literal {text!r} is not a string"
             ) from None
-        if self.kind == RATIONALS:
-            return Fraction(text)
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(int(num) % self.modulus, int(den) % self.modulus)
-        return int(text) % self.modulus
+        try:
+            if self.kind == RATIONALS:
+                if "e" in text or "E" in text:
+                    raise FieldLiteralError(
+                        f"field literal {text!r} uses exponent notation"
+                    )
+                return Fraction(text)
+            if "/" in text:
+                num, den = text.split("/", 1)
+                return self.div(int(num) % self.modulus, int(den) % self.modulus)
+            return int(text) % self.modulus
+        except ZeroDivisionError:
+            raise FieldLiteralError(
+                f"field literal {text!r} has a zero denominator in {self.name()}"
+            ) from None
 
 
 def accumulate(dst: dict, pairs, add) -> dict:

@@ -4,7 +4,9 @@ Coefficient matrices are stored sparsely (one ``{(i, j): value}`` map per
 coefficient index, raw field values).  Classification predicates are always
 derived from the coefficients, never cached.  The JSON file format is dense:
 ``field``, ``n_vars``, ``m``, ``split``, and ``coeffs`` as n+1 row-major
-m-by-m arrays of field-element strings; round-trips are bit-exact.
+m-by-m arrays of field-element strings; round-trips are bit-exact.  Writer
+and reader handle all-zero rows at C speed, so their Python-level work
+follows the nonzeros.
 """
 
 from __future__ import annotations
@@ -206,27 +208,45 @@ class LinearPencil:
     # -- file format ----------------------------------------------------------------
 
     def to_json(self) -> str:
+        """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` for the
+        dense document, written directly so that the work scales with the
+        nonzeros: every all-zero row is one shared string.
+        """
         fmt = self.descriptor.format_value
-        zero = self.descriptor.zero
-        coeffs = [
-            [
-                [fmt(c.get((i, j), zero)) for j in range(self.m)]
-                for i in range(self.m)
-            ]
-            for c in self.coeffs
-        ]
-        doc = {
-            "field": self.descriptor.name(),
-            "n_vars": self.n_vars,
-            "m": self.m,
-            "split": self.split,
-            "coeffs": coeffs,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        m = self.m
+
+        def row_text(cells):
+            return "[\n        " + ",\n        ".join(cells) + "\n      ]"
+
+        zero_row = row_text(['"0"'] * m)
+        grids = []
+        for c in self.coeffs:
+            patched = {}
+            for (i, j), value in c.items():
+                patched.setdefault(i, ['"0"'] * m)[j] = json.dumps(fmt(value))
+            rows = [zero_row] * m
+            for i, cells in patched.items():
+                rows[i] = row_text(cells)
+            grids.append("[\n      " + ",\n      ".join(rows) + "\n    ]")
+        return (
+            '{\n  "coeffs": [\n    ' + ",\n    ".join(grids) + "\n  ],\n"
+            f'  "field": {json.dumps(self.descriptor.name())},\n'
+            f'  "m": {m},\n  "n_vars": {self.n_vars},\n'
+            f'  "split": {self.split}\n}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "LinearPencil":
-        doc = json.loads(text)
+        """Read a pencil file in any JSON layout.
+
+        Rows of ``"0"`` cells are skipped at C speed and single ``"0"``
+        cells without parsing; every other cell goes through
+        :meth:`FieldDescriptor.parse_value`.
+        """
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise RatPencilError("pencil JSON is nested too deeply") from None
         keys = ("field", "n_vars", "m", "split", "coeffs")
         if not isinstance(doc, dict) or any(key not in doc for key in keys):
             raise RatPencilError(
@@ -254,10 +274,13 @@ class LinearPencil:
                 raise DimensionMismatch("coefficient matrix is not m x m")
             c = {}
             for i, row in enumerate(grid):
+                if row.count("0") == m:
+                    continue
                 for j, cell in enumerate(row):
-                    value = parse(cell)
-                    if value:
-                        c[(i, j)] = value
+                    if cell != "0":
+                        value = parse(cell)
+                        if value:
+                            c[(i, j)] = value
             coeffs.append(c)
         return cls(descriptor, n_vars, m, split, coeffs)
 

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratpencil.cli import main
 
@@ -128,6 +132,46 @@ def test_absurd_exponent_exits_two_fast(capsys):
     assert err.startswith("error:") and "exponent" in err
 
 
+def test_nested_power_exits_two_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br",
+        "--expr", "(z1^1000)^1000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exponent" in err
+
+
+def test_zero_denominator_literals_exit_two(tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({
+        "field": "q", "n_vars": 1, "m": 2, "split": 1,
+        "coeffs": [[["0", "0"], ["0", "1"]], [["1/0", "0"], ["0", "0"]]],
+    }), encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "--pencil", str(path), "--expr", "z1", "--kind", "br",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1/0" in err
+    code, out, err = run(
+        capsys, "reduce", "--field", "q", "--ell", "1/0",
+        "--matrix", str(FIXTURES / "ring_3x3_ell00.json"), "--r", "0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1/0" in err
+
+
+def test_deeply_nested_pencil_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, _, err = run(
+        capsys, "verify", "--pencil", str(path), "--expr", "z1", "--kind", "br",
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -223,3 +267,73 @@ def test_cli_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+_GOOD_LITERALS = st.sampled_from(["0", "0", "0", "1", "-1", "2", "-3/5"])
+_BAD_LITERALS = st.sampled_from(
+    ["1/0", "-3/0", "0/0", "1/2", "-0", "0/5", " 1 ", "x", "", "1e999999999",
+     "1.5", "9" * 5000]
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(),
+              st.text(max_size=4), _BAD_LITERALS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _pencil_documents(draw):
+    """Objects with the five pencil keys: a well-formed pencil in which at
+    most one key, or one cell, is replaced by any JSON value (random types,
+    nesting and sizes) or by a bad literal such as ``"1/0"``."""
+    corrupt = draw(st.sampled_from(
+        [None, None, "cell", "cell", "field", "n_vars", "m", "split", "coeffs"]
+    ))
+    n_vars = draw(st.integers(0, 2))
+    m = draw(st.integers(2, 4))
+    doc = {
+        "field": draw(st.sampled_from(["q", "gf2", "gf:3", " Q "])),
+        "n_vars": n_vars,
+        "m": m,
+        "split": draw(st.integers(1, m - 1)),
+        "coeffs": draw(st.lists(
+            st.lists(st.lists(_GOOD_LITERALS, min_size=m, max_size=m),
+                     min_size=m, max_size=m),
+            min_size=n_vars + 1, max_size=n_vars + 1,
+        )),
+    }
+    if corrupt == "cell":
+        row = doc["coeffs"][draw(st.integers(0, n_vars))][
+            draw(st.integers(0, m - 1))]
+        row[draw(st.integers(0, m - 1))] = draw(
+            st.one_of(_BAD_LITERALS, _JSON)
+        )
+    elif corrupt is not None:
+        doc[corrupt] = draw(st.one_of(
+            _JSON, _BAD_LITERALS, st.sampled_from(["gf:4", "gf:x"])
+        ))
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _pencil_documents(),
+    st.sampled_from(["z1", "0", "1/z1", "z1*z2", "[[z1, 0], [0, 1]]"]),
+    st.sampled_from(["br", "sbr", "hbr", "hsbr"]),
+)
+def test_verify_survives_generated_pencil_files(text, expr, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pencil.json"
+        path.write_text(text, encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["verify", "--pencil", str(path), "--expr", expr,
+                         "--kind", kind])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stderr.getvalue().startswith("error: ")

@@ -102,6 +102,22 @@ def test_exponent_limit():
         parse_expression("z1^" + "9" * 5000, Q)
 
 
+def test_nested_powers_obey_the_exponent_limit():
+    z1 = _z(Q, 1, 0)
+    assert parse_expression("(z1^10)^100", Q) == parse_expression(
+        f"z1^{MAX_EXPONENT}", Q
+    )
+    assert parse_expression("((z1^2)^5)^100", Q) == RationalMatrix.scalar(
+        RationalFunction(z1.num ** 1000)
+    )
+    assert parse_expression("(2^1000)^1", Q)
+    for text, position in [("(z1^1000)^1000", 9), ("(z1^11)^100", 7),
+                           ("(1/z1^2)^501", 8), ("[[z1^2, 0], [0, 1]]^501", 19)]:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, Q)
+        assert info.value.position == position, text
+
+
 def test_matrix_arithmetic_in_expressions():
     out = parse_expression("[[1,0],[0,1]] * [[z1, 0],[0, z2]]", Q)
     assert out == parse_expression("[[z1, 0],[0, z2]]", Q)

@@ -4,7 +4,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from ratpencil.errors import DescriptorMismatch, DivisionByZero
+from ratpencil.errors import (
+    DescriptorMismatch,
+    DivisionByZero,
+    FieldLiteralError,
+)
 from ratpencil.fields import (
     FieldDescriptor,
     FieldElement,
@@ -86,6 +90,16 @@ def test_gf_value_parsing():
     assert g7.parse_value("10") == 3
     assert g7.parse_value("-1") == 6
     assert g7.parse_value("3/5") == 2
+
+
+@pytest.mark.parametrize(
+    "descriptor, text",
+    [(rationals(), "1/0"), (rationals(), " -3/0 "), (prime_field(7), "1/7"),
+     (prime_field(2), "1/0"), (rationals(), "1e999999999")],
+)
+def test_bad_literals_are_field_literal_errors(descriptor, text):
+    with pytest.raises(FieldLiteralError):
+        descriptor.parse_value(text)
 
 
 _descriptors = st.sampled_from(

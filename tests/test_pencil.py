@@ -1,13 +1,15 @@
 """Pencil type: matrix view, classification, Schur complement, file format."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratpencil.elimination import _parity_sign
-from ratpencil.errors import SingularBlock
-from ratpencil.fields import prime_field, rationals
+from ratpencil.errors import FieldLiteralError, SingularBlock
+from ratpencil.fields import FieldDescriptor, prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_det
 from ratpencil.pencil import LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
@@ -180,3 +182,127 @@ def test_realization_kind_requirements():
     assert RealizationKind.HSBR.required_classes() == {
         "LP", "sLP", "hLP", "hsLP",
     }
+
+
+# -- file format ---------------------------------------------------------------
+
+
+def _dense_json(pencil):
+    """The dense document through ``json.dumps``: the writer's oracle."""
+    fmt, zero = pencil.descriptor.format_value, pencil.descriptor.zero
+    doc = {
+        "field": pencil.descriptor.name(),
+        "n_vars": pencil.n_vars,
+        "m": pencil.m,
+        "split": pencil.split,
+        "coeffs": [
+            [[fmt(c.get((i, j), zero)) for j in range(pencil.m)]
+             for i in range(pencil.m)]
+            for c in pencil.coeffs
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@st.composite
+def _sparse_pencils(draw):
+    descriptor = draw(st.sampled_from([Q, prime_field(2), prime_field(101)]))
+    m = draw(st.integers(2, 12))
+    n_vars = draw(st.integers(0, 3))
+    if descriptor.characteristic == 0:
+        values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+    else:
+        values = st.integers(-300, 300)
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    coeffs = [
+        draw(st.one_of(st.just({}),
+                       st.dictionaries(cells, values, max_size=2 * m)))
+        for _ in range(n_vars + 1)
+    ]
+    split = draw(st.integers(1, m - 1))
+    return LinearPencil(descriptor, n_vars, m, split, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_pencils())
+def test_json_writer_matches_dense_dump_and_round_trips(pencil):
+    text = pencil.to_json()
+    assert text == _dense_json(pencil)
+    assert LinearPencil.from_json(text) == pencil
+
+
+def test_json_fixtures_round_trip_byte_for_byte():
+    for name in ("sbr_z1z2.json", "hsbr_z1z2_over_z3.json"):
+        text = (FIXTURES / name).read_text()
+        assert LinearPencil.from_json(text).to_json() + "\n" == text
+
+
+def test_json_reader_accepts_compact_reordered_layout(golden_homogeneous):
+    doc = json.loads(golden_homogeneous.to_json())
+    reordered = {key: doc[key] for key in reversed(sorted(doc))}
+    text = json.dumps(reordered, separators=(",", ":"))
+    assert text.startswith('{"split":1,')
+    assert LinearPencil.from_json(text) == golden_homogeneous
+
+
+@pytest.mark.parametrize("descriptor", [Q, prime_field(7)])
+def test_json_reader_drops_every_spelling_of_zero(descriptor):
+    doc = {
+        "field": descriptor.name(), "n_vars": 1, "m": 2, "split": 1,
+        "coeffs": [[["-0", "0/5"], [" 0", "2"]], [["0", " 0 "], ["0", "0"]]],
+    }
+    pencil = LinearPencil.from_json(json.dumps(doc))
+    assert pencil.coeffs == ({(1, 1): descriptor.coerce(2)}, {})
+
+
+@pytest.mark.parametrize("cell", [0, None, ["0"], 1.0])
+def test_json_reader_rejects_a_non_string_cell_in_a_zero_row(cell):
+    doc = {
+        "field": "q", "n_vars": 0, "m": 3, "split": 1,
+        "coeffs": [[["0", "0", "0"], ["0", cell, "0"], ["0", "0", "1"]]],
+    }
+    with pytest.raises(FieldLiteralError):
+        LinearPencil.from_json(json.dumps(doc))
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of the ``FieldDescriptor`` method ``name``."""
+    calls = []
+    original = getattr(FieldDescriptor, name)
+
+    def counting(self, value):
+        calls.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(FieldDescriptor, name, counting)
+    return calls
+
+
+@pytest.fixture
+def wide_sparse_pencil():
+    """m = 150 with 300 nonzeros: 45000 dense cells."""
+    m = 150
+    coeffs = [
+        {(i, i): Fraction(i + 1, 3) for i in range(m)},
+        {(i, (i + 1) % m): -i - 1 for i in range(m)},
+    ]
+    return LinearPencil(Q, 1, m, 1, coeffs)
+
+
+def test_json_writer_formats_only_the_nonzeros(monkeypatch, wide_sparse_pencil):
+    nnz = sum(len(c) for c in wide_sparse_pencil.coeffs)
+    assert nnz == 300
+    calls = _count_calls(monkeypatch, "format_value")
+    wide_sparse_pencil.to_json()
+    assert len(calls) <= nnz
+
+
+def test_json_reader_parses_only_the_nonzero_cells(monkeypatch,
+                                                    wide_sparse_pencil):
+    text = wide_sparse_pencil.to_json()
+    cells = [cell for grid in json.loads(text)["coeffs"]
+             for row in grid for cell in row if cell != "0"]
+    assert len(cells) == 300
+    calls = _count_calls(monkeypatch, "parse_value")
+    assert LinearPencil.from_json(text) == wide_sparse_pencil
+    assert len(calls) <= len(cells)
