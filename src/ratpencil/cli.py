@@ -122,7 +122,10 @@ def _cmd_reduce(args) -> int:
     ell = [descriptor.parse_value(part) for part in args.ell.split(",")]
     context = QuotContext(descriptor, len(ell), ell)
     with open(args.matrix, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise RatPencilError("matrix JSON is nested too deeply") from None
     rows = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise RatPencilError(

@@ -1,10 +1,9 @@
 """Sparse exact elimination for pencil matrices.
 
-Realization pencils produced by the combinator pipelines are large but very
-sparse and block structured, so dense fraction-free elimination (which scales
-every remaining entry at every step) is the wrong tool.  This module runs
-plain Gaussian elimination over the fraction field while keeping one shared
-polynomial denominator per row: the update
+Realization pencils are large but very sparse and block structured.  The
+Schur elimination (:func:`schur_eliminate`) runs plain Gaussian elimination
+over the fraction field while keeping one shared polynomial denominator per
+row: the update
 
     row_i  <-  row_i * piv - row_i[pc] * row_pr,      den_i <- den_i * piv
 
@@ -13,12 +12,10 @@ polynomial arithmetic, and never divides.  After eliminating the rows and
 columns of the (2,2) block, the surviving top-left entries over their row
 denominators are exactly the Schur complement, and the product of pivot values
 (over the pivot-row denominators, with the permutation sign) is the block
-determinant.  Eliminating with pivots anywhere yields the full determinant
-(:func:`sparse_determinant`).
-
-Pivots are chosen by a Markowitz-style score to limit fill-in, preferring
-short polynomials; a cheap monomial-content strip keeps rows small when
-pivots are monomials.
+determinant.  Pivots are chosen by a Markowitz-style score to limit fill-in,
+preferring short polynomials; a cheap monomial-content strip keeps rows small
+when pivots are monomials.  The full determinant (:func:`sparse_determinant`)
+is a separate fraction-free elimination that shares no code with it.
 """
 
 from __future__ import annotations
@@ -65,9 +62,7 @@ def _shift_down(p: Polynomial, shift) -> Polynomial:
 
 class _State:
     def __init__(self, rows, m, descriptor, n_vars):
-        self.m = m
         self.descriptor = descriptor
-        self.n_vars = n_vars
         self.one = Polynomial.one(descriptor, n_vars)
         self.work = {i: dict(rows.get(i, {})) for i in range(m)}
         self.cols: dict[int, set[int]] = {}
@@ -80,16 +75,15 @@ class _State:
         self.piv_num = self.one
         self.piv_den = self.one
 
-    def _choose_pivot(self, rows_ok, cols_ok):
+    def _choose_pivot(self, split):
         best = None
         best_key = None
-        for i in rows_ok:
-            row = self.work[i]
-            row_nnz = len(row)
-            if not row_nnz:
+        for i, row in self.work.items():
+            if i < split:
                 continue
+            row_nnz = len(row)
             for j in row:
-                if j not in cols_ok:
+                if j < split:
                     continue
                 score = (row_nnz - 1) * (len(self.cols[j]) - 1)
                 key = (score, len(row[j].terms), i, j)
@@ -103,8 +97,6 @@ class _State:
         if not row:
             return
         den = self.dens[i]
-        if not den.terms:
-            return
         content = _monomial_content(den)
         if not any(content):
             return
@@ -119,10 +111,10 @@ class _State:
         for j in list(row):
             row[j] = _shift_down(row[j], content)
 
-    def eliminate(self, rows_ok: set[int], cols_ok: set[int], steps: int) -> int:
-        done = 0
-        while done < steps:
-            found = self._choose_pivot(rows_ok, cols_ok)
+    def eliminate(self, split: int) -> int:
+        # pivot columns leave every row, so rows and columns >= split remain
+        while True:
+            found = self._choose_pivot(split)
             if found is None:
                 break
             pr, pc = found
@@ -135,8 +127,6 @@ class _State:
             self.piv_den = self.piv_den * self.dens[pr]
             self.row_order.append(pr)
             self.col_order.append(pc)
-            rows_ok.discard(pr)
-            cols_ok.discard(pc)
             piv_const = piv.is_constant()
             piv_value = piv.constant_value() if piv_const else None
             piv_is_one = piv_const and piv_value == self.descriptor.one
@@ -166,8 +156,7 @@ class _State:
                 if not piv_is_one:
                     self._strip_row_content(i)
             self.cols[pc] = set()
-            done += 1
-        return done
+        return len(self.row_order)
 
     def det_fraction(self) -> RationalFunction:
         sign = _parity_sign(self.row_order) * _parity_sign(self.col_order)
@@ -190,31 +179,79 @@ def schur_eliminate(
     block has identically zero determinant.
     """
     state = _State(rows, m, descriptor, n_vars)
-    block = m - split
-    rows_ok = set(range(split, m))
-    cols_ok = set(range(split, m))
-    if state.eliminate(rows_ok, cols_ok, block) < block:
+    if state.eliminate(split) < m - split:
         raise SingularBlock("the (2,2) block has zero determinant")
     det_block = state.det_fraction()
     zero = RationalFunction.zero(descriptor, n_vars)
-    schur = []
-    for i in range(split):
-        den = state.dens[i]
-        row = state.work[i]
-        schur.append(
-            [
-                RationalFunction(row[j], den) if j in row else zero
-                for j in range(split)
-            ]
-        )
+    work, dens = state.work, state.dens
+    schur = [[RationalFunction(work[i][j], dens[i]) if j in work[i] else zero
+              for j in range(split)] for i in range(split)]
     return schur, det_block
+
+
+def _times(p: Polynomial, c: Polynomial) -> Polynomial:
+    """p * c, as a scaling when c is a constant."""
+    return p.scale(c.constant_value()) if c.is_constant() else p * c
+
+
+def _over(p: Polynomial, c: Polynomial) -> Polynomial:
+    """p / c for a divisor c of p, as a scaling when c is a constant."""
+    if c.is_constant():
+        return p.scale(c.descriptor.inv(c.constant_value()))
+    return p.divide_exact(c)
 
 
 def sparse_determinant(
     rows: dict[int, dict[int, Polynomial]], m: int, descriptor, n_vars: int
 ) -> RationalFunction:
-    """Determinant of a sparse polynomial matrix (pivots anywhere)."""
-    state = _State(rows, m, descriptor, n_vars)
-    if state.eliminate(set(range(m)), set(range(m)), m) < m:
-        return RationalFunction.zero(descriptor, n_vars)
-    return state.det_fraction()
+    """Determinant (a polynomial) by fraction-free, Bareiss elimination
+    with pivots anywhere.  Row i keeps the step s of its last update; since
+    an untouched row only gains p_k / p_s, pivot p_k updates the rows it
+    meets to ``(p_k row_i - row_i[pc] prow) / p_s``, exactly, and a stale
+    pivot row is brought up to date first.  The pivot has the fewest terms
+    in a shortest row, then the sparsest column."""
+    work = {i: {j: v for j, v in rows.get(i, {}).items() if v.terms}
+            for i in range(m)}
+    cols: dict[int, set[int]] = {}
+    for i, row in work.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = [Polynomial.one(descriptor, n_vars)]
+    step = dict.fromkeys(work, 0)
+    row_order, col_order = [], []
+    while work:
+        short = min(map(len, work.values()))
+        if not short:  # a zero row: the rows are dependent
+            return RationalFunction.zero(descriptor, n_vars)
+        _, _, pr, pc = min((len(v.terms), len(cols[j]), i, j)
+                           for i, row in work.items() if len(row) == short
+                           for j, v in row.items())
+        prow, last = work.pop(pr), step.pop(pr)
+        if last < len(row_order):
+            prow = {j: _over(_times(v, pivots[-1]), pivots[last])
+                    for j, v in prow.items()}
+        for j in prow:
+            cols[j].discard(pr)
+        piv = prow.pop(pc)
+        row_order.append(pr)
+        col_order.append(pc)
+        for i in cols.pop(pc):
+            row, d = work[i], pivots[step[i]]
+            f = row.pop(pc)
+            for j, v in row.items():
+                row[j] = _times(v, piv)
+            for j, w in prow.items():
+                new = row[j] - f * w if j in row else -(f * w)
+                if new.terms:
+                    row[j] = new
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            for j, v in row.items():
+                row[j] = _over(v, d)
+            step[i] = len(pivots)
+        pivots.append(piv)
+    det = pivots[-1]
+    sign = _parity_sign(row_order) * _parity_sign(col_order)
+    return RationalFunction(det if sign > 0 else -det)

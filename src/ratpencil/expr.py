@@ -16,6 +16,8 @@ The variable count is the largest index used unless overridden upward.
 An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`, and so is a
 power whose exponent times the base's largest degree in one variable (over
 numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
+Nesting (parentheses, unary minus) deeper than the interpreter's recursion
+limit allows is a :class:`ParseError` too.
 """
 
 from __future__ import annotations
@@ -288,12 +290,16 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
 def parse_expression(text: str, descriptor: FieldDescriptor,
                      n_vars: int | None = None) -> RationalMatrix:
     """Parse and evaluate an expression into an exact rational matrix."""
-    ast = parse_ast(text)
-    needed = max_variable(ast)
-    if n_vars is None:
-        n_vars = needed
-    elif n_vars < needed:
-        raise ParseError(
-            f"expression uses z{needed} but only {n_vars} variables allowed", 0
-        )
-    return _evaluate(ast, descriptor, n_vars)
+    try:
+        ast = parse_ast(text)
+        needed = max_variable(ast)
+        if n_vars is None:
+            n_vars = needed
+        elif n_vars < needed:
+            raise ParseError(
+                f"expression uses z{needed} but only {n_vars} variables "
+                "allowed", 0
+            )
+        return _evaluate(ast, descriptor, n_vars)
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", 0) from None

@@ -14,9 +14,12 @@ key); the routine adds it in and drops the key when the sum is zero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DescriptorMismatch, DivisionByZero, FieldLiteralError
+
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
@@ -140,10 +143,11 @@ class FieldDescriptor:
         return str(a)
 
     def parse_value(self, text: str):
-        """Parse ``"3"``, ``"-2"``, or ``"3/4"``.
+        """Parse ``"3"``, ``"-2"``, or ``"3/4"``: after ``strip()``, exactly
+        ``-?[0-9]+(/[0-9]+)?``.
 
-        A denominator that is zero in the field, and over Q exponent
-        notation (``"1e9"``), are :class:`FieldLiteralError`.
+        Anything else, and a denominator that is zero in the field, is a
+        :class:`FieldLiteralError`.
         """
         try:
             text = text.strip()
@@ -151,21 +155,24 @@ class FieldDescriptor:
             raise FieldLiteralError(
                 f"field literal {text!r} is not a string"
             ) from None
+        if not _LITERAL.fullmatch(text):
+            raise FieldLiteralError(
+                f"field literal {text!r} is not an integer or a fraction "
+                "of integers"
+            )
+        num, _, den = text.partition("/")
         try:
             if self.kind == RATIONALS:
-                if "e" in text or "E" in text:
-                    raise FieldLiteralError(
-                        f"field literal {text!r} uses exponent notation"
-                    )
-                return Fraction(text)
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(int(num) % self.modulus, int(den) % self.modulus)
-            return int(text) % self.modulus
+                return Fraction(int(num), int(den or 1))
+            if not den:
+                return int(num) % self.modulus
+            return self.div(int(num) % self.modulus, int(den) % self.modulus)
         except ZeroDivisionError:
             raise FieldLiteralError(
                 f"field literal {text!r} has a zero denominator in {self.name()}"
             ) from None
+        except ValueError:  # beyond Python's integer string limit
+            raise FieldLiteralError("field literal is too long") from None
 
 
 def accumulate(dst: dict, pairs, add) -> dict:

@@ -1,20 +1,22 @@
 """Matrices of rational functions: exact arithmetic, determinant, inverse.
 
 The determinant clears denominators row by row: each row is multiplied by
-the product of its distinct entry denominators, fraction-free Bareiss
-elimination runs over the resulting polynomial matrix, and the result is
-divided by the product of those row multipliers.  Rows that already share
-one denominator, as the rows of a Schur complement do, are cleared without
-any multiplication.  The inverse is adjugate over determinant.  Both are
-meant for the small matrices that appear as realization targets, Schur
-complements, product factors and verification pencils up to 16x16 — not for
-the large pencils, which have their own sparse machinery.
+the product of its distinct entry denominators, the one polynomial-matrix
+determinant (the sparse fraction-free elimination
+:func:`~ratpencil.elimination.sparse_determinant`, which shares no code with
+the Schur elimination) runs over the resulting polynomial matrix, and the
+result is divided by the product of those row multipliers.  Rows that
+already share one denominator, as the rows of a Schur complement do, are
+cleared without any multiplication.  The inverse is adjugate over
+determinant, meant for the small matrices that appear as realization
+targets, Schur complements and product factors.
 """
 
 from __future__ import annotations
 
 import math
 
+from .elimination import sparse_determinant
 from .errors import DimensionMismatch, SingularMatrix
 from .fields import FieldDescriptor
 from .poly import Polynomial, RationalFunction
@@ -195,31 +197,11 @@ def mat_arith(a: RationalMatrix, b, op: str):
 
 
 def bareiss_det(grid: list[list[Polynomial]]) -> Polynomial:
-    """Fraction-free Bareiss determinant of a square polynomial matrix."""
-    m = len(grid)
-    descriptor = grid[0][0].descriptor
-    n_vars = grid[0][0].n_vars
-    mat = [list(row) for row in grid]
-    sign = 1
-    prev = Polynomial.one(descriptor, n_vars)
-    for t in range(m - 1):
-        pivot_row = t
-        while pivot_row < m and mat[pivot_row][t].is_zero():
-            pivot_row += 1
-        if pivot_row == m:
-            return Polynomial.zero(descriptor, n_vars)
-        if pivot_row != t:
-            mat[pivot_row], mat[t] = mat[t], mat[pivot_row]
-            sign = -sign
-        pivot = mat[t][t]
-        for i in range(t + 1, m):
-            for j in range(t + 1, m):
-                num = pivot * mat[i][j] - mat[i][t] * mat[t][j]
-                mat[i][j] = num.divide_exact(prev)
-            mat[i][t] = Polynomial.zero(descriptor, n_vars)
-        prev = pivot
-    det = mat[m - 1][m - 1]
-    return det if sign > 0 else -det
+    """Determinant of a square polynomial matrix, by the fraction-free sparse
+    elimination :func:`sparse_determinant` on its nonzero cells."""
+    first = grid[0][0]
+    rows = {i: dict(enumerate(row)) for i, row in enumerate(grid)}
+    return sparse_determinant(rows, len(grid), first.descriptor, first.n_vars).num
 
 
 def mat_det(a: RationalMatrix) -> RationalFunction:

@@ -198,10 +198,8 @@ class LinearPencil:
         )
 
     def det_identity_check(self) -> bool:
-        """det A = det(A22) * det(A / A22), checked exactly.
-
-        The left side is a separate elimination with pivots anywhere.
-        """
+        """det A = det(A22) * det(A / A22), checked exactly; the left side
+        (:func:`sparse_determinant`) shares no code with the right."""
         schur, det_block = self.schur_with_dets()
         return self.det() == det_block * mat_det(schur)
 

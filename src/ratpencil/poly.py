@@ -163,6 +163,8 @@ class Polynomial:
         raw = self.descriptor.coerce(value)
         if not raw:
             return Polynomial.zero(self.descriptor, self.n_vars)
+        if raw == self.descriptor.one:
+            return self
         mul = self.descriptor.mul
         terms = {exps: mul(v, raw) for exps, v in self.terms.items()}
         return Polynomial._wrap(self.descriptor, self.n_vars, terms)

@@ -3,13 +3,10 @@
 A claimed realization is accepted only when three exact checks pass: the
 Schur complement equals the target entrywise (cross-multiplication), the
 pencil's derived structure classes cover the claimed kind, and the block
-determinant identity det A = det(A22) det(A/A22) holds with the full
-determinant recomputed through a separate code path.  Up to 16x16 that path
-is dense fraction-free Bareiss elimination (:func:`mat_det`), which shares
-nothing with the sparse Schur elimination under test.  Above 16x16 the full
-determinant is a fresh sparse elimination with pivots anywhere, which shares
-``_State.eliminate`` with the Schur elimination under test, so there it is
-independent only in its pivot order.
+determinant identity det A = det(A22) det(A/A22) holds.  The left side is
+the full determinant from one sparse fraction-free elimination
+(:meth:`LinearPencil.det`), which shares no code with the Schur elimination
+under test, at every size.
 """
 
 from __future__ import annotations
@@ -20,15 +17,6 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatch
 from .matrices import RationalMatrix, mat_det
 from .pencil import LinearPencil, RealizationKind
-from .poly import RationalFunction
-
-_DENSE_LIMIT = 16
-
-
-def _independent_det(p: LinearPencil) -> RationalFunction:
-    if p.m <= _DENSE_LIMIT:
-        return mat_det(p.as_matrix())
-    return p.det()
 
 
 @dataclass
@@ -77,16 +65,10 @@ def check_realization(p: LinearPencil, target: RationalMatrix,
                     }
                 )
     structure_ok = kind.required_classes() <= p.classify()
-    det_ok = _independent_det(p) == det_block * mat_det(schur)
+    det_ok = p.det() == det_block * mat_det(schur)
     return VerificationReport(not mismatches, structure_ok, det_ok, mismatches)
 
 
 def cross_validate_det(p: LinearPencil) -> bool:
-    """Both sides of det A = det(A22) det(A/A22), computed independently.
-
-    Up to 16x16 the free-pivot sparse determinant ``p.det()`` must agree as
-    well; above that it is the independent determinant itself.
-    """
-    schur, det_block = p.schur_with_dets()
-    rhs = det_block * mat_det(schur)
-    return _independent_det(p) == rhs and (p.m > _DENSE_LIMIT or p.det() == rhs)
+    """Both sides of det A = det(A22) det(A/A22), computed independently."""
+    return p.det_identity_check()

@@ -173,6 +173,29 @@ def test_deeply_nested_pencil_json_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text", ["(" * 5000 + "z1" + ")" * 5000, "-" * 5000 + "z1"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deeply_nested_expression_exits_two(capsys, text):
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br", f"--expr={text}",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_matrix_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, out, err = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "0,0",
+        "--matrix", str(path), "--r", "0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
     "command, text",
     [
         ("verify", "{}"),

@@ -102,6 +102,15 @@ def test_exponent_limit():
         parse_expression("z1^" + "9" * 5000, Q)
 
 
+def test_deep_nesting_is_a_parse_error():
+    assert parse_expression("(" * 50 + "-" * 51 + "z1" + ")" * 50, Q) == (
+        -parse_expression("z1", Q)
+    )
+    for text in ["(" * 5000 + "z1" + ")" * 5000, "-" * 5000 + "z1"]:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expression(text, Q)
+
+
 def test_nested_powers_obey_the_exponent_limit():
     z1 = _z(Q, 1, 0)
     assert parse_expression("(z1^10)^100", Q) == parse_expression(

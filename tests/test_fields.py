@@ -102,6 +102,28 @@ def test_bad_literals_are_field_literal_errors(descriptor, text):
         descriptor.parse_value(text)
 
 
+@pytest.mark.parametrize("descriptor", [rationals(), prime_field(2),
+                                        prime_field(7)])
+@pytest.mark.parametrize(
+    "text",
+    ["1.5", "1_000", "+3", "1e5", "", "-", "/2", "1/", "1/-2", "--1", "3 /4",
+     "0x10", "\u0663", "1/2/3", "inf", "nan"],
+)
+def test_only_the_documented_literals_parse(descriptor, text):
+    with pytest.raises(FieldLiteralError):
+        descriptor.parse_value(text)
+
+
+@pytest.mark.parametrize(
+    "text, q_value, gf7_value",
+    [(" 0", 0, 0), ("-0", 0, 0), ("0/5", 0, 0), ("007", 7, 0), ("-3/6", -0.5, 3),
+     ("\t12\n", 12, 5)],
+)
+def test_documented_literals_agree_across_fields(text, q_value, gf7_value):
+    assert rationals().parse_value(text) == Fraction(q_value)
+    assert prime_field(7).parse_value(text) == gf7_value
+
+
 _descriptors = st.sampled_from(
     [rationals(), prime_field(2), prime_field(3), prime_field(7)]
 )

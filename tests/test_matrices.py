@@ -3,13 +3,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ratpencil.elimination import sparse_determinant
 from ratpencil.errors import DimensionMismatch, SingularMatrix
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_arith, mat_det, mat_inv
 from ratpencil.poly import Polynomial, RationalFunction
 
-from conftest import det_cofactor_oracle, random_matrix
+from conftest import det_cofactor_oracle, random_matrix, random_poly
 
 Q = rationals()
 
@@ -82,6 +84,42 @@ def test_det_matches_cofactor_oracle_random(rng):
         a = random_matrix(rng, d, 2, k, max_deg=1, max_terms=2,
                           polynomial_bias=0.8, den_deg=1, den_terms=2)
         assert mat_det(a) == det_cofactor_oracle(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([Q, prime_field(2), prime_field(101)]),
+       st.integers(1, 6),
+       st.sampled_from(["dense", "sparse", "zero_row", "duplicate_row",
+                        "dependent_row"]))
+def test_sparse_determinant_matches_cofactor_oracle(rand, d, k, shape):
+    n = rand.randint(1, 3)
+    density = 0.3 if shape == "sparse" else 0.8
+    zero = Polynomial.zero(d, n)
+    grid = [
+        [random_poly(rand, d, n, max_deg=2, max_terms=2)
+         if rand.random() < density else zero for _ in range(k)]
+        for _ in range(k)
+    ]
+    singular = shape == "zero_row" or (k > 1 and shape.endswith("_row"))
+    i, j, t = rand.sample(range(k), 3) if k > 2 else (0, k - 1, k - 1)
+    if shape == "zero_row":
+        grid[i] = [zero] * k
+    elif singular and shape == "duplicate_row":
+        grid[i] = list(grid[j])
+    elif singular:
+        a = random_poly(rand, d, n, max_deg=1, max_terms=2)
+        b = random_poly(rand, d, n, max_deg=1, max_terms=2)
+        grid[i] = [a * x + b * y for x, y in zip(grid[j], grid[t])]
+    matrix = RationalMatrix.from_polynomials(grid)
+    expected = det_cofactor_oracle(matrix)
+    rows = {r: {c: p for c, p in enumerate(row) if not p.is_zero()}
+            for r, row in enumerate(grid)}
+    got = sparse_determinant(rows, k, d, n)
+    assert got.is_polynomial() and got == expected
+    assert mat_det(matrix) == expected
+    if singular:
+        assert expected.is_zero()
 
 
 def test_det_denominator_is_the_product_of_row_denominators():

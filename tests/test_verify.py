@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ratpencil.elimination import _State
 from ratpencil.errors import DimensionMismatch
 from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
@@ -99,20 +100,54 @@ def test_builders_always_verify(rng):
         assert check_realization(result.pencil, f, result.kind).passed
 
 
-def test_up_to_16x16_verification_never_runs_the_sparse_determinant(monkeypatch):
-    # The independent side of the determinant identity must not share the
-    # sparse elimination it checks.
-    def refuse(*args):
-        raise AssertionError("sparse_determinant called")
-
-    monkeypatch.setattr("ratpencil.pencil.sparse_determinant", refuse)
-    target = RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1))
-    assert _golden().m == 3
-    assert check_realization(_golden(), target, RealizationKind.SBR).passed
-    target = parse_expression("z1/(1+z2) + z2^2", Q, 2)
+def _two_by_two_br():
+    target = parse_expression(
+        "[[z1+z2^3, z1*z2/(1+z1)],[z2, z3^2/(z1+z2)]]", Q, 3
+    )
     result = realize_br(target)
-    assert 6 <= result.pencil.m <= 16
-    assert check_realization(result.pencil, target, result.kind).passed
+    assert result.pencil.m > 16
+    return result.pencil, target
+
+
+def test_verification_runs_the_schur_elimination_once(monkeypatch):
+    # The independent side of the determinant identity must not share the
+    # sparse elimination it checks, at any size.
+    calls = []
+    eliminate = _State.eliminate
+
+    def counted(self, *args):
+        calls.append(self)
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(_State, "eliminate", counted)
+    small = parse_expression("z1/(1+z2) + z2^2", Q, 2)
+    small_pencil = realize_br(small).pencil
+    assert 6 <= small_pencil.m <= 16
+    cases = [
+        (_golden(), RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1))),
+        (small_pencil, small),
+        _two_by_two_br(),
+    ]
+    for pencil, target in cases:
+        calls.clear()
+        assert check_realization(pencil, target, RealizationKind.BR).passed
+        assert len(calls) == 1
+        calls.clear()
+        assert not pencil.det().is_zero()
+        assert not calls
+
+
+def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
+    pencil, target = _two_by_two_br()
+    assert check_realization(pencil, target, RealizationKind.BR).passed
+    det_fraction = _State.det_fraction
+    monkeypatch.setattr(
+        _State, "det_fraction", lambda self: -det_fraction(self)
+    )
+    report = check_realization(pencil, target, RealizationKind.BR)
+    assert report.schur_ok and report.structure_ok
+    assert not report.det_ok and not report.passed
+    assert not cross_validate_det(pencil)
 
 
 def test_three_by_three_br_with_shared_denominators_verifies():
