@@ -211,9 +211,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is an expression, which may start with "-"
+_EXPRESSION_OPTIONS = ("--expr", "--r")
+
+
+def _join_expression_values(argv) -> list[str]:
+    """Fold ``[option, value]`` into ``option=value`` for the expression
+    options, so argparse reads a value such as ``-z1`` as the value and not
+    as an unknown flag.  A trailing option with no value is left alone."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _EXPRESSION_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_expression_values(argv))
     try:
         return args.handler(args)
     except NotRealizableChar2 as exc:

@@ -1,15 +1,27 @@
-"""Characteristic-2 quotient rings with multilinear normal forms.
+"""Characteristic-2 quotient rings as sets of multilinear monomials.
 
 A :class:`QuotContext` fixes a characteristic-2 field, a variable count, and
 a constant tuple ell; all arithmetic happens modulo the ideal generated by
 ``z_i^2 + ell_i^2`` (the squared shift makes the absolute value total).  The
 normal form replaces every ``z_i^(2a+b)`` by ``(ell_i^2)^a * z_i^b``, so
-elements are multilinear polynomials.  On top of the elements sit symmetric
-matrices with the CLEAN / ADD / ISOLATE transformations and the constructive
-reduction that squeezes a ring realizer down to its linear value.
+elements are multilinear polynomials.
 
-Normal forms are built with :func:`ratpencil.fields.accumulate` and
-wrapped without re-validation, since reduced exponent tuples are clean keys.
+GF(2) is the only field of characteristic 2 in :mod:`ratpencil.fields`, so
+every nonzero coefficient is 1 and a normal form is exactly its set of
+monomials.  A :class:`QuotElement` stores that set as a frozenset of
+bitmasks, bit i meaning that z_i appears.  A sum is the symmetric
+difference.  A product toggles ``x ^ y`` for each pair of monomials, except
+the pairs that share a variable with ell_i = 0, whose square is zero (the
+context's ``dead`` mask).  The absolute value, the normal form at ell, is
+the parity of the monomials that avoid ``dead``, and r^2 = |r|^2 makes an
+invertible element its own inverse.  Polynomials appear only at the
+boundary: :meth:`QuotContext.project` maps one in, and the ``nf`` property
+builds the normal-form polynomial back.
+
+On top of the elements sit symmetric matrices with the CLEAN / ADD / ISOLATE
+transformations and the constructive reduction that squeezes a ring
+realizer down to its linear value.  ISOLATE works on one mutable grid: each
+ADD step changes only row and column j, so only those are CLEANed.
 
 The ring has zero divisors, so matrix determinants use Berkowitz's
 division-free algorithm (O(m^4) ring operations, no size limit).  The
@@ -32,14 +44,17 @@ from .errors import (
     NotSymmetric,
     WrongCharacteristic,
 )
-from .fields import FieldDescriptor, FieldElement, accumulate
+from .fields import FieldDescriptor, FieldElement
 from .poly import Polynomial
+
+_EMPTY = frozenset()
+_ONE = frozenset({0})
 
 
 class QuotContext:
     """The ring of multilinear normal forms modulo z_i^2 = ell_i^2."""
 
-    __slots__ = ("descriptor", "n_vars", "ell", "ell_sq")
+    __slots__ = ("descriptor", "n_vars", "ell", "dead")
 
     def __init__(self, descriptor: FieldDescriptor, n_vars: int, ell):
         if descriptor.characteristic != 2:
@@ -51,7 +66,7 @@ class QuotContext:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(
-            self, "ell_sq", tuple(descriptor.mul(v, v) for v in ell)
+            self, "dead", sum(1 << i for i, v in enumerate(ell) if not v)
         )
 
     def __setattr__(self, name, value):
@@ -74,43 +89,52 @@ class QuotContext:
         vals = ",".join(self.descriptor.format_value(v) for v in self.ell)
         return f"QuotContext({self.descriptor.name()}, ell=({vals}))"
 
-    def mult_normal_form(self, p: Polynomial) -> Polynomial:
-        """The multilinear normal form: z_i^(2a+b) -> (ell_i^2)^a z_i^b."""
+    def _monomials(self, p: Polynomial) -> frozenset:
+        """The normal form of ``p`` as a set of monomial bitmasks.
+
+        An exponent of 2 or more on a dead variable kills the term, each
+        exponent's parity gives its bit, and colliding terms cancel in pairs.
+        """
         if p.descriptor != self.descriptor or p.n_vars != self.n_vars:
             raise DescriptorMismatch("polynomial does not match the context")
-        d = self.descriptor
-        terms = accumulate({}, self._reduced_terms(p.terms), d.add)
-        return Polynomial._wrap(d, self.n_vars, terms)
+        dead = self.dead
+        out = set()
+        for exps in p.terms:  # every coefficient is 1 over GF(2)
+            mask = 0
+            for i, e in enumerate(exps):
+                if e >= 2 and dead >> i & 1:
+                    break
+                mask |= (e & 1) << i
+            else:
+                out ^= {mask}
+        return frozenset(out)
 
-    def _reduced_terms(self, terms):
-        """Each term of ``terms`` with every exponent reduced mod 2."""
-        d = self.descriptor
-        for exps, value in terms.items():
-            if max(exps, default=0) >= 2:
-                for e, lsq in zip(exps, self.ell_sq):
-                    if e >= 2:
-                        value = d.mul(value, d.pow(lsq, e // 2))
-                exps = tuple([e % 2 for e in exps])
-            yield exps, value
+    def mult_normal_form(self, p: Polynomial) -> Polynomial:
+        """The multilinear normal form: z_i^(2a+b) -> (ell_i^2)^a z_i^b."""
+        return _polynomial(self, self._monomials(p))
 
     def project(self, p: Polynomial) -> "QuotElement":
-        return QuotElement(self, self.mult_normal_form(p))
+        return _element(self, self._monomials(p))
 
     def zero(self) -> "QuotElement":
-        return QuotElement(self, Polynomial.zero(self.descriptor, self.n_vars))
+        return _element(self, _EMPTY)
 
     def one(self) -> "QuotElement":
-        return QuotElement(self, Polynomial.one(self.descriptor, self.n_vars))
+        return _element(self, _ONE)
 
     def constant(self, value) -> "QuotElement":
-        return QuotElement(
-            self, Polynomial.constant(self.descriptor, self.n_vars, value)
-        )
+        return _element(self, _ONE if self.descriptor.coerce(value) else _EMPTY)
 
     def variable(self, index: int) -> "QuotElement":
-        return QuotElement(
-            self, Polynomial.variable(self.descriptor, self.n_vars, index)
-        )
+        if not 0 <= index < self.n_vars:
+            raise ValueError(f"variable index {index} out of range")
+        return _element(self, frozenset({1 << index}))
+
+
+def _polynomial(context: QuotContext, monomials) -> Polynomial:
+    n, one = context.n_vars, context.descriptor.one
+    terms = {tuple(x >> i & 1 for i in range(n)): one for x in monomials}
+    return Polynomial._wrap(context.descriptor, n, terms)
 
 
 def mult_normal_form(p: Polynomial, ctx: QuotContext) -> Polynomial:
@@ -126,28 +150,57 @@ def lift(r: "QuotElement") -> Polynomial:
 
 
 class QuotElement:
-    """Ring element in multilinear normal form; equality is normal-form equality."""
+    """Ring element as its set of multilinear monomials (bitmasks).
 
-    __slots__ = ("context", "nf")
+    Equality is normal-form equality; ``nf`` is the normal-form polynomial.
+    """
+
+    __slots__ = ("context", "monomials")
 
     def __init__(self, context: QuotContext, nf: Polynomial):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "nf", context.mult_normal_form(nf))
+        _set_context(self, context)
+        _set_monomials(self, context._monomials(nf))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotElement is immutable")
+
+    @property
+    def nf(self) -> Polynomial:
+        return _polynomial(self.context, self.monomials)
 
     def _check(self, other: "QuotElement"):
         if self.context != other.context:
             raise DescriptorMismatch("elements live in different quotient rings")
 
     def __add__(self, other: "QuotElement") -> "QuotElement":
-        self._check(other)
-        return QuotElement(self.context, self.nf + other.nf)
+        if other.context is not self.context:
+            self._check(other)
+        a, b = self.monomials, other.monomials
+        if not b:
+            return self
+        if not a:
+            return other
+        return _element(self.context, a ^ b)
 
     def __mul__(self, other: "QuotElement") -> "QuotElement":
-        self._check(other)
-        return QuotElement(self.context, self.nf * other.nf)
+        if other.context is not self.context:
+            self._check(other)
+        a, b = self.monomials, other.monomials
+        if not a or b == _ONE:
+            return self
+        if not b or a == _ONE:
+            return other
+        if len(a) > len(b):
+            a, b = b, a
+        dead = self.context.dead
+        out = set()
+        for x in a:
+            xd = x & dead
+            if xd:
+                out ^= {x ^ y for y in b if not xd & y}
+            else:
+                out ^= {x ^ y for y in b}
+        return _element(self.context, frozenset(out))
 
     def __pow__(self, e: int) -> "QuotElement":
         out = self.context.one()
@@ -158,44 +211,63 @@ class QuotElement:
     def __eq__(self, other):
         if not isinstance(other, QuotElement):
             return NotImplemented
-        return self.context == other.context and self.nf == other.nf
+        return self.monomials == other.monomials and (
+            self.context is other.context or self.context == other.context
+        )
 
     def __hash__(self):
-        return hash((self.context, self.nf))
+        return hash((self.context, self.monomials))
 
     def is_zero(self) -> bool:
-        return self.nf.is_zero()
+        return not self.monomials
 
     def is_constant(self) -> bool:
-        return self.nf.is_constant()
+        return self.monomials <= _ONE
 
     def is_linear(self) -> bool:
-        deg = self.nf.total_degree()
-        return deg <= 1  # -inf for zero compares fine
+        return all(not x & (x - 1) for x in self.monomials)
+
+    def _abs(self) -> int:
+        dead = self.context.dead
+        return sum(1 for x in self.monomials if not x & dead) & 1
 
     def abs_value(self) -> FieldElement:
         """The unique field constant with r^2 = |r|^2: the normal form at ell."""
-        return FieldElement(
-            self.context.descriptor, self.nf.evaluate(self.context.ell)
-        )
+        return FieldElement(self.context.descriptor, self._abs())
 
     def is_invertible(self) -> bool:
-        return bool(self.nf.evaluate(self.context.ell))
+        return bool(self._abs())
 
     def inverse(self) -> "QuotElement":
-        """r^{-1} = |r|^{-2} r; needs |r| != 0."""
-        d = self.context.descriptor
-        a = self.nf.evaluate(self.context.ell)
-        if not a:
+        """r^{-1} = |r|^{-2} r, which is r itself since |r| = 1."""
+        if not self._abs():
             raise NotInvertible("element has zero absolute value")
-        scale = d.inv(d.mul(a, a))
-        return QuotElement(self.context, self.nf.scale(scale))
+        return self
 
     def __str__(self):
         return str(self.nf)
 
     def __repr__(self):
         return f"QuotElement({self})"
+
+
+_set_context = QuotElement.context.__set__
+_set_monomials = QuotElement.monomials.__set__
+
+
+def _element(context: QuotContext, monomials: frozenset) -> QuotElement:
+    """Wrap a monomial set that is already a normal form."""
+    out = object.__new__(QuotElement)
+    _set_context(out, context)
+    _set_monomials(out, monomials)
+    return out
+
+
+def _absolute(entry: QuotElement) -> QuotElement:
+    """CLEAN of one off-diagonal entry: its absolute value as a constant."""
+    if entry.monomials <= _ONE:
+        return entry
+    return _element(entry.context, _ONE if entry._abs() else _EMPTY)
 
 
 def qe_abs(r: QuotElement) -> FieldElement:
@@ -220,7 +292,9 @@ class QuotMatrix:
             raise ValueError("split must satisfy 1 <= split < m")
         for row in entries:
             for e in row:
-                if not isinstance(e, QuotElement) or e.context != context:
+                if not isinstance(e, QuotElement) or (
+                    e.context is not context and e.context != context
+                ):
                     raise DescriptorMismatch("entries must share the context")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "m", m)
@@ -307,10 +381,11 @@ class QuotMatrix:
 
 
 def _dot(zero: QuotElement, xs, ys) -> QuotElement:
-    return sum(
-        (x * y for x, y in zip(xs, ys) if not (x.is_zero() or y.is_zero())),
-        zero,
-    )
+    total = zero
+    for x, y in zip(xs, ys):
+        if x.monomials and y.monomials:
+            total = total + x * y
+    return total
 
 
 def _det_berkowitz(context: QuotContext, grid) -> QuotElement:
@@ -376,15 +451,22 @@ def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
 
 def clean(matrix: QuotMatrix) -> QuotMatrix:
     """Replace off-diagonal entries by their absolute values; idempotent."""
-    ctx = matrix.context
-    updates = {}
-    for i in range(matrix.m):
-        for j in range(matrix.m):
-            if i != j and not matrix.entries[i][j].is_constant():
-                updates[(i, j)] = ctx.constant(
-                    matrix.entries[i][j].abs_value().value
-                )
+    updates = {
+        (i, j): _absolute(e)
+        for i, row in enumerate(matrix.entries)
+        for j, e in enumerate(row)
+        if i != j and not e.is_constant()
+    }
     return matrix.replace(updates) if updates else matrix
+
+
+def _add(grid, i: int, j: int, alpha: QuotElement) -> None:
+    """Row update R_j += alpha R_i, then the column update, in place."""
+    row_i, row_j = grid[i], grid[j]
+    for t, e in enumerate(row_i):
+        row_j[t] = row_j[t] + alpha * e
+    for row in grid:
+        row[j] = row[j] + alpha * row[i]
 
 
 def add_transform(matrix: QuotMatrix, i: int, j: int,
@@ -394,10 +476,7 @@ def add_transform(matrix: QuotMatrix, i: int, j: int,
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise BadIndices(f"bad ADD indices ({i}, {j})")
     grid = [list(row) for row in matrix.entries]
-    for t in range(m):
-        grid[j][t] = grid[j][t] + alpha * grid[i][t]
-    for t in range(m):
-        grid[t][j] = grid[t][j] + alpha * grid[t][i]
+    _add(grid, i, j, alpha)
     return clean(QuotMatrix(matrix.context, matrix.split, grid))
 
 
@@ -405,25 +484,34 @@ def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
     """Zero out row and column i except the diagonal via ADD steps.
 
     Needs an invertible diagonal entry ``a_ii`` and constant off-diagonal
-    entries (a CLEANed symmetric matrix).
+    entries (a CLEANed symmetric matrix).  Over GF(2) an invertible entry
+    has |a_ii| = 1, so the ADD step for column j uses alpha = a_ij.  The
+    steps update one grid in place; the matrix stays clean outside row and
+    column j, so only those are CLEANed after each step.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("ISOLATE needs a symmetric matrix")
     if not matrix.has_constant_off_diagonal():
         raise NotCleaned("ISOLATE needs constant off-diagonal entries")
-    pivot = matrix.entries[i][i]
-    if not pivot.is_invertible():
+    if not matrix.entries[i][i].is_invertible():
         raise NotInvertibleDiagonal(f"diagonal entry {i} is not invertible")
-    inv_abs = matrix.context.descriptor.inv(pivot.abs_value().value)
-    out = matrix
-    for j in range(matrix.m):
-        if j == i:
+    context, split = matrix.context, matrix.split
+    grid = [list(row) for row in matrix.entries]
+    # the step for column j changes row i only in column j, so each a_ij
+    # is still the input's when its turn comes
+    for j, alpha in enumerate(matrix.entries[i]):
+        if j == i or alpha.is_zero():
             continue
-        alpha = out.entries[i][j] * matrix.context.constant(inv_abs)
-        out = add_transform(out, i, j, alpha)
-        if trace is not None and not alpha.is_zero():
-            trace.append((f"add i={i + 1} j={j + 1} alpha={alpha}", out))
-    return out
+        _add(grid, i, j, alpha)
+        row_j = grid[j]
+        for t, row in enumerate(grid):
+            if t != j:
+                row_j[t] = _absolute(row_j[t])
+                row[j] = _absolute(row[j])
+        if trace is not None:
+            trace.append((f"add i={i + 1} j={j + 1} alpha={alpha}",
+                          QuotMatrix(context, split, grid)))
+    return QuotMatrix(context, split, grid)
 
 
 def is_ring_realizer(matrix: QuotMatrix, r: QuotElement) -> bool:

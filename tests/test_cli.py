@@ -278,6 +278,58 @@ def test_reduce_decides_realizer_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_expression_values_may_start_with_minus(tmp_path, capsys):
+    # `--expr -z1` once stopped at argparse ("expected one argument")
+    realize = ("realize", "--field", "q", "--kind", "br")
+    joined, separate = tmp_path / "joined.json", tmp_path / "separate.json"
+    assert run(capsys, *realize, "--expr=-z1", "--out", str(joined))[0] == 0
+    assert run(capsys, *realize, "--expr", "-z1", "--out", str(separate))[0] == 0
+    assert separate.read_bytes() == joined.read_bytes()
+
+    verify = ("verify", "--pencil", str(joined), "--kind", "br")
+    assert run(capsys, *verify, "--expr", "-z1") == run(
+        capsys, *verify, "--expr=-z1"
+    )
+    decide = ("decide", "--field", "gf2", "--kind", "sbr")
+    code, out, _ = run(capsys, *decide, "--expr", "-z1*z2")
+    assert code == 1
+    assert (code, out) == run(capsys, *decide, "--expr=-z1*z2")[:2]
+
+    reduce_cmd = ("reduce", "--field", "gf2", "--ell", "1,0",
+                  "--matrix", str(FIXTURES / "ring_9x9_ell10.json"))
+    code, out, _ = run(capsys, *reduce_cmd, "--r", "-z1")
+    assert (code, out) == (0, "reduced: z1\n")
+    assert run(capsys, *reduce_cmd, "--r=-z1")[:2] == (code, out)
+
+
+def test_trailing_expression_option_without_value_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--field", "q", "--kind", "br", "--expr"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_reduce_in_sixty_four_variables(tmp_path, capsys):
+    # a representation sized by 2^n (dense tables over all monomials) could
+    # not finish here; the monomial sets stay as small as the entries
+    ell = [1, 0] * 32
+    entries = [
+        ["z1+z64", "1", "0", "0"],
+        ["1", "z63", "1", "0"],
+        ["0", "1", "z2+z33", "1"],
+        ["0", "0", "1", "z40+z64+1"],
+    ]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"split": 1, "entries": entries}))
+    argv = ("reduce", "--field", "gf2", "--ell", ",".join(map(str, ell)),
+            "--matrix", str(matrix))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--r", "1+z40+z33+z2+z1")
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (0, "reduced: z1 + z2 + z33 + z40 + 1\n")
+    assert run(capsys, *argv, "--r", "z1")[0] == 2
+
+
 def test_cli_determinism(tmp_path, capsys):
     args = ("realize", "--field", "q", "--kind", "br", "--expr", "(z1+z2)/z1")
     code1, out1, _ = run(capsys, *args)

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratpencil.errors import (
     NotARealizer,
@@ -95,6 +96,63 @@ def test_mult_projection_laws(rng):
         # projection is a ring homomorphism
         assert ctx.project(p + q) == ctx.project(p) + ctx.project(q)
         assert ctx.project(p * q) == ctx.project(p) * ctx.project(q)
+
+
+def _oracle_normal_form(p, ell):
+    """Normal form by hand over GF(2): z_i^(2a+b) -> (ell_i^2)^a z_i^b."""
+    out = {}
+    for exps, value in p.terms.items():
+        coeff = value
+        for e, c in zip(exps, ell):
+            coeff = coeff * (c * c) ** (e // 2) % 2
+        key = tuple(e % 2 for e in exps)
+        out[key] = (out.get(key, 0) + coeff) % 2
+    return {key: v for key, v in out.items() if v}
+
+
+def _oracle_at_ell(terms, ell):
+    total = 0
+    for exps, value in terms.items():
+        for e, c in zip(exps, ell):
+            value *= c**e
+        total += value
+    return total % 2
+
+
+@st.composite
+def _ring_operands(draw):
+    n = draw(st.integers(1, 4))
+    ell = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    poly = st.dictionaries(monomial, st.integers(0, 3), max_size=6).map(
+        lambda terms: Polynomial(G2, n, terms)
+    )
+    return ell, draw(poly), draw(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_operands())
+def test_ring_operations_match_hand_reduction(operands):
+    ell, p, q = operands
+    ctx = _ctx(len(ell), ell)
+    r, s = ctx.project(p), ctx.project(q)
+    nf = _oracle_normal_form(p, ell)
+    assert lift(r).terms == nf
+    assert lift(r + s).terms == _oracle_normal_form(p + q, ell)
+    assert lift(r * s).terms == _oracle_normal_form(p * q, ell)
+    assert r.is_constant() == all(not any(exps) for exps in nf)
+    assert r.is_linear() == all(sum(exps) <= 1 for exps in nf)
+    value = _oracle_at_ell(nf, ell)
+    assert r.abs_value().value == value
+    assert r.is_invertible() == bool(value)
+    if value:
+        # |r|^{-2} r with |r| = 1, and r times it reduces to 1
+        inverse = lift(r.inverse())
+        assert inverse.terms == nf
+        assert _oracle_normal_form(p * inverse, ell) == {(0,) * len(ell): 1}
+    else:
+        with pytest.raises(NotInvertible):
+            r.inverse()
 
 
 def test_abs_examples():
@@ -313,6 +371,25 @@ def test_involution_sum_expands_instead_of_enumerating(monkeypatch):
     monkeypatch.setattr(QuotElement, "__mul__", counting)
     assert det_involution_sum(matrix) == expected
     assert 0 < len(calls) <= 10**4
+
+
+def test_ring_checks_do_no_polynomial_arithmetic(monkeypatch):
+    # realizers built by from_polynomials, as `ratpencil reduce` builds them
+    ctx10, ctx00 = _ctx(2, [1, 0]), _ctx(2, [0, 0])
+    cases = [(_load_matrix("ring_9x9_ell10.json", ctx10), ctx10.variable(0)),
+             (_load_matrix("ring_4x4_ell00.json", ctx00), ctx00.zero())]
+    calls = []
+    for owner, name in ((Polynomial, "__mul__"), (Polynomial, "__add__"),
+                        (QuotContext, "mult_normal_form")):
+        def counting(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    for matrix, r in cases:
+        assert is_ring_realizer(matrix, r)
+        assert reduce_realizer(matrix, r) == r
+    assert calls == []
 
 
 def _random_realizer(rng, ctx, pad):
