@@ -1,9 +1,10 @@
 """Sparse exact elimination for pencil matrices.
 
-Realization pencils are large but very sparse and block structured.  The
-Schur elimination (:func:`schur_eliminate`) runs plain Gaussian elimination
-over the fraction field while keeping one shared polynomial denominator per
-row: the update
+Realization pencils are large but very sparse and block structured: about
+1.5 nonzeros per row, mostly singleton rows and columns or constant entries.
+The Schur elimination (:func:`schur_eliminate`) runs plain Gaussian
+elimination over the fraction field while keeping one shared polynomial
+denominator per row: the update
 
     row_i  <-  row_i * piv - row_i[pc] * row_pr,      den_i <- den_i * piv
 
@@ -13,12 +14,22 @@ columns of the (2,2) block, the surviving top-left entries over their row
 denominators are exactly the Schur complement, and the product of pivot values
 (over the pivot-row denominators, with the permutation sign) is the block
 determinant.  Pivots are chosen by a Markowitz-style score to limit fill-in,
-preferring short polynomials; a cheap monomial-content strip keeps rows small
-when pivots are monomials.  The full determinant (:func:`sparse_determinant`)
-is a separate fraction-free elimination that shares no code with it.
+preferring short polynomials, and are taken from a lazy min-heap of keys that
+is refreshed only where a step changed a row or a column count; a cheap
+monomial-content strip keeps rows small when pivots are monomials.
+
+The full determinant (:func:`sparse_determinant`) is a separate elimination
+that shares no code with it.  It first follows the structure: it expands
+along singleton rows and columns and eliminates constant pivots, which keeps
+every row an exact row of the current Schur complement without any division.
+What is left, with no singleton and no constant, goes to fraction-free
+Bareiss elimination with Markowitz pivots.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
 
 from .errors import SingularBlock
 from .poly import Polynomial, RationalFunction
@@ -74,23 +85,42 @@ class _State:
         self.col_order: list[int] = []
         self.piv_num = self.one
         self.piv_den = self.one
+        # (score, terms, i, j) for candidate pivots; stale keys stay until
+        # they reach the top and fail the check in _choose_pivot
+        self.heap: list[tuple[int, int, int, int]] = []
+
+    def _push_keys(self, rows, columns, split):
+        """Push the current keys of the candidates (i, j >= split) in
+        ``rows`` and in ``columns``."""
+        work, cols, heap = self.work, self.cols, self.heap
+        for i in rows:
+            row = work[i]
+            row_nnz = len(row) - 1
+            for j, v in row.items():
+                if j >= split:
+                    heapq.heappush(
+                        heap, (row_nnz * (len(cols[j]) - 1), len(v.terms), i, j)
+                    )
+        for j in columns:
+            col_nnz = len(cols[j]) - 1
+            for i in cols[j]:
+                if i >= split and i not in rows:
+                    row = work[i]
+                    heapq.heappush(
+                        heap, ((len(row) - 1) * col_nnz, len(row[j].terms), i, j)
+                    )
 
     def _choose_pivot(self, split):
-        best = None
-        best_key = None
-        for i, row in self.work.items():
-            if i < split:
-                continue
-            row_nnz = len(row)
-            for j in row:
-                if j < split:
-                    continue
-                score = (row_nnz - 1) * (len(self.cols[j]) - 1)
-                key = (score, len(row[j].terms), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
+        """The candidate with the smallest ``(score, terms, i, j)``, where
+        score is (row count - 1) * (column count - 1)."""
+        work, cols, heap = self.work, self.cols, self.heap
+        while heap:
+            score, terms, i, j = heapq.heappop(heap)
+            row = work.get(i)
+            if (row is not None and j in row and len(row[j].terms) == terms
+                    and (len(row) - 1) * (len(cols[j]) - 1) == score):
+                return i, j
+        return None
 
     def _strip_row_content(self, i):
         row = self.work[i]
@@ -113,6 +143,7 @@ class _State:
 
     def eliminate(self, split: int) -> int:
         # pivot columns leave every row, so rows and columns >= split remain
+        self._push_keys([i for i in self.work if i >= split], (), split)
         while True:
             found = self._choose_pivot(split)
             if found is None:
@@ -130,7 +161,9 @@ class _State:
             piv_const = piv.is_constant()
             piv_value = piv.constant_value() if piv_const else None
             piv_is_one = piv_const and piv_value == self.descriptor.one
-            for i in sorted(self.cols.get(pc, ())):
+            touched = sorted(self.cols.get(pc, ()))
+            changed = set(prow)
+            for i in touched:
                 row = self.work[i]
                 f = row.pop(pc)
                 if not piv_is_one:
@@ -156,6 +189,8 @@ class _State:
                 if not piv_is_one:
                     self._strip_row_content(i)
             self.cols[pc] = set()
+            self._push_keys({i for i in touched if i >= split},
+                            [j for j in changed if j >= split], split)
         return len(self.row_order)
 
     def det_fraction(self) -> RationalFunction:
@@ -174,9 +209,9 @@ def schur_eliminate(
     """``(schur, det_block)``: the Schur complement, as split-by-split rows,
     and the (2,2)-block determinant of a sparse polynomial matrix.
 
-    ``rows`` is the m-by-m matrix in dict-of-dicts form; ``split`` is the
-    size of the (1,1) block.  Raises :class:`SingularBlock` when the (2,2)
-    block has identically zero determinant.
+    ``rows`` is the m-by-m matrix in dict-of-dicts form, left unchanged;
+    ``split`` is the size of the (1,1) block.  Raises :class:`SingularBlock`
+    when the (2,2) block has identically zero determinant.
     """
     state = _State(rows, m, descriptor, n_vars)
     if state.eliminate(split) < m - split:
@@ -204,38 +239,146 @@ def _over(p: Polynomial, c: Polynomial) -> Polynomial:
 def sparse_determinant(
     rows: dict[int, dict[int, Polynomial]], m: int, descriptor, n_vars: int
 ) -> RationalFunction:
-    """Determinant (a polynomial) by fraction-free, Bareiss elimination
-    with pivots anywhere.  Row i keeps the step s of its last update; since
-    an untouched row only gains p_k / p_s, pivot p_k updates the rows it
-    meets to ``(p_k row_i - row_i[pc] prow) / p_s``, exactly, and a stale
-    pivot row is brought up to date first.  The pivot has the fewest terms
-    in a shortest row, then the sparsest column."""
+    """Determinant (a polynomial) of the m-by-m matrix ``rows``, left
+    unchanged, in two phases.
+
+    Phase 1 needs no fraction-free step.  A row or column with one nonzero
+    is expanded along: its entry joins the result (constants in one field
+    scalar, polynomials in a factor list) and its row and column leave.
+    Failing that, a constant pivot c with the smallest
+    (row count - 1)(column count - 1), then i, then j, is eliminated: the
+    pivot row is scaled by 1/c once, every other row of its column gets
+    ``row_i -= row_i[pc] * prow / c``, and c joins the scalar.  Every row
+    stays an exact row of the current Schur complement, so nothing is ever
+    divided.  A zero row or column means the determinant is zero.
+
+    Phase 2 is Bareiss elimination with pivots anywhere on what is left,
+    keyed by ((row count - 1)(column count - 1), terms, i, j).  Row i keeps
+    the step s of its last update; since an untouched row only gains
+    p_k / p_s, pivot p_k updates the rows it meets to
+    ``(p_k row_i - row_i[pc] prow) / p_s``, exactly, and a stale pivot row is
+    brought up to date first.  A pivot alone in its row or in its column
+    changes no other row, so only its own value is brought up to date.  The
+    determinant is sign * scalar * factors * the last pivot.
+    """
+    zero_exps = (0,) * n_vars
     work = {i: {j: v for j, v in rows.get(i, {}).items() if v.terms}
             for i in range(m)}
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, set[int]] = {j: set() for j in range(m)}
     for i, row in work.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
-    pivots = [Polynomial.one(descriptor, n_vars)]
-    step = dict.fromkeys(work, 0)
-    row_order, col_order = [], []
-    while work:
-        short = min(map(len, work.values()))
-        if not short:  # a zero row: the rows are dependent
-            return RationalFunction.zero(descriptor, n_vars)
-        _, _, pr, pc = min((len(v.terms), len(cols[j]), i, j)
-                           for i, row in work.items() if len(row) == short
-                           for j, v in row.items())
-        prow, last = work.pop(pr), step.pop(pr)
-        if last < len(row_order):
-            prow = {j: _over(_times(v, pivots[-1]), pivots[last])
-                    for j, v in prow.items()}
+            cols[j].add(i)
+    zero_det = RationalFunction.zero(descriptor, n_vars)
+    scalar = descriptor.one
+    factors: list[Polynomial] = []
+    row_order: list[int] = []
+    col_order: list[int] = []
+
+    # phase 1: singletons and constant pivots
+    short_rows = [i for i, row in work.items() if len(row) <= 1]
+    short_cols = [j for j, col in cols.items() if len(col) <= 1]
+    while True:
+        if short_rows or short_cols:
+            if short_rows:
+                pr = short_rows.pop()
+                row = work.get(pr)
+                if row is None or len(row) > 1:
+                    continue
+                if not row:
+                    return zero_det
+                (pc,) = row
+            else:
+                pc = short_cols.pop()
+                col = cols.get(pc)
+                if col is None or len(col) > 1:
+                    continue
+                if not col:
+                    return zero_det
+                (pr,) = col
+            value = work[pr][pc]
+            if len(value.terms) == 1 and zero_exps in value.terms:
+                scalar = descriptor.mul(scalar, value.terms[zero_exps])
+            else:
+                factors.append(value)
+            row_order.append(pr)
+            col_order.append(pc)
+            for j in work.pop(pr):
+                col = cols[j]
+                col.discard(pr)
+                if len(col) <= 1 and j != pc:
+                    short_cols.append(j)
+            for i in cols.pop(pc):
+                row = work[i]
+                del row[pc]
+                if len(row) <= 1:
+                    short_rows.append(i)
+            continue
+        best = None
+        for i, row in work.items():
+            row_nnz = len(row) - 1
+            for j, v in row.items():
+                if len(v.terms) == 1 and zero_exps in v.terms:
+                    key = (row_nnz * (len(cols[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, pr, pc = best
+        prow = work.pop(pr)
         for j in prow:
             cols[j].discard(pr)
-        piv = prow.pop(pc)
+        c = prow.pop(pc).terms[zero_exps]
+        scalar = descriptor.mul(scalar, c)
+        inv = descriptor.inv(c)
+        prow = {j: v.scale(inv) for j, v in prow.items()}
         row_order.append(pr)
         col_order.append(pc)
         for i in cols.pop(pc):
+            row = work[i]
+            f = row.pop(pc)
+            for j, w in prow.items():
+                delta = _times(w, f)
+                new = row[j] - delta if j in row else -delta
+                if new.terms:
+                    row[j] = new
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if len(row) <= 1:
+                short_rows.append(i)
+        short_cols.extend(j for j in prow if len(cols[j]) <= 1)
+
+    # phase 2: fraction-free elimination of the rest
+    pivots = [Polynomial.one(descriptor, n_vars)]
+    step = dict.fromkeys(work, 0)
+    while work:
+        _, _, pr, pc = min(
+            ((len(row) - 1) * (len(cols[j]) - 1), len(v.terms), i, j)
+            for i, row in work.items() for j, v in row.items()
+        )
+        prow, last = work.pop(pr), step.pop(pr)
+        for j in prow:
+            cols[j].discard(pr)
+        others = cols.pop(pc)
+        row_order.append(pr)
+        col_order.append(pc)
+        if len(prow) == 1 or not others:
+            piv = prow[pc]
+            if last < len(pivots) - 1:
+                piv = _over(_times(piv, pivots[-1]), pivots[last])
+            for i in others:
+                row = work[i]
+                del row[pc]
+                if not row:
+                    return zero_det
+            pivots.append(piv)
+            continue
+        if last < len(pivots) - 1:
+            prow = {j: _over(_times(v, pivots[-1]), pivots[last])
+                    for j, v in prow.items()}
+        piv = prow.pop(pc)
+        for i in others:
             row, d = work[i], pivots[step[i]]
             f = row.pop(pc)
             for j, v in row.items():
@@ -248,10 +391,13 @@ def sparse_determinant(
                 else:
                     del row[j]
                     cols[j].discard(i)
+            if not row:
+                return zero_det
             for j, v in row.items():
                 row[j] = _over(v, d)
             step[i] = len(pivots)
         pivots.append(piv)
-    det = pivots[-1]
-    sign = _parity_sign(row_order) * _parity_sign(col_order)
-    return RationalFunction(det if sign > 0 else -det)
+    if _parity_sign(row_order) * _parity_sign(col_order) < 0:
+        scalar = descriptor.neg(scalar)
+    det = math.prod(factors, start=pivots[-1]).scale(scalar)
+    return RationalFunction(det)

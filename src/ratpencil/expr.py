@@ -18,9 +18,19 @@ power whose exponent times the base's largest degree in one variable (over
 numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
 Nesting (parentheses, unary minus) deeper than the interpreter's recursion
 limit allows is a :class:`ParseError` too.
+
+Scalar powers, products, quotients and sums are checked against
+:data:`MAX_TERMS` before they are expanded: each polynomial product they
+need may have at most that many terms by the bound
+min(t_a * t_b, prod_i (deg_i a + deg_i b + 1)), and the power p^e at most
+min(C(t + e - 1, e), prod_i (e * deg_i p + 1)), where t counts terms and
+deg_i is the degree in variable i.  Going over is a :class:`ParseError`, as
+in ``(1+z1+z2+z3)^1000``.  Operations on a matrix are not checked.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     DimensionMismatch,
@@ -30,10 +40,11 @@ from .errors import (
 )
 from .fields import FieldDescriptor
 from .matrices import RationalMatrix
-from .poly import RationalFunction
+from .poly import Polynomial, RationalFunction
 
 _SYMBOLS = "+-*/^()[],"
 MAX_EXPONENT = 1000
+MAX_TERMS = 20000
 
 
 def tokenize(text: str):
@@ -204,6 +215,49 @@ def _max_variable_degree(matrix: RationalMatrix) -> int:
     )
 
 
+def _degrees(p: Polynomial):
+    """The degree of ``p`` in each variable."""
+    return [max(column) for column in zip(*p.terms)]
+
+
+def _product_terms(a: Polynomial, b: Polynomial) -> int:
+    """An upper bound on the number of terms of a * b: t_a * t_b, cut down
+    to the degree box when that is over the limit."""
+    bound = len(a.terms) * len(b.terms)
+    if bound > MAX_TERMS:
+        bound = min(bound, math.prod(
+            da + db + 1 for da, db in zip(_degrees(a), _degrees(b))))
+    return bound
+
+
+def _power_terms(p: Polynomial, exponent: int) -> int:
+    """An upper bound on the number of terms of p^exponent: C(t + e - 1, e),
+    cut down to the degree box when that is over the limit."""
+    if not p.terms or not exponent:
+        return 1
+    bound = math.comb(len(p.terms) + exponent - 1, exponent)
+    if bound > MAX_TERMS:
+        bound = min(bound, math.prod(exponent * d + 1 for d in _degrees(p)))
+    return bound
+
+
+def _products(op: str, a: RationalFunction, b: RationalFunction):
+    """The polynomial products that the scalar ``a op b`` expands."""
+    if op == "*":
+        return [(a.num, b.num), (a.den, b.den)]
+    if op == "/":
+        return [(a.num, b.den), (a.den, b.num)]
+    return [(a.num, b.den), (b.num, a.den), (a.den, b.den)]
+
+
+def _check_terms(bound: int, pos: int) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(
+            f"the result could have {bound} terms, over the limit of "
+            f"{MAX_TERMS}", pos
+        )
+
+
 def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
     kind = node[0]
     if kind == "int":
@@ -225,6 +279,8 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
             )
         scalar = _scalar(base)
         if scalar is not None:
+            for part in (scalar.num, scalar.den):
+                _check_terms(_power_terms(part, exponent), node[3])
             acc = RationalFunction.one(descriptor, n_vars)
             for _ in range(exponent):
                 acc = acc * scalar
@@ -251,6 +307,9 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
         a = _evaluate(left, descriptor, n_vars)
         b = _evaluate(right, descriptor, n_vars)
         sa, sb = _scalar(a), _scalar(b)
+        if sa is not None and sb is not None:
+            for x, y in _products(op, sa, sb):
+                _check_terms(_product_terms(x, y), pos)
         try:
             if op == "+":
                 if sa is not None and sb is not None:

@@ -2,7 +2,7 @@
 
 The determinant clears denominators row by row: each row is multiplied by
 the product of its distinct entry denominators, the one polynomial-matrix
-determinant (the sparse fraction-free elimination
+determinant (the sparse elimination
 :func:`~ratpencil.elimination.sparse_determinant`, which shares no code with
 the Schur elimination) runs over the resulting polynomial matrix, and the
 result is divided by the product of those row multipliers.  Rows that
@@ -197,19 +197,19 @@ def mat_arith(a: RationalMatrix, b, op: str):
 
 
 def bareiss_det(grid: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix, by the fraction-free sparse
-    elimination :func:`sparse_determinant` on its nonzero cells."""
+    """Determinant of a square polynomial matrix, by the sparse elimination
+    :func:`sparse_determinant` on its nonzero cells."""
     first = grid[0][0]
     rows = {i: dict(enumerate(row)) for i, row in enumerate(grid)}
     return sparse_determinant(rows, len(grid), first.descriptor, first.n_vars).num
 
 
 def mat_det(a: RationalMatrix) -> RationalFunction:
-    """Exact determinant via per-row denominator clearing and Bareiss.
+    """Exact determinant via per-row denominator clearing.
 
     Row i is multiplied by D_i, the product of its distinct non-constant
-    entry denominators; the result is the Bareiss determinant of the
-    cleared rows over D_1 * ... * D_m.
+    entry denominators; the result is the determinant of the cleared rows
+    (:func:`bareiss_det`) over D_1 * ... * D_m.
     """
     if not a.is_square():
         raise DimensionMismatch("determinant needs a square matrix")

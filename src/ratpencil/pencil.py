@@ -159,13 +159,19 @@ class LinearPencil:
         return Polynomial(self.descriptor, self.n_vars, terms)
 
     def sparse_rows(self) -> dict[int, dict[int, Polynomial]]:
-        rows: dict[int, dict[int, Polynomial]] = {}
-        cells = set()
-        for c in self.coeffs:
-            cells.update(c)
-        for (i, j) in cells:
-            rows.setdefault(i, {})[j] = self.entry(i, j)
-        return rows
+        """The nonzero entries as ``{i: {j: entry}}``, built from the
+        coefficient maps (whose values are coerced and nonzero) in one pass."""
+        n = self.n_vars
+        monomials = [(0,) * n] + [
+            tuple(1 if t == v else 0 for t in range(n)) for v in range(n)
+        ]
+        cells: dict[int, dict[int, dict]] = {}
+        for exps, c in zip(monomials, self.coeffs):
+            for (i, j), value in c.items():
+                cells.setdefault(i, {}).setdefault(j, {})[exps] = value
+        wrap, d = Polynomial._wrap, self.descriptor
+        return {i: {j: wrap(d, n, terms) for j, terms in row.items()}
+                for i, row in cells.items()}
 
     def as_matrix(self) -> RationalMatrix:
         """Dense matrix of degree <= 1 polynomials A0 + sum z_j A_j."""
@@ -182,26 +188,32 @@ class LinearPencil:
         """A11 - A12 * A22^{-1} * A21, exact; raises SingularBlock."""
         return self.schur_with_dets()[0]
 
-    def schur_with_dets(self):
-        """(schur, det_block) from one elimination pass."""
+    def schur_with_dets(self, rows=None):
+        """(schur, det_block) from one elimination pass over ``rows``, the
+        result of :meth:`sparse_rows` (built here when not given)."""
         schur, det_block = schur_eliminate(
-            self.sparse_rows(), self.m, self.split, self.descriptor, self.n_vars
+            self.sparse_rows() if rows is None else rows,
+            self.m, self.split, self.descriptor, self.n_vars,
         )
         return RationalMatrix(schur), det_block
 
     def block_det(self) -> RationalFunction:
         return self.schur_with_dets()[1]
 
-    def det(self) -> RationalFunction:
+    def det(self, rows=None) -> RationalFunction:
+        """det A over ``rows``, the result of :meth:`sparse_rows` (built here
+        when not given)."""
         return sparse_determinant(
-            self.sparse_rows(), self.m, self.descriptor, self.n_vars
+            self.sparse_rows() if rows is None else rows,
+            self.m, self.descriptor, self.n_vars,
         )
 
     def det_identity_check(self) -> bool:
         """det A = det(A22) * det(A / A22), checked exactly; the left side
         (:func:`sparse_determinant`) shares no code with the right."""
-        schur, det_block = self.schur_with_dets()
-        return self.det() == det_block * mat_det(schur)
+        rows = self.sparse_rows()
+        schur, det_block = self.schur_with_dets(rows)
+        return self.det(rows) == det_block * mat_det(schur)
 
     # -- file format ----------------------------------------------------------------
 

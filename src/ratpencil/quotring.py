@@ -24,7 +24,8 @@ realizer down to its linear value.  ISOLATE works on one mutable grid: each
 ADD step changes only row and column j, so only those are CLEANed.
 
 The ring has zero divisors, so matrix determinants use Berkowitz's
-division-free algorithm (O(m^4) ring operations, no size limit).  The
+division-free algorithm (O(m^4) ring operations, no size limit); one walk
+gives both det A and det A22 (:meth:`QuotMatrix.dets`).  The
 involution sum :func:`det_involution_sum` is an independent second formula
 for symmetric matrices; realizer checks compare the two.  It expands along
 the smallest free index (fix it, or pair it with another) and memoizes the
@@ -350,15 +351,15 @@ class QuotMatrix:
             grid[i][j] = value
         return QuotMatrix(self.context, self.split, grid)
 
-    def block22(self) -> list[list[QuotElement]]:
-        k = self.split
-        return [list(row[k:]) for row in self.entries[k:]]
-
     def det(self) -> QuotElement:
-        return _det_berkowitz(self.context, self.entries)
+        return self.dets()[0]
 
     def det22(self) -> QuotElement:
-        return _det_berkowitz(self.context, self.block22())
+        return self.dets()[1]
+
+    def dets(self) -> tuple[QuotElement, QuotElement]:
+        """``(det A, det A22)`` from one Berkowitz walk."""
+        return _det_berkowitz(self.context, self.entries, self.split)
 
     def delete_row_col(self, index: int) -> "QuotMatrix":
         if not 0 <= index < self.m:
@@ -388,16 +389,20 @@ def _dot(zero: QuotElement, xs, ys) -> QuotElement:
     return total
 
 
-def _det_berkowitz(context: QuotContext, grid) -> QuotElement:
-    """Division-free determinant (Berkowitz 1984) in O(m^4) ring operations.
+def _det_berkowitz(context: QuotContext, grid,
+                   split: int) -> tuple[QuotElement, QuotElement]:
+    """Division-free determinants (Berkowitz 1984) in O(m^4) ring
+    operations: of ``grid`` and of its trailing principal block from row and
+    column ``split`` on.
 
     Walking up from the bottom-right corner, ``coeffs`` holds the
     characteristic polynomial of the trailing principal block S.  Adding
     the corner a, row R and column C in front of S multiplies ``coeffs`` by
     the lower-triangular Toeplitz matrix with first column
-    1, a, RC, RSC, RS^2C, ...; the last coefficient is the determinant.
-    Only products and sums occur, so zero divisors do no harm, and every
-    sign of the textbook form vanishes in characteristic 2.
+    1, a, RC, RSC, RS^2C, ...; the last coefficient is the determinant of
+    the block walked so far, read off once at ``split`` and once at the
+    top.  Only products and sums occur, so zero divisors do no harm, and
+    every sign of the textbook form vanishes in characteristic 2.
     """
     zero = context.zero()
     coeffs = [context.one()]
@@ -414,7 +419,9 @@ def _det_berkowitz(context: QuotContext, grid) -> QuotElement:
             c + _dot(zero, reversed(toeplitz[:i]), coeffs[:i])
             for i, c in enumerate(coeffs + [zero])
         ]
-    return coeffs[-1]
+        if k == split:
+            block_det = coeffs[-1]
+    return coeffs[-1], block_det
 
 
 def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
@@ -525,10 +532,9 @@ def is_ring_realizer(matrix: QuotMatrix, r: QuotElement) -> bool:
         raise NotSymmetric("realizers are symmetric")
     if not matrix.has_linear_entries():
         raise NotLinearEntries("realizer entries must be linear")
-    det_all = matrix.det()
+    det_all, det_block = matrix.dets()
     if det_all != det_involution_sum(matrix):
         raise ArithmeticError("determinant formulas disagree")
-    det_block = matrix.det22()
     if not det_block.is_invertible():
         return False
     return det_all == r * det_block
@@ -570,8 +576,8 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
             work = _augment(work, t, trace)
             continue
         # all (2,2) diagonals zero: det(A22) is a constant, read off r
-        det_block = work.det22()
-        value = work.det() * det_block.inverse()
+        det_all, det_block = work.dets()
+        value = det_all * det_block.inverse()
         if trace is not None:
             trace.append((f"read off det/det22 = {value}", work))
         return value

@@ -4,9 +4,11 @@ A claimed realization is accepted only when three exact checks pass: the
 Schur complement equals the target entrywise (cross-multiplication), the
 pencil's derived structure classes cover the claimed kind, and the block
 determinant identity det A = det(A22) det(A/A22) holds.  The left side is
-the full determinant from one sparse fraction-free elimination
-(:meth:`LinearPencil.det`), which shares no code with the Schur elimination
-under test, at every size.
+the full determinant (:meth:`LinearPencil.det`): singleton expansions and
+constant pivots while the pencil's structure allows them, then fraction-free
+elimination, sharing no code with the Schur elimination under test, at every
+size.  The pencil's sparse rows are built once and read by both
+eliminations, each of which works on its own copy.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def check_realization(p: LinearPencil, target: RationalMatrix,
             f"(1,1) block is {p.split}x{p.split} but target is "
             f"{target.rows}x{target.cols}"
         )
-    schur, det_block = p.schur_with_dets()
+    rows = p.sparse_rows()
+    schur, det_block = p.schur_with_dets(rows)
     mismatches = []
     for i in range(p.split):
         for j in range(p.split):
@@ -65,7 +68,7 @@ def check_realization(p: LinearPencil, target: RationalMatrix,
                     }
                 )
     structure_ok = kind.required_classes() <= p.classify()
-    det_ok = p.det() == det_block * mat_det(schur)
+    det_ok = p.det(rows) == det_block * mat_det(schur)
     return VerificationReport(not mismatches, structure_ok, det_ok, mismatches)
 
 

@@ -143,6 +143,20 @@ def test_nested_power_exits_two_fast(capsys):
     assert err.startswith("error:") and "exponent" in err
 
 
+@pytest.mark.parametrize("text", [
+    "(1+z1+z2+z3)^1000",
+    "(1+z1+z2+z3)^15 * (1+z4+z5+z6)^15",
+])
+def test_term_limit_exits_two_fast(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br", "--expr", text,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "terms" in err
+
+
 def test_zero_denominator_literals_exit_two(tmp_path, capsys):
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps({

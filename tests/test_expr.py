@@ -7,7 +7,7 @@ from ratpencil.errors import (
     FieldLiteralError,
     ParseError,
 )
-from ratpencil.expr import MAX_EXPONENT, parse_expression
+from ratpencil.expr import MAX_EXPONENT, MAX_TERMS, parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.poly import RationalFunction
@@ -100,6 +100,21 @@ def test_exponent_limit():
     assert info.value.position == 7
     with pytest.raises(ParseError):
         parse_expression("z1^" + "9" * 5000, Q)
+
+
+def test_term_limit():
+    # C(3 + 19, 20) = 231 terms, below the limit
+    assert len(parse_expression("(1+z1+z2)^20", Q).entries[0][0].num.terms) == 231
+    # C(1003, 1000) terms for the power; 816 * 816 for each product
+    a, b = "(1+z1+z2+z3)^15", "(1+z4+z5+z6)^15"
+    for text, position in [("(1+z1+z2+z3)^1000", 12),
+                           ("1/(1+z1+z2+z3)^1000", 14),
+                           (f"{a} * {b}", 16),
+                           (f"{a} / (1/{b})", 16),
+                           (f"1/{a} - 1/{b}", 18)]:
+        with pytest.raises(ParseError, match=str(MAX_TERMS)) as info:
+            parse_expression(text, Q)
+        assert info.value.position == position, text
 
 
 def test_deep_nesting_is_a_parse_error():

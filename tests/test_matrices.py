@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratpencil.elimination import sparse_determinant
 from ratpencil.errors import DimensionMismatch, SingularMatrix
+from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_arith, mat_det, mat_inv
 from ratpencil.poly import Polynomial, RationalFunction
@@ -120,6 +121,103 @@ def test_sparse_determinant_matches_cofactor_oracle(rand, d, k, shape):
     assert mat_det(matrix) == expected
     if singular:
         assert expected.is_zero()
+
+
+def _structured_grid(rand, d, n, k, shape):
+    """A k-by-k polynomial grid with the structure a pencil has."""
+    zero, one = Polynomial.zero(d, n), Polynomial.one(d, n)
+
+    def const(nonzero=False):
+        p = Polynomial.constant(d, n, rand.randrange(-4, 5))
+        return one if nonzero and p.is_zero() else p
+
+    def poly():
+        return random_poly(rand, d, n, max_deg=2, max_terms=2)
+
+    if shape == "triangular":
+        grid = [[poly() if j > i else zero for j in range(k)]
+                for i in range(k)]
+        for i in range(k):
+            grid[i][i] = const(True) if rand.random() < 0.5 else (
+                random_poly(rand, d, n, max_deg=1, max_terms=2, nonzero=True))
+    elif shape == "z_identity_block":
+        # the variables on the diagonal of s rows, a dense block on the rest,
+        # constants coupling the two, as in an HBR pencil
+        s = rand.randint(max(1, k - 4), k - 1) if k > 1 else 1
+        grid = [[zero] * k for _ in range(k)]
+        for t in range(s):
+            grid[t][t] = Polynomial.variable(d, n, rand.randrange(n))
+        for i in range(s, k):
+            for j in range(s, k):
+                grid[i][j] = poly()
+        for _ in range(k):
+            i, j = rand.randrange(k), rand.randrange(k)
+            if (i < s) != (j < s):
+                grid[i][j] = const()
+    elif shape == "constants":
+        grid = [[const() if rand.random() < 0.6 else zero for _ in range(k)]
+                for _ in range(k)]
+    elif shape == "late_zero_row":
+        # row 1 is c * row 0, and row 0 has a constant entry: the elimination
+        # of a constant pivot leaves a zero row
+        grid = [[poly() if rand.random() < 0.7 else zero for _ in range(k)]
+                for _ in range(k)]
+        grid[0][rand.randrange(k)] = const(True)
+        if k > 1:
+            c = const(True).constant_value()
+            grid[1] = [p.scale(c) for p in grid[0]]
+    elif shape == "no_constants":
+        # nothing for the structural phase: fraction-free steps only
+        def nonconstant():
+            p = poly()
+            return p if p.total_degree() > 0 else Polynomial.variable(
+                d, n, rand.randrange(n))
+        grid = [[nonconstant() if rand.random() < 0.6 else zero
+                 for _ in range(k)] for _ in range(k)]
+    else:  # zero_column
+        grid = [[poly() if rand.random() < 0.7 else zero for _ in range(k)]
+                for _ in range(k)]
+        j = rand.randrange(k)
+        for row in grid:
+            row[j] = zero
+    rows, cols = list(range(k)), list(range(k))
+    rand.shuffle(rows)
+    rand.shuffle(cols)
+    return [[grid[i][j] for j in cols] for i in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([Q, prime_field(2), prime_field(101)]),
+       st.integers(1, 8),
+       st.sampled_from(["triangular", "z_identity_block", "constants",
+                        "late_zero_row", "zero_column", "no_constants"]))
+def test_sparse_determinant_on_pencil_structures(rand, d, k, shape):
+    n = rand.randint(1, 3)
+    grid = _structured_grid(rand, d, n, k, shape)
+    rows = {r: {c: p for c, p in enumerate(row) if not p.is_zero()}
+            for r, row in enumerate(grid)}
+    copy = {r: dict(row) for r, row in rows.items()}
+    got = sparse_determinant(rows, k, d, n)
+    assert rows == copy
+    expected = det_cofactor_oracle(RationalMatrix.from_polynomials(grid))
+    assert got.is_polynomial() and got == expected
+    if shape == "zero_column" or (shape == "late_zero_row" and k > 1):
+        assert expected.is_zero()
+
+
+def test_sparse_determinant_brings_lone_pivots_up_to_date():
+    # after the singleton row 1, Bareiss takes a pivot alone in its column
+    # and then, from a row that missed an update, a pivot alone in its row
+    a = parse_expression(
+        "[[z1-z2, z2, 0, z2-1, 0], [0, 0, 0, z1+z2, 0],"
+        " [0, 0, z1+1, 2*z1, z2-1], [0, 2*z1, z1*z2, z1, 0],"
+        " [z1-z2, z2, z1+z2, z1*z2, z2-1]]", Q,
+    )
+    rows = {i: {j: e.num for j, e in enumerate(row) if not e.is_zero()}
+            for i, row in enumerate(a.entries)}
+    det = sparse_determinant(rows, 5, Q, 2)
+    assert not det.is_zero() and det == det_cofactor_oracle(a)
 
 
 def test_det_denominator_is_the_product_of_row_denominators():

@@ -216,10 +216,15 @@ def test_projection_commutes_with_det(rng):
             [random_poly(rng, G2, n, max_deg=2, max_terms=2) for _ in range(m)]
             for _ in range(m)
         ]
+        split = rng.randint(1, m - 1)
         projected = QuotMatrix(
-            ctx, 1, [[ctx.project(p) for p in row] for row in grid]
+            ctx, split, [[ctx.project(p) for p in row] for row in grid]
         )
-        assert projected.det() == ctx.project(_poly_det_cofactor(grid))
+        det = ctx.project(_poly_det_cofactor(grid))
+        block = [row[split:] for row in grid[split:]]
+        det22 = ctx.project(_poly_det_cofactor(block))
+        assert projected.det() == det and projected.det22() == det22
+        assert projected.dets() == (det, det22)
 
 
 def test_clean_examples():

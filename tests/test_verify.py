@@ -137,6 +137,61 @@ def test_verification_runs_the_schur_elimination_once(monkeypatch):
         assert not calls
 
 
+def test_verification_builds_the_sparse_rows_once(monkeypatch):
+    calls = []
+    sparse_rows = LinearPencil.sparse_rows
+
+    def counted(self):
+        calls.append(self)
+        return sparse_rows(self)
+
+    monkeypatch.setattr(LinearPencil, "sparse_rows", counted)
+    pencil, target = _two_by_two_br()
+    assert check_realization(pencil, target, RealizationKind.BR).passed
+    assert len(calls) == 1
+    calls.clear()
+    assert cross_validate_det(pencil)
+    assert len(calls) == 1
+
+
+def _full_scan_pivot(self, split):
+    # the pivot rule as a scan over every candidate at every step
+    best = best_key = None
+    for i, row in self.work.items():
+        if i < split:
+            continue
+        for j in row:
+            if j < split:
+                continue
+            score = (len(row) - 1) * (len(self.cols[j]) - 1)
+            key = (score, len(row[j].terms), i, j)
+            if best_key is None or key < best_key:
+                best_key, best = key, (i, j)
+    return best
+
+
+def test_heap_pivots_match_a_full_scan(monkeypatch, rng):
+    from test_schur_pinned import schur_text
+
+    three = parse_expression(
+        "[[z1+z2^3, z1*z2/(1+z1), z3],[z2, z3^2/(z1+z2), 1],"
+        "[z1*z2*z3, 0, 1/(1+z3)]]", Q, 3,
+    )
+    pencils = [
+        _golden(), _golden_h(), _two_by_two_br()[0],
+        realize_br(three).pencil, realize_sbr(three + three.transpose()).pencil,
+        realize_br(parse_expression("(z1^2+z2)/(1+z1^2) + z1/(z1+z2)", Q)).pencil,
+    ]
+    for trial in range(10):
+        d = [Q, prime_field(3)][trial % 2]
+        target = random_matrix(rng, d, rng.randint(1, 3), rng.choice([1, 2]),
+                               max_deg=2, max_terms=2)
+        pencils.append(realize_br(target).pencil)
+    heap = [schur_text(p) for p in pencils]
+    monkeypatch.setattr(_State, "_choose_pivot", _full_scan_pivot)
+    assert [schur_text(p) for p in pencils] == heap
+
+
 def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     pencil, target = _two_by_two_br()
     assert check_realization(pencil, target, RealizationKind.BR).passed
