@@ -11,6 +11,7 @@ quotient-ring reduction machinery behind it.
 from .errors import (
     BadIndices,
     BlockSizeMismatch,
+    DegreeTooLarge,
     DescriptorMismatch,
     DimensionMismatch,
     DivisionByZero,

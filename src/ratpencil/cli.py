@@ -8,6 +8,7 @@ input errors.  All outputs are deterministic functions of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,8 +228,15 @@ def _join_expression_values(argv) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: parsing leaves no
+    state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_expression_values(argv))

@@ -34,6 +34,7 @@ from .errors import (
 from .fields import accumulate
 from .matrices import RationalMatrix, mat_det
 from .pencil import LinearPencil
+from .poly import layout
 
 
 def _match(p: LinearPencil, q: LinearPencil):
@@ -191,6 +192,7 @@ def _x_coeffs(x, descriptor, n_vars, k):
     if x.rows != k or x.cols != k:
         raise DimensionMismatch(f"X must be {k}x{k}, got {x.rows}x{x.cols}")
     coeffs = [dict() for _ in range(n_vars + 1)]
+    units = layout(n_vars).units
     for i in range(k):
         for j in range(k):
             entry = x.entries[i][j]
@@ -199,11 +201,8 @@ def _x_coeffs(x, descriptor, n_vars, k):
             poly = entry.as_polynomial()  # raises if denominator non-constant
             if poly.total_degree() > 1:
                 raise ValueError("X entries must have degree at most 1")
-            for exps, value in poly.terms.items():
-                idx = 0
-                for t, e in enumerate(exps):
-                    if e:
-                        idx = t + 1
+            for key, value in poly.raw_items():
+                idx = units.index(key) + 1 if key else 0
                 coeffs[idx][(i, j)] = value
     return coeffs
 

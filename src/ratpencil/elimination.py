@@ -32,7 +32,7 @@ import heapq
 import math
 
 from .errors import SingularBlock
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, from_packed, layout
 
 
 def _parity_sign(order: list[int]) -> int:
@@ -53,22 +53,24 @@ def _parity_sign(order: list[int]) -> int:
     return -1 if transpositions % 2 else 1
 
 
-def _monomial_content(p: Polynomial):
-    it = iter(p.terms)
-    first = next(it)
-    content = list(first)
-    for exps in it:
-        for i, e in enumerate(exps):
-            if e < content[i]:
-                content[i] = e
-    return content
+def _common_monomial(polys, n_vars) -> int:
+    """The key of the largest monomial that divides every term of ``polys``
+    (0 when that is 1)."""
+    lay = layout(n_vars)
+    content = None
+    for poly in polys:
+        for key in poly.packed:
+            exps = lay.unpack(key)
+            content = exps if content is None else tuple(map(min, content, exps))
+            if not any(content):
+                return 0
+    return lay.pack(content)
 
 
-def _shift_down(p: Polynomial, shift) -> Polynomial:
-    terms = {
-        tuple(e - s for e, s in zip(exps, shift)): v for exps, v in p.terms.items()
-    }
-    return Polynomial._wrap(p.descriptor, p.n_vars, terms)
+def _shift_down(p: Polynomial, key: int) -> Polynomial:
+    """p divided by the monomial ``key``, which divides each of its terms."""
+    return from_packed(p.descriptor, p.n_vars,
+                       {k - key: v for k, v in p.packed.items()}, p.denom)
 
 
 class _State:
@@ -99,7 +101,7 @@ class _State:
             for j, v in row.items():
                 if j >= split:
                     heapq.heappush(
-                        heap, (row_nnz * (len(cols[j]) - 1), len(v.terms), i, j)
+                        heap, (row_nnz * (len(cols[j]) - 1), len(v.packed), i, j)
                     )
         for j in columns:
             col_nnz = len(cols[j]) - 1
@@ -107,7 +109,7 @@ class _State:
                 if i >= split and i not in rows:
                     row = work[i]
                     heapq.heappush(
-                        heap, ((len(row) - 1) * col_nnz, len(row[j].terms), i, j)
+                        heap, ((len(row) - 1) * col_nnz, len(row[j].packed), i, j)
                     )
 
     def _choose_pivot(self, split):
@@ -117,7 +119,7 @@ class _State:
         while heap:
             score, terms, i, j = heapq.heappop(heap)
             row = work.get(i)
-            if (row is not None and j in row and len(row[j].terms) == terms
+            if (row is not None and j in row and len(row[j].packed) == terms
                     and (len(row) - 1) * (len(cols[j]) - 1) == score):
                 return i, j
         return None
@@ -127,19 +129,14 @@ class _State:
         if not row:
             return
         den = self.dens[i]
-        content = _monomial_content(den)
-        if not any(content):
+        if 0 in den.packed:
             return
-        for p in row.values():
-            c = _monomial_content(p)
-            for t in range(len(content)):
-                if c[t] < content[t]:
-                    content[t] = c[t]
-            if not any(content):
-                return
-        self.dens[i] = _shift_down(den, content)
+        key = _common_monomial([den, *row.values()], den.n_vars)
+        if not key:
+            return
+        self.dens[i] = _shift_down(den, key)
         for j in list(row):
-            row[j] = _shift_down(row[j], content)
+            row[j] = _shift_down(row[j], key)
 
     def eliminate(self, split: int) -> int:
         # pivot columns leave every row, so rows and columns >= split remain
@@ -159,8 +156,7 @@ class _State:
             self.row_order.append(pr)
             self.col_order.append(pc)
             piv_const = piv.is_constant()
-            piv_value = piv.constant_value() if piv_const else None
-            piv_is_one = piv_const and piv_value == self.descriptor.one
+            piv_is_one = piv_const and piv.packed[0] == 1 and piv.denom == 1
             touched = sorted(self.cols.get(pc, ()))
             changed = set(prow)
             for i in touched:
@@ -170,7 +166,7 @@ class _State:
                     self.dens[i] = self.dens[i] * piv
                     if piv_const:
                         for j in list(row):
-                            row[j] = row[j].scale(piv_value)
+                            row[j] = row[j].times_constant(piv)
                     else:
                         for j in list(row):
                             row[j] = row[j] * piv
@@ -226,13 +222,13 @@ def schur_eliminate(
 
 def _times(p: Polynomial, c: Polynomial) -> Polynomial:
     """p * c, as a scaling when c is a constant."""
-    return p.scale(c.constant_value()) if c.is_constant() else p * c
+    return p.times_constant(c) if c.is_constant() else p * c
 
 
 def _over(p: Polynomial, c: Polynomial) -> Polynomial:
     """p / c for a divisor c of p, as a scaling when c is a constant."""
     if c.is_constant():
-        return p.scale(c.descriptor.inv(c.constant_value()))
+        return p.times_constant(c, invert=True)
     return p.divide_exact(c)
 
 
@@ -261,15 +257,14 @@ def sparse_determinant(
     changes no other row, so only its own value is brought up to date.  The
     determinant is sign * scalar * factors * the last pivot.
     """
-    zero_exps = (0,) * n_vars
-    work = {i: {j: v for j, v in rows.get(i, {}).items() if v.terms}
+    work = {i: {j: v for j, v in rows.get(i, {}).items() if v.packed}
             for i in range(m)}
     cols: dict[int, set[int]] = {j: set() for j in range(m)}
     for i, row in work.items():
         for j in row:
             cols[j].add(i)
     zero_det = RationalFunction.zero(descriptor, n_vars)
-    scalar = descriptor.one
+    scalar = Polynomial.one(descriptor, n_vars)  # a nonzero constant
     factors: list[Polynomial] = []
     row_order: list[int] = []
     col_order: list[int] = []
@@ -296,8 +291,8 @@ def sparse_determinant(
                     return zero_det
                 (pr,) = col
             value = work[pr][pc]
-            if len(value.terms) == 1 and zero_exps in value.terms:
-                scalar = descriptor.mul(scalar, value.terms[zero_exps])
+            if len(value.packed) == 1 and 0 in value.packed:
+                scalar = scalar.times_constant(value)
             else:
                 factors.append(value)
             row_order.append(pr)
@@ -317,7 +312,7 @@ def sparse_determinant(
         for i, row in work.items():
             row_nnz = len(row) - 1
             for j, v in row.items():
-                if len(v.terms) == 1 and zero_exps in v.terms:
+                if len(v.packed) == 1 and 0 in v.packed:
                     key = (row_nnz * (len(cols[j]) - 1), i, j)
                     if best is None or key < best:
                         best = key
@@ -327,10 +322,9 @@ def sparse_determinant(
         prow = work.pop(pr)
         for j in prow:
             cols[j].discard(pr)
-        c = prow.pop(pc).terms[zero_exps]
-        scalar = descriptor.mul(scalar, c)
-        inv = descriptor.inv(c)
-        prow = {j: v.scale(inv) for j, v in prow.items()}
+        c = prow.pop(pc)
+        scalar = scalar.times_constant(c)
+        prow = {j: v.times_constant(c, invert=True) for j, v in prow.items()}
         row_order.append(pr)
         col_order.append(pc)
         for i in cols.pop(pc):
@@ -339,7 +333,7 @@ def sparse_determinant(
             for j, w in prow.items():
                 delta = _times(w, f)
                 new = row[j] - delta if j in row else -delta
-                if new.terms:
+                if new.packed:
                     row[j] = new
                     cols[j].add(i)
                 else:
@@ -354,7 +348,7 @@ def sparse_determinant(
     step = dict.fromkeys(work, 0)
     while work:
         _, _, pr, pc = min(
-            ((len(row) - 1) * (len(cols[j]) - 1), len(v.terms), i, j)
+            ((len(row) - 1) * (len(cols[j]) - 1), len(v.packed), i, j)
             for i, row in work.items() for j, v in row.items()
         )
         prow, last = work.pop(pr), step.pop(pr)
@@ -385,7 +379,7 @@ def sparse_determinant(
                 row[j] = _times(v, piv)
             for j, w in prow.items():
                 new = row[j] - f * w if j in row else -(f * w)
-                if new.terms:
+                if new.packed:
                     row[j] = new
                     cols[j].add(i)
                 else:
@@ -398,6 +392,6 @@ def sparse_determinant(
             step[i] = len(pivots)
         pivots.append(piv)
     if _parity_sign(row_order) * _parity_sign(col_order) < 0:
-        scalar = descriptor.neg(scalar)
-    det = math.prod(factors, start=pivots[-1]).scale(scalar)
+        scalar = -scalar
+    det = math.prod(factors, start=pivots[-1]).times_constant(scalar)
     return RationalFunction(det)

@@ -15,6 +15,11 @@ class DivisionByZero(RatPencilError, ZeroDivisionError):
     """Division by the zero element of a field or function field."""
 
 
+class DegreeTooLarge(RatPencilError, OverflowError):
+    """A monomial's total degree is past ``poly.MAX_DEGREE``, the most that
+    its packed form holds."""
+
+
 class DimensionMismatch(RatPencilError):
     """Matrix dimensions are not conformable for the requested operation."""
 

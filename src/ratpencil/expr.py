@@ -19,13 +19,16 @@ numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
 Nesting (parentheses, unary minus) deeper than the interpreter's recursion
 limit allows is a :class:`ParseError` too.
 
-Scalar powers, products, quotients and sums are checked against
-:data:`MAX_TERMS` before they are expanded: each polynomial product they
-need may have at most that many terms by the bound
-min(t_a * t_b, prod_i (deg_i a + deg_i b + 1)), and the power p^e at most
-min(C(t + e - 1, e), prod_i (e * deg_i p + 1)), where t counts terms and
-deg_i is the degree in variable i.  Going over is a :class:`ParseError`, as
-in ``(1+z1+z2+z3)^1000``.  Operations on a matrix are not checked.
+Every power, product, quotient and sum, of scalars and of matrices, is
+checked against :data:`MAX_TERMS` before it is expanded.  A polynomial
+product a * b has at most min(t_a * t_b, prod_i (deg_i a + deg_i b + 1))
+terms and a power p^e at most min(C(t + e - 1, e), prod_i (e * deg_i p + 1)),
+where t counts terms and deg_i is the degree in variable i.  Each entry of
+a result is a sum of products of fractions, bounded from these the way it
+is computed: the products' bounds multiply across n/d + n'/d' =
+(n d' + n' d) / (d d') and add up along it.  A numerator or denominator
+that could go over is a :class:`ParseError`, as in ``(1+z1+z2+z3)^1000``
+or ``[[(1+z1+z2+z3)^15, 0], [0, 1]] * [[(1+z4+z5+z6)^15, 0], [0, 1]]``.
 """
 
 from __future__ import annotations
@@ -205,25 +208,24 @@ def _scalar(matrix: RationalMatrix) -> RationalFunction | None:
     return None
 
 
+def _degrees(p: Polynomial):
+    """The degree of ``p`` in each variable (none for 0)."""
+    return p.degrees()[1] if p.packed else ()
+
+
 def _max_variable_degree(matrix: RationalMatrix) -> int:
     """Largest exponent of one variable in any numerator or denominator."""
     return max(
         (d for row in matrix.entries for entry in row
-         for poly in (entry.num, entry.den) for exps in poly.terms
-         for d in exps),
+         for poly in (entry.num, entry.den) for d in _degrees(poly)),
         default=0,
     )
-
-
-def _degrees(p: Polynomial):
-    """The degree of ``p`` in each variable."""
-    return [max(column) for column in zip(*p.terms)]
 
 
 def _product_terms(a: Polynomial, b: Polynomial) -> int:
     """An upper bound on the number of terms of a * b: t_a * t_b, cut down
     to the degree box when that is over the limit."""
-    bound = len(a.terms) * len(b.terms)
+    bound = len(a.packed) * len(b.packed)
     if bound > MAX_TERMS:
         bound = min(bound, math.prod(
             da + db + 1 for da, db in zip(_degrees(a), _degrees(b))))
@@ -233,21 +235,54 @@ def _product_terms(a: Polynomial, b: Polynomial) -> int:
 def _power_terms(p: Polynomial, exponent: int) -> int:
     """An upper bound on the number of terms of p^exponent: C(t + e - 1, e),
     cut down to the degree box when that is over the limit."""
-    if not p.terms or not exponent:
+    if not p.packed or not exponent:
         return 1
-    bound = math.comb(len(p.terms) + exponent - 1, exponent)
+    bound = math.comb(len(p.packed) + exponent - 1, exponent)
     if bound > MAX_TERMS:
         bound = min(bound, math.prod(exponent * d + 1 for d in _degrees(p)))
     return bound
 
 
-def _products(op: str, a: RationalFunction, b: RationalFunction):
-    """The polynomial products that the scalar ``a op b`` expands."""
-    if op == "*":
-        return [(a.num, b.num), (a.den, b.den)]
+def _sum_terms(pieces) -> int:
+    """An upper bound on the terms of the numerator and of the denominator
+    of the sum of x * y over ``pieces``, pairs of (num, den) pairs, added
+    left to right as :class:`RationalFunction` adds: n/d + n'/d' is
+    (n d' + n' d) / (d d')."""
+    num, den = 0, 1
+    for (xn, xd), (yn, yd) in pieces:
+        pn, pd = _product_terms(xn, yn), _product_terms(xd, yd)
+        num, den = num * pd + pn * den, den * pd
+    return max(num, den)
+
+
+def _result_terms(op: str, a: RationalMatrix, b: RationalMatrix) -> int:
+    """The largest :func:`_sum_terms` bound of an entry of ``a op b``, from
+    the operands alone; 0 when the operation itself is an error."""
+    sa, sb = _scalar(a), _scalar(b)
+    parts = [[(e.num, e.den) for e in row] for row in a.entries]
+    other = [[(e.num, e.den) for e in row] for row in b.entries]
     if op == "/":
-        return [(a.num, b.den), (a.den, b.num)]
-    return [(a.num, b.den), (b.num, a.den), (a.den, b.den)]
+        if sb is None or sb.is_zero():
+            return 0
+        inverse = (sb.den, sb.num)
+        entries = [[(x, inverse)] for row in parts for x in row]
+    elif op == "*" and (sa is None) != (sb is None):
+        scalar, matrix = (parts, other) if sa is not None else (other, parts)
+        entries = [[(scalar[0][0], x)] for row in matrix for x in row]
+    elif op == "*":
+        if a.cols != b.rows:
+            return 0
+        entries = [[(parts[i][t], other[t][j]) for t in range(a.cols)
+                    if parts[i][t][0].packed and other[t][j][0].packed]
+                   for i in range(a.rows) for j in range(b.cols)]
+    else:
+        if a.rows != b.rows or a.cols != b.cols:
+            return 0
+        one = Polynomial.one(a.descriptor, a.n_vars)
+        entries = [[(x, (one, one)), (y, (one, one))]
+                   for row_x, row_y in zip(parts, other)
+                   for x, y in zip(row_x, row_y)]
+    return max(map(_sum_terms, entries))
 
 
 def _check_terms(bound: int, pos: int) -> None:
@@ -289,6 +324,7 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
             raise ParseError("power of a non-square matrix", node[3])
         acc = RationalMatrix.identity(descriptor, n_vars, base.rows)
         for _ in range(exponent):
+            _check_terms(_result_terms("*", acc, base), node[3])
             acc = acc * base
         return acc
     if kind == "matrix":
@@ -307,9 +343,7 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
         a = _evaluate(left, descriptor, n_vars)
         b = _evaluate(right, descriptor, n_vars)
         sa, sb = _scalar(a), _scalar(b)
-        if sa is not None and sb is not None:
-            for x, y in _products(op, sa, sb):
-                _check_terms(_product_terms(x, y), pos)
+        _check_terms(_result_terms(op, a, b), pos)
         try:
             if op == "+":
                 if sa is not None and sb is not None:

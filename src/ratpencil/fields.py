@@ -5,11 +5,15 @@ values; higher layers store raw values and only look at the descriptor.  Raw
 values are :class:`fractions.Fraction` over Q (always canonically reduced with
 positive denominator) and integers in ``[0, p)`` over GF(p).  The thin
 :class:`FieldElement` wrapper gives operator syntax plus descriptor checks.
+Polynomials keep their coefficients as plain ints instead (see
+:mod:`ratpencil.poly`): over GF(p) the raw values themselves, over Q
+numerators over one common denominator per polynomial; raw values appear
+only at their boundary.
 
-Every sparse sum in the library goes through :func:`accumulate`: polynomial
-term maps keyed by exponent tuple, quotient-ring normal forms, and pencil
-coefficient maps keyed by cell.  Callers say where each value goes (a new
-key); the routine adds it in and drops the key when the sum is zero.
+:func:`accumulate` is the sparse sum of raw values: pencil coefficient maps
+keyed by cell, and polynomial terms as they enter from exponent tuples.
+Callers say where each value goes (a new key); the routine adds it in and
+drops the key when the sum is zero.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class FieldDescriptor:
                 )
             return value.value
         if self.kind == RATIONALS:
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 num = value.numerator % self.modulus
@@ -128,7 +132,7 @@ class FieldDescriptor:
         if not a:
             raise DivisionByZero(f"division by zero in {self.name()}")
         if self.kind == RATIONALS:
-            return 1 / a
+            return 1 / Fraction(a)
         return pow(a, -1, self.modulus)
 
     def div(self, a, b):

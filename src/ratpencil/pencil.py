@@ -18,7 +18,7 @@ from .elimination import schur_eliminate, sparse_determinant
 from .errors import DimensionMismatch, RatPencilError
 from .fields import FieldDescriptor, parse_field
 from .matrices import RationalMatrix, mat_det
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, from_packed, from_raw, layout
 
 
 class RealizationKind(Enum):
@@ -161,16 +161,13 @@ class LinearPencil:
     def sparse_rows(self) -> dict[int, dict[int, Polynomial]]:
         """The nonzero entries as ``{i: {j: entry}}``, built from the
         coefficient maps (whose values are coerced and nonzero) in one pass."""
-        n = self.n_vars
-        monomials = [(0,) * n] + [
-            tuple(1 if t == v else 0 for t in range(n)) for v in range(n)
-        ]
+        n, d = self.n_vars, self.descriptor
         cells: dict[int, dict[int, dict]] = {}
-        for exps, c in zip(monomials, self.coeffs):
+        for key, c in zip((0, *layout(n).units), self.coeffs):
             for (i, j), value in c.items():
-                cells.setdefault(i, {}).setdefault(j, {})[exps] = value
-        wrap, d = Polynomial._wrap, self.descriptor
-        return {i: {j: wrap(d, n, terms) for j, terms in row.items()}
+                cells.setdefault(i, {}).setdefault(j, {})[key] = value
+        make = from_packed if d.modulus else from_raw
+        return {i: {j: make(d, n, raw) for j, raw in row.items()}
                 for i, row in cells.items()}
 
     def as_matrix(self) -> RationalMatrix:

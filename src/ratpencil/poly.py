@@ -1,74 +1,157 @@
 """Sparse multivariate polynomials and rational functions over an exact field.
 
-Monomials are bare exponent tuples of length ``n_vars``.  A
-:class:`Polynomial` maps monomials to nonzero raw field values (see
-:mod:`ratpencil.fields`); the zero polynomial has an empty term map.  Sums,
-products, exact division and dehomogenization all merge terms through
-:func:`ratpencil.fields.accumulate`, which drops cancelled monomials.  A
-:class:`RationalFunction` is an unreduced fraction of two polynomials —
+A monomial is one int, its *key*.  The exponent vector is packed in
+graded-lexicographic order: the total degree sits in the top bits, above
+one ``BITS``-wide field per variable, z1 highest.  Comparing keys compares
+monomials in that order (``z1^2 > z1*z2 > z2^2``), the key of a product is
+the sum of the keys, and ``max()`` over keys is the leading monomial.  The
+top bit of each field is a guard that exponents never reach, so a sum of
+keys cannot carry into the next variable, and in ``(a | guards) - b`` a
+guard bit is cleared exactly where b has the larger exponent.  Every degree
+stays at most :data:`MAX_DEGREE`; a product that would pass it raises
+:class:`~ratpencil.errors.DegreeTooLarge` instead of wrapping.
+
+A :class:`Polynomial` stores ``packed``, a map from keys to nonzero int
+coefficients, and ``denom``, one positive int.  Over GF(p) the ints lie in
+``[0, p)`` and ``denom`` is 1; a product sums raw int products and reduces
+mod p once, at the end.  Over Q the polynomial is ``packed / denom`` with
+the gcd of ``denom`` and all coefficients equal to 1, so the form is
+canonical; ``denom`` is 1 for integer coefficients, the common case.  The
+kernels build no ``Fraction`` and no exponent tuple.
+
+``terms`` is the boundary view for everything outside the kernels: a
+read-only mapping from exponent tuples to raw field values (see
+:mod:`ratpencil.fields`; ``Fraction`` over Q) in the insertion order of
+``packed``.
+
+A :class:`RationalFunction` is an unreduced fraction of two polynomials —
 there is no multivariate GCD anywhere, equality is by cross-multiplication,
 and the only normalization is scalar: the denominator is made monic in the
 graded-lexicographic leading term.
-
-The graded-lexicographic order used for canonical printing and leading terms
-sorts by total degree first and then by the exponent tuple itself, so e.g.
-``z1^2 > z1*z2 > z2^2``.
 """
 
 from __future__ import annotations
 
-import operator
+import math
+from collections.abc import Mapping
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
-from .errors import DescriptorMismatch, DivisionByZero
+from .errors import DegreeTooLarge, DescriptorMismatch, DivisionByZero
 from .fields import FieldDescriptor, FieldElement, accumulate
 
 NEG_INFINITY = float("-inf")
+BITS = 20
+_GUARD = 1 << (BITS - 1)
+_FIELD = _GUARD - 1
+MAX_DEGREE = _GUARD - 1
 
 
 def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-def _checked_terms(descriptor, n_vars, terms):
-    """``(exponent tuple, raw value)`` pairs of ``terms``, validated."""
-    for exps, value in terms.items():
+class Layout:
+    """The packing of exponent vectors of ``n`` variables into keys."""
+
+    __slots__ = ("n", "shifts", "degree_shift", "guards", "units")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shifts = tuple(BITS * (n - 1 - i) for i in range(n))
+        self.degree_shift = BITS * n
+        self.guards = sum(_GUARD << s for s in self.shifts)
+        # the key of each variable
+        self.units = tuple((1 << self.degree_shift) + (1 << s)
+                           for s in self.shifts)
+
+    def pack(self, exps) -> int:
         exps = tuple(exps)
-        if len(exps) != n_vars or any(e < 0 for e in exps):
-            raise ValueError(f"bad monomial {exps} for {n_vars} variables")
-        yield exps, descriptor.coerce(value)
+        if len(exps) != self.n or (exps and min(exps) < 0):
+            raise ValueError(f"bad monomial {exps} for {self.n} variables")
+        key = degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise DegreeTooLarge(
+                f"monomial degree {degree} is over the limit of {MAX_DEGREE}"
+            )
+        for e in exps:
+            key = key << BITS | e
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple([key >> s & _FIELD for s in self.shifts])
+
+    def degree(self, key: int) -> int:
+        return key >> self.degree_shift
+
+
+@lru_cache(maxsize=None)
+def layout(n: int) -> Layout:
+    return Layout(n)
+
+
+def from_packed(descriptor, n_vars, packed, denom=1) -> "Polynomial":
+    """Wrap a canonical ``packed`` map and ``denom`` (see the module docs)."""
+    out = _new(Polynomial)
+    _set_descriptor(out, descriptor)
+    _set_n_vars(out, n_vars)
+    _set_packed(out, packed)
+    _set_denom(out, denom)
+    return out
+
+
+def _over_q(descriptor, n_vars, packed, denom) -> "Polynomial":
+    """``packed / denom`` over Q, with its common factor taken out."""
+    if denom != 1:
+        g = math.gcd(denom, *packed.values())
+        if g != 1:
+            packed = {k: v // g for k, v in packed.items()}
+            denom //= g
+    return from_packed(descriptor, n_vars, packed, denom)
+
+
+def from_raw(descriptor, n_vars, raw: dict) -> "Polynomial":
+    """The polynomial of ``raw``, a map from keys to nonzero raw values."""
+    if descriptor.modulus or not raw:
+        return from_packed(descriptor, n_vars, raw)
+    if len(raw) == 1:
+        ((k, v),) = raw.items()
+        return from_packed(descriptor, n_vars, {k: v.numerator}, v.denominator)
+    denom = math.lcm(*[v.denominator for v in raw.values()])
+    return from_packed(descriptor, n_vars, {
+        k: v.numerator * (denom // v.denominator) for k, v in raw.items()
+    }, denom)
 
 
 class Polynomial:
-    """Immutable sparse polynomial; ``terms`` maps exponent tuples to raw values."""
+    """Immutable sparse polynomial; see the module docs for its form."""
 
-    __slots__ = ("descriptor", "n_vars", "terms")
+    __slots__ = ("descriptor", "n_vars", "packed", "denom")
 
     def __init__(self, descriptor: FieldDescriptor, n_vars: int, terms=None):
+        """``terms`` maps exponent tuples to values that the descriptor
+        coerces; zero sums are dropped."""
         if n_vars < 0:
             raise ValueError("n_vars must be non-negative")
-        clean = {}
+        packed, denom = {}, 1
         if terms:
-            accumulate(
-                clean, _checked_terms(descriptor, n_vars, terms), descriptor.add
-            )
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "terms", clean)
+            pack, coerce = layout(n_vars).pack, descriptor.coerce
+            packed = accumulate({}, ((pack(exps), coerce(value))
+                                     for exps, value in terms.items()),
+                                descriptor.add)
+            if not descriptor.modulus:
+                proto = from_raw(descriptor, n_vars, packed)
+                packed, denom = proto.packed, proto.denom
+        _set_descriptor(self, descriptor)
+        _set_n_vars(self, n_vars)
+        _set_packed(self, packed)
+        _set_denom(self, denom)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def _wrap(cls, descriptor, n_vars, terms) -> "Polynomial":
-        """Wrap a term map that is already clean: tuple keys, nonzero values."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "descriptor", descriptor)
-        object.__setattr__(out, "n_vars", n_vars)
-        object.__setattr__(out, "terms", terms)
-        return out
 
     @classmethod
     def zero(cls, descriptor, n_vars) -> "Polynomial":
@@ -80,14 +163,15 @@ class Polynomial:
 
     @classmethod
     def one(cls, descriptor, n_vars) -> "Polynomial":
-        return cls.constant(descriptor, n_vars, descriptor.one)
+        if n_vars < 0:
+            raise ValueError("n_vars must be non-negative")
+        return from_packed(descriptor, n_vars, {0: 1})
 
     @classmethod
     def variable(cls, descriptor, n_vars, index) -> "Polynomial":
         if not 0 <= index < n_vars:
             raise ValueError(f"variable index {index} out of range")
-        exps = tuple(1 if i == index else 0 for i in range(n_vars))
-        return cls(descriptor, n_vars, {exps: descriptor.one})
+        return from_packed(descriptor, n_vars, {layout(n_vars).units[index]: 1})
 
     @classmethod
     def monomial(cls, descriptor, n_vars, exps, coeff=None) -> "Polynomial":
@@ -98,31 +182,57 @@ class Polynomial:
     # -- predicates and access ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        packed = self.packed
+        return not packed or (len(packed) == 1 and 0 in packed)
+
+    def _raw(self, stored: int):
+        """The raw field value of a stored coefficient."""
+        if self.descriptor.modulus:
+            return stored
+        return Fraction(stored, self.denom)
+
+    def raw_items(self):
+        """``(key, raw value)`` pairs in insertion order."""
+        if self.descriptor.modulus:
+            return self.packed.items()
+        denom = self.denom
+        return ((k, Fraction(v, denom)) for k, v in self.packed.items())
+
+    @property
+    def terms(self) -> "TermsView":
+        """Exponent tuples to raw values: the read-only boundary view."""
+        return TermsView(self)
+
+    def sorted_terms(self) -> list:
+        """``(exponent tuple, raw value)`` pairs, largest monomial first."""
+        unpack = layout(self.n_vars).unpack
+        return [(unpack(k), v) for k, v in sorted(self.raw_items(), reverse=True)]
 
     def constant_value(self):
         """Raw value of a constant polynomial (zero if empty)."""
-        if not self.terms:
+        if not self.packed:
             return self.descriptor.zero
-        ((exps, value),) = self.terms.items()
-        if any(exps):
+        if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return value
+        return self._raw(self.packed[0])
 
     def coefficient(self, exps) -> FieldElement:
         raw = self.terms.get(tuple(exps), self.descriptor.zero)
         return FieldElement(self.descriptor, raw)
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=grlex_key)
+        return layout(self.n_vars).unpack(max(self.packed))
 
     def _match(self, other: "Polynomial"):
-        if self.descriptor != other.descriptor or self.n_vars != other.n_vars:
+        if self.n_vars != other.n_vars or (
+            self.descriptor is not other.descriptor
+            and self.descriptor != other.descriptor
+        ):
             raise DescriptorMismatch(
                 f"{self.descriptor.name()}[{self.n_vars} vars] vs "
                 f"{other.descriptor.name()}[{other.n_vars} vars]"
@@ -130,44 +240,120 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._match(other)
-        terms = accumulate(
-            dict(self.terms), other.terms.items(), self.descriptor.add
-        )
-        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other: the terms of self in order, then the new
+        ones of other; a sum that cancels leaves."""
+        if self.descriptor is not other.descriptor or self.n_vars != other.n_vars:
+            self._match(other)
+        d, n = self.descriptor, self.n_vars
+        a, b = self.packed, other.packed
+        if not b:
+            return self
+        p = d.modulus
+        denom = self.denom
+        if other.denom != denom:
+            denom = math.lcm(denom, other.denom)
+            fa, sign = denom // self.denom, sign * (denom // other.denom)
+            if fa != 1:
+                a = {k: v * fa for k, v in a.items()}
+        out = dict(a)
+        get = out.get
+        for k, v in b.items():
+            s = get(k, 0) + sign * v
+            if p:
+                s %= p
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        if p:
+            return from_packed(d, n, out)
+        return _over_q(d, n, out, denom)
 
-    def __neg__(self) -> "Polynomial":
-        neg = self.descriptor.neg
-        terms = {exps: neg(value) for exps, value in self.terms.items()}
-        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        p = self.descriptor.modulus
+        if p:
+            packed = {k: p - v for k, v in self.packed.items()}
+        else:
+            packed = {k: -v for k, v in self.packed.items()}
+        return from_packed(self.descriptor, self.n_vars, packed, self.denom)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._match(other)
-        d = self.descriptor
-        mul, plus = d.mul, operator.add
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        pieces = (
-            (tuple(map(plus, ea, eb)), mul(va, vb))
-            for ea, va in a.items()
-            for eb, vb in b.items()
-        )
-        return Polynomial._wrap(d, self.n_vars, accumulate({}, pieces, d.add))
+        if self.descriptor is not other.descriptor or self.n_vars != other.n_vars:
+            self._match(other)
+        d, n = self.descriptor, self.n_vars
+        short, long = (self, other) if len(self.packed) <= len(other.packed) \
+            else (other, self)
+        a, b = short.packed, long.packed
+        if not a:
+            return from_packed(d, n, {})
+        p = d.modulus
+        if len(a) == 1:
+            # distinct keys stay distinct and nothing cancels
+            ((ka, va),) = a.items()
+            if not ka and va == 1 and short.denom == 1:
+                return long
+        if max(a) + max(b) >= _GUARD << BITS * n:
+            raise DegreeTooLarge(
+                f"product degree is over the limit of {MAX_DEGREE}"
+            )
+        if len(a) == 1:
+            if p:
+                out = {kb + ka: vb * va % p for kb, vb in b.items()}
+            else:
+                out = {kb + ka: vb * va for kb, vb in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for ka, va in a.items():
+                for kb, vb in b.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+            if p:
+                out = {k: r for k, v in out.items() if (r := v % p)}
+            elif 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+        if p:
+            return from_packed(d, n, out)
+        return _over_q(d, n, out, self.denom * other.denom)
+
+    def _scaled(self, num: int, den: int = 1) -> "Polynomial":
+        """self * num / den for ints num != 0 and den > 0 (1 over GF(p))."""
+        if num == 1 and den == 1:
+            return self
+        d, n = self.descriptor, self.n_vars
+        p = d.modulus
+        if p:
+            return from_packed(
+                d, n, {k: v * num % p for k, v in self.packed.items()}
+            )
+        return _over_q(d, n, {k: v * num for k, v in self.packed.items()},
+                       self.denom * den)
+
+    def times_constant(self, c: "Polynomial", invert=False) -> "Polynomial":
+        """self * c, or self / c when ``invert``, for a nonzero constant c."""
+        num, den = c.packed[0], c.denom
+        if invert:
+            p = self.descriptor.modulus
+            if p:
+                num = pow(num, -1, p)
+            else:
+                num, den = (den, num) if num > 0 else (-den, -num)
+        return self._scaled(num, den)
 
     def scale(self, value) -> "Polynomial":
         raw = self.descriptor.coerce(value)
         if not raw:
             return Polynomial.zero(self.descriptor, self.n_vars)
-        if raw == self.descriptor.one:
-            return self
-        mul = self.descriptor.mul
-        terms = {exps: mul(v, raw) for exps, v in self.terms.items()}
-        return Polynomial._wrap(self.descriptor, self.n_vars, terms)
+        if self.descriptor.modulus:
+            return self._scaled(raw)
+        return self._scaled(raw.numerator, raw.denominator)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -183,59 +369,99 @@ class Polynomial:
         return result
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact polynomial division; raises ArithmeticError on a remainder."""
+        """Exact polynomial division; raises ArithmeticError on a remainder.
+
+        Over Q the primitive parts are divided in integers: a primitive
+        divisor of a primitive polynomial has an integer quotient (Gauss's
+        lemma), so a step that is not an integer is a remainder.
+        """
         self._match(divisor)
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        d = self.descriptor
-        lead = divisor.leading_monomial()
-        lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
-        out: dict = {}
+        d, n = self.descriptor, self.n_vars
+        if not self.packed:
+            return self
+        p = d.modulus
+        rem, b = self.packed, divisor.packed
+        if not p:
+            ca, cb = math.gcd(*rem.values()), math.gcd(*b.values())
+            if ca != 1:
+                rem = {k: v // ca for k, v in rem.items()}
+            if cb != 1:
+                b = {k: v // cb for k, v in b.items()}
+        rem = dict(rem)
+        lead = max(b)
+        lead_c = b[lead]
+        rest = [(k, v) for k, v in b.items() if k != lead]
+        guards = layout(n).guards
+        if p:
+            inv = pow(lead_c, -1, p)
+        out = {}
         while rem:
-            exps = max(rem, key=grlex_key)
-            if any(e < le for e, le in zip(exps, lead)):
+            k = max(rem)
+            if (k | guards) - lead & guards != guards:
                 raise ArithmeticError("inexact polynomial division")
-            q_exps = tuple(e - le for e, le in zip(exps, lead))
-            q_val = d.div(rem[exps], lead_c)
-            out[q_exps] = q_val
-            neg_q = d.neg(q_val)
-            accumulate(rem, (
-                (tuple(map(operator.add, q_exps, de)), d.mul(neg_q, dv))
-                for de, dv in divisor.terms.items()
-            ), d.add)
-        return Polynomial(d, self.n_vars, out)
+            q_key = k - lead
+            c = rem.pop(k)
+            if p:
+                t = c * inv % p
+            else:
+                t, r = divmod(c, lead_c)
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+            out[q_key] = t
+            get = rem.get
+            for kb, vb in rest:
+                key = q_key + kb
+                v = get(key, 0) - t * vb
+                if p:
+                    v %= p
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
+        if p:
+            return from_packed(d, n, out)
+        # self / divisor = (ca / denom_a) / (cb / denom_b) * out
+        num, den = ca * divisor.denom, cb * self.denom
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if num != 1:
+            out = {k: v * num for k, v in out.items()}
+        return from_packed(d, n, out, den)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (
-            self.descriptor == other.descriptor
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
+            self.n_vars == other.n_vars
+            and self.denom == other.denom
+            and self.packed == other.packed
+            and (self.descriptor is other.descriptor
+                 or self.descriptor == other.descriptor)
         )
 
     def __hash__(self):
-        return hash(
-            (self.descriptor, self.n_vars, tuple(sorted(self.terms.items())))
-        )
+        return hash((self.descriptor, self.n_vars, self.denom,
+                     frozenset(self.packed.items())))
 
     # -- degree and homogeneity -------------------------------------------------
 
     def total_degree(self):
         """Total degree; the zero polynomial reports minus infinity."""
-        if not self.terms:
+        if not self.packed:
             return NEG_INFINITY
-        return max(sum(e) for e in self.terms)
+        return max(self.packed) >> BITS * self.n_vars
 
     def degree_in(self, index: int):
-        if not self.terms:
+        if not self.packed:
             return NEG_INFINITY
-        return max(e[index] for e in self.terms)
+        shift = layout(self.n_vars).shifts[index]
+        return max(k >> shift & _FIELD for k in self.packed)
 
     def degrees(self):
         """``(total_degree, per_variable_degrees)`` with -inf sentinels for 0."""
-        if not self.terms:
+        if not self.packed:
             return NEG_INFINITY, (NEG_INFINITY,) * self.n_vars
         return self.total_degree(), tuple(
             self.degree_in(i) for i in range(self.n_vars)
@@ -243,19 +469,21 @@ class Polynomial:
 
     def homogeneous_degree(self):
         """Degree if homogeneous (0 counts for every degree: returns None)."""
-        if not self.terms:
+        if not self.packed:
             return None
-        degs = {sum(e) for e in self.terms}
+        shift = BITS * self.n_vars
+        degs = {k >> shift for k in self.packed}
         return degs.pop() if len(degs) == 1 else None
 
     def graded_components(self) -> dict[int, "Polynomial"]:
+        shift = BITS * self.n_vars
         buckets: dict[int, dict] = {}
-        for exps, value in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = value
-        return {
-            deg: Polynomial(self.descriptor, self.n_vars, t)
-            for deg, t in buckets.items()
-        }
+        for k, v in self.packed.items():
+            buckets.setdefault(k >> shift, {})[k] = v
+        d, n = self.descriptor, self.n_vars
+        if d.modulus:
+            return {deg: from_packed(d, n, t) for deg, t in buckets.items()}
+        return {deg: _over_q(d, n, t, self.denom) for deg, t in buckets.items()}
 
     # -- evaluation and substitution ---------------------------------------------
 
@@ -276,40 +504,52 @@ class Polynomial:
 
     def dehomogenize_last(self) -> "Polynomial":
         """Substitute 1 for the last variable and drop it."""
-        if self.n_vars < 1:
+        n = self.n_vars
+        if n < 1:
             raise ValueError("no variable to drop")
-        d = self.descriptor
-        pairs = ((exps[:-1], value) for exps, value in self.terms.items())
-        return Polynomial._wrap(d, self.n_vars - 1, accumulate({}, pairs, d.add))
+        d, p = self.descriptor, self.descriptor.modulus
+        shift, kept = BITS * n, BITS * (n - 1)
+        rest = (1 << kept) - 1
+        pairs = ((((k >> shift) - (k & _FIELD)) << kept | k >> BITS & rest, v)
+                 for k, v in self.packed.items())
+        if p:
+            return from_packed(d, n - 1, accumulate(
+                {}, pairs, lambda x, y: (x + y) % p))
+        return _over_q(d, n - 1, accumulate({}, pairs, int.__add__),
+                       self.denom)
 
     def homogenize_new_var(self) -> "Polynomial":
         """Append a variable and pad every term up to the total degree."""
         deg = self.total_degree()
+        n = self.n_vars
         if deg == NEG_INFINITY:
-            return Polynomial.zero(self.descriptor, self.n_vars + 1)
-        terms = {
-            exps + (deg - sum(exps),): value for exps, value in self.terms.items()
-        }
-        return Polynomial(self.descriptor, self.n_vars + 1, terms)
+            return Polynomial.zero(self.descriptor, n + 1)
+        shift = BITS * n
+        top, low = deg << BITS * (n + 1), (1 << shift) - 1
+        packed = {top | (k & low) << BITS | deg - (k >> shift): v
+                  for k, v in self.packed.items()}
+        return from_packed(self.descriptor, n + 1, packed, self.denom)
 
     def extend_vars(self, n_vars: int) -> "Polynomial":
         """Reinterpret over a larger ambient variable set."""
-        if n_vars < self.n_vars:
+        n = self.n_vars
+        if n_vars < n:
             raise ValueError("cannot shrink the variable set")
-        pad = (0,) * (n_vars - self.n_vars)
-        terms = {exps + pad: value for exps, value in self.terms.items()}
-        return Polynomial(self.descriptor, n_vars, terms)
+        shift, pad = BITS * n, BITS * (n_vars - n)
+        low = (1 << shift) - 1
+        packed = {(k >> shift) << BITS * n_vars | (k & low) << pad: v
+                  for k, v in self.packed.items()}
+        return from_packed(self.descriptor, n_vars, packed, self.denom)
 
     # -- printing -------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         d = self.descriptor
         rational = d.characteristic == 0
         parts = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            value = self.terms[exps]
+        for exps, value in self.sorted_terms():
             negative = rational and value < 0
             mag = -value if negative else value
             factors = [
@@ -319,7 +559,7 @@ class Polynomial:
             ]
             if not factors:
                 body = d.format_value(mag)
-            elif mag == d.one:
+            elif mag == 1:
                 body = "*".join(factors)
             else:
                 body = "*".join([d.format_value(mag)] + factors)
@@ -331,6 +571,40 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.descriptor.name()}, {self})"
+
+
+# the slot setters, which bypass the immutability guard at C speed
+_new = object.__new__
+_set_descriptor, _set_n_vars, _set_packed, _set_denom = (
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+)
+
+
+class TermsView(Mapping):
+    """Read-only view of a polynomial's terms: exponent tuples to raw values,
+    in the insertion order of its packed map."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly.packed)
+
+    def __iter__(self):
+        return map(layout(self._poly.n_vars).unpack, self._poly.packed)
+
+    def __getitem__(self, exps):
+        poly = self._poly
+        try:
+            stored = poly.packed[layout(poly.n_vars).pack(exps)]
+        except (TypeError, ValueError, DegreeTooLarge):
+            raise KeyError(exps) from None
+        return poly._raw(stored)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class RationalFunction:
@@ -347,11 +621,18 @@ class RationalFunction:
         if num.is_zero():
             den = Polynomial.one(num.descriptor, num.n_vars)
         else:
-            lead = den.terms[den.leading_monomial()]
-            if lead != den.descriptor.one:
-                inv = den.descriptor.inv(lead)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            # scale both by 1 / lc, where lc = lead / den.denom
+            lead = den.packed[max(den.packed)]
+            if lead != 1 or den.denom != 1:
+                p = den.descriptor.modulus
+                if p:
+                    num_c, den_c = pow(lead, -1, p), 1
+                elif lead > 0:
+                    num_c, den_c = den.denom, lead
+                else:
+                    num_c, den_c = -den.denom, -lead
+                num = num._scaled(num_c, den_c)
+                den = den._scaled(num_c, den_c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -392,8 +673,7 @@ class RationalFunction:
         """Return the numerator scaled by the constant denominator's inverse."""
         if not self.den.is_constant():
             raise ValueError("denominator is not constant")
-        inv = self.descriptor.inv(self.den.constant_value())
-        return self.num.scale(inv)
+        return self.num.times_constant(self.den, invert=True)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(

@@ -46,7 +46,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .fields import FieldDescriptor, FieldElement
-from .poly import Polynomial
+from .poly import BITS, Polynomial, from_packed, layout
 
 _EMPTY = frozenset()
 _ONE = frozenset({0})
@@ -96,13 +96,18 @@ class QuotContext:
         An exponent of 2 or more on a dead variable kills the term, each
         exponent's parity gives its bit, and colliding terms cancel in pairs.
         """
-        if p.descriptor != self.descriptor or p.n_vars != self.n_vars:
+        if p.n_vars != self.n_vars or (p.descriptor is not self.descriptor
+                                       and p.descriptor != self.descriptor):
             raise DescriptorMismatch("polynomial does not match the context")
-        dead = self.dead
+        if not p.packed:
+            return _EMPTY
+        dead, shifts = self.dead, layout(self.n_vars).shifts
+        field = (1 << BITS) - 1
         out = set()
-        for exps in p.terms:  # every coefficient is 1 over GF(2)
+        for key in p.packed:  # every coefficient is 1 over GF(2)
             mask = 0
-            for i, e in enumerate(exps):
+            for i, s in enumerate(shifts):
+                e = key >> s & field
                 if e >= 2 and dead >> i & 1:
                     break
                 mask |= (e & 1) << i
@@ -133,9 +138,16 @@ class QuotContext:
 
 
 def _polynomial(context: QuotContext, monomials) -> Polynomial:
-    n, one = context.n_vars, context.descriptor.one
-    terms = {tuple(x >> i & 1 for i in range(n)): one for x in monomials}
-    return Polynomial._wrap(context.descriptor, n, terms)
+    units = layout(context.n_vars).units
+    packed = {}
+    for x in monomials:
+        key = 0
+        while x:
+            bit = x & -x
+            key += units[bit.bit_length() - 1]
+            x ^= bit
+        packed[key] = 1
+    return from_packed(context.descriptor, context.n_vars, packed)
 
 
 def mult_normal_form(p: Polynomial, ctx: QuotContext) -> Polynomial:

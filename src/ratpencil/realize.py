@@ -34,7 +34,7 @@ from .errors import (
 )
 from .matrices import RationalMatrix
 from .pencil import LinearPencil, RealizationKind
-from .poly import Polynomial, RationalFunction, grlex_key
+from .poly import Polynomial, RationalFunction, grlex_key, layout
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,6 @@ def _basis_row(descriptor, k, i):
     ]
 
 
-def _sorted_terms(p: Polynomial):
-    return sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-
 def _scaled(p: LinearPencil, value) -> LinearPencil:
     return p if value == p.descriptor.one else op_scale(p, value, check=False)
 
@@ -144,7 +140,7 @@ def _br_monomial(descriptor, n_vars, exps) -> LinearPencil:
 def _br_poly_scalar(p: Polynomial) -> LinearPencil:
     d, n = p.descriptor, p.n_vars
     parts = [_scaled(_br_monomial(d, n, exps), value)
-             for exps, value in _sorted_terms(p)]
+             for exps, value in p.sorted_terms()]
     return _sum(parts, d, n, 1)
 
 
@@ -153,22 +149,24 @@ def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
     sum_alpha z^alpha C_alpha."""
     k = len(grid)
     d, n = grid[0][0].descriptor, grid[0][0].n_vars
-    support: dict[tuple[int, ...], list[list]] = {}
+    support: dict[int, list[list]] = {}
     for i in range(k):
         for j in range(k):
-            for exps, value in grid[i][j].terms.items():
+            for key, value in grid[i][j].raw_items():
                 coeff = support.setdefault(
-                    exps, [[d.zero] * k for _ in range(k)]
+                    key, [[d.zero] * k for _ in range(k)]
                 )
                 coeff[i][j] = value
     parts = []
     identity = _identity_rows(d, k)
-    for exps in sorted(support, key=grlex_key, reverse=True):
-        const = support[exps]
-        if not any(e for e in exps):
+    unpack = layout(n).unpack
+    for key in sorted(support, reverse=True):
+        const = support[key]
+        if not key:
             parts.append(_const_matrix_pencil(d, n, const))
         else:
-            base = op_kron_identity(_br_monomial(d, n, exps), k, check=False)
+            base = op_kron_identity(_br_monomial(d, n, unpack(key)), k,
+                                    check=False)
             parts.append(op_sandwich(identity, base, const, check=False))
     return _sum(parts, d, n, k)
 
@@ -181,15 +179,15 @@ def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
 # (the zero pencil) has one.
 
 
-def _monomial_rows(exps) -> int:
+def _monomial_rows(degree: int) -> int:
     """Block rows of :func:`_br_monomial`: 2d - 1 for degree d, 1 for 1."""
-    degree = sum(exps)
     return 2 * degree - 1 if degree else 1
 
 
 def _scalar_rows(p: Polynomial) -> int:
     """Block rows of :func:`_br_poly_scalar`."""
-    return sum(map(_monomial_rows, p.terms)) or 1
+    degree = layout(p.n_vars).degree
+    return sum(_monomial_rows(degree(key)) for key in p.packed) or 1
 
 
 def _entry_rows(f: RationalFunction) -> int:
@@ -211,9 +209,10 @@ def _shared_size(q: Polynomial | None, grid) -> int:
     """The m of :func:`_br_shared` on the output of
     :func:`_shared_denominator`."""
     k = len(grid)
-    support = {exps for row in grid for p in row for exps in p.terms}
-    rows = sum(k * _monomial_rows(exps) if any(exps) else 1
-               for exps in support) or 1
+    support = {key for row in grid for p in row for key in p.packed}
+    degree = layout(grid[0][0].n_vars).degree
+    rows = sum(k * _monomial_rows(degree(key)) if key else 1
+               for key in support) or 1
     if q is not None:
         rows += k * (_scalar_rows(q) + 2)
     return k + rows
@@ -401,12 +400,13 @@ def decide_sbr_scalar_char2(f: RationalFunction) -> Char2Certificate:
             "one variable is unconditionally realizable; nothing to decide"
         )
     h = f.num * f.den
-    for exps in sorted(h.terms, key=grlex_key, reverse=True):
+    terms = h.sorted_terms()
+    for exps, _ in terms:
         parity = tuple(e % 2 for e in exps)
         if sum(parity) >= 2:
             return Char2Certificate("not_realizable", offending_monomial=exps)
     buckets: dict[tuple[int, ...], dict] = {}
-    for exps, value in h.terms.items():
+    for exps, value in terms:
         parity = tuple(e % 2 for e in exps)
         reduced = tuple(e - b for e, b in zip(exps, parity))
         buckets.setdefault(parity, {})[reduced] = value
@@ -455,7 +455,7 @@ def _sbr_poly_one_var(p: Polynomial) -> LinearPencil:
     """Symmetric pencil for a polynomial in at most one variable."""
     d, n = p.descriptor, p.n_vars
     parts = [_scaled(_sbr_power_one_var(d, n, sum(exps)), value)
-             for exps, value in _sorted_terms(p)]
+             for exps, value in p.sorted_terms()]
     return _sum(parts, d, n, 1)
 
 
@@ -485,7 +485,7 @@ def _sbr_from_certificate(cert: Char2Certificate, descriptor, n_vars) -> LinearP
     for beta in sorted(cert.decomposition, key=grlex_key, reverse=True):
         g = cert.decomposition[beta]
         index = next((t for t, b in enumerate(beta) if b), None)
-        for exps, value in _sorted_terms(g):
+        for exps, value in g.sorted_terms():
             half = tuple(e // 2 for e in exps)
             if index is None:
                 term = _sym_square(_br_monomial(descriptor, n_vars, half))

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -155,6 +158,61 @@ def test_term_limit_exits_two_fast(capsys, text):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "terms" in err
+
+
+def test_matrix_term_limit_exits_two_fast(capsys):
+    text = ("[[(1+z1+z2+z3)^15, 0], [0, 1]] * "
+            "[[(1+z4+z5+z6)^15, 0], [0, 1]]")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br", "--expr", text,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "terms" in err
+    code, out, _ = run(
+        capsys, "realize", "--field", "q", "--kind", "br",
+        "--expr", "[[z1, 0], [0, 1]] * [[z2, 0], [0, 1]]",
+    )
+    assert code == 0 and json.loads(out)["m"] >= 2
+
+
+def _fresh(*argv):
+    """``ratpencil argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ratpencil.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_per_process_matches_fresh_processes(tmp_path, capsys):
+    expr = "(z1+z2)/z1"
+    bad = ("realize", "--field", "q", "--kind", "xx", "--expr", expr)
+    with pytest.raises(SystemExit) as exc:
+        main(list(bad))
+    assert exc.value.code == 2
+    bad_err = capsys.readouterr().err
+    runs = []
+    for name in ("in-process", "fresh"):
+        path = tmp_path / f"{name}.json"
+        calls = [
+            ("realize", "--field", "q", "--kind", "br", "--expr", expr,
+             "--out", str(path)),
+            ("verify", "--pencil", str(path), "--expr", expr, "--kind", "br"),
+            ("realize", "--field", "q", "--kind", "sbr", "--expr", expr),
+        ]
+        if name == "fresh":
+            outputs = [_fresh(*argv) for argv in calls]
+        else:
+            outputs = [run(capsys, *argv) for argv in calls]
+        runs.append((outputs, path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0][0]] == [0, 0, 0]
+    code, out, err = _fresh(*bad)
+    assert (code, out, err) == (2, "", bad_err)
 
 
 def test_zero_denominator_literals_exit_two(tmp_path, capsys):

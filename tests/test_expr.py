@@ -117,6 +117,31 @@ def test_term_limit():
         assert info.value.position == position, text
 
 
+def test_matrix_term_limit():
+    a, b = "(1+z1+z2+z3)^15", "(1+z4+z5+z6)^15"
+    big_a, big_b = f"[[{a}, 0], [0, 1]]", f"[[{b}, 0], [0, 1]]"
+    for text, position in [(f"{big_a} * {big_b}", 31),
+                           (f"{a} * {big_b}", 16),
+                           (f"{big_a} * {b}", 31),
+                           (f"{big_a} / (1/{b})", 31),
+                           (f"[[1/{a}, 0], [0, 1]] - [[1/{b}, 0], [0, 1]]", 33),
+                           (f"{big_a}^2", 30)]:
+        with pytest.raises(ParseError, match=str(MAX_TERMS)) as info:
+            parse_expression(text, Q)
+        assert info.value.position == position, text
+    z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
+    one, zero = RationalFunction.one(Q, 2), RationalFunction.zero(Q, 2)
+    assert parse_expression("[[z1, 0], [0, 1]] * [[z2, 0], [0, 1]]", Q) == (
+        RationalMatrix([[z1 * z2, zero], [zero, one]])
+    )
+    assert parse_expression("[[1+z1, z2]] + [[z2, 1]]", Q) == RationalMatrix(
+        [[one + z1 + z2, z2 + one]]
+    )
+    assert parse_expression("[[(1+z1+z2)^20, 0], [0, 1]]^2", Q)[0, 0] == (
+        parse_expression("(1+z1+z2)^40", Q)[0, 0]
+    )
+
+
 def test_deep_nesting_is_a_parse_error():
     assert parse_expression("(" * 50 + "-" * 51 + "z1" + ")" * 50, Q) == (
         -parse_expression("z1", Q)

@@ -73,6 +73,16 @@ def test_division_by_zero():
         FieldElement(g5, 1) / FieldElement(g5, 0)
 
 
+def test_rational_inverse_of_an_int_is_exact():
+    q = rationals()
+    for value in (q.inv(3), q.div(1, 3), q.div(q.one, 3), q.inv(Fraction(3))):
+        assert value == Fraction(1, 3)
+        assert type(value) is Fraction
+    assert q.div(Fraction(2, 5), -4) == Fraction(-1, 10)
+    with pytest.raises(DivisionByZero):
+        q.inv(0)
+
+
 def test_descriptor_mismatch():
     with pytest.raises(DescriptorMismatch):
         FieldElement(prime_field(2), 1) + FieldElement(prime_field(3), 1)
