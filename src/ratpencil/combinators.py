@@ -77,30 +77,47 @@ def op_scale(p: LinearPencil, scalar, check: bool = True) -> LinearPencil:
     return LinearPencil(p.descriptor, p.n_vars, p.m, p.split, coeffs)
 
 
-def op_add(p: LinearPencil, q: LinearPencil, check: bool = True) -> LinearPencil:
-    """Pencil for ``A/A22 + B/B22``.
+def op_add(p: LinearPencil, *others: LinearPencil,
+           check: bool = True) -> LinearPencil:
+    """Pencil for ``A/A22 + B/B22 + ... + Z/Z22``, one part after another.
 
-    Layout (sizes k, m-k, l-k):
+    Layout (sizes k, m_A-k, m_B-k, ..., m_Z-k):
 
-        [ A11+B11  A12  B12 ]
-        [ A21      A22  0   ]
-        [ B21      0    B22 ]
+        [ A11+B11+...+Z11  A12  B12  ...  Z12 ]
+        [ A21              A22  0    ...  0   ]
+        [ B21              0    B22  ...  0   ]
+        [ ...                        ...      ]
+        [ Z21              0    0    ...  Z22 ]
+
+    One pass moves every part into place, so the result equals the left
+    fold ``op_add(op_add(A, B), ...)``, key order included.  With no other
+    part it is ``p`` itself.
     """
-    _match(p, q)
     k = p.split
-    if q.split != k:
-        raise BlockSizeMismatch(f"(1,1) blocks differ: {k} vs {q.split}")
+    for q in others:
+        _match(p, q)
+        if q.split != k:
+            raise BlockSizeMismatch(f"(1,1) blocks differ: {k} vs {q.split}")
     if check:
         _require_block(p)
-        _require_block(q)
-    m, l = p.m, q.m
+        for q in others:
+            _require_block(q)
+    if not others:
+        return p
+    m = p.m
+    indices = []
+    for q in others:
+        indices.append(_split(k, q.m, 0, m))
+        m += q.m - k
     d = p.descriptor
-    b_index = _split(k, l, 0, m)
     coeffs = [
-        accumulate(dict(pc), _moved(qc, b_index, b_index), d.add)
-        for pc, qc in zip(p.coeffs, q.coeffs)
+        accumulate(dict(pc), chain.from_iterable(
+            _moved(q.coeffs[t], index, index)
+            for q, index in zip(others, indices)
+        ), d.add)
+        for t, pc in enumerate(p.coeffs)
     ]
-    return LinearPencil(d, p.n_vars, m + l - k, k, coeffs)
+    return LinearPencil(d, p.n_vars, m, k, coeffs)
 
 
 def op_symmetrize(p: LinearPencil, check: bool = True) -> LinearPencil:

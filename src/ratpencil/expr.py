@@ -11,7 +11,14 @@ a factor)::
     matrix  := '[' row (',' row)* ']'      row := '[' expr (',' expr)* ']'
     variable := 'z' digits                  (z1, z2, ...)
 
-Everything evaluates to an exact :class:`RationalMatrix` (scalars are 1x1).
+The result is an exact :class:`RationalMatrix` (a scalar is 1x1), but
+scalars stay polynomials until a ``/``: a scalar is a :class:`Polynomial`
+until a division, or an operand that already is a fraction, lifts it to a
+:class:`RationalFunction`, and a fraction whose denominator turns out to be
+1 drops back to its numerator.  Lifting p to p/1 changes no term, so every
+result has the term order that :class:`RationalFunction` arithmetic at every
+node gives.  A matrix is built only for a matrix literal (a 1x1 literal is
+a scalar), for an operation with a matrix operand, and for the result.
 The variable count is the largest index used unless overridden upward.
 An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`, and so is a
 power whose exponent times the base's largest degree in one variable (over
@@ -26,14 +33,16 @@ terms and a power p^e at most min(C(t + e - 1, e), prod_i (e * deg_i p + 1)),
 where t counts terms and deg_i is the degree in variable i.  Each entry of
 a result is a sum of products of fractions, bounded from these the way it
 is computed: the products' bounds multiply across n/d + n'/d' =
-(n d' + n' d) / (d d') and add up along it.  A numerator or denominator
-that could go over is a :class:`ParseError`, as in ``(1+z1+z2+z3)^1000``
-or ``[[(1+z1+z2+z3)^15, 0], [0, 1]] * [[(1+z4+z5+z6)^15, 0], [0, 1]]``.
+(n d' + n' d) / (d d') and add up along it, with d = 1 for a polynomial.
+A numerator or denominator that could go over is a :class:`ParseError`, as
+in ``(1+z1+z2+z3)^1000`` or
+``[[(1+z1+z2+z3)^15, 0], [0, 1]] * [[(1+z4+z5+z6)^15, 0], [0, 1]]``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import (
     DimensionMismatch,
@@ -48,6 +57,7 @@ from .poly import Polynomial, RationalFunction
 _SYMBOLS = "+-*/^()[],"
 MAX_EXPONENT = 1000
 MAX_TERMS = 20000
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def tokenize(text: str):
@@ -202,10 +212,46 @@ def max_variable(node) -> int:
     raise ValueError(f"unknown node {kind!r}")
 
 
-def _scalar(matrix: RationalMatrix) -> RationalFunction | None:
+def _lift(value) -> RationalFunction:
+    """A scalar as a :class:`RationalFunction`; a polynomial gets den 1."""
+    if isinstance(value, Polynomial):
+        return RationalFunction(value)
+    return value
+
+
+def _lower(value):
+    """A scalar result, a fraction over 1 (the only constant denominator a
+    :class:`RationalFunction` keeps) back as its numerator."""
+    if isinstance(value, RationalFunction) and value.den.is_constant():
+        return value.num
+    return value
+
+
+def _value(matrix: RationalMatrix):
+    """A matrix result, unwrapped to its scalar when it is 1x1."""
     if matrix.rows == 1 and matrix.cols == 1:
-        return matrix.entries[0][0]
-    return None
+        return _lower(matrix.entries[0][0])
+    return matrix
+
+
+def _pairs(value, one: Polynomial) -> list:
+    """The (num, den) pairs of a value's entries, a scalar as 1x1 with
+    den = 1 for a polynomial."""
+    if isinstance(value, RationalMatrix):
+        return [[(e.num, e.den) for e in row] for row in value.entries]
+    if isinstance(value, Polynomial):
+        return [[(value, one)]]
+    return [[(value.num, value.den)]]
+
+
+def _parts(value) -> list:
+    """The numerators and denominators of a value, none for den = 1."""
+    if isinstance(value, RationalMatrix):
+        return [part for row in value.entries for e in row
+                for part in (e.num, e.den)]
+    if isinstance(value, Polynomial):
+        return [value]
+    return [value.num, value.den]
 
 
 def _degrees(p: Polynomial):
@@ -213,13 +259,9 @@ def _degrees(p: Polynomial):
     return p.degrees()[1] if p.packed else ()
 
 
-def _max_variable_degree(matrix: RationalMatrix) -> int:
-    """Largest exponent of one variable in any numerator or denominator."""
-    return max(
-        (d for row in matrix.entries for entry in row
-         for poly in (entry.num, entry.den) for d in _degrees(poly)),
-        default=0,
-    )
+def _max_variable_degree(parts) -> int:
+    """Largest exponent of one variable in any of the polynomials."""
+    return max((d for poly in parts for d in _degrees(poly)), default=0)
 
 
 def _product_terms(a: Polynomial, b: Polynomial) -> int:
@@ -255,30 +297,36 @@ def _sum_terms(pieces) -> int:
     return max(num, den)
 
 
-def _result_terms(op: str, a: RationalMatrix, b: RationalMatrix) -> int:
+def _result_terms(op: str, a, b, one: Polynomial) -> int:
     """The largest :func:`_sum_terms` bound of an entry of ``a op b``, from
-    the operands alone; 0 when the operation itself is an error."""
-    sa, sb = _scalar(a), _scalar(b)
-    parts = [[(e.num, e.den) for e in row] for row in a.entries]
-    other = [[(e.num, e.den) for e in row] for row in b.entries]
+    the operands' (num, den) pairs alone; 0 when the operation itself is an
+    error."""
+    if op != "/" and isinstance(a, Polynomial) and isinstance(b, Polynomial):
+        # the bound below with den = 1 on both sides
+        if op == "*":
+            return _product_terms(a, b)
+        return len(a.packed) + len(b.packed)
+    sa = not isinstance(a, RationalMatrix)
+    sb = not isinstance(b, RationalMatrix)
+    parts, other = _pairs(a, one), _pairs(b, one)
+    rows, cols = len(parts), len(parts[0])
     if op == "/":
-        if sb is None or sb.is_zero():
+        if not sb or b.is_zero():
             return 0
-        inverse = (sb.den, sb.num)
-        entries = [[(x, inverse)] for row in parts for x in row]
-    elif op == "*" and (sa is None) != (sb is None):
-        scalar, matrix = (parts, other) if sa is not None else (other, parts)
+        num, den = other[0][0]
+        entries = [[(x, (den, num))] for row in parts for x in row]
+    elif op == "*" and sa != sb:
+        scalar, matrix = (parts, other) if sa else (other, parts)
         entries = [[(scalar[0][0], x)] for row in matrix for x in row]
     elif op == "*":
-        if a.cols != b.rows:
+        if cols != len(other):
             return 0
-        entries = [[(parts[i][t], other[t][j]) for t in range(a.cols)
+        entries = [[(parts[i][t], other[t][j]) for t in range(cols)
                     if parts[i][t][0].packed and other[t][j][0].packed]
-                   for i in range(a.rows) for j in range(b.cols)]
+                   for i in range(rows) for j in range(len(other[0]))]
     else:
-        if a.rows != b.rows or a.cols != b.cols:
+        if rows != len(other) or cols != len(other[0]):
             return 0
-        one = Polynomial.one(a.descriptor, a.n_vars)
         entries = [[(x, (one, one)), (y, (one, one))]
                    for row_x, row_y in zip(parts, other)
                    for x, y in zip(row_x, row_y)]
@@ -293,38 +341,40 @@ def _check_terms(bound: int, pos: int) -> None:
         )
 
 
-def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
+def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
+              one: Polynomial):
+    """The value of ``node``: a :class:`Polynomial`, a
+    :class:`RationalFunction` with a non-constant denominator, or a
+    :class:`RationalMatrix` that is not 1x1."""
     kind = node[0]
     if kind == "int":
-        value = RationalFunction.constant(descriptor, n_vars, node[1])
-        return RationalMatrix.scalar(value)
+        return Polynomial.constant(descriptor, n_vars, node[1])
     if kind == "var":
-        value = RationalFunction.variable(descriptor, n_vars, node[1] - 1)
-        return RationalMatrix.scalar(value)
+        return Polynomial.variable(descriptor, n_vars, node[1] - 1)
     if kind == "neg":
-        return -_evaluate(node[1], descriptor, n_vars)
+        return -_evaluate(node[1], descriptor, n_vars, one)
     if kind == "pow":
-        base = _evaluate(node[1], descriptor, n_vars)
+        base = _evaluate(node[1], descriptor, n_vars, one)
         exponent = node[2]
-        degree = _max_variable_degree(base)
+        parts = _parts(base)
+        degree = _max_variable_degree(parts)
         if exponent * degree > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {exponent} takes a base of degree {degree} in one "
                 f"variable past the limit of {MAX_EXPONENT}", node[3]
             )
-        scalar = _scalar(base)
-        if scalar is not None:
-            for part in (scalar.num, scalar.den):
+        if not isinstance(base, RationalMatrix):
+            for part in parts:
                 _check_terms(_power_terms(part, exponent), node[3])
-            acc = RationalFunction.one(descriptor, n_vars)
+            acc = one if isinstance(base, Polynomial) else RationalFunction(one)
             for _ in range(exponent):
-                acc = acc * scalar
-            return RationalMatrix.scalar(acc)
+                acc = acc * base
+            return _lower(acc)
         if not base.is_square():
             raise ParseError("power of a non-square matrix", node[3])
         acc = RationalMatrix.identity(descriptor, n_vars, base.rows)
         for _ in range(exponent):
-            _check_terms(_result_terms("*", acc, base), node[3])
+            _check_terms(_result_terms("*", acc, base, one), node[3])
             acc = acc * base
         return acc
     if kind == "matrix":
@@ -332,49 +382,49 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int) -> RationalMatrix:
         for row in node[1]:
             out_row = []
             for e in row:
-                scalar = _scalar(_evaluate(e, descriptor, n_vars))
-                if scalar is None:
+                value = _evaluate(e, descriptor, n_vars, one)
+                if isinstance(value, RationalMatrix):
                     raise ParseError("matrix entries must be scalars", e[-1])
-                out_row.append(scalar)
+                out_row.append(value)
             rows.append(out_row)
-        return RationalMatrix(rows)
+        if len(rows) == 1 and len(rows[0]) == 1:
+            return rows[0][0]
+        return RationalMatrix([[_lift(v) for v in row] for row in rows])
     if kind == "bin":
         _, op, left, right, pos = node
-        a = _evaluate(left, descriptor, n_vars)
-        b = _evaluate(right, descriptor, n_vars)
-        sa, sb = _scalar(a), _scalar(b)
-        _check_terms(_result_terms(op, a, b), pos)
-        try:
-            if op == "+":
-                if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa + sb)
-                return a + b
-            if op == "-":
-                if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa - sb)
-                return a - b
-            if op == "*":
-                if sa is not None and sb is not None:
-                    return RationalMatrix.scalar(sa * sb)
-                if sa is not None:
-                    return b.scale(sa)
-                if sb is not None:
-                    return a.scale(sb)
-                return a * b
-            if op == "/":
-                if sb is None:
-                    raise ParseError("division by a matrix", pos)
-                if sb.is_zero():
-                    if max_variable(right) > 0:
-                        raise DivisionByZeroPolynomial(
-                            "divisor is identically zero"
-                        )
-                    raise FieldLiteralError(
-                        f"constant divisor is zero in {descriptor.name()}"
+        a = _evaluate(left, descriptor, n_vars, one)
+        b = _evaluate(right, descriptor, n_vars, one)
+        _check_terms(_result_terms(op, a, b, one), pos)
+        sa = not isinstance(a, RationalMatrix)
+        sb = not isinstance(b, RationalMatrix)
+        if op == "/":
+            if not sb:
+                raise ParseError("division by a matrix", pos)
+            if b.is_zero():
+                if max_variable(right) > 0:
+                    raise DivisionByZeroPolynomial(
+                        "divisor is identically zero"
                     )
-                if sa is not None:
-                    return RationalMatrix.scalar(sa / sb)
-                return a.scale(sb.inverse())
+                raise FieldLiteralError(
+                    f"constant divisor is zero in {descriptor.name()}"
+                )
+            if sa:
+                return _lower(_lift(a) / _lift(b))
+            return a.scale(_lift(b).inverse())
+        if sa and sb:
+            if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
+                a, b = _lift(a), _lift(b)
+            return _lower(_OPERATIONS[op](a, b))
+        if op == "*" and sa:
+            return b.scale(_lift(a))
+        if op == "*" and sb:
+            return a.scale(_lift(b))
+        if sa:
+            a = RationalMatrix.scalar(_lift(a))
+        if sb:
+            b = RationalMatrix.scalar(_lift(b))
+        try:
+            return _value(_OPERATIONS[op](a, b))
         except DimensionMismatch as exc:
             raise ParseError(str(exc), pos) from None
     raise ValueError(f"unknown node {kind!r}")
@@ -393,6 +443,10 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
                 f"expression uses z{needed} but only {n_vars} variables "
                 "allowed", 0
             )
-        return _evaluate(ast, descriptor, n_vars)
+        one = Polynomial.one(descriptor, n_vars)
+        value = _evaluate(ast, descriptor, n_vars, one)
     except RecursionError:
         raise ParseError("expression is nested too deeply", 0) from None
+    if isinstance(value, RationalMatrix):
+        return value
+    return RationalMatrix.scalar(_lift(value))

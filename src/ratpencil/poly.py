@@ -159,7 +159,10 @@ class Polynomial:
 
     @classmethod
     def constant(cls, descriptor, n_vars, value) -> "Polynomial":
-        return cls(descriptor, n_vars, {(0,) * n_vars: value})
+        if n_vars < 0:
+            raise ValueError("n_vars must be non-negative")
+        raw = descriptor.coerce(value)
+        return from_raw(descriptor, n_vars, {0: raw} if raw else {})
 
     @classmethod
     def one(cls, descriptor, n_vars) -> "Polynomial":

@@ -115,10 +115,7 @@ def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
     if not parts:
         zero = [[descriptor.zero] * k for _ in range(k)]
         return _const_matrix_pencil(descriptor, n_vars, zero)
-    acc = parts[0]
-    for term in parts[1:]:
-        acc = op_add(acc, term, check=False)
-    return acc
+    return op_add(*parts, check=False)
 
 
 # ---------------------------------------------------------------------------

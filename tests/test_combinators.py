@@ -16,6 +16,8 @@ from ratpencil.combinators import (
 )
 from ratpencil.errors import (
     BlockSizeMismatch,
+    DescriptorMismatch,
+    SingularBlock,
     SingularSchurComplement,
     ZeroScalar,
 )
@@ -76,6 +78,76 @@ def test_add_examples():
     assert "sLP" in both.classify()
     with pytest.raises(BlockSizeMismatch):
         op_add(p, golden.with_split(2) if golden.split != 2 else golden)
+
+
+def _layout(pencil):
+    """Everything a pencil is made of, key order included."""
+    return (pencil.descriptor, pencil.n_vars, pencil.m, pencil.split,
+            [list(c.items()) for c in pencil.coeffs])
+
+
+def _fold(parts):
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = op_add(acc, part, check=False)
+    return acc
+
+
+def test_add_of_many_parts_is_the_left_fold(rng):
+    for trial in range(24):
+        d = FIELDS[trial % len(FIELDS)]
+        n = rng.randint(1, 3)
+        k = 1 + trial % 2
+        parts = [_random_pencil(rng, d, n, k) for _ in range(rng.randint(2, 4))]
+        # p then -p cancels the (1,1) block; the next part brings it back
+        negated = op_scale(parts[0], -1, check=False)
+        at = 0 if trial % 2 else rng.randrange(len(parts) + 1)
+        parts[at:at] = [parts[0], negated]
+        total = op_add(*parts)
+        assert _layout(total) == _layout(_fold(parts))
+        assert total.m == sum(part.m for part in parts) - (len(parts) - 1) * k
+        expected = parts[0].schur_complement()
+        for part in parts[1:]:
+            expected = expected + part.schur_complement()
+        assert total.schur_complement() == expected
+    p = _random_pencil(rng, Q, 2)
+    assert op_add(p) is p
+    # a (1,1) entry that cancels leaves and comes back at the end
+    p = LinearPencil(Q, 0, 2, 1, [{(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}])
+    total = op_add(p, op_scale(p, -1), p)
+    assert list(total.coeffs[0]) == [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0),
+                                     (2, 2), (0, 0), (0, 3), (3, 0), (3, 3)]
+
+
+def test_add_rejects_a_bad_part_at_any_position(rng):
+    n = 2
+    good = [_random_pencil(rng, Q, n) for _ in range(3)]
+    bad_parts = [
+        (BlockSizeMismatch, _random_pencil(rng, Q, n, 2)),
+        (DescriptorMismatch, _random_pencil(rng, prime_field(3), n)),
+        (DescriptorMismatch, _random_pencil(rng, Q, n + 1)),
+    ]
+    for error, bad in bad_parts:
+        for at in range(len(good) + 1):
+            parts = good[:at] + [bad] + good[at:]
+            with pytest.raises(error):
+                op_add(*parts)
+            with pytest.raises(error):
+                op_add(*parts, check=False)
+
+
+def test_add_checks_every_block(rng):
+    for d in FIELDS:
+        n = 2
+        good = [_random_pencil(rng, d, n) for _ in range(3)]
+        # A22 = [0]: singular in every field
+        singular = LinearPencil(d, n, 2, 1, [{(0, 0): 1, (0, 1): 1}, {}, {}])
+        for at in range(len(good) + 1):
+            parts = good[:at] + [singular] + good[at:]
+            with pytest.raises(SingularBlock):
+                op_add(*parts)
+            assert op_add(*parts, check=False).m == sum(
+                part.m for part in parts) - len(good)
 
 
 def test_symmetrize_examples():

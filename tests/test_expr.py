@@ -197,3 +197,21 @@ def test_print_parse_round_trip_matrix(rng):
             + "]]"
         )
         assert parse_expression(text, d, 2) == m
+
+
+def test_a_polynomial_matrix_literal_builds_one_matrix(monkeypatch):
+    # scalars stay polynomials: only the literal itself becomes a matrix
+    calls = []
+    init = RationalMatrix.__init__
+
+    def counting_init(self, entries):
+        calls.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+    out = parse_expression(
+        "[[3*z1^2 + 5*z2 - 4, -z1*z2, 2],"
+        " [z2^2 - 3*z1 + 8, -(z1 - 1)^2, 6*z1*z2],"
+        " [-z1^2 + 3*z2, 7, z1 + z2]]", Q)
+    assert (out.rows, out.cols) == (3, 3)
+    assert len(calls) == 1
