@@ -26,6 +26,7 @@ from .errors import (
     NotRealizableChar2,
     NotSymmetric,
     ParseError,
+    PencilTooLarge,
     RatPencilError,
     SingularBlock,
     SingularMatrix,
@@ -55,6 +56,7 @@ from .combinators import (
     op_product,
     op_sandwich,
     op_scale,
+    op_shrink,
     op_symmetrize,
 )
 from .realize import (

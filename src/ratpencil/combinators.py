@@ -14,6 +14,11 @@ their offsets (:func:`_split`), and each output coefficient is one
 :func:`op_sandwich` weights entries, spreading the first block through the
 constant factors U and V.
 
+:func:`op_shrink` has no layout: it makes a pencil smaller by exact Schur
+steps on constant pivots of A22.  It shares no code with
+:mod:`ratpencil.elimination`, so that verifying a built pencil never runs
+the builder's own elimination.
+
 All precondition checks on block invertibility run eagerly by exact
 determinant; pass ``check=False`` to defer them when composing long
 pipelines that are verified once at the end.
@@ -21,6 +26,7 @@ pipelines that are verified once at the end.
 
 from __future__ import annotations
 
+import heapq
 from itertools import chain
 
 from .errors import (
@@ -332,3 +338,260 @@ def op_homogenize(p: LinearPencil, check: bool = True) -> LinearPencil:
         _require_block(p)
     coeffs = [{}] + [dict(c) for c in p.coeffs[1:]] + [dict(p.coeffs[0])]
     return LinearPencil(p.descriptor, p.n_vars + 1, p.m, p.split, coeffs)
+
+
+def _loose(entry: dict) -> bool:
+    """Whether an entry (coefficient index to value) is not a constant."""
+    return len(entry) > 1 or 0 not in entry
+
+
+class _Shrink:
+    """Working state of :func:`op_shrink`: sparse rows ``{i: {j: entry}}``
+    whose entries map a coefficient index (0 for the constant term) to a
+    nonzero value, the row set of each column, and per row and per column
+    the number of entries that are not constants."""
+
+    def __init__(self, p: LinearPencil):
+        self.d = p.descriptor
+        self.split = p.split
+        self.size = p.m - p.split
+        self.symmetric = p.is_symmetric()
+        rows: dict[int, dict[int, dict]] = {}
+        for t, c in enumerate(p.coeffs):
+            for (i, j), value in c.items():
+                rows.setdefault(i, {}).setdefault(j, {})[t] = value
+        self.rows = rows
+        self.cols: dict[int, set[int]] = {}
+        self.loose_rows = dict.fromkeys(rows, 0)
+        self.loose_cols: dict[int, int] = {}
+        for i, row in rows.items():
+            for j, entry in row.items():
+                self.cols.setdefault(j, set()).add(i)
+                loose = _loose(entry)
+                self.loose_rows[i] += loose
+                self.loose_cols[j] = self.loose_cols.get(j, 0) + loose
+        self.removed_rows: set[int] = set()
+        self.removed_cols: set[int] = set()
+        # (score, i, j) of candidate pivots; stale keys stay until they
+        # reach the top and fail the check in run
+        self.heap: list[tuple[int, int, int]] = []
+        self._push(rows)
+
+    def score(self, i: int, j: int):
+        """Markowitz score of the pivot (i, j), or None when it is none.
+
+        A plain pivot is a nonzero constant whose row or column holds only
+        constants.  Over a symmetric pencil, a diagonal pivot needs a
+        constant row, and (i, j) with i < j names the pair {i, j}: two
+        constant rows whose 2x2 block is invertible.
+        """
+        row = self.rows.get(i)
+        entry = row.get(j) if row else None
+        if entry is None or _loose(entry):
+            return None
+        if not self.symmetric:
+            if self.loose_rows[i] and self.loose_cols[j]:
+                return None
+            return (len(row) - 1) * (len(self.cols[j]) - 1)
+        if self.loose_rows[i]:
+            return None
+        if i == j:
+            return (len(row) - 1) ** 2
+        other = self.rows[j]
+        if self.loose_rows[j] or not self._pair_det(row, other, i, j):
+            return None
+        return (len(row.keys() | other.keys()) - 2) ** 2
+
+    def _value(self, row: dict, j: int):
+        """The constant at column j of a constant row (zero when absent)."""
+        entry = row.get(j)
+        return entry[0] if entry else self.d.zero
+
+    def _pair_det(self, row_a, row_b, a, b):
+        d = self.d
+        ab = row_a[b][0]
+        return d.sub(d.mul(self._value(row_a, a), self._value(row_b, b)),
+                     d.mul(ab, ab))
+
+    def _push(self, touched_rows, touched_cols=()):
+        """Push the keys of the candidates in the rows and the columns
+        whose entries or counts a step changed."""
+        split, rows, cols = self.split, self.rows, self.cols
+        cells = set()
+        for i in touched_rows:
+            if i >= split:
+                cells.update((i, j) for j in rows[i] if j >= split)
+        for j in touched_cols:
+            if j >= split:
+                cells.update((i, j) for i in cols[j] if i >= split)
+        if self.symmetric:
+            cells = {(min(cell), max(cell)) for cell in cells}
+        for i, j in cells:
+            score = self.score(i, j)
+            if score is not None:
+                heapq.heappush(self.heap, (score, i, j))
+
+    def _sub(self, x: int, y: int, entry: dict, s) -> None:
+        """A_xy -= s * entry, with s a nonzero constant."""
+        d = self.d
+        mul, sub = d.mul, d.sub
+        row = self.rows[x]
+        old = row.get(y)
+        if old is None:
+            new = {t: d.neg(mul(v, s)) for t, v in entry.items()}
+            row[y] = new
+            self.cols[y].add(x)
+            if _loose(new):
+                self.loose_rows[x] += 1
+                self.loose_cols[y] += 1
+            return
+        was = _loose(old)
+        for t, v in entry.items():
+            merged = sub(old.get(t, d.zero), mul(v, s))
+            if merged:
+                old[t] = merged
+            else:
+                del old[t]
+        if not old:
+            del row[y]
+            self.cols[y].discard(x)
+            now = False
+        else:
+            now = _loose(old)
+        if now != was:
+            step = 1 if now else -1
+            self.loose_rows[x] += step
+            self.loose_cols[y] += step
+
+    def _unlink(self, i: int, j: int) -> tuple[dict, set]:
+        """Remove row i and column j; return row i without its entry at j,
+        and the rows other than i that had an entry in column j."""
+        prow = self.rows.pop(i)
+        prow.pop(j, None)
+        col = self.cols.pop(j)
+        col.discard(i)
+        for y, entry in prow.items():
+            self.cols[y].discard(i)
+            if _loose(entry):
+                self.loose_cols[y] -= 1
+        self.removed_rows.add(i)
+        self.removed_cols.add(j)
+        return prow, col
+
+    def eliminate(self, i: int, j: int) -> None:
+        """One Schur step on the constant pivot c = A_ij:
+        A_xy -= A_xj * A_iy / c, every product with a constant factor."""
+        d = self.d
+        inv = d.inv(self.rows[i][j][0])
+        constant_row = not self.loose_rows.pop(i)
+        prow, col = self._unlink(i, j)
+        for x in col:
+            entry = self.rows[x].pop(j)
+            if _loose(entry):
+                self.loose_rows[x] -= 1
+            if constant_row:
+                for y, value in prow.items():
+                    self._sub(x, y, entry, d.mul(value[0], inv))
+            else:
+                s = d.mul(entry[0], inv)
+                for y, value in prow.items():
+                    self._sub(x, y, value, s)
+        self.size -= 1
+        self._push(col, () if self.symmetric else prow)
+
+    def eliminate_pair(self, a: int, b: int) -> None:
+        """The congruence A -= X B^-1 X^T on the constant rows a and b,
+        where X holds columns a and b and B = [[A_aa, A_ab], [A_ab, A_bb]]."""
+        d, rows, cols = self.d, self.rows, self.cols
+        mul, add, value = d.mul, d.add, self._value
+        row_a, row_b = rows.pop(a), rows.pop(b)
+        inv = d.inv(self._pair_det(row_a, row_b, a, b))
+        b00 = mul(value(row_b, b), inv)
+        b01 = mul(d.neg(row_a[b][0]), inv)
+        b11 = mul(value(row_a, a), inv)
+        del self.loose_rows[a], self.loose_rows[b]
+        for index, row in ((a, row_a), (b, row_b)):
+            row.pop(a, None)
+            row.pop(b, None)
+            for y in row:
+                cols[y].discard(index)
+        del cols[a], cols[b]
+        self.removed_rows.update((a, b))
+        self.removed_cols.update((a, b))
+        # X_x = (A_xa, A_xb) = u_x, and the update of A_xy is w_x . u_y
+        # with w_x = B^-1 u_x
+        others = sorted(row_a.keys() | row_b.keys())
+        u, w = {}, {}
+        for x in others:
+            rows[x].pop(a, None)
+            rows[x].pop(b, None)
+            u[x] = u0, u1 = value(row_a, x), value(row_b, x)
+            w[x] = (add(mul(b00, u0), mul(b01, u1)),
+                    add(mul(b01, u0), mul(b11, u1)))
+        one = d.one
+        for x in others:
+            w0, w1 = w[x]
+            for y in others:
+                u0, u1 = u[y]
+                delta = add(mul(w0, u0), mul(w1, u1))
+                if delta:
+                    self._sub(x, y, {0: delta}, one)
+        self.size -= 2
+        self._push(others)
+
+    def run(self) -> None:
+        heap, symmetric = self.heap, self.symmetric
+        while self.size > 1 and heap:
+            score, i, j = heapq.heappop(heap)
+            if self.score(i, j) != score:
+                continue
+            if i == j or not symmetric:
+                self.eliminate(i, j)
+            elif self.size > 2:
+                self.eliminate_pair(i, j)
+
+    def pencil(self, p: LinearPencil) -> LinearPencil:
+        """The remaining rows and columns, renumbered in their order."""
+        row_index = {i: r for r, i in enumerate(
+            i for i in range(p.m) if i not in self.removed_rows)}
+        col_index = {j: c for c, j in enumerate(
+            j for j in range(p.m) if j not in self.removed_cols)}
+        coeffs = [{} for _ in p.coeffs]
+        for i in sorted(self.rows):
+            row = self.rows[i]
+            r = row_index[i]
+            for j in sorted(row):
+                cell = (r, col_index[j])
+                for t, value in row[j].items():
+                    coeffs[t][cell] = value
+        return LinearPencil(p.descriptor, p.n_vars, len(row_index), p.split,
+                            coeffs)
+
+
+def op_shrink(p: LinearPencil, check: bool = True) -> LinearPencil:
+    """Pencil with the Schur complement and the structure classes of ``p``,
+    made smaller by exact Schur steps on constant pivots of A22.
+
+    Each step removes one row and one column of A22 (or two of each) by
+    the quotient formula (A/A22) = (A/C)/(A22/C) for a constant invertible
+    block C; det A22 changes by the nonzero factor det C.  Pivots are taken
+    by the smallest (Markowitz score, i, j) from a lazy heap, until none
+    is left or A22 is 1x1:
+
+    * plain: a nonzero constant A_ij whose row or column holds only
+      constants, so that every product in the update has a constant factor
+      and every entry stays affine-linear;
+    * symmetric ``p``: a nonzero constant A_ii with a constant row, or a
+      pair of constant rows {a, b} with A_ab != 0 and an invertible block
+      [[A_aa, A_ab], [A_ab, A_bb]], removed by a congruence, so that the
+      output stays symmetric (in characteristic 2 too).
+
+    A homogeneous pencil has no constant entries and comes back as it is.
+    """
+    if check:
+        _require_block(p)
+    state = _Shrink(p)
+    state.run()
+    if not state.removed_rows:
+        return p
+    return state.pencil(p)

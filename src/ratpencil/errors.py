@@ -40,6 +40,11 @@ class SingularX(SingularMatrix):
     """The middle factor of a pencil product is singular."""
 
 
+class PencilTooLarge(RatPencilError):
+    """A pencil would be, or claims to be, larger than
+    ``pencil.MAX_PENCIL_SIZE``."""
+
+
 class BlockSizeMismatch(DimensionMismatch):
     """Two pencils disagree on the size of the (1,1) block."""
 

@@ -15,10 +15,23 @@ import json
 from enum import Enum
 
 from .elimination import schur_eliminate, sparse_determinant
-from .errors import DimensionMismatch, RatPencilError
+from .errors import DimensionMismatch, PencilTooLarge, RatPencilError
 from .fields import FieldDescriptor, parse_field
 from .matrices import RationalMatrix, mat_det
 from .poly import Polynomial, RationalFunction, from_packed, from_raw, layout
+
+
+# The largest m of a pencil file, and of a construction as the builders
+# predict it before building.
+MAX_PENCIL_SIZE = 5000
+
+
+def require_size(m: int, what: str) -> None:
+    """Raise :class:`PencilTooLarge` when ``m`` is past the limit."""
+    if m > MAX_PENCIL_SIZE:
+        raise PencilTooLarge(
+            f"{what} has m = {m}, more than the limit {MAX_PENCIL_SIZE}"
+        )
 
 
 class RealizationKind(Enum):
@@ -269,6 +282,7 @@ class LinearPencil:
             )
         descriptor = parse_field(doc["field"])
         n_vars, m, split = doc["n_vars"], doc["m"], doc["split"]
+        require_size(m, "the pencil file")
         raw = doc["coeffs"]
         if not isinstance(raw, list) or len(raw) != n_vars + 1:
             raise DimensionMismatch("coefficient count does not match n_vars")

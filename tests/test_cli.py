@@ -177,6 +177,47 @@ def test_matrix_term_limit_exits_two_fast(capsys):
     assert code == 0 and json.loads(out)["m"] >= 2
 
 
+@pytest.mark.parametrize("kind", ["br", "sbr"])
+@pytest.mark.parametrize("text", [
+    "(1+z1+z2+z3)^15 * (1+z4+z5+z6)^15",
+    "[[(1+z1+z2+z3)^15 * (1+z4+z5+z6)^15, 0], [0, 1]]",
+], ids=["scalar", "matrix"])
+def test_pencil_size_limit_exits_two_fast(capsys, kind, text):
+    # 1600 terms of degree 30 over GF(3) pass the term limit, but their
+    # construction would have about 70400 rows
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "gf:3", "--kind", kind, "--expr", text,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than the limit 5000" in err
+
+
+@pytest.mark.parametrize("kind", ["br", "sbr"])
+def test_one_variable_diagonal_size_limit_exits_two(capsys, kind):
+    # the symmetric path with one variable builds from the powers of z1
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", kind,
+        "--expr", "(1+z1)^200",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than the limit" in err
+
+
+def test_oversized_pencil_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text('{"field": "q", "n_vars": 0, "m": 5001, "split": 1, '
+                    '"coeffs": [[]]}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "--pencil", str(path), "--expr", "1", "--kind", "br",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "m = 5001" in err
+
+
 def _fresh(*argv):
     """``ratpencil argv`` in a new interpreter: (exit code, stdout, stderr)."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ratpencil.realize as realize_module
+from ratpencil.combinators import op_shrink
 from ratpencil.errors import (
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
@@ -105,12 +106,18 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
 
     target = _grid(k, entry)
     q, grid = realize_module._shared_denominator(target)
+    # the predictors size the constructions as built, before the shrink
     shared_m = realize_module._br_shared(q, grid).m
     entrywise_m = realize_module._br_entrywise(target).m
     assert realize_module._shared_size(q, grid) == shared_m
     assert realize_module._entrywise_size(target) == entrywise_m
     result = _check(realize_br(target))
-    assert result.pencil.m == min(shared_m, entrywise_m)
+    assert result.pencil.m <= min(shared_m, entrywise_m)
+    if entrywise_m < shared_m:
+        built = realize_module._br_entrywise(target)
+    else:
+        built = realize_module._br_shared(q, grid)
+    assert result.pencil == op_shrink(built)
 
     if d.characteristic != 2:
         mirrored = RationalMatrix(
@@ -130,6 +137,25 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
         return random_degree_one_ratfun(rand, d, n_h)
 
     assert _check(realize_hbr(_grid(k, homogeneous_entry))).pencil.is_homogeneous()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]))
+def test_symmetric_diagonal_rows_are_bounded(rand, d):
+    # the diagonal path of realize_sbr (one variable, or characteristic 2)
+    # checks this bound against the pencil-size limit before building
+    n = rand.randint(1, 3) if d.characteristic == 2 else 1
+    g = random_ratfun(rand, d, n, max_deg=4, max_terms=3)
+    h = g.num * g.den
+    if n == 1:
+        h_pencil = realize_module._sbr_poly_one_var(h)
+    else:
+        cert = decide_sbr_scalar_char2(g)
+        if not cert.realizable:
+            return
+        h_pencil = realize_module._sbr_from_certificate(cert, d, n)
+    pencil = realize_module._sbr_scalar(g, h_pencil)
+    assert pencil.m - 1 <= realize_module._sbr_scalar_rows(g, h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""The shrink combinator: exact, structure-keeping, idempotent, smaller.
+
+Its inputs are pencils as the builders make them before shrinking, built
+from the realize internals and the combinators, plus symmetric pencils
+whose A22 needs the pair step (a zero diagonal in characteristic 2).
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import ratpencil.combinators as combinators
+from ratpencil.combinators import (
+    op_homogenize,
+    op_product,
+    op_shrink,
+    op_symmetrize,
+)
+from ratpencil.expr import parse_expression
+from ratpencil.fields import parse_field, prime_field, rationals
+from ratpencil.pencil import MAX_PENCIL_SIZE, RealizationKind
+from ratpencil.realize import (
+    RealizationResult,
+    _br_entry,
+    _br_entrywise,
+    decide_and_realize_hsbr,
+    realize_br,
+    realize_hbr,
+    realize_sbr,
+)
+from ratpencil.verify import check_realization
+
+from conftest import random_matrix, schur_dense_oracle
+
+Q = rationals()
+G2 = prime_field(2)
+G101 = prime_field(101)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unshrunk(rand, d, shape):
+    """A pencil as a builder makes it before the shrink: BR of a random
+    target, its symmetrization, or its symmetric square."""
+    n = rand.randint(1, 3)
+    k = rand.choice([1, 2])
+    target = random_matrix(rand, d, n, k, max_deg=2, max_terms=2)
+    base = (_br_entry(target.entries[0][0]) if k == 1
+            else _br_entrywise(target))
+    if shape == "br":
+        return base
+    if shape == "symmetrize":
+        return op_symmetrize(base, check=False)
+    return op_product(base, None, base.transpose(), check=False)
+
+
+def _schur(pencil):
+    if pencil.m <= 12:
+        return schur_dense_oracle(pencil)
+    return pencil.schur_complement()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.sampled_from(["br", "symmetrize", "square"]))
+def test_shrink_keeps_the_schur_complement_and_classes(rand, d, shape):
+    p = _unshrunk(rand, d, shape)
+    s = op_shrink(p)
+    assert p.split + 1 <= s.m <= p.m
+    assert s.split == p.split and s.n_vars == p.n_vars
+    assert s.classify() == p.classify()
+    assert not s.block_det().is_zero()
+    assert _schur(s) == _schur(p)
+    assert op_shrink(s) is s
+
+
+def _count_pairs(monkeypatch):
+    calls = []
+    pair = combinators._Shrink.eliminate_pair
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return pair(self, a, b)
+
+    monkeypatch.setattr(combinators._Shrink, "eliminate_pair", counted)
+    return calls
+
+
+def test_gf2_sbr_takes_the_pair_step(monkeypatch):
+    calls = _count_pairs(monkeypatch)
+    target = parse_expression("(z1^2+z2)/(1+z1^2)", G2)
+    result = realize_sbr(target)
+    assert calls
+    assert result.pencil.is_symmetric()
+    assert check_realization(result.pencil, target, result.kind).passed
+
+
+def test_pair_step_on_a_zero_diagonal(monkeypatch):
+    # over GF(2) the symmetrization has A22 = [[0, B], [B^T, 0]]: no
+    # diagonal pivot at all, while {i, m - k + i} pairs are invertible
+    calls = _count_pairs(monkeypatch)
+    base = _br_entry(parse_expression("z1*z2 + 1", G2).entries[0][0])
+    sym = op_symmetrize(base, check=False)
+    shrunk = op_shrink(sym)
+    assert calls and shrunk.m < sym.m
+    assert shrunk.is_symmetric()
+    assert schur_dense_oracle(shrunk) == schur_dense_oracle(sym)
+
+
+def test_homogeneous_pencils_pass_through():
+    p = realize_br(parse_expression("z1 + z2^2", Q)).pencil
+    h = op_homogenize(p)
+    assert op_shrink(h) is h
+
+
+def test_builders_return_shrunk_pencils():
+    for text, field in [("z1^4+3*z1", "q"), ("(z1^2+z2)/(1+z1^2)", "gf2"),
+                        ("[[z1, z2],[z2, z1*z2]]", "gf:101")]:
+        target = parse_expression(text, parse_field(field))
+        for build in (realize_br, realize_sbr):
+            pencil = build(target).pencil
+            assert op_shrink(pencil) is pencil
+    homogeneous = parse_expression("[[z1, z2],[z2, z3]]", Q)
+    for build in (realize_hbr, decide_and_realize_hsbr):
+        result = build(homogeneous)
+        assert check_realization(result.pencil, homogeneous, result.kind).passed
+        assert "hLP" in result.pencil.classify()
+
+
+def _load_gen():
+    path = ROOT / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_targets_build_under_the_size_limit():
+    gen = _load_gen()
+    builders = {"br": realize_br, "sbr": realize_sbr, "hbr": realize_hbr,
+                "hsbr": decide_and_realize_hsbr}
+    texts = [(t.text(), t.field, t.n_vars, t.kind) for t in gen.cli_targets(1)]
+    for claim in gen.verify_claims(1):
+        built = claim.built
+        text = built.text() if built.entries else claim.text
+        texts.append((text, built.field, built.n_vars, built.kind))
+    for text, field, n_vars, kind in texts:
+        target = parse_expression(text, parse_field(field), n_vars)
+        result = builders[kind](target)
+        assert isinstance(result, RealizationResult)
+        assert result.pencil.m <= MAX_PENCIL_SIZE
+        assert result.kind == RealizationKind(kind)
