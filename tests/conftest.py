@@ -14,6 +14,7 @@ import pytest
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.poly import Polynomial, RationalFunction
+from ratpencil.quotring import QuotMatrix, add_transform
 
 ALL_FIELDS = [rationals(), prime_field(2), prime_field(3), prime_field(5)]
 
@@ -102,6 +103,44 @@ def random_degree_one_ratfun(rng, descriptor, n_vars, nonzero=False):
         rng, descriptor, n_vars, den_deg + 1, nonzero=nonzero
     )
     return RationalFunction(num, den)
+
+
+def random_realizer(rng, ctx, pad):
+    """Build a known (realizer, r) pair: a 2x2 core padded and scrambled."""
+    n = ctx.n_vars
+
+    def random_linear(invertible=False):
+        while True:
+            terms = {}
+            if rng.random() < 0.8:
+                terms[(0,) * n] = rng.randrange(2)
+            for v in range(n):
+                if rng.random() < 0.6:
+                    exps = tuple(1 if t == v else 0 for t in range(n))
+                    terms[exps] = rng.randrange(2)
+            element = ctx.project(Polynomial(ctx.descriptor, n, terms))
+            if not invertible or element.is_invertible():
+                return element
+
+    l1 = random_linear()
+    l2 = random_linear(invertible=True)
+    c = ctx.constant(rng.randrange(2))
+    r = l1 + c * c * l2.inverse()
+    size = 2 + pad
+    zero = ctx.zero()
+    grid = [[zero for _ in range(size)] for _ in range(size)]
+    grid[0][0] = l1
+    grid[0][1] = grid[1][0] = c
+    grid[1][1] = l2
+    for t in range(pad):
+        grid[2 + t][2 + t] = random_linear(invertible=True)
+    matrix = QuotMatrix(ctx, 1, grid)
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(1, size)
+        j = rng.choice([t for t in range(size) if t != i])
+        alpha = ctx.constant(rng.randrange(2))
+        matrix = add_transform(matrix, i, j, alpha)
+    return matrix, r
 
 
 def det_cofactor_oracle(a: RationalMatrix) -> RationalFunction:

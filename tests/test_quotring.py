@@ -31,7 +31,7 @@ from ratpencil.quotring import (
     reduce_realizer,
 )
 
-from conftest import random_poly
+from conftest import random_poly, random_realizer
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 G2 = prime_field(2)
@@ -397,49 +397,11 @@ def test_ring_checks_do_no_polynomial_arithmetic(monkeypatch):
     assert calls == []
 
 
-def _random_realizer(rng, ctx, pad):
-    """Build a known (realizer, r) pair: a 2x2 core padded and scrambled."""
-    n = ctx.n_vars
-
-    def random_linear(invertible=False):
-        while True:
-            terms = {}
-            if rng.random() < 0.8:
-                terms[(0,) * n] = rng.randrange(2)
-            for v in range(n):
-                if rng.random() < 0.6:
-                    exps = tuple(1 if t == v else 0 for t in range(n))
-                    terms[exps] = rng.randrange(2)
-            element = ctx.project(Polynomial(G2, n, terms))
-            if not invertible or element.is_invertible():
-                return element
-
-    l1 = random_linear()
-    l2 = random_linear(invertible=True)
-    c = ctx.constant(rng.randrange(2))
-    r = l1 + c * c * l2.inverse()
-    size = 2 + pad
-    zero = ctx.zero()
-    grid = [[zero for _ in range(size)] for _ in range(size)]
-    grid[0][0] = l1
-    grid[0][1] = grid[1][0] = c
-    grid[1][1] = l2
-    for t in range(pad):
-        grid[2 + t][2 + t] = random_linear(invertible=True)
-    matrix = QuotMatrix(ctx, 1, grid)
-    for _ in range(rng.randint(0, 4)):
-        i = rng.randrange(1, size)
-        j = rng.choice([t for t in range(size) if t != i])
-        alpha = ctx.constant(rng.randrange(2))
-        matrix = add_transform(matrix, i, j, alpha)
-    return matrix, r
-
-
 def test_clean_and_add_preserve_realizers(rng):
     for _ in range(120):
         n = rng.randint(1, 3)
         ctx = _ctx(n, [rng.randrange(2) for _ in range(n)])
-        matrix, r = _random_realizer(rng, ctx, pad=rng.randint(0, 2))
+        matrix, r = random_realizer(rng, ctx, pad=rng.randint(0, 2))
         assert is_ring_realizer(matrix, r)
         cleaned = clean(matrix)
         assert is_ring_realizer(cleaned, r)
@@ -494,7 +456,7 @@ def test_reduce_randomized(rng):
     for _ in range(120):
         n = rng.randint(1, 3)
         ctx = _ctx(n, [rng.randrange(2) for _ in range(n)])
-        matrix, r = _random_realizer(rng, ctx, pad=rng.randint(0, 3))
+        matrix, r = random_realizer(rng, ctx, pad=rng.randint(0, 3))
         result = reduce_realizer(matrix, r)
         assert result.is_linear()
         assert result == r
@@ -503,7 +465,7 @@ def test_reduce_randomized(rng):
 @pytest.mark.parametrize("pad", [7, 8])
 def test_reduce_nine_and_ten_square_realizers(rng, pad):
     ctx = _ctx(2, [1, 0])
-    matrix, r = _random_realizer(rng, ctx, pad=pad)
+    matrix, r = random_realizer(rng, ctx, pad=pad)
     assert matrix.m == 2 + pad
     assert is_ring_realizer(matrix, r)
     assert reduce_realizer(matrix, r) == r
