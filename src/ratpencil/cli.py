@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import NotARealizer, NotRealizableChar2, RatPencilError
+from .errors import NotRealizableChar2, RatPencilError
 from .expr import parse_expression
 from .fields import parse_field
 from .pencil import LinearPencil, RealizationKind
@@ -118,6 +118,21 @@ def _cmd_decide(args) -> int:
     return 0 if decision.realizable else 1
 
 
+def _polynomial_arg(text, descriptor, n_vars, what) -> Polynomial:
+    """The polynomial that ``text`` denotes; a matrix literal other than
+    1x1 or a fraction is an input error."""
+    value = parse_expression(text, descriptor, n_vars)
+    if value.rows != 1 or value.cols != 1:
+        raise RatPencilError(
+            f"{what} {text!r} is a {value.rows}x{value.cols} matrix, "
+            "not a scalar"
+        )
+    entry = value.entries[0][0]
+    if not entry.is_polynomial():
+        raise RatPencilError(f"{what} {text!r} is not a polynomial")
+    return entry.as_polynomial()
+
+
 def _cmd_reduce(args) -> int:
     descriptor = parse_field(args.field)
     ell = [descriptor.parse_value(part) for part in args.ell.split(",")]
@@ -139,27 +154,17 @@ def _cmd_reduce(args) -> int:
         raise RatPencilError(
             "matrix 'split' must be an integer and its entries strings"
         )
-    grid = []
-    for row in rows:
-        out_row = []
-        for cell in row:
-            value = parse_expression(cell, descriptor, context.n_vars)
-            entry = value.entries[0][0]
-            if not entry.is_polynomial():
-                raise RatPencilError(f"matrix entry {cell!r} is not a polynomial")
-            out_row.append(entry.as_polynomial())
-        grid.append(out_row)
+    grid = [
+        [_polynomial_arg(cell, descriptor, context.n_vars, "matrix entry")
+         for cell in row]
+        for row in rows
+    ]
     matrix = QuotMatrix.from_polynomials(context, split, grid)
-    r_value = parse_expression(args.r, descriptor, context.n_vars).entries[0][0]
-    if not r_value.is_polynomial():
-        raise RatPencilError("r must be a polynomial")
-    element = context.project(r_value.as_polynomial())
+    element = context.project(
+        _polynomial_arg(args.r, descriptor, context.n_vars, "r")
+    )
     trace = [] if args.trace else None
-    try:
-        result = reduce_realizer(matrix, element, trace=trace)
-    except NotARealizer:
-        print("input matrix is not a realizer of r", file=sys.stderr)
-        return 2
+    result = reduce_realizer(matrix, element, trace=trace)
     if trace is not None:
         for label, snapshot in trace:
             print(f"step {label}")

@@ -18,6 +18,14 @@ invertible element its own inverse.  Polynomials appear only at the
 boundary: :meth:`QuotContext.project` maps one in, and the ``nf`` property
 builds the normal-form polynomial back.
 
+The arithmetic runs on the monomial sets themselves: one product kernel
+``_times`` (with the sum ``^``) serves the element operators, both
+determinants, and the CLEAN / ADD / ISOLATE steps.  A :class:`QuotElement`
+is made only at the API boundary.  A :class:`QuotMatrix` keeps the grid of
+its entries' sets in ``monomials`` and wraps ``entries`` on first use.  A
+matrix built from the sets of an already-checked matrix skips the
+per-entry context check and keeps the O(1) shape and split checks.
+
 On top of the elements sit symmetric matrices with the CLEAN / ADD / ISOLATE
 transformations and the constructive reduction that squeezes a ring
 realizer down to its linear value.  ISOLATE works on one mutable grid: each
@@ -162,6 +170,37 @@ def lift(r: "QuotElement") -> Polynomial:
     return r.nf
 
 
+def _times(a: frozenset, b: frozenset, dead: int) -> frozenset:
+    """The product of two normal forms: ``x ^ y`` toggled for each pair of
+    monomials that shares no dead variable."""
+    if not a or b == _ONE:
+        return a
+    if not b or a == _ONE:
+        return b
+    if len(a) > len(b):
+        a, b = b, a
+    out = set()
+    for x in a:
+        xd = x & dead
+        if xd:
+            out ^= {x ^ y for y in b if not xd & y}
+        else:
+            out ^= {x ^ y for y in b}
+    return frozenset(out)
+
+
+def _parity(a: frozenset, dead: int) -> int:
+    """The absolute value: the parity of the monomials that avoid ``dead``."""
+    return sum(1 for x in a if not x & dead) & 1
+
+
+def _absolute(a: frozenset, dead: int) -> frozenset:
+    """CLEAN of one off-diagonal entry: its absolute value as a constant."""
+    if a <= _ONE:
+        return a
+    return _ONE if _parity(a, dead) else _EMPTY
+
+
 class QuotElement:
     """Ring element as its set of multilinear monomials (bitmasks).
 
@@ -181,45 +220,28 @@ class QuotElement:
     def nf(self) -> Polynomial:
         return _polynomial(self.context, self.monomials)
 
-    def _check(self, other: "QuotElement"):
-        if self.context != other.context:
-            raise DescriptorMismatch("elements live in different quotient rings")
-
     def __add__(self, other: "QuotElement") -> "QuotElement":
-        if other.context is not self.context:
-            self._check(other)
-        a, b = self.monomials, other.monomials
-        if not b:
-            return self
-        if not a:
-            return other
-        return _element(self.context, a ^ b)
+        _check(self.context, other)
+        return _element(self.context, self.monomials ^ other.monomials)
 
     def __mul__(self, other: "QuotElement") -> "QuotElement":
-        if other.context is not self.context:
-            self._check(other)
-        a, b = self.monomials, other.monomials
-        if not a or b == _ONE:
-            return self
-        if not b or a == _ONE:
-            return other
-        if len(a) > len(b):
-            a, b = b, a
-        dead = self.context.dead
-        out = set()
-        for x in a:
-            xd = x & dead
-            if xd:
-                out ^= {x ^ y for y in b if not xd & y}
-            else:
-                out ^= {x ^ y for y in b}
-        return _element(self.context, frozenset(out))
+        _check(self.context, other)
+        return _element(self.context, _times(
+            self.monomials, other.monomials, self.context.dead
+        ))
 
     def __pow__(self, e: int) -> "QuotElement":
-        out = self.context.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        if e < 0:
+            raise ValueError("negative power of a quotient-ring element")
+        dead = self.context.dead
+        out, base = _ONE, self.monomials
+        while e:
+            if e & 1:
+                out = _times(out, base, dead)
+            e >>= 1
+            if e:
+                base = _times(base, base, dead)
+        return _element(self.context, out)
 
     def __eq__(self, other):
         if not isinstance(other, QuotElement):
@@ -240,20 +262,17 @@ class QuotElement:
     def is_linear(self) -> bool:
         return all(not x & (x - 1) for x in self.monomials)
 
-    def _abs(self) -> int:
-        dead = self.context.dead
-        return sum(1 for x in self.monomials if not x & dead) & 1
-
     def abs_value(self) -> FieldElement:
         """The unique field constant with r^2 = |r|^2: the normal form at ell."""
-        return FieldElement(self.context.descriptor, self._abs())
+        return FieldElement(self.context.descriptor,
+                            _parity(self.monomials, self.context.dead))
 
     def is_invertible(self) -> bool:
-        return bool(self._abs())
+        return bool(_parity(self.monomials, self.context.dead))
 
     def inverse(self) -> "QuotElement":
         """r^{-1} = |r|^{-2} r, which is r itself since |r| = 1."""
-        if not self._abs():
+        if not self.is_invertible():
             raise NotInvertible("element has zero absolute value")
         return self
 
@@ -268,19 +287,19 @@ _set_context = QuotElement.context.__set__
 _set_monomials = QuotElement.monomials.__set__
 
 
+def _check(context: QuotContext, element) -> None:
+    if not isinstance(element, QuotElement) or (
+        element.context is not context and element.context != context
+    ):
+        raise DescriptorMismatch("elements live in different quotient rings")
+
+
 def _element(context: QuotContext, monomials: frozenset) -> QuotElement:
     """Wrap a monomial set that is already a normal form."""
     out = object.__new__(QuotElement)
     _set_context(out, context)
     _set_monomials(out, monomials)
     return out
-
-
-def _absolute(entry: QuotElement) -> QuotElement:
-    """CLEAN of one off-diagonal entry: its absolute value as a constant."""
-    if entry.monomials <= _ONE:
-        return entry
-    return _element(entry.context, _ONE if entry._abs() else _EMPTY)
 
 
 def qe_abs(r: QuotElement) -> FieldElement:
@@ -292,27 +311,25 @@ def qe_inv(r: QuotElement) -> QuotElement:
 
 
 class QuotMatrix:
-    """Matrix over a quotient ring with the 2x2 split of a realizer."""
+    """Matrix over a quotient ring with the 2x2 split of a realizer.
 
-    __slots__ = ("context", "m", "split", "entries")
+    ``monomials`` is the grid of the entries' monomial sets, on which every
+    method computes; ``entries`` wraps them as :class:`QuotElement`s on
+    first use.
+    """
+
+    __slots__ = ("context", "m", "split", "monomials", "_entries")
 
     def __init__(self, context: QuotContext, split: int, entries):
         entries = tuple(tuple(row) for row in entries)
-        m = len(entries)
-        if m == 0 or any(len(row) != m for row in entries):
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("matrix must be square and non-empty")
-        if not 1 <= split < m:
-            raise ValueError("split must satisfy 1 <= split < m")
         for row in entries:
             for e in row:
-                if not isinstance(e, QuotElement) or (
-                    e.context is not context and e.context != context
-                ):
-                    raise DescriptorMismatch("entries must share the context")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "entries", entries)
+                _check(context, e)
+        _init_matrix(self, context, split,
+                     tuple(tuple(e.monomials for e in row) for row in entries))
+        object.__setattr__(self, "_entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotMatrix is immutable")
@@ -323,13 +340,24 @@ class QuotMatrix:
             context, split, [[context.project(p) for p in row] for row in grid]
         )
 
+    @property
+    def entries(self) -> tuple:
+        try:
+            return self._entries
+        except AttributeError:
+            ctx = self.context
+            entries = tuple(tuple(_element(ctx, a) for a in row)
+                            for row in self.monomials)
+            object.__setattr__(self, "_entries", entries)
+            return entries
+
     def __eq__(self, other):
         if not isinstance(other, QuotMatrix):
             return NotImplemented
         return (
             self.context == other.context
             and self.split == other.split
-            and self.entries == other.entries
+            and self.monomials == other.monomials
         )
 
     def __hash__(self):
@@ -337,31 +365,23 @@ class QuotMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return _element(self.context, self.monomials[i][j])
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.m)
-            for j in range(i + 1, self.m)
-        )
+        return self.monomials == tuple(zip(*self.monomials))
 
     def has_constant_off_diagonal(self) -> bool:
         return all(
-            self.entries[i][j].is_constant()
-            for i in range(self.m)
-            for j in range(self.m)
+            a <= _ONE
+            for i, row in enumerate(self.monomials)
+            for j, a in enumerate(row)
             if i != j
         )
 
     def has_linear_entries(self) -> bool:
-        return all(e.is_linear() for row in self.entries for e in row)
-
-    def replace(self, updates) -> "QuotMatrix":
-        grid = [list(row) for row in self.entries]
-        for (i, j), value in updates.items():
-            grid[i][j] = value
-        return QuotMatrix(self.context, self.split, grid)
+        return all(
+            not x & (x - 1) for row in self.monomials for a in row for x in a
+        )
 
     def det(self) -> QuotElement:
         return self.dets()[0]
@@ -371,7 +391,9 @@ class QuotMatrix:
 
     def dets(self) -> tuple[QuotElement, QuotElement]:
         """``(det A, det A22)`` from one Berkowitz walk."""
-        return _det_berkowitz(self.context, self.entries, self.split)
+        ctx = self.context
+        det_all, det_block = _det_berkowitz(self.monomials, self.split, ctx.dead)
+        return _element(ctx, det_all), _element(ctx, det_block)
 
     def delete_row_col(self, index: int) -> "QuotMatrix":
         if not 0 <= index < self.m:
@@ -379,11 +401,11 @@ class QuotMatrix:
         if index < self.split:
             raise BadIndices("cannot delete inside the (1,1) block")
         grid = [
-            [e for j, e in enumerate(row) if j != index]
-            for i, row in enumerate(self.entries)
+            row[:index] + row[index + 1:]
+            for i, row in enumerate(self.monomials)
             if i != index
         ]
-        return QuotMatrix(self.context, self.split, grid)
+        return _matrix(self.context, self.split, grid)
 
     def __str__(self):
         rows = [", ".join(str(e) for e in row) for row in self.entries]
@@ -393,16 +415,35 @@ class QuotMatrix:
         return f"QuotMatrix({self.m}x{self.m}, split={self.split}, {self})"
 
 
-def _dot(zero: QuotElement, xs, ys) -> QuotElement:
-    total = zero
+def _init_matrix(matrix: QuotMatrix, context, split: int, grid: tuple) -> None:
+    m = len(grid)
+    if m == 0 or len(grid[0]) != m:
+        raise ValueError("matrix must be square and non-empty")
+    if not 1 <= split < m:
+        raise ValueError("split must satisfy 1 <= split < m")
+    object.__setattr__(matrix, "context", context)
+    object.__setattr__(matrix, "m", m)
+    object.__setattr__(matrix, "split", split)
+    object.__setattr__(matrix, "monomials", grid)
+
+
+def _matrix(context: QuotContext, split: int, grid) -> QuotMatrix:
+    """Wrap a grid of normal forms taken from an already-checked matrix:
+    the shape and split are checked, the entries are not."""
+    out = object.__new__(QuotMatrix)
+    _init_matrix(out, context, split, tuple(map(tuple, grid)))
+    return out
+
+
+def _dot(xs, ys, dead: int) -> frozenset:
+    total = _EMPTY
     for x, y in zip(xs, ys):
-        if x.monomials and y.monomials:
-            total = total + x * y
+        if x and y:
+            total ^= _times(x, y, dead)
     return total
 
 
-def _det_berkowitz(context: QuotContext, grid,
-                   split: int) -> tuple[QuotElement, QuotElement]:
+def _det_berkowitz(grid, split: int, dead: int) -> tuple[frozenset, frozenset]:
     """Division-free determinants (Berkowitz 1984) in O(m^4) ring
     operations: of ``grid`` and of its trailing principal block from row and
     column ``split`` on.
@@ -416,8 +457,7 @@ def _det_berkowitz(context: QuotContext, grid,
     top.  Only products and sums occur, so zero divisors do no harm, and
     every sign of the textbook form vanishes in characteristic 2.
     """
-    zero = context.zero()
-    coeffs = [context.one()]
+    coeffs = [_ONE]
     for k in range(len(grid) - 1, -1, -1):
         block = [r[k + 1:] for r in grid[k + 1:]]
         row = grid[k][k + 1:]
@@ -425,11 +465,11 @@ def _det_berkowitz(context: QuotContext, grid,
         toeplitz = [grid[k][k]]
         for t in range(len(block)):
             if t:
-                column = [_dot(zero, r, column) for r in block]
-            toeplitz.append(_dot(zero, row, column))
+                column = [_dot(r, column, dead) for r in block]
+            toeplitz.append(_dot(row, column, dead))
         coeffs = [
-            c + _dot(zero, reversed(toeplitz[:i]), coeffs[:i])
-            for i, c in enumerate(coeffs + [zero])
+            c ^ _dot(reversed(toeplitz[:i]), coeffs[:i], dead)
+            for i, c in enumerate(coeffs + [_EMPTY])
         ]
         if k == split:
             block_det = coeffs[-1]
@@ -446,46 +486,56 @@ def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
 
         S(F) = a_ii S(F - {i}) + sum_j a_ij a_ji S(F - {i, j}),  S({}) = 1,
 
-    and det A = S({0, ..., m-1}).  S is memoized on the sets it meets.
+    and det A = S({0, ..., m-1}).  S is memoized on the sets it meets, and
+    a zero factor skips the sum it multiplies.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("involution-sum determinant needs a symmetric matrix")
-    grid = matrix.entries
-    memo = {(): matrix.context.one()}
+    grid, dead = matrix.monomials, matrix.context.dead
+    memo = {(): _ONE}
 
     def involution_sum(free):
         total = memo.get(free)
         if total is None:
             i, rest = free[0], free[1:]
-            total = grid[i][i] * involution_sum(rest)
+            row = grid[i]
+            total = _EMPTY
+            if row[i]:
+                total = _times(row[i], involution_sum(rest), dead)
             for t, j in enumerate(rest):
-                if not grid[i][j].is_zero():
-                    pair = grid[i][j] * grid[j][i]
-                    total = total + pair * involution_sum(rest[:t] + rest[t + 1:])
+                if row[j]:
+                    pair = _times(row[j], grid[j][i], dead)
+                    if pair:
+                        total ^= _times(
+                            pair, involution_sum(rest[:t] + rest[t + 1:]), dead
+                        )
             memo[free] = total
         return total
 
-    return involution_sum(tuple(range(matrix.m)))
+    return _element(matrix.context, involution_sum(tuple(range(matrix.m))))
 
 
 def clean(matrix: QuotMatrix) -> QuotMatrix:
     """Replace off-diagonal entries by their absolute values; idempotent."""
-    updates = {
-        (i, j): _absolute(e)
-        for i, row in enumerate(matrix.entries)
-        for j, e in enumerate(row)
-        if i != j and not e.is_constant()
-    }
-    return matrix.replace(updates) if updates else matrix
+    dead = matrix.context.dead
+    grid = tuple(
+        tuple(a if i == j else _absolute(a, dead) for j, a in enumerate(row))
+        for i, row in enumerate(matrix.monomials)
+    )
+    if grid == matrix.monomials:
+        return matrix
+    return _matrix(matrix.context, matrix.split, grid)
 
 
-def _add(grid, i: int, j: int, alpha: QuotElement) -> None:
+def _add(grid, i: int, j: int, alpha: frozenset, dead: int) -> None:
     """Row update R_j += alpha R_i, then the column update, in place."""
     row_i, row_j = grid[i], grid[j]
-    for t, e in enumerate(row_i):
-        row_j[t] = row_j[t] + alpha * e
+    for t, a in enumerate(row_i):
+        if a:
+            row_j[t] ^= _times(alpha, a, dead)
     for row in grid:
-        row[j] = row[j] + alpha * row[i]
+        if row[i]:
+            row[j] ^= _times(alpha, row[i], dead)
 
 
 def add_transform(matrix: QuotMatrix, i: int, j: int,
@@ -494,9 +544,10 @@ def add_transform(matrix: QuotMatrix, i: int, j: int,
     m = matrix.m
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise BadIndices(f"bad ADD indices ({i}, {j})")
-    grid = [list(row) for row in matrix.entries]
-    _add(grid, i, j, alpha)
-    return clean(QuotMatrix(matrix.context, matrix.split, grid))
+    _check(matrix.context, alpha)
+    grid = [list(row) for row in matrix.monomials]
+    _add(grid, i, j, alpha.monomials, matrix.context.dead)
+    return clean(_matrix(matrix.context, matrix.split, grid))
 
 
 def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
@@ -505,32 +556,33 @@ def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
     Needs an invertible diagonal entry ``a_ii`` and constant off-diagonal
     entries (a CLEANed symmetric matrix).  Over GF(2) an invertible entry
     has |a_ii| = 1, so the ADD step for column j uses alpha = a_ij.  The
-    steps update one grid in place; the matrix stays clean outside row and
-    column j, so only those are CLEANed after each step.
+    steps update one grid of monomial sets in place; the matrix stays clean
+    outside row and column j, so only those are CLEANed after each step.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("ISOLATE needs a symmetric matrix")
     if not matrix.has_constant_off_diagonal():
         raise NotCleaned("ISOLATE needs constant off-diagonal entries")
-    if not matrix.entries[i][i].is_invertible():
+    if not matrix[i, i].is_invertible():
         raise NotInvertibleDiagonal(f"diagonal entry {i} is not invertible")
-    context, split = matrix.context, matrix.split
-    grid = [list(row) for row in matrix.entries]
+    context, split, dead = matrix.context, matrix.split, matrix.context.dead
+    grid = [list(row) for row in matrix.monomials]
     # the step for column j changes row i only in column j, so each a_ij
     # is still the input's when its turn comes
-    for j, alpha in enumerate(matrix.entries[i]):
-        if j == i or alpha.is_zero():
+    for j, alpha in enumerate(matrix.monomials[i]):
+        if j == i or not alpha:
             continue
-        _add(grid, i, j, alpha)
+        _add(grid, i, j, alpha, dead)
         row_j = grid[j]
         for t, row in enumerate(grid):
             if t != j:
-                row_j[t] = _absolute(row_j[t])
-                row[j] = _absolute(row[j])
+                row_j[t] = _absolute(row_j[t], dead)
+                row[j] = _absolute(row[j], dead)
         if trace is not None:
-            trace.append((f"add i={i + 1} j={j + 1} alpha={alpha}",
-                          QuotMatrix(context, split, grid)))
-    return QuotMatrix(context, split, grid)
+            trace.append((f"add i={i + 1} j={j + 1} "
+                          f"alpha={_element(context, alpha)}",
+                          _matrix(context, split, grid)))
+    return _matrix(context, split, grid)
 
 
 def is_ring_realizer(matrix: QuotMatrix, r: QuotElement) -> bool:
@@ -563,16 +615,17 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
     Every intermediate matrix stays a clean realizer of r.
     """
     if not is_ring_realizer(matrix, r):
-        raise NotARealizer("input does not realize the claimed element")
+        raise NotARealizer("input matrix is not a realizer of r")
+    dead = matrix.context.dead
     work = clean(matrix)
     if trace is not None and work is not matrix:
         trace.append(("clean", work))
     while work.m > 2:
         k = work.split
-        diag = [(t, work.entries[t][t]) for t in range(k, work.m)]
+        diag = [(t, work.monomials[t][t]) for t in range(k, work.m)]
         invertible = [
-            t for t, e in diag if e.is_invertible() and not e.is_constant()
-        ] or [t for t, e in diag if e.is_invertible()]
+            t for t, a in diag if _parity(a, dead) and not a <= _ONE
+        ] or [t for t, a in diag if _parity(a, dead)]
         if invertible:
             t = invertible[0]
             work = isolate(work, t, trace=trace)
@@ -582,10 +635,9 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
             if trace is not None:
                 trace.append((f"delete i={t + 1}", work))
             continue
-        nonzero = [t for t, e in diag if not e.is_zero()]
+        nonzero = [t for t, a in diag if a]
         if nonzero:
-            t = nonzero[0]
-            work = _augment(work, t, trace)
+            work = _augment(work, nonzero[0], trace)
             continue
         # all (2,2) diagonals zero: det(A22) is a constant, read off r
         det_all, det_block = work.dets()
@@ -593,9 +645,7 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
         if trace is not None:
             trace.append((f"read off det/det22 = {value}", work))
         return value
-    l1 = work.entries[0][0]
-    c = work.entries[0][1]
-    l2 = work.entries[1][1]
+    l1, c, l2 = work[0, 0], work[0, 1], work[1, 1]
     value = l1 + c * c * l2.inverse()
     if trace is not None:
         trace.append((f"base case 2x2 = {value}", work))
@@ -611,35 +661,23 @@ def _augment(matrix: QuotMatrix, index: int, trace) -> QuotMatrix:
     """
     ctx = matrix.context
     k = matrix.split
+    grid = [list(row) for row in matrix.monomials]
     if index != k:
-        grid = [list(row) for row in matrix.entries]
         grid[index], grid[k] = grid[k], grid[index]
         for row in grid:
             row[index], row[k] = row[k], row[index]
-        matrix = QuotMatrix(ctx, k, grid)
         if trace is not None:
-            trace.append((f"swap i={index + 1} with i={k + 1}", matrix))
-    m = matrix.m
-    zero, one = ctx.zero(), ctx.one()
-    grid = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            if i == k and j == k:
-                row.append(one)
-            elif i == k:
-                row.append(one if j == k + 1 else zero)
-            elif j == k:
-                row.append(one if i == k + 1 else zero)
-            else:
-                si = i if i < k else i - 1
-                sj = j if j < k else j - 1
-                value = matrix.entries[si][sj]
-                if si == k and sj == k:
-                    value = value + one
-                row.append(value)
-        grid.append(row)
-    out = QuotMatrix(ctx, k, grid)
+            trace.append((f"swap i={index + 1} with i={k + 1}",
+                          _matrix(ctx, k, grid)))
+    # the new row and column k: a 1 on the diagonal, hooked by a 1 to the
+    # bumped entry, whose diagonal gains a 1
+    grid[k][k] ^= _ONE
+    hook = [_EMPTY] * (len(grid) + 1)
+    hook[k] = hook[k + 1] = _ONE
+    for i, row in enumerate(grid):
+        row.insert(k, hook[i if i < k else i + 1])
+    grid.insert(k, hook)
+    out = _matrix(ctx, k, grid)
     if trace is not None:
         trace.append((f"augment i={k + 1}", out))
     out = isolate(out, k + 1, trace=trace)

@@ -308,20 +308,24 @@ def realize_br(f: RationalMatrix) -> RealizationResult:
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
+    m, build = _br_plan(f)
+    require_size(m, "the realization")
+    return RealizationResult(op_shrink(build(), check=False),
+                             RealizationKind.BR, f)
+
+
+def _br_plan(f: RationalMatrix):
+    """``(m, build)``: the construction :func:`realize_br` takes for the
+    square F, as its exact m before the shrink and a function that builds
+    it."""
     if f.rows == 1:
         entry = f.entries[0][0]
-        require_size(1 + _entry_rows(entry), "the realization")
-        pencil = _br_entry(entry)
-    else:
-        q, grid = _shared_denominator(f)
-        entrywise, shared = _entrywise_size(f), _shared_size(q, grid)
-        require_size(min(entrywise, shared), "the realization")
-        if entrywise < shared:
-            pencil = _br_entrywise(f)
-        else:
-            pencil = _br_shared(q, grid)
-    return RealizationResult(op_shrink(pencil, check=False),
-                             RealizationKind.BR, f)
+        return 1 + _entry_rows(entry), lambda: _br_entry(entry)
+    q, grid = _shared_denominator(f)
+    entrywise, shared = _entrywise_size(f), _shared_size(q, grid)
+    if entrywise < shared:
+        return entrywise, lambda: _br_entrywise(f)
+    return shared, lambda: _br_shared(q, grid)
 
 
 def _homogeneous_pairs(f: RationalMatrix):
@@ -592,7 +596,9 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     n <= 1 that pencil is built from even/odd powers of z1.  In
     characteristic 2 with n >= 2 every diagonal entry must first pass the
     parity test, whose certificate builds the pencil; the first failure
-    raises :class:`NotRealizableChar2`.
+    raises :class:`NotRealizableChar2`.  Either path checks its predicted
+    size against ``MAX_PENCIL_SIZE`` before building: the symmetric pencil
+    of G has 2 m - k rows for G's BR pencil of m rows.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -601,7 +607,10 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     d, n = f.descriptor, f.n_vars
     if n >= 2 and d.characteristic != 2:
         half = d.inv(d.add(d.one, d.one))
-        g = realize_br(_doubled_upper(f)).pencil
+        m, build = _br_plan(_doubled_upper(f))
+        # op_symmetrize doubles G's pencil less its k outer rows
+        require_size(2 * m - f.rows, "the realization")
+        g = op_shrink(build(), check=False)
         pencil = op_scale(op_symmetrize(g, check=False), half, check=False)
     else:
         diagonal = [f.entries[i][i] for i in range(f.rows)]

@@ -370,6 +370,36 @@ def test_reduce_rejects_wrong_r(capsys):
     assert "not a realizer" in err
 
 
+def test_reduce_rejects_matrix_literal_cells(tmp_path, capsys):
+    # the (1,1) entry of a matrix literal was once taken silently
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"split": 1, "entries": [
+        ["[[z1, 1],[1, 0]]", "1"], ["1", "z2"],
+    ]}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+        "--matrix", str(path), "--r", "z1+1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2x2 matrix" in err
+
+
+def test_reduce_rejects_matrix_literal_r(capsys):
+    code, out, err = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+        "--matrix", str(FIXTURES / "ring_3x3_ell11.json"),
+        "--r", "[[z1+1, 5],[1,1]]",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2x2 matrix" in err
+    # a 1x1 literal is a scalar
+    code, out, _ = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+        "--matrix", str(FIXTURES / "ring_3x3_ell11.json"), "--r", "[[z1]]",
+    )
+    assert (code, out) == (0, "reduced: z1\n")
+
+
 def test_reduce_decides_realizer_once(monkeypatch, capsys):
     import ratpencil.cli as cli
     import ratpencil.quotring as quotring
@@ -524,4 +554,94 @@ def test_verify_survives_generated_pencil_files(text, expr, kind):
                          "--kind", kind])
     assert code in (0, 1, 2)
     if code == 2:
+        assert stderr.getvalue().startswith("error: ")
+
+
+_RING_CELLS = st.sampled_from(["0", "1", "z1", "z2", "z1+1", "z1+z2", "-z1"])
+_BAD_CELLS = st.sampled_from(
+    ["[[z1, 1],[1, 0]]", "[[z1]]", "[[z1, 1]]", "z1/z2", "1/0", "1/(z1+z1)",
+     "z3", "z0", "z1^2", "z1*z2", "(z1", "", "x", "2", "z1^99999999",
+     "9" * 5000, "(" * 3000 + "z1" + ")" * 3000]
+)
+_BAD_ELLS = st.one_of(
+    st.sampled_from(["1", "", "0,1,1", "2,0", "1/0,1", ",", "x,1", "-1,1"]),
+    st.text(max_size=5),
+)
+# (matrix file, ell, r) of realizers, so that some inputs reduce
+_RING_FIXTURES = [("ring_3x3_ell00.json", "0,0", "0"),
+                  ("ring_3x3_ell11.json", "1,1", "z1"),
+                  ("ring_4x4_ell00.json", "0,0", "0"),
+                  ("ring_9x9_ell10.json", "1,0", "z1")]
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """``(matrix text, field, ell, r)`` for ``ratpencil reduce``.
+
+    The matrix is a ring fixture or a symmetric grid of ring cells.  At
+    most one of its cells or keys is replaced by a bad literal, a matrix
+    literal or any JSON value, a row is made ragged, ``split`` is drawn out
+    of range, or the whole document is replaced, deeply nested included.
+    The field, ell and r are each replaced by a bad one now and then."""
+    fixture = draw(st.sampled_from(_RING_FIXTURES + [None] * 2))
+    if fixture is None:
+        m = draw(st.integers(2, 4))
+        cells = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                cells[i][j] = cells[j][i] = draw(_RING_CELLS)
+        doc = {"split": draw(st.integers(1, m - 1)), "entries": cells}
+        ell = draw(st.sampled_from(["0,0", "1,1", "1,0", "0,1"]))
+        r = draw(_RING_CELLS)
+    else:
+        name, ell, r = fixture
+        doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+        cells, m = doc["entries"], len(doc["entries"])
+    corrupt = draw(st.sampled_from(
+        [None, None, None, "cell", "cell", "ragged", "split", "entries",
+         "document", "deep"]
+    ))
+    if corrupt == "cell":
+        cells[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] = draw(
+            st.one_of(_BAD_CELLS, _JSON)
+        )
+    elif corrupt == "ragged":
+        row = cells[draw(st.integers(0, m - 1))]
+        row.append("0") if draw(st.booleans()) else row.pop()
+    elif corrupt == "split":
+        doc["split"] = draw(st.one_of(st.integers(-2, m + 2), _JSON))
+    elif corrupt == "entries":
+        doc["entries"] = draw(_JSON)
+    elif corrupt == "document":
+        doc = draw(_JSON)
+    text = json.dumps(doc)
+    if corrupt == "deep":
+        depth = draw(st.sampled_from([50, 1500, 5000]))
+        text = '{"split": 1, "entries": ' + "[" * depth + "]" * depth + "}"
+    field = draw(st.sampled_from(["gf2"] * 6 + ["q", "gf:3", "gf:x"]))
+    if draw(st.integers(0, 5)) == 0:
+        ell = draw(_BAD_ELLS)
+    if draw(st.integers(0, 5)) == 0:
+        r = draw(st.one_of(_BAD_CELLS, st.text(max_size=6)))
+    return text, field, ell, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduce_inputs(), st.booleans())
+def test_reduce_survives_generated_inputs(inputs, trace):
+    text, field, ell, r = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["reduce", "--field", field, f"--ell={ell}",
+                "--matrix", str(path), "--r", r] + ["--trace"] * trace
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2)  # reduce has no verified-failure outcome
+    if code == 0:
+        assert stdout.getvalue().splitlines()[-1].startswith("reduced: ")
+    else:
+        assert "Traceback" not in stderr.getvalue()
         assert stderr.getvalue().startswith("error: ")

@@ -2,11 +2,13 @@
 ring realizers, and the reduction pipeline."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ratpencil.quotring as quotring
 from ratpencil.errors import (
     NotARealizer,
     NotInvertible,
@@ -18,7 +20,6 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.poly import Polynomial
 from ratpencil.quotring import (
     QuotContext,
-    QuotElement,
     QuotMatrix,
     add_transform,
     clean,
@@ -193,6 +194,35 @@ def test_inverse_examples():
         ctx0.variable(0).inverse()
 
 
+def test_pow_rejects_negative_exponents():
+    # both elements square to 0, so no negative power exists; -1 once gave 1
+    ctx = _ctx(2, [1, 0])
+    for r in (ctx.variable(0) + ctx.one(), ctx.variable(1)):
+        assert r * r == ctx.zero()
+        with pytest.raises(ValueError):
+            r ** -1
+
+
+def test_pow_matches_product_fold(rng):
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        ctx = _ctx(n, [rng.randrange(2) for _ in range(n)])
+        r = ctx.project(random_poly(rng, G2, n, max_deg=3, max_terms=4))
+        fold = ctx.one()
+        for e in range(9):
+            assert r ** e == fold
+            fold = fold * r
+
+
+def test_pow_squares_instead_of_looping():
+    ctx = _ctx(3, [1, 0, 1])
+    r = ctx.variable(0) + ctx.variable(2) + ctx.one()
+    start = time.perf_counter()
+    assert r ** 10**18 == r ** 2
+    assert r ** (10**18 + 1) == r ** 3
+    assert time.perf_counter() - start < 1.0
+
+
 def _poly_det_cofactor(grid):
     m = len(grid)
     if m == 1:
@@ -341,13 +371,13 @@ def test_det_multiplications_grow_polynomially(monkeypatch):
     matrix = QuotMatrix(ctx, 1, grid)
     expected = det_involution_sum(matrix)
     calls = []
-    original = QuotElement.__mul__
+    original = quotring._times
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(None)
-        return original(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(QuotElement, "__mul__", counting)
+    monkeypatch.setattr(quotring, "_times", counting)
     assert matrix.det() == expected
     # about 2000 products here; enumerating 10! permutations needs millions
     assert 0 < len(calls) <= 10**4
@@ -367,13 +397,13 @@ def test_involution_sum_expands_instead_of_enumerating(monkeypatch):
     matrix = QuotMatrix(ctx, 1, grid)
     expected = matrix.det()
     calls = []
-    original = QuotElement.__mul__
+    original = quotring._times
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(None)
-        return original(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(QuotElement, "__mul__", counting)
+    monkeypatch.setattr(quotring, "_times", counting)
     assert det_involution_sum(matrix) == expected
     assert 0 < len(calls) <= 10**4
 

@@ -5,12 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ratpencil.pencil as pencil_module
 import ratpencil.realize as realize_module
 from ratpencil.combinators import op_shrink
 from ratpencil.errors import (
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
     NotSymmetric,
+    PencilTooLarge,
     TooFewVariables,
     WrongCharacteristic,
 )
@@ -156,6 +158,21 @@ def test_symmetric_diagonal_rows_are_bounded(rand, d):
         h_pencil = realize_module._sbr_from_certificate(cert, d, n)
     pencil = realize_module._sbr_scalar(g, h_pencil)
     assert pencil.m - 1 <= realize_module._sbr_scalar_rows(g, h)
+
+
+def test_symmetrized_size_is_checked_before_building(monkeypatch):
+    # away from characteristic 2, realize_sbr builds G's BR pencil and then
+    # a symmetric one of 2 m_G - k rows; the second is bounded too
+    z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
+    f = RationalMatrix([[z1 * z2 + z2, z1], [z1, z2]])
+    g = realize_module._doubled_upper(f)
+    m_g, _ = realize_module._br_plan(g)
+    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m_g)
+    realize_br(g)  # G fits
+    with pytest.raises(PencilTooLarge, match="more than the limit"):
+        realize_sbr(f)
+    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", 2 * m_g - 2)
+    _check(realize_sbr(f))
 
 
 # ---------------------------------------------------------------------------
