@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     PencilTooLarge,
     RatPencilError,
+    RingTooLarge,
     SingularBlock,
     SingularMatrix,
     SingularSchurComplement,

@@ -17,7 +17,7 @@ from .expr import parse_expression
 from .fields import parse_field
 from .pencil import LinearPencil, RealizationKind
 from .poly import Polynomial
-from .quotring import QuotContext, QuotMatrix, reduce_realizer
+from .quotring import QuotContext, QuotMatrix, reduce_realizer, require_ring_size
 from .realize import (
     Char2Certificate,
     decide_and_realize_hsbr,
@@ -52,8 +52,17 @@ def _print(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _field(args):
+    """The descriptor that ``--field`` names; a bad one is an input error
+    that names the option."""
+    try:
+        return parse_field(args.field)
+    except ValueError as exc:
+        raise RatPencilError(f"--field: {exc}") from None
+
+
 def _cmd_realize(args) -> int:
-    descriptor = parse_field(args.field)
+    descriptor = _field(args)
     text = args.expr
     if text is None:
         with open(args.infile, "r", encoding="utf-8") as handle:
@@ -101,7 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    descriptor = parse_field(args.field)
+    descriptor = _field(args)
     target = parse_expression(args.expr, descriptor, args.nvars)
     if args.kind == "sbr":
         decision = decide_sbr(target)
@@ -134,7 +143,7 @@ def _polynomial_arg(text, descriptor, n_vars, what) -> Polynomial:
 
 
 def _cmd_reduce(args) -> int:
-    descriptor = parse_field(args.field)
+    descriptor = _field(args)
     ell = [descriptor.parse_value(part) for part in args.ell.split(",")]
     context = QuotContext(descriptor, len(ell), ell)
     with open(args.matrix, "r", encoding="utf-8") as handle:
@@ -147,6 +156,7 @@ def _cmd_reduce(args) -> int:
         raise RatPencilError(
             "matrix JSON must be an object whose 'entries' is a list of rows"
         )
+    require_ring_size(len(rows), "the matrix file")
     split = doc.get("split", 1)
     if type(split) is not int or any(
         not isinstance(cell, str) for row in rows for cell in row
@@ -249,7 +259,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except NotRealizableChar2 as exc:
         cert = exc.certificate
-        descriptor = parse_field(args.field) if hasattr(args, "field") else None
+        descriptor = _field(args) if hasattr(args, "field") else None
         doc = {"verdict": "not_realizable", "diagonal": exc.diagonal}
         if cert.offending_monomial is not None and descriptor is not None:
             doc["offending_monomial"] = _monomial_text(

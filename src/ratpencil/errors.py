@@ -45,6 +45,12 @@ class PencilTooLarge(RatPencilError):
     ``pencil.MAX_PENCIL_SIZE``."""
 
 
+class RingTooLarge(RatPencilError):
+    """A quotient-ring matrix is larger than ``quotring.MAX_RING_SIZE``, or
+    its involution sum meets more than ``quotring.MAX_INVOLUTION_SETS``
+    index sets."""
+
+
 class BlockSizeMismatch(DimensionMismatch):
     """Two pencils disagree on the size of the (1,1) block."""
 

@@ -29,19 +29,34 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 
 
+# the largest modulus GF(p) accepts: below 3.18e23 Miller-Rabin with the
+# first twelve prime bases is an exact primality test
+MAX_MODULUS = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS = re.compile(r"gf:([0-9]+)")
+FIELD_GRAMMAR = "q | gf2 | gf:p with p a prime of at most 2^64"
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic trial division; moduli at desk scale are tiny.
+    """Deterministic Miller-Rabin for ``n <= MAX_MODULUS``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -55,6 +70,10 @@ class FieldDescriptor:
             if modulus is not None:
                 raise ValueError("rationals take no modulus")
         elif kind == PRIME_FIELD:
+            if isinstance(modulus, int) and modulus > MAX_MODULUS:
+                raise ValueError(
+                    f"modulus {modulus} is larger than the limit 2^64"
+                )
             if not isinstance(modulus, int) or not _is_prime(modulus):
                 raise ValueError(f"modulus must be prime, got {modulus!r}")
         else:
@@ -209,15 +228,27 @@ def prime_field(p: int) -> FieldDescriptor:
 
 
 def parse_field(text: str) -> FieldDescriptor:
-    """Parse the descriptor strings ``q``, ``gf:p``, and the alias ``gf2``."""
+    """Parse the descriptor strings ``q``, ``gf:p``, and the alias ``gf2``.
+
+    ``p`` is ASCII digits naming a prime of at most ``MAX_MODULUS``; any
+    other string is a ``ValueError`` that names the grammar.
+    """
     text = text.strip().lower()
     if text == "q":
         return rationals()
     if text == "gf2":
         return prime_field(2)
-    if text.startswith("gf:"):
-        return prime_field(int(text[3:]))
-    raise ValueError(f"unknown field descriptor {text!r}")
+    match = _MODULUS.fullmatch(text)
+    if match is None:
+        raise ValueError(
+            f"unknown field descriptor {text[:40]!r}; expected {FIELD_GRAMMAR}"
+        )
+    digits = match.group(1).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_MODULUS)):  # before int() meets a huge string
+        raise ValueError(
+            f"modulus {digits[:20]}... is larger than the limit 2^64"
+        )
+    return prime_field(int(digits))
 
 
 def characteristic(descriptor: FieldDescriptor) -> int:

@@ -31,13 +31,20 @@ transformations and the constructive reduction that squeezes a ring
 realizer down to its linear value.  ISOLATE works on one mutable grid: each
 ADD step changes only row and column j, so only those are CLEANed.
 
-The ring has zero divisors, so matrix determinants use Berkowitz's
-division-free algorithm (O(m^4) ring operations, no size limit); one walk
-gives both det A and det A22 (:meth:`QuotMatrix.dets`).  The
-involution sum :func:`det_involution_sum` is an independent second formula
-for symmetric matrices; realizer checks compare the two.  It expands along
-the smallest free index (fix it, or pair it with another) and memoizes the
-sums of the index sets it meets, so it never lists the involutions.
+The ring has zero divisors, so matrix determinants avoid division by
+anything but units, in two phases like ``elimination.sparse_determinant``
+(:meth:`QuotMatrix.dets`).  Phase 1 eliminates unit pivots of the (2,2)
+block: a unit is its own inverse, so a Schur step on it multiplies and adds
+only.  Phase 2 runs Berkowitz's division-free walk (O(m^4) ring operations)
+once on the remainder, which gives both det A and det A22; it is the only
+path for a block without units.  The involution sum
+:func:`det_involution_sum` is an independent second formula for symmetric
+matrices; realizer checks compare the two.  It expands along the smallest
+free index (fix it, or pair it with another) and memoizes the sums of the
+index sets it meets, so it never lists the involutions.  It recurses once
+per index and meets up to 2^m sets, so it refuses a matrix larger than
+``MAX_RING_SIZE`` and stops past ``MAX_INVOLUTION_SETS`` sets, each with a
+:class:`~ratpencil.errors.RingTooLarge` error.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .errors import (
     NotInvertibleDiagonal,
     NotLinearEntries,
     NotSymmetric,
+    RingTooLarge,
     WrongCharacteristic,
 )
 from .fields import FieldDescriptor, FieldElement
@@ -58,6 +66,19 @@ from .poly import BITS, Polynomial, from_packed, layout
 
 _EMPTY = frozenset()
 _ONE = frozenset({0})
+# the involution sum recurses once per index, and Berkowitz on a block
+# without units costs O(m^4) ring products
+MAX_RING_SIZE = 64
+# index sets that one involution sum may memoize: 2^m for a dense m x m
+MAX_INVOLUTION_SETS = 1 << 14
+
+
+def require_ring_size(m: int, what: str) -> None:
+    """Raise :class:`RingTooLarge` when ``m`` is past ``MAX_RING_SIZE``."""
+    if m > MAX_RING_SIZE:
+        raise RingTooLarge(
+            f"{what} has m = {m}, more than the limit {MAX_RING_SIZE}"
+        )
 
 
 class QuotContext:
@@ -390,9 +411,9 @@ class QuotMatrix:
         return self.dets()[1]
 
     def dets(self) -> tuple[QuotElement, QuotElement]:
-        """``(det A, det A22)`` from one Berkowitz walk."""
+        """``(det A, det A22)`` from one two-phase elimination (:func:`_dets`)."""
         ctx = self.context
-        det_all, det_block = _det_berkowitz(self.monomials, self.split, ctx.dead)
+        det_all, det_block = _dets(self.monomials, self.split, ctx.dead)
         return _element(ctx, det_all), _element(ctx, det_block)
 
     def delete_row_col(self, index: int) -> "QuotMatrix":
@@ -443,10 +464,63 @@ def _dot(xs, ys, dead: int) -> frozenset:
     return total
 
 
+def _unit_pivot(work, rows, cols, dead: int):
+    """The first unit (absolute value 1) of ``work`` in (row, column) order
+    over ``rows`` x ``cols``, as ``(p, q)``; None if there is none."""
+    for p in rows:
+        row = work[p]
+        for q in cols:
+            a = row[q]
+            if a and _parity(a, dead):
+                return p, q
+    return None
+
+
+def _dets(grid, split: int, dead: int) -> tuple[frozenset, frozenset]:
+    """Determinants of ``grid`` and of its trailing principal block from
+    row and column ``split`` on, in two phases.
+
+    Phase 1 eliminates unit pivots inside the block.  A unit u is its own
+    inverse (u^2 = |u|^2 = 1) and characteristic 2 has no signs, so the
+    Schur step a_xy += a_xq u a_py needs no division, even for a pivot off
+    the diagonal; the remaining rows and columns are kept apart for that.
+    The block of the Schur complement is the Schur complement of the
+    block, so both determinants gain the same factor u.  Phase 2 runs one
+    Berkowitz walk on the remainder, leading rows and columns first; a
+    block that phase 1 empties has determinant 1 there.  The absolute value
+    is a ring map onto GF(2), so phase 1 empties the block exactly when
+    det A22 is a unit, as it is in every realizer.
+    """
+    work = [list(row) for row in grid]
+    lead = list(range(split))
+    rows, cols = list(range(split, len(grid))), list(range(split, len(grid)))
+    units = _ONE
+    while (pivot := _unit_pivot(work, rows, cols, dead)) is not None:
+        p, q = pivot
+        rows.remove(p)
+        cols.remove(q)
+        row_p = work[p]
+        u = row_p[q]
+        units = _times(units, u, dead)
+        targets = [(y, row_p[y]) for y in lead + cols if row_p[y]]
+        for x in lead + rows:
+            row_x = work[x]
+            a = row_x[q]
+            if a:
+                a = _times(a, u, dead)
+                for y, b in targets:
+                    row_x[y] ^= _times(a, b, dead)
+    rows, cols = lead + rows, lead + cols
+    det_rest, det_block = _det_berkowitz(
+        [[work[x][y] for y in cols] for x in rows], split, dead
+    )
+    return _times(units, det_rest, dead), _times(units, det_block, dead)
+
+
 def _det_berkowitz(grid, split: int, dead: int) -> tuple[frozenset, frozenset]:
     """Division-free determinants (Berkowitz 1984) in O(m^4) ring
     operations: of ``grid`` and of its trailing principal block from row and
-    column ``split`` on.
+    column ``split`` on (1 when that block is empty).
 
     Walking up from the bottom-right corner, ``coeffs`` holds the
     characteristic polynomial of the trailing principal block S.  Adding
@@ -457,7 +531,7 @@ def _det_berkowitz(grid, split: int, dead: int) -> tuple[frozenset, frozenset]:
     top.  Only products and sums occur, so zero divisors do no harm, and
     every sign of the textbook form vanishes in characteristic 2.
     """
-    coeffs = [_ONE]
+    coeffs, block_det = [_ONE], _ONE
     for k in range(len(grid) - 1, -1, -1):
         block = [r[k + 1:] for r in grid[k + 1:]]
         row = grid[k][k + 1:]
@@ -487,10 +561,13 @@ def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
         S(F) = a_ii S(F - {i}) + sum_j a_ij a_ji S(F - {i, j}),  S({}) = 1,
 
     and det A = S({0, ..., m-1}).  S is memoized on the sets it meets, and
-    a zero factor skips the sum it multiplies.
+    a zero factor skips the sum it multiplies.  A matrix larger than
+    ``MAX_RING_SIZE``, and a sum that meets more than
+    ``MAX_INVOLUTION_SETS`` sets, raise :class:`RingTooLarge`.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("involution-sum determinant needs a symmetric matrix")
+    require_ring_size(matrix.m, "the involution-sum matrix")
     grid, dead = matrix.monomials, matrix.context.dead
     memo = {(): _ONE}
 
@@ -510,6 +587,11 @@ def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
                             pair, involution_sum(rest[:t] + rest[t + 1:]), dead
                         )
             memo[free] = total
+            if len(memo) > MAX_INVOLUTION_SETS:
+                raise RingTooLarge(
+                    f"the involution sum of a {matrix.m}x{matrix.m} matrix "
+                    f"meets more than {MAX_INVOLUTION_SETS} index sets"
+                )
         return total
 
     return _element(matrix.context, involution_sum(tuple(range(matrix.m))))
@@ -588,16 +670,18 @@ def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
 def is_ring_realizer(matrix: QuotMatrix, r: QuotElement) -> bool:
     """Does det(A) = r det(A22) hold with det(A22) invertible?
 
-    The Berkowitz determinant is cross-checked against the involution sum,
-    an independent formula that must agree for symmetric matrices in
-    characteristic 2.
+    The eliminated determinant is cross-checked against the involution
+    sum, an independent formula that must agree for symmetric matrices in
+    characteristic 2.  The sum runs first, so its limits stop an oversized
+    matrix before any elimination.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric("realizers are symmetric")
     if not matrix.has_linear_entries():
         raise NotLinearEntries("realizer entries must be linear")
+    det_sum = det_involution_sum(matrix)
     det_all, det_block = matrix.dets()
-    if det_all != det_involution_sum(matrix):
+    if det_all != det_sum:
         raise ArithmeticError("determinant formulas disagree")
     if not det_block.is_invertible():
         return False

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -122,6 +123,18 @@ def test_usage_errors_exit_two(capsys):
         capsys, "realize", "--field", "q", "--kind", "br", "--expr", "z1 + ("
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("field", ["gf:x", "gf:1000000000000000000000000000057"])
+def test_bad_field_modulus_exits_two_fast(capsys, field):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "decide", "--field", field, "--kind", "sbr", "--expr", "z1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: --field: ") and err.count("\n") == 1
+    assert "invalid literal" not in err
 
 
 def test_absurd_exponent_exits_two_fast(capsys):
@@ -452,6 +465,31 @@ def test_trailing_expression_option_without_value_exits_two(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def _dense_ring_file(path, m):
+    # diagonal z1+z2, off-diagonal entries 0/1 from a seeded generator: a
+    # dense symmetric matrix whose involution sum meets about 2^m index sets
+    rng = random.Random(1)
+    entries = [["z1+z2" if i == j else None for j in range(m)]
+               for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            entries[i][j] = entries[j][i] = str(rng.randrange(2))
+    path.write_text(json.dumps({"split": 1, "entries": entries}))
+
+
+@pytest.mark.parametrize("m,what", [(40, "index sets"), (65, "m = 65")])
+def test_reduce_limits_exit_two_fast(tmp_path, capsys, m, what):
+    # the 40x40 file once ran for more than 30 s
+    matrix = tmp_path / "matrix.json"
+    _dense_ring_file(matrix, m)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+                         "--matrix", str(matrix), "--r", "z1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and what in err
+
+
 def test_reduce_in_sixty_four_variables(tmp_path, capsys):
     # a representation sized by 2^n (dense tables over all monomials) could
     # not finish here; the monomial sets stay as small as the entries
@@ -567,6 +605,15 @@ _BAD_ELLS = st.one_of(
     st.sampled_from(["1", "", "0,1,1", "2,0", "1/0,1", ",", "x,1", "-1,1"]),
     st.text(max_size=5),
 )
+# `gf:` with digits, letters, signs, empty and huge values
+_FIELDS = st.one_of(
+    st.sampled_from(["gf:x", "gf:", "gf:-2", "gf:+2", "GF:2", " gf:2 ",
+                     "gf:02", "gf:0", "gf:1", "gf:4", "gf2x", "",
+                     "gf:18446744073709551557", "gf:18446744073709551629",
+                     "gf:1000000000000000000000000000057", "gf:" + "9" * 5000]),
+    st.text(alphabet="0123456789+-x_ ", max_size=30).map("gf:".__add__),
+    st.integers(0, 10**40).map("gf:{}".format),
+)
 # (matrix file, ell, r) of realizers, so that some inputs reduce
 _RING_FIXTURES = [("ring_3x3_ell00.json", "0,0", "0"),
                   ("ring_3x3_ell11.json", "1,1", "z1"),
@@ -618,7 +665,8 @@ def _reduce_inputs(draw):
     if corrupt == "deep":
         depth = draw(st.sampled_from([50, 1500, 5000]))
         text = '{"split": 1, "entries": ' + "[" * depth + "]" * depth + "}"
-    field = draw(st.sampled_from(["gf2"] * 6 + ["q", "gf:3", "gf:x"]))
+    field = draw(st.one_of(st.sampled_from(["gf2"] * 6 + ["q", "gf:3"]),
+                           _FIELDS))
     if draw(st.integers(0, 5)) == 0:
         ell = draw(_BAD_ELLS)
     if draw(st.integers(0, 5)) == 0:

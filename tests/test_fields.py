@@ -1,5 +1,7 @@
 """Field arithmetic: canonical forms, axioms, characteristic queries."""
 
+import time
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -10,8 +12,10 @@ from ratpencil.errors import (
     FieldLiteralError,
 )
 from ratpencil.fields import (
+    MAX_MODULUS,
     FieldDescriptor,
     FieldElement,
+    _is_prime,
     accumulate,
     characteristic,
     field_arith,
@@ -36,6 +40,48 @@ def test_modulus_must_be_prime():
         prime_field(1)
     prime_field(2)
     prime_field(97)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_primality_near_the_modulus_limit():
+    # strong pseudoprimes to the bases 2..7 and 2..23, a Carmichael
+    # number and 2^64 - 1; 2^64 - 59 is the largest prime below 2^64
+    for n in (3215031751, 3825123056546413051, 561, 2**64 - 1):
+        assert not _is_prime(n)
+    assert _is_prime(2**64 - 59) and _is_prime(2**61 - 1)
+    assert prime_field(2**64 - 59).modulus == 2**64 - 59
+    with pytest.raises(ValueError, match="2\\^64"):
+        prime_field(MAX_MODULUS + 13)
+
+
+@pytest.mark.parametrize("text", [
+    "gf:x", "gf:", "gf:-7", "gf:+7", "gf: 7", "gf:7.0", "gf:\u0663", "gf7",
+    "gf:4", "gf:1", "gf:0", "gf:18446744073709551629",
+    "gf:1000000000000000000000000000057", "gf:" + "9" * 5000,
+])
+def test_bad_field_descriptors_name_the_grammar(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        parse_field(text)
+    assert time.perf_counter() - start < 0.1
+    message = str(info.value)
+    assert "q | gf2 | gf:p" in message or "2^64" in message or "prime" in message
+    assert len(message) < 200
+
+
+def test_field_descriptor_spellings():
+    assert parse_field(" GF:7 ") == prime_field(7)
+    assert parse_field("gf:007") == prime_field(7)
+    assert parse_field("gf:18446744073709551557") == prime_field(2**64 - 59)
 
 
 def test_characteristic():

@@ -1,6 +1,7 @@
 """Quotient-ring machinery: normal forms, absolute values, CLEAN/ADD/ISOLATE,
 ring realizers, and the reduction pipeline."""
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ from ratpencil.errors import (
     NotARealizer,
     NotInvertible,
     NotInvertibleDiagonal,
+    RingTooLarge,
     WrongCharacteristic,
 )
 from ratpencil.expr import parse_expression
@@ -255,6 +257,105 @@ def test_projection_commutes_with_det(rng):
         det22 = ctx.project(_poly_det_cofactor(block))
         assert projected.det() == det and projected.det22() == det22
         assert projected.dets() == (det, det22)
+
+
+def _with_abs(ctx, p, value):
+    """``p``, plus 1 if needed so that its absolute value is ``value``."""
+    if ctx.project(p).is_invertible() != value:
+        p = p + Polynomial.one(G2, ctx.n_vars)
+    return p
+
+
+@pytest.mark.parametrize("regime", ["no unit", "diagonal units", "mixed"])
+def test_two_phase_dets_match_berkowitz_and_cofactor(rng, monkeypatch, regime):
+    # "no unit": every (2,2) entry has |a| = 0, so phase 2 gets the whole
+    # grid; "diagonal units": |A22| is the identity, so phase 1 empties the
+    # block; "mixed": random entries
+    berkowitz = quotring._det_berkowitz
+    remainders = []
+
+    def recording(grid, split, dead):
+        remainders.append(len(grid))
+        return berkowitz(grid, split, dead)
+
+    monkeypatch.setattr(quotring, "_det_berkowitz", recording)
+    partial = 0
+    for n in (1, 2, 3):
+        for ell in itertools.product((0, 1), repeat=n):
+            ctx = _ctx(n, ell)
+            for m in (2, 3, 4, 5):
+                for split in range(1, m):
+                    grid = [
+                        [random_poly(rng, G2, n, max_deg=2, max_terms=2)
+                         for _ in range(m)]
+                        for _ in range(m)
+                    ]
+                    for i, j in itertools.product(range(split, m), repeat=2):
+                        if regime != "mixed":
+                            grid[i][j] = _with_abs(
+                                ctx, grid[i][j],
+                                regime == "diagonal units" and i == j,
+                            )
+                    matrix = QuotMatrix.from_polynomials(ctx, split, grid)
+                    remainders.clear()
+                    dets = matrix.dets()
+                    assert tuple(d.monomials for d in dets) == berkowitz(
+                        matrix.monomials, split, ctx.dead
+                    )
+                    block = [row[split:] for row in grid[split:]]
+                    assert dets == (ctx.project(_poly_det_cofactor(grid)),
+                                    ctx.project(_poly_det_cofactor(block)))
+                    if regime == "no unit":
+                        assert remainders == [m]
+                    elif regime == "diagonal units":
+                        assert remainders == [split]
+                    else:
+                        partial += split < remainders[0] < m
+    # mixed grids also stop phase 1 part-way
+    assert (partial > 0) == (regime == "mixed")
+
+
+def test_dets_take_off_diagonal_unit_pivots():
+    # with ell = (1, 0), z1*z2 is no unit, so the first unit of the block
+    # is the 1 at (1, 2); det A22 = z1^2 z2 = z2
+    ctx = _ctx(2, [1, 0])
+    z1, z2, zero, one = ctx.variable(0), ctx.variable(1), ctx.zero(), ctx.one()
+    matrix = QuotMatrix(
+        ctx, 1, [[zero, one, zero], [zero, z1 * z2, one], [zero, zero, z1]]
+    )
+    assert matrix.dets() == (zero, z2)
+    assert matrix.det22() == z2
+
+
+def test_involution_sum_limits():
+    ctx = _ctx(2, [1, 1])
+    zero, one = ctx.zero(), ctx.one()
+
+    def identity(m):
+        return QuotMatrix(
+            ctx, 1, [[one if i == j else zero for j in range(m)]
+                     for i in range(m)]
+        )
+
+    largest = identity(quotring.MAX_RING_SIZE)
+    assert det_involution_sum(largest) == one
+    assert is_ring_realizer(largest, one)
+    oversized = identity(quotring.MAX_RING_SIZE + 1)
+    assert oversized.dets() == (one, one)
+    with pytest.raises(RingTooLarge):
+        det_involution_sum(oversized)
+    with pytest.raises(RingTooLarge):
+        is_ring_realizer(oversized, one)
+    # a dense 24x24 meets about 2^23 index sets
+    diagonal = ctx.variable(0) + ctx.variable(1)
+    dense = QuotMatrix(
+        ctx, 1, [[diagonal if i == j else one for j in range(24)]
+                 for i in range(24)]
+    )
+    start = time.perf_counter()
+    with pytest.raises(RingTooLarge, match="index sets"):
+        det_involution_sum(dense)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_clean_examples():
