@@ -17,7 +17,12 @@ from .expr import parse_expression
 from .fields import parse_field
 from .pencil import LinearPencil, RealizationKind
 from .poly import Polynomial
-from .quotring import QuotContext, QuotMatrix, reduce_realizer, require_ring_size
+from .quotring import (
+    QuotContext,
+    QuotMatrix,
+    reduce_realizer,
+    require_ring_size,
+)
 from .realize import (
     Char2Certificate,
     decide_and_realize_hsbr,

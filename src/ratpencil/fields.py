@@ -33,8 +33,6 @@ PRIME_FIELD = "prime_field"
 # first twelve prime bases is an exact primality test
 MAX_MODULUS = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MODULUS = re.compile(r"gf:([0-9]+)")
-FIELD_GRAMMAR = "q | gf2 | gf:p with p a prime of at most 2^64"
 
 
 def _is_prime(n: int) -> bool:
@@ -238,12 +236,13 @@ def parse_field(text: str) -> FieldDescriptor:
         return rationals()
     if text == "gf2":
         return prime_field(2)
-    match = _MODULUS.fullmatch(text)
-    if match is None:
+    digits = text[3:] if text.startswith("gf:") else ""
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(
-            f"unknown field descriptor {text[:40]!r}; expected {FIELD_GRAMMAR}"
+            f"unknown field descriptor {text[:40]!r}; expected "
+            "q | gf2 | gf:p with p a prime of at most 2^64"
         )
-    digits = match.group(1).lstrip("0") or "0"
+    digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(MAX_MODULUS)):  # before int() meets a huge string
         raise ValueError(
             f"modulus {digits[:20]}... is larger than the limit 2^64"

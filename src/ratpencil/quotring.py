@@ -411,7 +411,7 @@ class QuotMatrix:
         return self.dets()[1]
 
     def dets(self) -> tuple[QuotElement, QuotElement]:
-        """``(det A, det A22)`` from one two-phase elimination (:func:`_dets`)."""
+        """``(det A, det A22)`` from one two-phase elimination."""
         ctx = self.context
         det_all, det_block = _dets(self.monomials, self.split, ctx.dead)
         return _element(ctx, det_all), _element(ctx, det_block)

@@ -125,7 +125,9 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["gf:x", "gf:1000000000000000000000000000057"])
+@pytest.mark.parametrize(
+    "field", ["gf:x", "gf:1000000000000000000000000000057"]
+)
 def test_bad_field_modulus_exits_two_fast(capsys, field):
     start = time.perf_counter()
     code, out, err = run(
@@ -610,7 +612,8 @@ _FIELDS = st.one_of(
     st.sampled_from(["gf:x", "gf:", "gf:-2", "gf:+2", "GF:2", " gf:2 ",
                      "gf:02", "gf:0", "gf:1", "gf:4", "gf2x", "",
                      "gf:18446744073709551557", "gf:18446744073709551629",
-                     "gf:1000000000000000000000000000057", "gf:" + "9" * 5000]),
+                     "gf:1000000000000000000000000000057",
+                     "gf:" + "9" * 5000]),
     st.text(alphabet="0123456789+-x_ ", max_size=30).map("gf:".__add__),
     st.integers(0, 10**40).map("gf:{}".format),
 )

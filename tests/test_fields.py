@@ -72,9 +72,9 @@ def test_bad_field_descriptors_name_the_grammar(text):
     start = time.perf_counter()
     with pytest.raises(ValueError) as info:
         parse_field(text)
-    assert time.perf_counter() - start < 0.1
+    assert time.perf_counter() - start < 1.0
     message = str(info.value)
-    assert "q | gf2 | gf:p" in message or "2^64" in message or "prime" in message
+    assert any(part in message for part in ("q | gf2 | gf:p", "2^64", "prime"))
     assert len(message) < 200
 
 
