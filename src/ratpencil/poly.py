@@ -478,6 +478,17 @@ class Polynomial:
         degs = {k >> shift for k in self.packed}
         return degs.pop() if len(degs) == 1 else None
 
+    def above(self, degree: int) -> "Polynomial":
+        """The terms of total degree more than ``degree``, in their order."""
+        cut = (degree + 1) << BITS * self.n_vars
+        packed = {k: v for k, v in self.packed.items() if k >= cut}
+        if len(packed) == len(self.packed):
+            return self
+        d, n = self.descriptor, self.n_vars
+        if d.modulus:
+            return from_packed(d, n, packed)
+        return _over_q(d, n, packed, self.denom)
+
     def graded_components(self) -> dict[int, "Polynomial"]:
         shift = BITS * self.n_vars
         buckets: dict[int, dict] = {}

@@ -12,11 +12,14 @@ monomials.  A :class:`QuotElement` stores that set as a frozenset of
 bitmasks, bit i meaning that z_i appears.  A sum is the symmetric
 difference.  A product toggles ``x ^ y`` for each pair of monomials, except
 the pairs that share a variable with ell_i = 0, whose square is zero (the
-context's ``dead`` mask).  The absolute value, the normal form at ell, is
-the parity of the monomials that avoid ``dead``, and r^2 = |r|^2 makes an
-invertible element its own inverse.  Polynomials appear only at the
-boundary: :meth:`QuotContext.project` maps one in, and the ``nf`` property
-builds the normal-form polynomial back.
+context's ``dead`` mask).  A product of k linear forms in n variables can
+hold 2^n monomials, so a product of more than ``MAX_PRODUCT_PAIRS`` pairs
+is refused with :class:`~ratpencil.errors.RingTooLarge` before it is
+formed.  The absolute value, the normal form at ell, is the parity of the
+monomials that avoid ``dead``, and r^2 = |r|^2 makes an invertible element
+its own inverse.  Polynomials appear only at the boundary:
+:meth:`QuotContext.project` maps one in, and the ``nf`` property builds the
+normal-form polynomial back.
 
 The arithmetic runs on the monomial sets themselves: one product kernel
 ``_times`` (with the sum ``^``) serves the element operators, both
@@ -71,6 +74,8 @@ _ONE = frozenset({0})
 MAX_RING_SIZE = 64
 # index sets that one involution sum may memoize: 2^m for a dense m x m
 MAX_INVOLUTION_SETS = 1 << 14
+# monomial pairs that one product may toggle, |a| * |b|
+MAX_PRODUCT_PAIRS = 1 << 14
 
 
 def require_ring_size(m: int, what: str) -> None:
@@ -198,6 +203,11 @@ def _times(a: frozenset, b: frozenset, dead: int) -> frozenset:
         return a
     if not b or a == _ONE:
         return b
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+        raise RingTooLarge(
+            f"a ring product of {len(a)} by {len(b)} monomials is more than "
+            f"the limit of {MAX_PRODUCT_PAIRS} monomial pairs"
+        )
     if len(a) > len(b):
         a, b = b, a
     out = set()

@@ -5,11 +5,22 @@ the characteristic-2 decision procedures.
 Everything is assembled from the combinators; precondition checks are
 deferred during assembly (the outputs are verified independently by the
 :mod:`ratpencil.verify` module and the test suite).  Correctness of the
-Schur complement is the only contract.  Two steps keep pencils small:
-:func:`realize_br` chooses, per matrix, the smaller of two constructions,
-each sized exactly before either is built, and :func:`realize_br` and
-:func:`realize_sbr` hand their pencil to :func:`op_shrink`, which removes
-constant pivots of A22 by exact Schur steps.  Pencils are not minimal.
+Schur complement is the only contract.  Four steps keep pencils small:
+
+* :func:`realize_br` and :func:`realize_sbr` split the target as
+  F = L + N, with L the part of degree at most 1 of every entry whose
+  denominator is 1.  They build only N and add L into the A11
+  coefficients, since the Schur complement is affine in A11.  For N = 0
+  the pencil is [[0, 0], [0, 1]] plus L, of size k + 1.  The homogeneous
+  builders realize the dehomogenization, so they split too.
+* :func:`realize_br` chooses, per matrix, the smaller of two
+  constructions, each sized exactly before either is built.
+* In characteristic 2, each parity class of a diagonal entry is one
+  symmetric square, since (a + b)^2 = a^2 + b^2 there.
+* The pencil of N goes through :func:`op_shrink`, which removes constant
+  pivots of A22 by exact Schur steps.
+
+Pencils are not minimal.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .errors import (
     TooFewVariables,
     WrongCharacteristic,
 )
+from .fields import accumulate
 from .matrices import RationalMatrix
 from .pencil import LinearPencil, RealizationKind, require_size
 from .poly import Polynomial, RationalFunction, grlex_key, layout
@@ -119,6 +131,63 @@ def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
         zero = [[descriptor.zero] * k for _ in range(k)]
         return _const_matrix_pencil(descriptor, n_vars, zero)
     return op_add(*parts, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the affine split F = L + N
+# ---------------------------------------------------------------------------
+
+
+def _split_affine(f: RationalMatrix):
+    """``(N, L)`` with F = L + N.  L is the part of degree at most 1 of
+    every entry whose denominator is 1, as n + 1 coefficient maps
+    ``{(i, j): value}`` (the constant one first, then one per variable).
+    N is the rest of F, or ``None`` when it is zero."""
+    n = f.n_vars
+    slot = {key: t + 1 for t, key in enumerate(layout(n).units)}
+    slot[0] = 0
+    affine = [{} for _ in range(n + 1)]
+    rows, nonzero = [], False
+    for i, row in enumerate(f.entries):
+        out = []
+        for j, entry in enumerate(row):
+            # a denominator is monic, so a constant one is 1
+            high = entry.num.above(1) if entry.is_polynomial() else entry.num
+            if high is not entry.num:
+                for key, value in entry.num.raw_items():
+                    t = slot.get(key)
+                    if t is not None:
+                        affine[t][(i, j)] = value
+                entry = RationalFunction(high)
+            nonzero = nonzero or not entry.is_zero()
+            out.append(entry)
+        rows.append(out)
+    return (RationalMatrix(rows) if nonzero else None), affine
+
+
+def _plus_affine(p: LinearPencil, affine) -> LinearPencil:
+    """``p`` with L added into its (1,1) block, one accumulate per
+    coefficient: the Schur complement is affine in A11, so it gains L.  A
+    symmetric L keeps a symmetric ``p`` symmetric."""
+    if not any(affine):
+        return p
+    add = p.descriptor.add
+    coeffs = [accumulate(dict(c), a.items(), add)
+              for c, a in zip(p.coeffs, affine)]
+    return LinearPencil(p.descriptor, p.n_vars, p.m, p.split, coeffs)
+
+
+def _realize_split(f: RationalMatrix, build) -> LinearPencil:
+    """The pencil of F = L + N: ``build(N)`` through :func:`op_shrink`,
+    with L added into A11.  For N = 0 it is the k x k zero pencil
+    [[0, 0], [0, 1]] plus L, of size k + 1, which the pencil format allows
+    no smaller (its split is less than m)."""
+    rest, affine = _split_affine(f)
+    if rest is None:
+        pencil = _sum([], f.descriptor, f.n_vars, f.rows)
+    else:
+        pencil = op_shrink(build(rest), check=False)
+    return _plus_affine(pencil, affine)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +355,13 @@ def _br_shared(q: Polynomial | None, grid) -> LinearPencil:
 def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
-    Monomials are product chains of the atomic variable pencils, and
-    polynomials scaled sums of them; an entry p/q is the pencil of p times
-    the inverted pencil of q.  A 1x1 F is its entry's pencil.  Larger F
-    take the smaller of two constructions, both sized exactly from the term
-    maps before either is built (ties go to the second):
+    F is split as L + N (see the module docs): N is built as below and
+    shrunk, and L is added into A11.  Monomials are product chains of the
+    atomic variable pencils, and polynomials scaled sums of them; an entry
+    p/q is the pencil of p times the inverted pencil of q.  A 1x1 N is its
+    entry's pencil.  Larger N take the smaller of two constructions, both
+    sized exactly from the term maps before either is built (ties go to the
+    second):
 
     * entry-wise: each nonzero entry over its own denominator, placed as
       e_i f_ij e_j^T, the placed pencils summed;
@@ -308,10 +379,15 @@ def realize_br(f: RationalMatrix) -> RealizationResult:
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
+    return RealizationResult(_realize_split(f, _br_build),
+                             RealizationKind.BR, f)
+
+
+def _br_build(f: RationalMatrix) -> LinearPencil:
+    """The construction of :func:`_br_plan`, after its size is checked."""
     m, build = _br_plan(f)
     require_size(m, "the realization")
-    return RealizationResult(op_shrink(build(), check=False),
-                             RealizationKind.BR, f)
+    return build()
 
 
 def _br_plan(f: RationalMatrix):
@@ -343,22 +419,6 @@ def _homogeneous_pairs(f: RationalMatrix):
     return pairs
 
 
-def _hbr_single_var(f: RationalMatrix, pairs) -> LinearPencil:
-    d, k = f.descriptor, f.rows
-    c0: dict = {}
-    c1: dict = {}
-    for i in range(k):
-        for j in range(k):
-            num, den = pairs[i][j]
-            if num.is_zero():
-                continue
-            value = d.div(num.evaluate([d.one]), den.evaluate([d.one]))
-            if value:
-                c1[(i, j)] = value
-    c1[(k, k)] = d.one
-    return LinearPencil(d, 1, k + 1, k, [c0, c1])
-
-
 def _dehomogenize(pairs) -> RationalMatrix:
     """The matrix of homogeneous pairs with the last variable set to 1."""
     return RationalMatrix(
@@ -380,20 +440,17 @@ def _realize_homogeneous(f: RationalMatrix, realize,
         raise DimensionMismatch("realization needs a square matrix")
     if f.n_vars < 1:
         raise NotHomogeneousDegreeOne("need at least one variable")
-    pairs = _homogeneous_pairs(f)
-    if f.n_vars == 1:
-        pencil = _hbr_single_var(f, pairs)
-    else:
-        pencil = op_homogenize(realize(_dehomogenize(pairs)).pencil, check=False)
-    return RealizationResult(pencil, kind, f)
+    pencil = realize(_dehomogenize(_homogeneous_pairs(f))).pencil
+    return RealizationResult(op_homogenize(pencil, check=False), kind, f)
 
 
 def realize_hbr(f: RationalMatrix) -> RealizationResult:
     """Homogeneous realization of a matrix of degree-1 homogeneous entries.
 
-    One variable: the pencil z1*A1 directly, padded with a z1 block.  More:
-    the :func:`realize_br` realization of the dehomogenization at the last
-    variable, homogenized back.
+    The :func:`realize_br` realization of the dehomogenization at the last
+    variable, homogenized back.  Linear forms dehomogenize to affine
+    entries, so they get m = k + 1; in one variable that is
+    z1 [[C, 0], [0, 1]] for the constant matrix C of the dehomogenization.
     """
     return _realize_homogeneous(f, realize_br, RealizationKind.HBR)
 
@@ -492,32 +549,42 @@ def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
     return op_sandwich(row, _sym_square(wrapped, base), col, check=False)
 
 
-def _sbr_from_certificate(cert: Char2Certificate, descriptor, n_vars) -> LinearPencil:
-    """Symmetric pencil realizing h = sum_beta z^beta g_beta in char 2.
+def _sbr_from_certificate(cert: Char2Certificate, descriptor,
+                          n_vars) -> LinearPencil:
+    """Symmetric pencil realizing h = sum_beta z^beta g_beta in char 2,
+    one square per parity class.
 
-    Even classes become sums of scaled norms m * m^T; the z_i classes use the
-    congruence (m z_i) z_i^{-1} (m z_i)^T = z_i m^2.
+    With g_beta = sum_a c_a z^(2a) and s = sum_a c_a z^a, the Frobenius
+    map gives s^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
+    GF(2), the only characteristic-2 field the library has (a field
+    gf:2^k would need c^(1/2) here; see ROADMAP.md, item 9).  The even
+    class is s s^T on the BR pencil of s; the z_i class uses the
+    congruence (z_i s) z_i^{-1} (z_i s)^T = z_i s^2, with z_i carried in
+    the polynomial whose BR pencil is squared.
     """
     parts = []
     for beta in sorted(cert.decomposition, key=grlex_key, reverse=True):
-        g = cert.decomposition[beta]
+        root = Polynomial(descriptor, n_vars, {
+            tuple(e // 2 + b for e, b in zip(exps, beta)): value
+            for exps, value in cert.decomposition[beta].sorted_terms()
+        })
         index = next((t for t, b in enumerate(beta) if b), None)
-        for exps, value in g.sorted_terms():
-            half = tuple(e // 2 for e in exps)
-            if index is None:
-                term = _sym_square(_br_monomial(descriptor, n_vars, half))
-            else:
-                shifted = tuple(
-                    h + (1 if t == index else 0) for t, h in enumerate(half)
-                )
-                x = RationalMatrix.scalar(
-                    RationalFunction.variable(descriptor, n_vars, index)
-                )
-                term = _sym_square(
-                    _br_monomial(descriptor, n_vars, shifted), x
-                )
-            parts.append(_scaled(term, value))
+        x = None if index is None else RationalMatrix.scalar(
+            RationalFunction.variable(descriptor, n_vars, index)
+        )
+        parts.append(_sym_square(_br_poly_scalar(root), x))
     return _sum(parts, descriptor, n_vars, 1)
+
+
+def _without_affine(cert: Char2Certificate) -> Char2Certificate:
+    """The certificate of h less its terms of degree at most 1, which are
+    z^beta times the constant term of each g_beta."""
+    decomposition = {}
+    for beta, g in cert.decomposition.items():
+        rest = g.above(0)
+        if not rest.is_zero():
+            decomposition[beta] = rest
+    return Char2Certificate("realizable", decomposition=decomposition)
 
 
 def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
@@ -531,12 +598,33 @@ def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
     return _sbr_square_over(f.num, h_pencil)  # p^2 / (p q) = p / q
 
 
+def _power_rows(e: int) -> int:
+    """Block rows of :func:`_sbr_power_one_var`: one for e <= 1, then
+    2e - 1 for an even square and 2e for an odd one."""
+    return 1 if e <= 1 else 2 * e - 1 + e % 2
+
+
+def _symmetric_rows(h: Polynomial) -> int:
+    """Block rows of h's symmetric pencil: :func:`_sbr_poly_one_var` in at
+    most one variable, else :func:`_sbr_from_certificate`, where a class
+    takes 2 r + 1 for the r block rows of its s, and a term of degree e
+    gives s a term of degree ceil(e / 2)."""
+    lay = layout(h.n_vars)
+    if h.n_vars <= 1:
+        return sum(_power_rows(lay.degree(key)) for key in h.packed) or 1
+    parity = sum(1 << s for s in lay.shifts)
+    classes: dict[int, int] = {}
+    for key in h.packed:
+        rows = _monomial_rows((lay.degree(key) + 1) // 2)
+        classes[key & parity] = classes.get(key & parity, 0) + rows
+    return sum(2 * rows + 1 for rows in classes.values()) or 1
+
+
 def _sbr_scalar_rows(g: RationalFunction, h: Polynomial) -> int:
-    """At least the block rows of :func:`_sbr_scalar` on g = p/q and
-    h = p*q: a term of h of degree e takes at most
-    ``_monomial_rows(e) + 2`` in either construction of h's pencil, and
-    q != 1 adds ``2 * _scalar_rows(p) + 1``."""
-    rows = _scalar_rows(h) + 2 * len(h.packed)
+    """The block rows of :func:`_sbr_scalar` on g = p/q and h = p*q, with
+    h's pencil built as :func:`_symmetric_rows` counts it: q != 1 adds
+    ``2 * _scalar_rows(p) + 1``."""
+    rows = _symmetric_rows(h)
     if g.den != Polynomial.one(g.descriptor, g.n_vars):
         rows += 2 * _scalar_rows(g.num) + 1
     return rows
@@ -588,17 +676,20 @@ def _sbr_by_diagonal(f: RationalMatrix, diagonal) -> LinearPencil:
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
-    Away from characteristic 2 with n >= 2 the matrix is realized as
-    (1/2)(G + G^T) with G = 2 F_upp + diag F, so that :func:`realize_br`
-    builds each off-diagonal entry once (a 1x1 G is F).  Otherwise the
-    strict upper triangle becomes F_upp + F_upp^T, and each diagonal entry
-    f = p/q comes from a symmetric pencil for h = p*q as p^2 / (p q).  With
-    n <= 1 that pencil is built from even/odd powers of z1.  In
-    characteristic 2 with n >= 2 every diagonal entry must first pass the
-    parity test, whose certificate builds the pencil; the first failure
-    raises :class:`NotRealizableChar2`.  Either path checks its predicted
-    size against ``MAX_PENCIL_SIZE`` before building: the symmetric pencil
-    of G has 2 m - k rows for G's BR pencil of m rows.
+    F is split as L + N (see the module docs); L is symmetric, so adding it
+    into A11 keeps the pencil symmetric, and only N is built.  Away from
+    characteristic 2 with n >= 2, N is realized as (1/2)(G + G^T) with
+    G = 2 N_upp + diag N, so that :func:`realize_br` builds each
+    off-diagonal entry once (a 1x1 G is N).  Otherwise the strict upper
+    triangle becomes N_upp + N_upp^T, and each diagonal entry f = p/q comes
+    from a symmetric pencil for h = p*q as p^2 / (p q).  With n <= 1 that
+    pencil is built from even/odd powers of z1.  In characteristic 2 with
+    n >= 2 every diagonal entry of F must first pass the parity test, run
+    once on F; the first failure raises :class:`NotRealizableChar2`.  N's
+    certificates drop the degree-at-most-1 term of each class, and each
+    class is one square.  Either path checks its predicted size against
+    ``MAX_PENCIL_SIZE`` before building: the diagonal exactly, and the
+    symmetric pencil of G as 2 m - k rows for G's BR pencil of m rows.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -607,34 +698,47 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     d, n = f.descriptor, f.n_vars
     if n >= 2 and d.characteristic != 2:
         half = d.inv(d.add(d.one, d.one))
-        m, build = _br_plan(_doubled_upper(f))
-        # op_symmetrize doubles G's pencil less its k outer rows
-        require_size(2 * m - f.rows, "the realization")
-        g = op_shrink(build(), check=False)
-        pencil = op_scale(op_symmetrize(g, check=False), half, check=False)
+
+        def build(rest):
+            m, build_g = _br_plan(_doubled_upper(rest))
+            # op_symmetrize doubles G's pencil less its k outer rows
+            require_size(2 * m - f.rows, "the realization")
+            g = op_shrink(build_g(), check=False)
+            return op_scale(op_symmetrize(g, check=False), half, check=False)
     else:
-        diagonal = [f.entries[i][i] for i in range(f.rows)]
         certs = _diagonal_certificates(f) if n >= 2 else None
-        products = [g.num * g.den for g in diagonal]
-        require_size(f.rows + sum(map(_sbr_scalar_rows, diagonal, products)),
-                     "the diagonal of the realization")
-        if n <= 1:
-            hs = [_sbr_poly_one_var(h) for h in products]
-        else:
-            hs = [_sbr_from_certificate(cert, d, n) for cert in certs]
-        pencil = _sbr_by_diagonal(
-            f, [_sbr_scalar(g, h) for g, h in zip(diagonal, hs)]
-        )
-    return RealizationResult(op_shrink(pencil, check=False),
+
+        def build(rest):
+            diagonal = [rest.entries[i][i] for i in range(f.rows)]
+            products = [g.num * g.den for g in diagonal]
+            require_size(
+                f.rows + sum(map(_sbr_scalar_rows, diagonal, products)),
+                "the diagonal of the realization",
+            )
+            if n <= 1:
+                hs = [_sbr_poly_one_var(h) for h in products]
+            else:
+                # a denominator is monic, so a constant one is 1
+                hs = [
+                    _sbr_from_certificate(
+                        _without_affine(cert) if g.is_polynomial() else cert,
+                        d, n,
+                    )
+                    for cert, g in zip(certs, diagonal)
+                ]
+            return _sbr_by_diagonal(
+                rest, [_sbr_scalar(g, h) for g, h in zip(diagonal, hs)]
+            )
+    return RealizationResult(_realize_split(f, build),
                              RealizationKind.SBR, f)
 
 
 def decide_and_realize_hsbr(f: RationalMatrix):
     """Homogeneous symmetric realization, or the failing parity certificate.
 
-    One variable: the pencil z1*A1 directly.  More: the
-    :func:`realize_sbr` realization of the dehomogenization at the last
-    variable, homogenized back.  In characteristic 2 with n >= 3 every
+    The :func:`realize_sbr` realization of the dehomogenization at the last
+    variable, homogenized back (linear forms get m = k + 1, as in
+    :func:`realize_hbr`).  In characteristic 2 with n >= 3 every
     dehomogenized diagonal entry must pass the parity test in n-1
     variables; the first failure is returned as a :class:`Char2Certificate`
     instead of a pencil.

@@ -479,13 +479,32 @@ def _dense_ring_file(path, m):
     path.write_text(json.dumps({"split": 1, "entries": entries}))
 
 
-@pytest.mark.parametrize("m,what", [(40, "index sets"), (65, "m = 65")])
-def test_reduce_limits_exit_two_fast(tmp_path, capsys, m, what):
-    # the 40x40 file once ran for more than 30 s
+def _diagonal_ring_file(path, m):
+    # diagonal entries 1 + about half of z1..zm from a seeded generator: a
+    # product of k of them can hold up to 2^m monomials
+    rng = random.Random(1)
+    entries = [["0"] * m for _ in range(m)]
+    for i in range(m):
+        entries[i][i] = "+".join(
+            ["1"] + [f"z{v + 1}" for v in range(m) if rng.random() < 0.5]
+        )
+    path.write_text(json.dumps({"split": 1, "entries": entries}))
+
+
+@pytest.mark.parametrize("write,m,ell,what", [
+    pytest.param(_dense_ring_file, 40, "1,1", "index sets",
+                 id="40-index sets"),
+    pytest.param(_dense_ring_file, 65, "1,1", "m = 65", id="65-m = 65"),
+    pytest.param(_diagonal_ring_file, 16, ",".join(["1"] * 16),
+                 "monomial pairs", id="16-monomial pairs"),
+])
+def test_reduce_limits_exit_two_fast(tmp_path, capsys, write, m, ell, what):
+    # the 40x40 file once ran for more than 30 s, the diagonal 16x16 one
+    # for more than 20 s
     matrix = tmp_path / "matrix.json"
-    _dense_ring_file(matrix, m)
+    write(matrix, m)
     start = time.perf_counter()
-    code, out, err = run(capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+    code, out, err = run(capsys, "reduce", "--field", "gf2", "--ell", ell,
                          "--matrix", str(matrix), "--r", "z1")
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == ""

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import ratpencil.pencil as pencil_module
 import ratpencil.realize as realize_module
-from ratpencil.combinators import op_shrink
+from ratpencil.combinators import op_shrink, op_symmetrize
 from ratpencil.errors import (
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
@@ -107,19 +107,24 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
         return RationalFunction(f.num, common) if shared else f
 
     target = _grid(k, entry)
-    q, grid = realize_module._shared_denominator(target)
+    # the constructions build N of F = L + N, and L goes into A11
+    rest, affine = realize_module._split_affine(target)
+    if rest is None:
+        rest = RationalMatrix([[RationalFunction.zero(d, n)] * k] * k)
+    q, grid = realize_module._shared_denominator(rest)
     # the predictors size the constructions as built, before the shrink
     shared_m = realize_module._br_shared(q, grid).m
-    entrywise_m = realize_module._br_entrywise(target).m
+    entrywise_m = realize_module._br_entrywise(rest).m
     assert realize_module._shared_size(q, grid) == shared_m
-    assert realize_module._entrywise_size(target) == entrywise_m
+    assert realize_module._entrywise_size(rest) == entrywise_m
     result = _check(realize_br(target))
     assert result.pencil.m <= min(shared_m, entrywise_m)
     if entrywise_m < shared_m:
-        built = realize_module._br_entrywise(target)
+        built = realize_module._br_entrywise(rest)
     else:
         built = realize_module._br_shared(q, grid)
-    assert result.pencil == op_shrink(built)
+    assert result.pencil == realize_module._plus_affine(op_shrink(built),
+                                                        affine)
 
     if d.characteristic != 2:
         mirrored = RationalMatrix(
@@ -143,9 +148,9 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
 
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]))
-def test_symmetric_diagonal_rows_are_bounded(rand, d):
+def test_symmetric_diagonal_rows_are_exact(rand, d):
     # the diagonal path of realize_sbr (one variable, or characteristic 2)
-    # checks this bound against the pencil-size limit before building
+    # checks this size against the pencil-size limit before building
     n = rand.randint(1, 3) if d.characteristic == 2 else 1
     g = random_ratfun(rand, d, n, max_deg=4, max_terms=3)
     h = g.num * g.den
@@ -156,23 +161,70 @@ def test_symmetric_diagonal_rows_are_bounded(rand, d):
         if not cert.realizable:
             return
         h_pencil = realize_module._sbr_from_certificate(cert, d, n)
+        if g.is_polynomial():
+            # N of g = L + N, from g's certificate less its affine terms
+            rest = RationalFunction(g.num.above(1))
+            cut = realize_module._without_affine(cert)
+            pencil = realize_module._sbr_from_certificate(cut, d, n)
+            assert pencil.m - 1 == realize_module._sbr_scalar_rows(rest,
+                                                                   rest.num)
     pencil = realize_module._sbr_scalar(g, h_pencil)
-    assert pencil.m - 1 <= realize_module._sbr_scalar_rows(g, h)
+    assert pencil.m - 1 == realize_module._sbr_scalar_rows(g, h)
 
 
 def test_symmetrized_size_is_checked_before_building(monkeypatch):
-    # away from characteristic 2, realize_sbr builds G's BR pencil and then
-    # a symmetric one of 2 m_G - k rows; the second is bounded too
+    # away from characteristic 2, realize_sbr builds the BR pencil of
+    # G = 2 N_upp + diag N for F = L + N, and then a symmetric one of
+    # 2 m_G - k rows; the second is bounded too
     z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
     f = RationalMatrix([[z1 * z2 + z2, z1], [z1, z2]])
-    g = realize_module._doubled_upper(f)
-    m_g, _ = realize_module._br_plan(g)
+    rest, _ = realize_module._split_affine(f)
+    g = realize_module._doubled_upper(rest)
+    m_g, build = realize_module._br_plan(g)
+    assert op_symmetrize(build()).m == 2 * m_g - 2
     monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m_g)
     realize_br(g)  # G fits
     with pytest.raises(PencilTooLarge, match="more than the limit"):
         realize_sbr(f)
     monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", 2 * m_g - 2)
     _check(realize_sbr(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_polynomial_pencils_meet_the_size_lower_bound(rand, d, k, affine):
+    # for an entry p of total degree d, the minor of A that gives p det A22
+    # has size m - k + 1, so m >= k - 1 + d; the format needs m >= k + 1.
+    # A target with N = 0 in F = L + N reaches the bound k + 1.
+    n = rand.randint(1, 3)
+    grid = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            p = random_poly(rand, d, n, max_deg=1 if affine else 4)
+            grid[i][j] = grid[j][i] = RationalFunction(p)
+    target = RationalMatrix(grid)
+    degree = max(max(e.num.total_degree(), 0)
+                 for row in target.entries for e in row)
+    for build in (realize_br, realize_sbr):
+        try:
+            pencil = _check(build(target)).pencil
+        except NotRealizableChar2:
+            assert d.characteristic == 2 and n >= 2 and not affine
+            continue
+        if affine:
+            assert pencil.m == k + 1
+        else:
+            assert pencil.m >= max(k + 1, k - 1 + degree)
+
+    n_h = rand.randint(1, 3)
+    forms = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            p = random_homogeneous_poly(rand, d, n_h, 1)
+            forms[i][j] = forms[j][i] = RationalFunction(p)
+    for build in (realize_hbr, decide_and_realize_hsbr):
+        assert _check(build(RationalMatrix(forms))).pencil.m == k + 1
 
 
 # ---------------------------------------------------------------------------
