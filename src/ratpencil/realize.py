@@ -5,7 +5,7 @@ the characteristic-2 decision procedures.
 Everything is assembled from the combinators; precondition checks are
 deferred during assembly (the outputs are verified independently by the
 :mod:`ratpencil.verify` module and the test suite).  Correctness of the
-Schur complement is the only contract.  Four steps keep pencils small:
+Schur complement is the only contract.  Three steps keep pencils small:
 
 * :func:`realize_br` and :func:`realize_sbr` split the target as
   F = L + N, with L the part of degree at most 1 of every entry whose
@@ -13,8 +13,6 @@ Schur complement is the only contract.  Four steps keep pencils small:
   coefficients, since the Schur complement is affine in A11.  For N = 0
   the pencil is [[0, 0], [0, 1]] plus L, of size k + 1.  The homogeneous
   builders realize the dehomogenization, so they split too.
-* :func:`realize_br` chooses, per matrix, the smaller of two
-  constructions, each sized exactly before either is built.
 * In characteristic 2, each parity class of a diagonal entry is one
   symmetric square, since (a + b)^2 = a^2 + b^2 there.
 * The pencil of N goes through :func:`op_shrink`, which removes constant
@@ -31,7 +29,6 @@ from .combinators import (
     op_add,
     op_homogenize,
     op_inverse,
-    op_kron_identity,
     op_product,
     op_sandwich,
     op_scale,
@@ -101,13 +98,6 @@ def _const_matrix_pencil(descriptor, n_vars, values) -> LinearPencil:
     return LinearPencil(
         descriptor, n_vars, k + 1, k, [c0] + [{} for _ in range(n_vars)]
     )
-
-
-def _identity_rows(descriptor, k):
-    return [
-        [descriptor.one if i == j else descriptor.zero for j in range(k)]
-        for i in range(k)
-    ]
 
 
 def _basis_column(descriptor, k, i):
@@ -213,39 +203,11 @@ def _br_poly_scalar(p: Polynomial) -> LinearPencil:
     return _sum(parts, d, n, 1)
 
 
-def _br_poly_matrix(grid: list[list[Polynomial]]) -> LinearPencil:
-    """BR of a k x k polynomial matrix (k >= 2) written as
-    sum_alpha z^alpha C_alpha."""
-    k = len(grid)
-    d, n = grid[0][0].descriptor, grid[0][0].n_vars
-    support: dict[int, list[list]] = {}
-    for i in range(k):
-        for j in range(k):
-            for key, value in grid[i][j].raw_items():
-                coeff = support.setdefault(
-                    key, [[d.zero] * k for _ in range(k)]
-                )
-                coeff[i][j] = value
-    parts = []
-    identity = _identity_rows(d, k)
-    unpack = layout(n).unpack
-    for key in sorted(support, reverse=True):
-        const = support[key]
-        if not key:
-            parts.append(_const_matrix_pencil(d, n, const))
-        else:
-            base = op_kron_identity(_br_monomial(d, n, unpack(key)), k,
-                                    check=False)
-            parts.append(op_sandwich(identity, base, const, check=False))
-    return _sum(parts, d, n, k)
-
-
 # Pencil sizes are predicted from the term maps before anything is built.
 # Each counts the rows of the (2,2) block: a pencil's m is its split plus
 # these, ``op_add`` adds them, ``op_sandwich`` keeps them, ``op_inverse``
-# adds the split, ``op_product`` adds both inputs' and the split, and
-# ``op_kron_identity`` multiplies them by the copies.  An empty ``_sum``
-# (the zero pencil) has one.
+# adds the split, and ``op_product`` adds both inputs' and the split.  An
+# empty ``_sum`` (the zero pencil) has one.
 
 
 def _monomial_rows(degree: int) -> int:
@@ -274,19 +236,6 @@ def _entrywise_size(f: RationalMatrix) -> int:
     return f.rows + (rows or 1)
 
 
-def _shared_size(q: Polynomial | None, grid) -> int:
-    """The m of :func:`_br_shared` on the output of
-    :func:`_shared_denominator`."""
-    k = len(grid)
-    support = {key for row in grid for p in row for key in p.packed}
-    degree = layout(grid[0][0].n_vars).degree
-    rows = sum(k * _monomial_rows(degree(key)) if key else 1
-               for key in support) or 1
-    if q is not None:
-        rows += k * (_scalar_rows(q) + 2)
-    return k + rows
-
-
 def _br_entry(f: RationalFunction) -> LinearPencil:
     """BR of one entry p/q: the pencil of p, times that of q inverted when
     q is not 1."""
@@ -299,9 +248,11 @@ def _br_entry(f: RationalFunction) -> LinearPencil:
 
 def _br_entrywise(f: RationalMatrix) -> LinearPencil:
     """BR of F = sum_ij e_i f_ij e_j^T: each nonzero entry over its own
-    denominator, placed by a sandwich with basis vectors."""
+    denominator, placed by a sandwich with basis vectors (none for k = 1,
+    where it is the identity)."""
     d, n, k = f.descriptor, f.n_vars, f.rows
     parts = [
+        _br_entry(entry) if k == 1 else
         op_sandwich(_basis_column(d, k, i), _br_entry(entry),
                     _basis_row(d, k, j), check=False)
         for i, row in enumerate(f.entries)
@@ -311,71 +262,19 @@ def _br_entrywise(f: RationalMatrix) -> LinearPencil:
     return _sum(parts, d, n, k)
 
 
-def _shared_denominator(f: RationalMatrix):
-    """``(q, P)`` with F = (1/q) P: q the product of the distinct
-    denominators other than 1 (``None`` when there are none) and P the
-    numerators cleared over q."""
-    one = Polynomial.one(f.descriptor, f.n_vars)
-    dens = []
-    for row in f.entries:
-        for entry in row:
-            if entry.den != one and all(entry.den != q for q in dens):
-                dens.append(entry.den)
-    if not dens:
-        return None, [[entry.num for entry in row] for row in f.entries]
-    q = one
-    for den in dens:
-        q = q * den
-    grid = []
-    for row in f.entries:
-        cleared = []
-        for entry in row:
-            scaled = entry.num
-            for den in dens:
-                if den != entry.den:
-                    scaled = scaled * den
-            cleared.append(scaled)
-        grid.append(cleared)
-    return q, grid
-
-
-def _br_shared(q: Polynomial | None, grid) -> LinearPencil:
-    """BR of (1/q) P for k >= 2: P through Kronecker and sandwich steps,
-    times the inverted pencil of q repeated k times."""
-    p_pencil = _br_poly_matrix(grid)
-    if q is None:
-        return p_pencil
-    inv_q = op_inverse(_br_poly_scalar(q), check=False)
-    return op_product(
-        op_kron_identity(inv_q, len(grid), check=False), None, p_pencil,
-        check=False,
-    )
-
-
 def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
     F is split as L + N (see the module docs): N is built as below and
     shrunk, and L is added into A11.  Monomials are product chains of the
     atomic variable pencils, and polynomials scaled sums of them; an entry
-    p/q is the pencil of p times the inverted pencil of q.  A 1x1 N is its
-    entry's pencil.  Larger N take the smaller of two constructions, both
-    sized exactly from the term maps before either is built (ties go to the
-    second):
-
-    * entry-wise: each nonzero entry over its own denominator, placed as
-      e_i f_ij e_j^T, the placed pencils summed;
-    * shared: F = (1/q) P with q the product of the distinct denominators,
-      P = sum_alpha z^alpha C_alpha through Kronecker and sandwich steps,
-      each monomial built once for all entries.
-
-    The predicted sizes are those of the constructions as built, before
-    :func:`op_shrink` removes their constant pivots, so the returned m is
-    at most the smaller prediction.  The choice still pays after the
-    shrink: on the benchmark's 2x2 and 3x3 targets it gives smaller
-    pencils in sum than either construction alone.  A prediction past
-    ``MAX_PENCIL_SIZE`` raises :class:`PencilTooLarge` before anything is
-    built.
+    p/q is the pencil of p times the inverted pencil of q.  Each nonzero
+    entry of N is built over its own denominator and placed as
+    e_i f_ij e_j^T, and the placed pencils are summed (a 1x1 N is its
+    entry's pencil).  The size of that construction is counted exactly from
+    the term maps, and one past ``MAX_PENCIL_SIZE`` raises
+    :class:`PencilTooLarge` before anything is built; :func:`op_shrink`
+    can only lower it.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -384,24 +283,9 @@ def realize_br(f: RationalMatrix) -> RealizationResult:
 
 
 def _br_build(f: RationalMatrix) -> LinearPencil:
-    """The construction of :func:`_br_plan`, after its size is checked."""
-    m, build = _br_plan(f)
-    require_size(m, "the realization")
-    return build()
-
-
-def _br_plan(f: RationalMatrix):
-    """``(m, build)``: the construction :func:`realize_br` takes for the
-    square F, as its exact m before the shrink and a function that builds
-    it."""
-    if f.rows == 1:
-        entry = f.entries[0][0]
-        return 1 + _entry_rows(entry), lambda: _br_entry(entry)
-    q, grid = _shared_denominator(f)
-    entrywise, shared = _entrywise_size(f), _shared_size(q, grid)
-    if entrywise < shared:
-        return entrywise, lambda: _br_entrywise(f)
-    return shared, lambda: _br_shared(q, grid)
+    """:func:`_br_entrywise` of F, after its size is checked."""
+    require_size(_entrywise_size(f), "the realization")
+    return _br_entrywise(f)
 
 
 def _homogeneous_pairs(f: RationalMatrix):
@@ -473,6 +357,12 @@ def decide_sbr_scalar_char2(f: RationalFunction) -> Char2Certificate:
         raise TooFewVariables(
             "one variable is unconditionally realizable; nothing to decide"
         )
+    return _parity_certificate(f)
+
+
+def _parity_certificate(f: RationalFunction) -> Char2Certificate:
+    """The parity test of :func:`decide_sbr_scalar_char2` in any number of
+    variables; with at most one every monomial passes."""
     h = f.num * f.den
     terms = h.sorted_terms()
     for exps, _ in terms:
@@ -498,7 +388,7 @@ def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
     """
     certs = []
     for i in range(f.rows):
-        cert = decide_sbr_scalar_char2(f.entries[i][i])
+        cert = _parity_certificate(f.entries[i][i])
         if not cert.realizable:
             raise NotRealizableChar2(cert, diagonal=i)
         certs.append(cert)
@@ -508,29 +398,6 @@ def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
 def _sym_square(p: LinearPencil, x=None) -> LinearPencil:
     """Symmetric pencil for (schur P) * X^{-1} * (schur P)^T."""
     return op_product(p, x, p.transpose(), check=False)
-
-
-def _sbr_power_one_var(descriptor, n_vars, e: int) -> LinearPencil:
-    """Symmetric pencil realizing z1^e over n_vars <= 1 variables."""
-    if e == 0:
-        return _const_matrix_pencil(descriptor, n_vars, [[descriptor.one]])
-    if e == 1:
-        return _atom_var(descriptor, 1, 0)
-    half = e // 2
-    base = _br_monomial(descriptor, 1, (half,))
-    if e % 2 == 0:
-        return _sym_square(base)
-    z1 = RationalMatrix.scalar(RationalFunction.variable(descriptor, 1, 0))
-    inv = op_inverse(base, check=False)
-    return op_inverse(_sym_square(inv, z1), check=False)
-
-
-def _sbr_poly_one_var(p: Polynomial) -> LinearPencil:
-    """Symmetric pencil for a polynomial in at most one variable."""
-    d, n = p.descriptor, p.n_vars
-    parts = [_scaled(_sbr_power_one_var(d, n, sum(exps)), value)
-             for exps, value in p.sorted_terms()]
-    return _sum(parts, d, n, 1)
 
 
 def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
@@ -590,28 +457,18 @@ def _without_affine(cert: Char2Certificate) -> Char2Certificate:
 def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
     """Symmetric pencil for f = p/q from a symmetric pencil realizing h = p*q.
 
-    ``h_pencil`` comes from the one-variable power construction or from the
-    characteristic-2 parity certificate of h.
+    ``h_pencil`` comes from the characteristic-2 parity certificate of h.
     """
     if f.den == Polynomial.one(f.descriptor, f.n_vars):
         return h_pencil  # h = p * 1 is f itself
     return _sbr_square_over(f.num, h_pencil)  # p^2 / (p q) = p / q
 
 
-def _power_rows(e: int) -> int:
-    """Block rows of :func:`_sbr_power_one_var`: one for e <= 1, then
-    2e - 1 for an even square and 2e for an odd one."""
-    return 1 if e <= 1 else 2 * e - 1 + e % 2
-
-
 def _symmetric_rows(h: Polynomial) -> int:
-    """Block rows of h's symmetric pencil: :func:`_sbr_poly_one_var` in at
-    most one variable, else :func:`_sbr_from_certificate`, where a class
-    takes 2 r + 1 for the r block rows of its s, and a term of degree e
-    gives s a term of degree ceil(e / 2)."""
+    """Block rows of h's symmetric pencil from :func:`_sbr_from_certificate`,
+    where a class takes 2 r + 1 for the r block rows of its s, and a term of
+    degree e gives s a term of degree ceil(e / 2)."""
     lay = layout(h.n_vars)
-    if h.n_vars <= 1:
-        return sum(_power_rows(lay.degree(key)) for key in h.packed) or 1
     parity = sum(1 << s for s in lay.shifts)
     classes: dict[int, int] = {}
     for key in h.packed:
@@ -654,22 +511,43 @@ def _doubled_upper(f: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _sbr_by_diagonal(f: RationalMatrix, diagonal) -> LinearPencil:
-    """F = F_upp + F_upp^T + diag F with symmetric pieces summed, given the
-    symmetric pencils of the diagonal entries (a 1x1 F is its entry's)."""
+def _sbr_by_diagonal(f: RationalMatrix, certs) -> LinearPencil:
+    """N = N_upp + N_upp^T + diag N in characteristic 2, the symmetric
+    pieces summed; ``certs`` are the parity certificates of F = L + N's
+    diagonal.  Each diagonal entry g = p/q of N comes from a symmetric
+    pencil for h = p*q as p^2 / (p q), built from its certificate less the
+    degree-at-most-1 term of each class when q = 1 (a 1x1 N is its entry's
+    pencil).  The diagonal's size is checked before anything is built, and
+    the total before the sum."""
     d, n, k = f.descriptor, f.n_vars, f.rows
+    diagonal = [f.entries[i][i] for i in range(k)]
+    require_size(
+        k + sum(_sbr_scalar_rows(g, g.num * g.den) for g in diagonal),
+        "the diagonal of the realization",
+    )
+    # a denominator is monic, so a constant one is 1
+    scalars = [
+        _sbr_scalar(g, _sbr_from_certificate(
+            _without_affine(cert) if g.is_polynomial() else cert, d, n
+        ))
+        for cert, g in zip(certs, diagonal)
+    ]
     if k == 1:
-        return diagonal[0]
+        return scalars[0]
     parts = []
     upper = _strict_upper(f)
     if any(not e.is_zero() for row in upper.entries for e in row):
         parts.append(op_symmetrize(realize_br(upper).pencil, check=False))
-    for i, scalar in enumerate(diagonal):
+    # shrunk before they are placed, so that the total checked is that of
+    # the pencil built, not of its constant pivots
+    for i, scalar in enumerate(scalars):
         parts.append(
             op_sandwich(
-                _basis_column(d, k, i), scalar, _basis_row(d, k, i), check=False
+                _basis_column(d, k, i), op_shrink(scalar, check=False),
+                _basis_row(d, k, i), check=False,
             )
         )
+    require_size(k + sum(p.m - k for p in parts), "the realization")
     return _sum(parts, d, n, k)
 
 
@@ -678,57 +556,38 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
 
     F is split as L + N (see the module docs); L is symmetric, so adding it
     into A11 keeps the pencil symmetric, and only N is built.  Away from
-    characteristic 2 with n >= 2, N is realized as (1/2)(G + G^T) with
+    characteristic 2, N is realized as (1/2)(G + G^T) with
     G = 2 N_upp + diag N, so that :func:`realize_br` builds each
-    off-diagonal entry once (a 1x1 G is N).  Otherwise the strict upper
-    triangle becomes N_upp + N_upp^T, and each diagonal entry f = p/q comes
-    from a symmetric pencil for h = p*q as p^2 / (p q).  With n <= 1 that
-    pencil is built from even/odd powers of z1.  In characteristic 2 with
-    n >= 2 every diagonal entry of F must first pass the parity test, run
-    once on F; the first failure raises :class:`NotRealizableChar2`.  N's
-    certificates drop the degree-at-most-1 term of each class, and each
-    class is one square.  Either path checks its predicted size against
-    ``MAX_PENCIL_SIZE`` before building: the diagonal exactly, and the
-    symmetric pencil of G as 2 m - k rows for G's BR pencil of m rows.
+    off-diagonal entry once (a 1x1 G is N).  In characteristic 2 every
+    diagonal entry of F must first pass the parity test, run once on F
+    (in one variable every entry passes); the first failure raises
+    :class:`NotRealizableChar2`.  N is then built by
+    :func:`_sbr_by_diagonal`, one square per parity class.  Either path
+    checks its size against ``MAX_PENCIL_SIZE`` before the pencil is
+    assembled: the symmetric pencil of G as 2 m - k rows for G's BR pencil
+    of m rows, and the diagonal path its diagonal exactly and its total
+    before the final sum.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    d, n = f.descriptor, f.n_vars
-    if n >= 2 and d.characteristic != 2:
+    d = f.descriptor
+    if d.characteristic == 2:
+        certs = _diagonal_certificates(f)
+
+        def build(rest):
+            return _sbr_by_diagonal(rest, certs)
+    else:
         half = d.inv(d.add(d.one, d.one))
 
         def build(rest):
-            m, build_g = _br_plan(_doubled_upper(rest))
+            g = _doubled_upper(rest)
             # op_symmetrize doubles G's pencil less its k outer rows
-            require_size(2 * m - f.rows, "the realization")
-            g = op_shrink(build_g(), check=False)
-            return op_scale(op_symmetrize(g, check=False), half, check=False)
-    else:
-        certs = _diagonal_certificates(f) if n >= 2 else None
-
-        def build(rest):
-            diagonal = [rest.entries[i][i] for i in range(f.rows)]
-            products = [g.num * g.den for g in diagonal]
-            require_size(
-                f.rows + sum(map(_sbr_scalar_rows, diagonal, products)),
-                "the diagonal of the realization",
-            )
-            if n <= 1:
-                hs = [_sbr_poly_one_var(h) for h in products]
-            else:
-                # a denominator is monic, so a constant one is 1
-                hs = [
-                    _sbr_from_certificate(
-                        _without_affine(cert) if g.is_polynomial() else cert,
-                        d, n,
-                    )
-                    for cert, g in zip(certs, diagonal)
-                ]
-            return _sbr_by_diagonal(
-                rest, [_sbr_scalar(g, h) for g, h in zip(diagonal, hs)]
-            )
+            require_size(2 * _entrywise_size(g) - f.rows, "the realization")
+            g_pencil = op_shrink(_br_entrywise(g), check=False)
+            return op_scale(op_symmetrize(g_pencil, check=False), half,
+                            check=False)
     return RealizationResult(_realize_split(f, build),
                              RealizationKind.SBR, f)
 
@@ -738,10 +597,10 @@ def decide_and_realize_hsbr(f: RationalMatrix):
 
     The :func:`realize_sbr` realization of the dehomogenization at the last
     variable, homogenized back (linear forms get m = k + 1, as in
-    :func:`realize_hbr`).  In characteristic 2 with n >= 3 every
-    dehomogenized diagonal entry must pass the parity test in n-1
-    variables; the first failure is returned as a :class:`Char2Certificate`
-    instead of a pencil.
+    :func:`realize_hbr`).  In characteristic 2 every dehomogenized diagonal
+    entry must pass the parity test in n-1 variables, which it always does
+    for n <= 2; the first failure is returned as a
+    :class:`Char2Certificate` instead of a pencil.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")

@@ -1,13 +1,18 @@
-"""The builders never run the verifier's code.
+"""The builders never run the verifier's code, and no private name is dead.
 
 ``op_shrink`` eliminates pivots of built pencils, and the verifier
 eliminates pivots to check them.  If ``combinators.py`` imported
 ``elimination`` or ``verify``, a fault in that shared code could build a
 wrong pencil and then pass it, so this test reads the imports of
 ``combinators.py`` and fails on either.
+
+A module-level private function, class or constant that nothing in the
+library uses beyond its own definition is dead code; tests reaching into
+it do not keep it alive.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratpencil"
@@ -45,3 +50,86 @@ def test_the_detector_finds_imports():
 def test_combinators_import_neither_elimination_nor_verify():
     source = (SRC / "combinators.py").read_text(encoding="utf-8")
     assert not imported_modules(source) & FORBIDDEN
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The module-level private functions, classes and constants."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node) for name in names if _is_private(name))
+    return found
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attribute names and names imported, under ``node``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def dead_private_names(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of every private definition in ``sources`` (module
+    name to source) that no code uses outside the definition itself."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_references(tree))
+    dead = set()
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree).items():
+            if used[name] - _references(node)[name] <= 0:
+                dead.add(f"{module}.{name}")
+    return dead
+
+
+def test_the_detector_finds_dead_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_DEAD = 2\n"
+            "_LIMIT: int = 3\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else _USED\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from .a import _Imported\n"
+            "from . import a\n"
+            "a._by_attribute()\n"
+        ),
+    }
+    assert dead_private_names(sources) == {
+        "a._DEAD", "a._LIMIT", "a._recursive"
+    }
+
+
+def test_every_private_name_is_used():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert not dead_private_names(sources)

@@ -16,6 +16,7 @@ from ratpencil.errors import (
     TooFewVariables,
     WrongCharacteristic,
 )
+from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import RealizationKind
@@ -98,7 +99,7 @@ def _grid(k, entry):
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
        st.sampled_from([2, 3]), st.booleans())
-def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
+def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
     n = rand.randint(1, 3)
     common = random_poly(rand, d, n, max_deg=2, max_terms=2, nonzero=True)
 
@@ -107,22 +108,15 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
         return RationalFunction(f.num, common) if shared else f
 
     target = _grid(k, entry)
-    # the constructions build N of F = L + N, and L goes into A11
+    # the construction builds N of F = L + N, and L goes into A11
     rest, affine = realize_module._split_affine(target)
     if rest is None:
         rest = RationalMatrix([[RationalFunction.zero(d, n)] * k] * k)
-    q, grid = realize_module._shared_denominator(rest)
-    # the predictors size the constructions as built, before the shrink
-    shared_m = realize_module._br_shared(q, grid).m
-    entrywise_m = realize_module._br_entrywise(rest).m
-    assert realize_module._shared_size(q, grid) == shared_m
-    assert realize_module._entrywise_size(rest) == entrywise_m
+    # the predictor sizes the construction as built, before the shrink
+    built = realize_module._br_entrywise(rest)
+    assert realize_module._entrywise_size(rest) == built.m
     result = _check(realize_br(target))
-    assert result.pencil.m <= min(shared_m, entrywise_m)
-    if entrywise_m < shared_m:
-        built = realize_module._br_entrywise(rest)
-    else:
-        built = realize_module._br_shared(q, grid)
+    assert result.pencil.m <= built.m
     assert result.pencil == realize_module._plus_affine(op_shrink(built),
                                                         affine)
 
@@ -147,27 +141,25 @@ def test_br_takes_the_smaller_predicted_construction(rand, d, k, shared):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]))
-def test_symmetric_diagonal_rows_are_exact(rand, d):
-    # the diagonal path of realize_sbr (one variable, or characteristic 2)
-    # checks this size against the pencil-size limit before building
-    n = rand.randint(1, 3) if d.characteristic == 2 else 1
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_symmetric_diagonal_rows_are_exact(rand, n):
+    # the diagonal path of realize_sbr (characteristic 2) checks this size
+    # against the pencil-size limit before building
+    d = G2
     g = random_ratfun(rand, d, n, max_deg=4, max_terms=3)
     h = g.num * g.den
-    if n == 1:
-        h_pencil = realize_module._sbr_poly_one_var(h)
-    else:
-        cert = decide_sbr_scalar_char2(g)
-        if not cert.realizable:
-            return
-        h_pencil = realize_module._sbr_from_certificate(cert, d, n)
-        if g.is_polynomial():
-            # N of g = L + N, from g's certificate less its affine terms
-            rest = RationalFunction(g.num.above(1))
-            cut = realize_module._without_affine(cert)
-            pencil = realize_module._sbr_from_certificate(cut, d, n)
-            assert pencil.m - 1 == realize_module._sbr_scalar_rows(rest,
-                                                                   rest.num)
+    cert = realize_module._parity_certificate(g)
+    if not cert.realizable:
+        assert n >= 2
+        return
+    h_pencil = realize_module._sbr_from_certificate(cert, d, n)
+    if g.is_polynomial():
+        # N of g = L + N, from g's certificate less its affine terms
+        rest = RationalFunction(g.num.above(1))
+        cut = realize_module._without_affine(cert)
+        pencil = realize_module._sbr_from_certificate(cut, d, n)
+        assert pencil.m - 1 == realize_module._sbr_scalar_rows(rest,
+                                                               rest.num)
     pencil = realize_module._sbr_scalar(g, h_pencil)
     assert pencil.m - 1 == realize_module._sbr_scalar_rows(g, h)
 
@@ -180,14 +172,30 @@ def test_symmetrized_size_is_checked_before_building(monkeypatch):
     f = RationalMatrix([[z1 * z2 + z2, z1], [z1, z2]])
     rest, _ = realize_module._split_affine(f)
     g = realize_module._doubled_upper(rest)
-    m_g, build = realize_module._br_plan(g)
-    assert op_symmetrize(build()).m == 2 * m_g - 2
+    m_g = realize_module._entrywise_size(g)
+    assert op_symmetrize(realize_module._br_entrywise(g)).m == 2 * m_g - 2
     monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m_g)
     realize_br(g)  # G fits
     with pytest.raises(PencilTooLarge, match="more than the limit"):
         realize_sbr(f)
     monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", 2 * m_g - 2)
     _check(realize_sbr(f))
+
+
+def test_diagonal_total_is_checked_before_the_sum(monkeypatch):
+    # in characteristic 2, realize_sbr sums the symmetrized BR pencil of
+    # N_upp and the diagonal's pencils; their total is checked as well as
+    # each piece, so no pencil over the limit is returned
+    b = "z1^5*z2^2+z1*z2^5+z1^3*z2^3"
+    target = parse_expression(
+        f"[[z1^4*z2^2+z1^6, {b}], [{b}, z2^4*z1^2+z2^6]]", G2, 2
+    )
+    m = _check(realize_sbr(target)).pencil.m
+    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
+    with pytest.raises(PencilTooLarge, match="more than the limit"):
+        realize_sbr(target)
+    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
+    _check(realize_sbr(target))
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,13 +409,13 @@ def test_sbr_mixed_verdict_reports_first_diagonal():
 
 def test_parity_test_runs_once_per_diagonal(monkeypatch):
     calls = []
-    original = realize_module.decide_sbr_scalar_char2
+    original = realize_module._parity_certificate
 
     def counted(f):
         calls.append(f)
         return original(f)
 
-    monkeypatch.setattr(realize_module, "decide_sbr_scalar_char2", counted)
+    monkeypatch.setattr(realize_module, "_parity_certificate", counted)
     g1, g2 = _z(G2, 2, 0), _z(G2, 2, 1)
     _check(realize_sbr(RationalMatrix([[g1, g2], [g2, g1 * g1 + g2]])))
     assert len(calls) == 2

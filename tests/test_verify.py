@@ -5,18 +5,24 @@ from pathlib import Path
 
 import pytest
 
+from ratpencil.combinators import (
+    op_add,
+    op_inverse,
+    op_kron_identity,
+    op_product,
+    op_sandwich,
+    op_scale,
+)
 from ratpencil.elimination import _State
 from ratpencil.errors import DimensionMismatch
 from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import LinearPencil, RealizationKind
-from ratpencil.poly import RationalFunction
+from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import (
     _br_entry,
     _br_entrywise,
-    _br_shared,
-    _shared_denominator,
     realize_br,
     realize_sbr,
 )
@@ -209,15 +215,84 @@ def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     assert not cross_validate_det(pencil)
 
 
+def _constant_pencil(d, n, values):
+    """[[B, 0], [0, 1]] for a constant k x k matrix B."""
+    k = len(values)
+    c0 = {(i, j): v for i, row in enumerate(values) for j, v in enumerate(row)}
+    c0[(k, k)] = d.one
+    return LinearPencil(d, n, k + 1, k, [c0] + [{} for _ in range(n)])
+
+
+def _monomial_pencil(d, n, exps):
+    """z^exps as a product chain of the atoms [[z_v, 0], [0, 1]]."""
+    pencil = None
+    for v, e in enumerate(exps):
+        coeffs = [{(1, 1): d.one}] + [{(0, 0): d.one} if t == v else {}
+                                      for t in range(n)]
+        for _ in range(e):
+            atom = LinearPencil(d, n, 2, 1, coeffs)
+            pencil = atom if pencil is None else op_product(
+                pencil, None, atom, check=False)
+    return pencil or _constant_pencil(d, n, [[d.one]])
+
+
+def _polynomial_pencil(p):
+    return op_add(*(
+        op_scale(_monomial_pencil(p.descriptor, p.n_vars, exps), value,
+                 check=False)
+        for exps, value in p.sorted_terms()
+    ), check=False)
+
+
+def _shared_denominator_pencil(f):
+    """BR of F = (1/q) P for a k x k F with k >= 2 and some denominator
+    other than 1: q is the product of the distinct denominators other than
+    1 and P = sum_alpha z^alpha C_alpha, each monomial built once through
+    a Kronecker step and sandwiched by I and C_alpha; the pencil is the
+    inverted pencil of q repeated k times, times that of P."""
+    d, n, k = f.descriptor, f.n_vars, f.rows
+    one = Polynomial.one(d, n)
+    dens = []
+    for row in f.entries:
+        for entry in row:
+            if entry.den != one and entry.den not in dens:
+                dens.append(entry.den)
+    q = one
+    for den in dens:
+        q = q * den
+    support = {}
+    for i, row in enumerate(f.entries):
+        for j, entry in enumerate(row):
+            cleared = entry.num
+            for den in dens:
+                if den != entry.den:
+                    cleared = cleared * den
+            for exps, value in cleared.sorted_terms():
+                grid = support.setdefault(exps, [[d.zero] * k for _ in range(k)])
+                grid[i][j] = value
+    identity = [[d.one if i == j else d.zero for j in range(k)]
+                for i in range(k)]
+    parts = [
+        op_sandwich(identity, op_kron_identity(
+            _monomial_pencil(d, n, exps), k, check=False), grid, check=False)
+        if any(exps) else _constant_pencil(d, n, grid)
+        for exps, grid in support.items()
+    ]
+    inv_q = op_inverse(_polynomial_pencil(q), check=False)
+    return op_product(op_kron_identity(inv_q, k, check=False), None,
+                      op_add(*parts, check=False), check=False)
+
+
 def test_three_by_three_br_with_shared_denominators_verifies():
     target = parse_expression(
         "[[z1+z2^3, z1*z2/(1+z1), z3],[z2, z3^2/(z1+z2), 1],"
         "[z1*z2*z3, 0, 1/(1+z3)]]",
         Q, 3,
     )
-    # The shared-denominator construction still serves as a large-pencil
-    # verification stress; realize_br takes the entry-wise one here.
-    shared = _br_shared(*_shared_denominator(target))
+    # The shared-denominator construction serves as a large-pencil
+    # verification stress; realize_br builds each entry over its own
+    # denominator.
+    shared = _shared_denominator_pencil(target)
     assert shared.m == 792
     assert check_realization(shared, target, RealizationKind.BR).passed
     result = realize_br(target)
