@@ -2,10 +2,12 @@
 complements: plain, homogeneous, symmetric, and homogeneous-symmetric, with
 the characteristic-2 decision procedures.
 
-Everything is assembled from the combinators; precondition checks are
-deferred during assembly (the outputs are verified independently by the
-:mod:`ratpencil.verify` module and the test suite).  Correctness of the
-Schur complement is the only contract.  Three steps keep pencils small:
+A polynomial's pencil is assembled directly, one bidiagonal chain per
+term (:func:`_br_poly_scalar`); everything else is assembled from the
+combinators.  Precondition checks are deferred during assembly (the
+outputs are verified independently by the :mod:`ratpencil.verify` module
+and the test suite).  Correctness of the Schur complement is the only
+contract.  Three steps keep pencils small:
 
 * :func:`realize_br` and :func:`realize_sbr` split the target as
   F = L + N, with L the part of degree at most 1 of every entry whose
@@ -16,7 +18,10 @@ Schur complement is the only contract.  Three steps keep pencils small:
 * In characteristic 2, each parity class of a diagonal entry is one
   symmetric square, since (a + b)^2 = a^2 + b^2 there.
 * The pencil of N goes through :func:`op_shrink`, which removes constant
-  pivots of A22 by exact Schur steps.
+  pivots of A22 by exact Schur steps.  The polynomial chains leave it
+  none; it works on the constant blocks that the inverse and the product
+  put around a denominator, on the symmetric squares and on the sums of
+  those.
 
 Pencils are not minimal.
 """
@@ -75,19 +80,6 @@ class Char2Certificate:
         return self.verdict == "realizable"
 
 
-# ---------------------------------------------------------------------------
-# atoms
-# ---------------------------------------------------------------------------
-
-
-def _atom_var(descriptor, n_vars, index) -> LinearPencil:
-    one = descriptor.one
-    coeffs = [dict() for _ in range(n_vars + 1)]
-    coeffs[0][(1, 1)] = one
-    coeffs[index + 1][(0, 0)] = one
-    return LinearPencil(descriptor, n_vars, 2, 1, coeffs)
-
-
 def _const_matrix_pencil(descriptor, n_vars, values) -> LinearPencil:
     """Realizes a constant k x k matrix B as [[B, 0], [0, 1]] with split k
     (the zero matrix and the 1x1 one included)."""
@@ -108,10 +100,6 @@ def _basis_row(descriptor, k, i):
     return [
         [descriptor.one if t == i else descriptor.zero for t in range(k)]
     ]
-
-
-def _scaled(p: LinearPencil, value) -> LinearPencil:
-    return p if value == p.descriptor.one else op_scale(p, value, check=False)
 
 
 def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
@@ -185,40 +173,49 @@ def _realize_split(f: RationalMatrix, build) -> LinearPencil:
 # ---------------------------------------------------------------------------
 
 
-def _br_monomial(descriptor, n_vars, exps) -> LinearPencil:
-    factors = [v for v in range(n_vars) for _ in range(exps[v])]
-    if not factors:
-        return _const_matrix_pencil(descriptor, n_vars, [[descriptor.one]])
-    pencil = _atom_var(descriptor, n_vars, factors[0])
-    for v in factors[1:]:
-        pencil = op_product(pencil, None, _atom_var(descriptor, n_vars, v),
-                            check=False)
-    return pencil
-
-
 def _br_poly_scalar(p: Polynomial) -> LinearPencil:
+    """BR of a polynomial, assembled directly with split 1, terms in the
+    order of :meth:`Polynomial.sorted_terms`.  A term c z^a of degree at
+    most 1 goes into A11.  One of degree d >= 2, with variable indices
+    w_1 <= ... <= w_d, appends the rows r_1..r_(d-1): c z_(w_1) at
+    (0, r_1), c z_(w_t) at (r_(t-1), r_t), -c at (r_t, r_t) and c z_(w_d)
+    at (r_(d-1), 0): A22 = -c (I - N) with N nilpotent, and the term adds
+    c z^a to the Schur complement.  With no row appended the pencil is
+    [[p, 0], [0, 1]]."""
     d, n = p.descriptor, p.n_vars
-    parts = [_scaled(_br_monomial(d, n, exps), value)
-             for exps, value in p.sorted_terms()]
-    return _sum(parts, d, n, 1)
+    coeffs = [{} for _ in range(n + 1)]
+    row = 1
+    for exps, c in p.sorted_terms():
+        w = [v + 1 for v in range(n) for _ in range(exps[v])]
+        if len(w) < 2:
+            coeffs[w[0] if w else 0][(0, 0)] = c
+            continue
+        neg, last = d.neg(c), row + len(w) - 2
+        coeffs[w[0]][(0, row)] = c
+        for v in w[1:]:
+            coeffs[0][(row, row)] = neg
+            coeffs[v][(row, row + 1 if row < last else 0)] = c
+            row += 1
+    if row == 1:
+        coeffs[0][(1, 1)] = d.one
+        row = 2
+    return LinearPencil(d, n, row, 1, coeffs)
 
 
 # Pencil sizes are predicted from the term maps before anything is built.
 # Each counts the rows of the (2,2) block: a pencil's m is its split plus
 # these, ``op_add`` adds them, ``op_sandwich`` keeps them, ``op_inverse``
 # adds the split, and ``op_product`` adds both inputs' and the split.  An
-# empty ``_sum`` (the zero pencil) has one.
-
-
-def _monomial_rows(degree: int) -> int:
-    """Block rows of :func:`_br_monomial`: 2d - 1 for degree d, 1 for 1."""
-    return 2 * degree - 1 if degree else 1
+# empty ``_sum`` (the zero pencil) has one, and a term of degree d
+# appends d - 1 to a polynomial's (none below 2).  The chains leave
+# :func:`op_shrink` no pivot, so for a polynomial target the BR size, and
+# away from characteristic 2 the SBR size, is predicted as returned.
 
 
 def _scalar_rows(p: Polynomial) -> int:
     """Block rows of :func:`_br_poly_scalar`."""
     degree = layout(p.n_vars).degree
-    return sum(_monomial_rows(degree(key)) for key in p.packed) or 1
+    return sum(max(degree(key) - 1, 0) for key in p.packed) or 1
 
 
 def _entry_rows(f: RationalFunction) -> int:
@@ -266,15 +263,16 @@ def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
     F is split as L + N (see the module docs): N is built as below and
-    shrunk, and L is added into A11.  Monomials are product chains of the
-    atomic variable pencils, and polynomials scaled sums of them; an entry
+    shrunk, and L is added into A11.  A polynomial is one direct pencil
+    with a bidiagonal chain per term (:func:`_br_poly_scalar`); an entry
     p/q is the pencil of p times the inverted pencil of q.  Each nonzero
     entry of N is built over its own denominator and placed as
     e_i f_ij e_j^T, and the placed pencils are summed (a 1x1 N is its
     entry's pencil).  The size of that construction is counted exactly from
     the term maps, and one past ``MAX_PENCIL_SIZE`` raises
-    :class:`PencilTooLarge` before anything is built; :func:`op_shrink`
-    can only lower it.
+    :class:`PencilTooLarge` before anything is built.  :func:`op_shrink`
+    can only lower it, and leaves a polynomial N as it is, so for a
+    polynomial target the size checked is the size returned.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -466,15 +464,15 @@ def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
 
 def _symmetric_rows(h: Polynomial) -> int:
     """Block rows of h's symmetric pencil from :func:`_sbr_from_certificate`,
-    where a class takes 2 r + 1 for the r block rows of its s, and a term of
-    degree e gives s a term of degree ceil(e / 2)."""
+    where a class takes 2 max(r, 1) + 1 for the r rows the terms of its s
+    append, and a term of degree e gives s a term of degree ceil(e / 2)."""
     lay = layout(h.n_vars)
     parity = sum(1 << s for s in lay.shifts)
     classes: dict[int, int] = {}
     for key in h.packed:
-        rows = _monomial_rows((lay.degree(key) + 1) // 2)
+        rows = max((lay.degree(key) + 1) // 2 - 1, 0)
         classes[key & parity] = classes.get(key & parity, 0) + rows
-    return sum(2 * rows + 1 for rows in classes.values()) or 1
+    return sum(2 * max(rows, 1) + 1 for rows in classes.values()) or 1
 
 
 def _sbr_scalar_rows(g: RationalFunction, h: Polynomial) -> int:

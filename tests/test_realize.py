@@ -164,6 +164,32 @@ def test_symmetric_diagonal_rows_are_exact(rand, n):
     assert pencil.m - 1 == realize_module._sbr_scalar_rows(g, h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.integers(1, 3))
+def test_polynomial_chains_leave_nothing_to_shrink(rand, d, n):
+    # one direct chain per term: A22 has no constant pivot, so the pencil
+    # is as small as op_shrink can make it and its size is the prediction
+    p = random_poly(rand, d, n, max_deg=4, max_terms=4)
+    pencil = realize_module._br_poly_scalar(p)
+    assert op_shrink(pencil) is pencil
+    assert pencil.m - 1 == realize_module._scalar_rows(p)
+    assert pencil.schur_complement() == RationalMatrix.scalar(
+        RationalFunction(p))
+
+
+def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
+    target = parse_expression(
+        "[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 2
+    )
+    for build, m in ((realize_br, 12), (realize_sbr, 18)):
+        monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
+        assert _check(build(target)).pencil.m == m
+        monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
+        with pytest.raises(PencilTooLarge, match="more than the limit"):
+            build(target)
+
+
 def test_symmetrized_size_is_checked_before_building(monkeypatch):
     # away from characteristic 2, realize_sbr builds the BR pencil of
     # G = 2 N_upp + diag N for F = L + N, and then a symmetric one of

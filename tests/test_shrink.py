@@ -33,6 +33,7 @@ from ratpencil.realize import (
 from ratpencil.verify import check_realization
 
 from conftest import random_matrix, schur_dense_oracle
+from test_verify import _polynomial_pencil
 
 Q = rationals()
 G2 = prime_field(2)
@@ -89,7 +90,7 @@ def _count_pairs(monkeypatch):
 
 def test_gf2_sbr_takes_the_pair_step(monkeypatch):
     calls = _count_pairs(monkeypatch)
-    target = parse_expression("(z1^2+z2)/(1+z1^2)", G2)
+    target = parse_expression("[[z1, z1^2],[z1^2, 1/(z1+1)]]", G2)
     result = realize_sbr(target)
     assert calls
     assert result.pencil.is_symmetric()
@@ -100,7 +101,10 @@ def test_pair_step_on_a_zero_diagonal(monkeypatch):
     # over GF(2) the symmetrization has A22 = [[0, B], [B^T, 0]]: no
     # diagonal pivot at all, while {i, m - k + i} pairs are invertible
     calls = _count_pairs(monkeypatch)
-    base = _br_entry(parse_expression("z1*z2 + 1", G2).entries[0][0])
+    # atom product chains, whose A22 has the constant pivots that the
+    # direct chains of the builders leave out
+    p = parse_expression("z1*z2 + 1", G2).entries[0][0].num
+    base = _polynomial_pencil(p)
     sym = op_symmetrize(base, check=False)
     shrunk = op_shrink(sym)
     assert calls and shrunk.m < sym.m

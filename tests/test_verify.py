@@ -20,12 +20,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
-from ratpencil.realize import (
-    _br_entry,
-    _br_entrywise,
-    realize_br,
-    realize_sbr,
-)
+from ratpencil.realize import _br_entry, realize_br, realize_sbr
 from ratpencil.verify import check_realization, cross_validate_det
 
 from conftest import random_matrix
@@ -108,13 +103,59 @@ def test_builders_always_verify(rng):
         assert check_realization(result.pencil, f, result.kind).passed
 
 
+def _constant_pencil(d, n, values):
+    """[[B, 0], [0, 1]] for a constant k x k matrix B."""
+    k = len(values)
+    c0 = {(i, j): v for i, row in enumerate(values) for j, v in enumerate(row)}
+    c0[(k, k)] = d.one
+    return LinearPencil(d, n, k + 1, k, [c0] + [{} for _ in range(n)])
+
+
+def _monomial_pencil(d, n, exps):
+    """z^exps as a product chain of the atoms [[z_v, 0], [0, 1]]."""
+    pencil = None
+    for v, e in enumerate(exps):
+        coeffs = [{(1, 1): d.one}] + [{(0, 0): d.one} if t == v else {}
+                                      for t in range(n)]
+        for _ in range(e):
+            atom = LinearPencil(d, n, 2, 1, coeffs)
+            pencil = atom if pencil is None else op_product(
+                pencil, None, atom, check=False)
+    return pencil or _constant_pencil(d, n, [[d.one]])
+
+
+def _polynomial_pencil(p):
+    return op_add(*(
+        op_scale(_monomial_pencil(p.descriptor, p.n_vars, exps), value,
+                 check=False)
+        for exps, value in p.sorted_terms()
+    ), check=False)
+
+
+def _entry_pencil(f):
+    """p/q as the pencil of p, times that of q inverted when q is not 1."""
+    p = _polynomial_pencil(f.num)
+    if f.den == Polynomial.one(f.descriptor, f.n_vars):
+        return p
+    inv_q = op_inverse(_polynomial_pencil(f.den), check=False)
+    return op_product(inv_q, None, p, check=False)
+
+
 def _two_by_two_br():
-    # built from the combinators without the shrink of realize_br, which
-    # leaves m = 8: the checks below need a larger pencil
+    # every entry from atom product chains, placed by a sandwich and
+    # summed, without the shrink of realize_br, which leaves m = 8: the
+    # checks below need a larger pencil
     target = parse_expression(
         "[[z1+z2^3, z1*z2/(1+z1)],[z2, z3^2/(z1+z2)]]", Q, 3
     )
-    pencil = _br_entrywise(target)
+    d, k = target.descriptor, target.rows
+    unit = [[d.one if t == i else d.zero for t in range(k)] for i in range(k)]
+    pencil = op_add(*(
+        op_sandwich([[x] for x in unit[i]], _entry_pencil(entry), [unit[j]],
+                    check=False)
+        for i, row in enumerate(target.entries)
+        for j, entry in enumerate(row)
+    ), check=False)
     assert pencil.m > 16
     return pencil, target
 
@@ -213,35 +254,6 @@ def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     assert report.schur_ok and report.structure_ok
     assert not report.det_ok and not report.passed
     assert not cross_validate_det(pencil)
-
-
-def _constant_pencil(d, n, values):
-    """[[B, 0], [0, 1]] for a constant k x k matrix B."""
-    k = len(values)
-    c0 = {(i, j): v for i, row in enumerate(values) for j, v in enumerate(row)}
-    c0[(k, k)] = d.one
-    return LinearPencil(d, n, k + 1, k, [c0] + [{} for _ in range(n)])
-
-
-def _monomial_pencil(d, n, exps):
-    """z^exps as a product chain of the atoms [[z_v, 0], [0, 1]]."""
-    pencil = None
-    for v, e in enumerate(exps):
-        coeffs = [{(1, 1): d.one}] + [{(0, 0): d.one} if t == v else {}
-                                      for t in range(n)]
-        for _ in range(e):
-            atom = LinearPencil(d, n, 2, 1, coeffs)
-            pencil = atom if pencil is None else op_product(
-                pencil, None, atom, check=False)
-    return pencil or _constant_pencil(d, n, [[d.one]])
-
-
-def _polynomial_pencil(p):
-    return op_add(*(
-        op_scale(_monomial_pencil(p.descriptor, p.n_vars, exps), value,
-                 check=False)
-        for exps, value in p.sorted_terms()
-    ), check=False)
 
 
 def _shared_denominator_pencil(f):
