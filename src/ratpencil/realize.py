@@ -2,12 +2,13 @@
 complements: plain, homogeneous, symmetric, and homogeneous-symmetric, with
 the characteristic-2 decision procedures.
 
-A polynomial's pencil is assembled directly, one bidiagonal chain per
-term (:func:`_br_poly_scalar`); everything else is assembled from the
-combinators.  Precondition checks are deferred during assembly (the
-outputs are verified independently by the :mod:`ratpencil.verify` module
-and the test suite).  Correctness of the Schur complement is the only
-contract.  Three steps keep pencils small:
+A BR pencil is written in one pass (:func:`_br_entrywise`): one
+bidiagonal chain per polynomial term, and for an entry p/q the pencil of q,
+negated and bordered by the chains of p.  The symmetric pencils are
+assembled from BR pencils with the combinators.  Precondition checks are
+deferred during assembly (the outputs are verified independently by the
+:mod:`ratpencil.verify` module and the test suite).  Correctness of the
+Schur complement is the only contract.  Three steps keep pencils small:
 
 * :func:`realize_br` and :func:`realize_sbr` split the target as
   F = L + N, with L the part of degree at most 1 of every entry whose
@@ -17,11 +18,10 @@ contract.  Three steps keep pencils small:
   builders realize the dehomogenization, so they split too.
 * In characteristic 2, each parity class of a diagonal entry is one
   symmetric square, since (a + b)^2 = a^2 + b^2 there.
-* The pencil of N goes through :func:`op_shrink`, which removes constant
-  pivots of A22 by exact Schur steps.  The polynomial chains leave it
-  none; it works on the constant blocks that the inverse and the product
-  put around a denominator, on the symmetric squares and on the sums of
-  those.
+* In characteristic 2, :func:`op_shrink` removes constant pivots of A22
+  by exact Schur steps from each diagonal square before it is placed,
+  and from their sum.  A BR pencil has no constant pivot, so nothing else
+  is shrunk.
 
 Pencils are not minimal.
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .combinators import (
     op_add,
     op_homogenize,
-    op_inverse,
     op_product,
     op_sandwich,
     op_scale,
@@ -80,18 +79,6 @@ class Char2Certificate:
         return self.verdict == "realizable"
 
 
-def _const_matrix_pencil(descriptor, n_vars, values) -> LinearPencil:
-    """Realizes a constant k x k matrix B as [[B, 0], [0, 1]] with split k
-    (the zero matrix and the 1x1 one included)."""
-    k = len(values)
-    c0 = {(i, j): value for i, row in enumerate(values)
-          for j, value in enumerate(row)}
-    c0[(k, k)] = descriptor.one
-    return LinearPencil(
-        descriptor, n_vars, k + 1, k, [c0] + [{} for _ in range(n_vars)]
-    )
-
-
 def _basis_column(descriptor, k, i):
     return [[descriptor.one] if t == i else [descriptor.zero] for t in range(k)]
 
@@ -104,10 +91,10 @@ def _basis_row(descriptor, k, i):
 
 def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
     """Pencil for the sum of the parts' Schur complements, left to right;
-    the k x k zero pencil when there are no parts."""
+    the k x k zero pencil [[0, 0], [0, 1]] when there are no parts."""
     if not parts:
-        zero = [[descriptor.zero] * k for _ in range(k)]
-        return _const_matrix_pencil(descriptor, n_vars, zero)
+        return LinearPencil(descriptor, n_vars, k + 1, k,
+                            [{(k, k): descriptor.one}] + [{}] * n_vars)
     return op_add(*parts, check=False)
 
 
@@ -156,15 +143,15 @@ def _plus_affine(p: LinearPencil, affine) -> LinearPencil:
 
 
 def _realize_split(f: RationalMatrix, build) -> LinearPencil:
-    """The pencil of F = L + N: ``build(N)`` through :func:`op_shrink`,
-    with L added into A11.  For N = 0 it is the k x k zero pencil
-    [[0, 0], [0, 1]] plus L, of size k + 1, which the pencil format allows
-    no smaller (its split is less than m)."""
+    """The pencil of F = L + N: ``build(N)`` with L added into A11.  For
+    N = 0 it is the k x k zero pencil [[0, 0], [0, 1]] plus L, of size
+    k + 1, which the pencil format allows no smaller (its split is less
+    than m)."""
     rest, affine = _split_affine(f)
     if rest is None:
         pencil = _sum([], f.descriptor, f.n_vars, f.rows)
     else:
-        pencil = op_shrink(build(rest), check=False)
+        pencil = build(rest)
     return _plus_affine(pencil, affine)
 
 
@@ -173,57 +160,59 @@ def _realize_split(f: RationalMatrix, build) -> LinearPencil:
 # ---------------------------------------------------------------------------
 
 
-def _br_poly_scalar(p: Polynomial) -> LinearPencil:
-    """BR of a polynomial, assembled directly with split 1, terms in the
-    order of :meth:`Polynomial.sorted_terms`.  A term c z^a of degree at
-    most 1 goes into A11.  One of degree d >= 2, with variable indices
-    w_1 <= ... <= w_d, appends the rows r_1..r_(d-1): c z_(w_1) at
-    (0, r_1), c z_(w_t) at (r_(t-1), r_t), -c at (r_t, r_t) and c z_(w_d)
-    at (r_(d-1), 0): A22 = -c (I - N) with N nilpotent, and the term adds
-    c z^a to the Schur complement.  With no row appended the pencil is
-    [[p, 0], [0, 1]]."""
+def _chain(coeffs, p: Polynomial, row0, col0, row, col):
+    """Write the chains of p into ``coeffs``, terms in the order of
+    :meth:`Polynomial.sorted_terms`, and return the next free row.  Chain
+    index 0 is row ``row0`` and column ``col0``; the chain indices 1, 2,
+    ... are the rows ``row``, ``row + 1``, ... and the columns ``col``,
+    ``col + 1``, ....  A term c z^a of degree at most 1 goes to (0, 0).
+    One of degree d >= 2, with variable indices w_1 <= ... <= w_d, takes
+    the next chain indices r_1..r_(d-1): c z_(w_1) at (0, r_1), c z_(w_t)
+    at (r_(t-1), r_t), -c at (r_t, r_t) and c z_(w_d) at (r_(d-1), 0).
+    Its (2,2) block is -c (I - N) with N nilpotent, and the term adds
+    c z^a to the Schur complement."""
     d, n = p.descriptor, p.n_vars
-    coeffs = [{} for _ in range(n + 1)]
-    row = 1
+    shift = col - row
     for exps, c in p.sorted_terms():
         w = [v + 1 for v in range(n) for _ in range(exps[v])]
         if len(w) < 2:
-            coeffs[w[0] if w else 0][(0, 0)] = c
+            coeffs[w[0] if w else 0][(row0, col0)] = c
             continue
-        neg, last = d.neg(c), row + len(w) - 2
-        coeffs[w[0]][(0, row)] = c
-        for v in w[1:]:
-            coeffs[0][(row, row)] = neg
-            coeffs[v][(row, row + 1 if row < last else 0)] = c
+        neg = d.neg(c)
+        coeffs[w[0]][(row0, row + shift)] = c
+        for v in w[1:-1]:
+            coeffs[0][(row, row + shift)] = neg
+            coeffs[v][(row, row + shift + 1)] = c
             row += 1
-    if row == 1:
-        coeffs[0][(1, 1)] = d.one
-        row = 2
-    return LinearPencil(d, n, row, 1, coeffs)
+        coeffs[0][(row, row + shift)] = neg
+        coeffs[w[-1]][(row, col0)] = c
+        row += 1
+    return row
 
 
 # Pencil sizes are predicted from the term maps before anything is built.
-# Each counts the rows of the (2,2) block: a pencil's m is its split plus
-# these, ``op_add`` adds them, ``op_sandwich`` keeps them, ``op_inverse``
-# adds the split, and ``op_product`` adds both inputs' and the split.  An
-# empty ``_sum`` (the zero pencil) has one, and a term of degree d
-# appends d - 1 to a polynomial's (none below 2).  The chains leave
-# :func:`op_shrink` no pivot, so for a polynomial target the BR size, and
-# away from characteristic 2 the SBR size, is predicted as returned.
+# Each counts the rows of the (2,2) block: a term of degree d appends
+# d - 1 chain rows (none below 2), and an entry p/q with q != 1 appends
+# q's chain and q's first row besides p's chain.  A pencil's m is its split
+# plus these, or plus one filler row when there are none.  ``op_add`` adds
+# them, ``op_sandwich`` keeps them and ``op_product`` adds both inputs' and
+# the split.  The BR pencil leaves :func:`op_shrink` no pivot, so the BR
+# size, and away from characteristic 2 the SBR size, is checked as
+# returned.
 
 
-def _scalar_rows(p: Polynomial) -> int:
-    """Block rows of :func:`_br_poly_scalar`."""
+def _chain_rows(p: Polynomial) -> int:
+    """Rows that :func:`_chain` appends for p."""
     degree = layout(p.n_vars).degree
-    return sum(max(degree(key) - 1, 0) for key in p.packed) or 1
+    return sum(max(degree(key) - 1, 0) for key in p.packed)
 
 
 def _entry_rows(f: RationalFunction) -> int:
-    """Block rows of :func:`_br_entry`."""
-    rows = _scalar_rows(f.num)
-    if f.den == Polynomial.one(f.descriptor, f.n_vars):
+    """Rows that :func:`_br_entrywise` appends for the entry f = p/q."""
+    rows = _chain_rows(f.num)
+    if f.is_polynomial():
         return rows
-    return rows + _scalar_rows(f.den) + 2
+    return rows + 1 + _chain_rows(f.den)
 
 
 def _entrywise_size(f: RationalMatrix) -> int:
@@ -233,57 +222,63 @@ def _entrywise_size(f: RationalMatrix) -> int:
     return f.rows + (rows or 1)
 
 
-def _br_entry(f: RationalFunction) -> LinearPencil:
-    """BR of one entry p/q: the pencil of p, times that of q inverted when
-    q is not 1."""
-    p_pencil = _br_poly_scalar(f.num)
-    if f.den == Polynomial.one(f.descriptor, f.n_vars):
-        return p_pencil
-    inv_q = op_inverse(_br_poly_scalar(f.den), check=False)
-    return op_product(inv_q, None, p_pencil, check=False)
-
-
 def _br_entrywise(f: RationalMatrix) -> LinearPencil:
-    """BR of F = sum_ij e_i f_ij e_j^T: each nonzero entry over its own
-    denominator, placed by a sandwich with basis vectors (none for k = 1,
-    where it is the identity)."""
+    """BR of F = sum_ij e_i f_ij e_j^T with split k, written in one pass
+    over the nonzero entries in row-major order, after its size is
+    checked.
+
+    * A polynomial p at (i, j) is its chains with chain index 0 at row i
+      and column j (:func:`_chain`).
+    * An entry p/q with q != 1 appends 1 + r_q + r_p rows for the r_p and
+      r_q chain rows of p and q.  With Q the chain matrix of q (q's affine
+      part in its corner) and P11, P12, P21, P22 the blocks of p's chains,
+      A12 has 1 at (i, Q's first column), A22 = [[-Q, e1 P12], [0, P22]]
+      and A21 = [e1 P11; P21] in column j.  The Schur complement is
+      (Q^-1)_11 p = p / q.  The rows are p's chain rows, q's chain rows,
+      then Q's first row; the columns Q's first column, q's chain columns,
+      then p's chain columns.
+
+    With no row appended the pencil is [[F, 0], [0, 1]].
+    """
     d, n, k = f.descriptor, f.n_vars, f.rows
-    parts = [
-        _br_entry(entry) if k == 1 else
-        op_sandwich(_basis_column(d, k, i), _br_entry(entry),
-                    _basis_row(d, k, j), check=False)
-        for i, row in enumerate(f.entries)
-        for j, entry in enumerate(row)
-        if not entry.is_zero()
-    ]
-    return _sum(parts, d, n, k)
+    m = _entrywise_size(f)
+    require_size(m, "the realization")
+    coeffs = [{} for _ in range(n + 1)]
+    row = k
+    for i, entries in enumerate(f.entries):
+        for j, entry in enumerate(entries):
+            if entry.is_zero():
+                continue
+            if entry.is_polynomial():
+                row = _chain(coeffs, entry.num, i, j, row, row)
+                continue
+            r_p, r_q = _chain_rows(entry.num), _chain_rows(entry.den)
+            first = row + r_p + r_q  # Q's first row
+            coeffs[0][(i, row)] = d.one
+            _chain(coeffs, -entry.den, first, row, row + r_p, row + 1)
+            _chain(coeffs, entry.num, first, j, row, row + 1 + r_q)
+            row = first + 1
+    if row == k:
+        coeffs[0][(k, k)] = d.one
+    return LinearPencil(d, n, m, k, coeffs)
 
 
 def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
-    F is split as L + N (see the module docs): N is built as below and
-    shrunk, and L is added into A11.  A polynomial is one direct pencil
-    with a bidiagonal chain per term (:func:`_br_poly_scalar`); an entry
-    p/q is the pencil of p times the inverted pencil of q.  Each nonzero
-    entry of N is built over its own denominator and placed as
-    e_i f_ij e_j^T, and the placed pencils are summed (a 1x1 N is its
-    entry's pencil).  The size of that construction is counted exactly from
+    F is split as L + N (see the module docs): N is written as one pencil
+    by :func:`_br_entrywise`, and L is added into A11.  A polynomial entry
+    is a bidiagonal chain per term; an entry p/q is the pencil of q,
+    negated and bordered by p's chains.  Its size is counted exactly from
     the term maps, and one past ``MAX_PENCIL_SIZE`` raises
-    :class:`PencilTooLarge` before anything is built.  :func:`op_shrink`
-    can only lower it, and leaves a polynomial N as it is, so for a
-    polynomial target the size checked is the size returned.
+    :class:`PencilTooLarge` before anything is written.  The pencil has
+    no constant pivot for :func:`op_shrink`, so the size checked is the
+    size returned.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
-    return RealizationResult(_realize_split(f, _br_build),
+    return RealizationResult(_realize_split(f, _br_entrywise),
                              RealizationKind.BR, f)
-
-
-def _br_build(f: RationalMatrix) -> LinearPencil:
-    """:func:`_br_entrywise` of F, after its size is checked."""
-    require_size(_entrywise_size(f), "the realization")
-    return _br_entrywise(f)
 
 
 def _homogeneous_pairs(f: RationalMatrix):
@@ -410,7 +405,8 @@ def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
     size = base.m
     col = _basis_column(d, size, 0)
     row = _basis_row(d, size, 0)
-    wrapped = op_sandwich(col, _br_poly_scalar(x), row, check=False)
+    x_pencil = _br_entrywise(RationalMatrix.scalar(RationalFunction(x)))
+    wrapped = op_sandwich(col, x_pencil, row, check=False)
     return op_sandwich(row, _sym_square(wrapped, base), col, check=False)
 
 
@@ -437,7 +433,8 @@ def _sbr_from_certificate(cert: Char2Certificate, descriptor,
         x = None if index is None else RationalMatrix.scalar(
             RationalFunction.variable(descriptor, n_vars, index)
         )
-        parts.append(_sym_square(_br_poly_scalar(root), x))
+        base = _br_entrywise(RationalMatrix.scalar(RationalFunction(root)))
+        parts.append(_sym_square(base, x))
     return _sum(parts, descriptor, n_vars, 1)
 
 
@@ -457,7 +454,7 @@ def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
 
     ``h_pencil`` comes from the characteristic-2 parity certificate of h.
     """
-    if f.den == Polynomial.one(f.descriptor, f.n_vars):
+    if f.is_polynomial():
         return h_pencil  # h = p * 1 is f itself
     return _sbr_square_over(f.num, h_pencil)  # p^2 / (p q) = p / q
 
@@ -478,10 +475,10 @@ def _symmetric_rows(h: Polynomial) -> int:
 def _sbr_scalar_rows(g: RationalFunction, h: Polynomial) -> int:
     """The block rows of :func:`_sbr_scalar` on g = p/q and h = p*q, with
     h's pencil built as :func:`_symmetric_rows` counts it: q != 1 adds
-    ``2 * _scalar_rows(p) + 1``."""
+    ``2 * max(r, 1) + 1`` for the r chain rows of p."""
     rows = _symmetric_rows(h)
-    if g.den != Polynomial.one(g.descriptor, g.n_vars):
-        rows += 2 * _scalar_rows(g.num) + 1
+    if not g.is_polynomial():
+        rows += 2 * max(_chain_rows(g.num), 1) + 1
     return rows
 
 
@@ -523,11 +520,12 @@ def _sbr_by_diagonal(f: RationalMatrix, certs) -> LinearPencil:
         k + sum(_sbr_scalar_rows(g, g.num * g.den) for g in diagonal),
         "the diagonal of the realization",
     )
-    # a denominator is monic, so a constant one is 1
+    # shrunk before they are placed, so that the total checked is that of
+    # the pencil built, not of its constant pivots; the sum is shrunk too
     scalars = [
-        _sbr_scalar(g, _sbr_from_certificate(
+        op_shrink(_sbr_scalar(g, _sbr_from_certificate(
             _without_affine(cert) if g.is_polynomial() else cert, d, n
-        ))
+        )), check=False)
         for cert, g in zip(certs, diagonal)
     ]
     if k == 1:
@@ -536,17 +534,11 @@ def _sbr_by_diagonal(f: RationalMatrix, certs) -> LinearPencil:
     upper = _strict_upper(f)
     if any(not e.is_zero() for row in upper.entries for e in row):
         parts.append(op_symmetrize(realize_br(upper).pencil, check=False))
-    # shrunk before they are placed, so that the total checked is that of
-    # the pencil built, not of its constant pivots
     for i, scalar in enumerate(scalars):
-        parts.append(
-            op_sandwich(
-                _basis_column(d, k, i), op_shrink(scalar, check=False),
-                _basis_row(d, k, i), check=False,
-            )
-        )
+        parts.append(op_sandwich(_basis_column(d, k, i), scalar,
+                                 _basis_row(d, k, i), check=False))
     require_size(k + sum(p.m - k for p in parts), "the realization")
-    return _sum(parts, d, n, k)
+    return op_shrink(_sum(parts, d, n, k), check=False)
 
 
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
@@ -555,16 +547,18 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     F is split as L + N (see the module docs); L is symmetric, so adding it
     into A11 keeps the pencil symmetric, and only N is built.  Away from
     characteristic 2, N is realized as (1/2)(G + G^T) with
-    G = 2 N_upp + diag N, so that :func:`realize_br` builds each
-    off-diagonal entry once (a 1x1 G is N).  In characteristic 2 every
-    diagonal entry of F must first pass the parity test, run once on F
-    (in one variable every entry passes); the first failure raises
-    :class:`NotRealizableChar2`.  N is then built by
-    :func:`_sbr_by_diagonal`, one square per parity class.  Either path
-    checks its size against ``MAX_PENCIL_SIZE`` before the pencil is
-    assembled: the symmetric pencil of G as 2 m - k rows for G's BR pencil
-    of m rows, and the diagonal path its diagonal exactly and its total
-    before the final sum.
+    G = 2 N_upp + diag N, whose BR pencil :func:`_br_entrywise` writes
+    with each off-diagonal entry once (a 1x1 G is N); nothing is shrunk
+    there.  In characteristic 2 every diagonal entry of F must first pass
+    the parity test, run once on F (in one variable every entry passes);
+    the first failure raises :class:`NotRealizableChar2`.  N is then built
+    by :func:`_sbr_by_diagonal`, one square per parity class, and
+    :func:`op_shrink` removes the constant pivots of the squares and of
+    their sum.  Either path checks its size against ``MAX_PENCIL_SIZE``
+    before the pencil is assembled: the symmetric pencil of G as 2 m - k
+    rows for G's BR pencil of m rows, which is the size returned, and the
+    diagonal path its diagonal exactly and its total before the final
+    sum.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -583,9 +577,8 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
             g = _doubled_upper(rest)
             # op_symmetrize doubles G's pencil less its k outer rows
             require_size(2 * _entrywise_size(g) - f.rows, "the realization")
-            g_pencil = op_shrink(_br_entrywise(g), check=False)
-            return op_scale(op_symmetrize(g_pencil, check=False), half,
-                            check=False)
+            return op_scale(op_symmetrize(_br_entrywise(g), check=False),
+                            half, check=False)
     return RealizationResult(_realize_split(f, build),
                              RealizationKind.SBR, f)
 

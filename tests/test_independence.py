@@ -8,7 +8,8 @@ wrong pencil and then pass it, so this test reads the imports of
 
 A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
-it do not keep it alive.
+it do not keep it alive.  So is a name that a module imports and never
+reads, except the re-exports of ``__init__.py``.
 """
 
 import ast
@@ -133,3 +134,43 @@ def test_every_private_name_is_used():
         for path in sorted(SRC.glob("*.py"))
     }
     assert not dead_private_names(sources)
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names that ``source`` binds by an import (other than from
+    ``__future__``) and never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    return bound - read
+
+
+def test_the_detector_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import heapq\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .combinators import op_add, op_inverse\n"
+        "def f():\n"
+        "    from .poly import layout\n"
+        "    return op_add(os.path.sep)\n"
+    )
+    assert unused_imports(source) == {"heapq", "j", "op_inverse", "layout"}
+
+
+def test_every_import_is_used():
+    unused = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert not unused

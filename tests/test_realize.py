@@ -13,11 +13,12 @@ from ratpencil.errors import (
     NotRealizableChar2,
     NotSymmetric,
     PencilTooLarge,
+    RatPencilError,
     TooFewVariables,
     WrongCharacteristic,
 )
 from ratpencil.expr import parse_expression
-from ratpencil.fields import prime_field, rationals
+from ratpencil.fields import parse_field, prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
@@ -40,6 +41,7 @@ from conftest import (
     random_ratfun,
     random_symmetric_matrix,
 )
+from test_builders_pinned import FIELDS, TARGETS
 
 Q = rationals()
 G2 = prime_field(2)
@@ -112,13 +114,12 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
     rest, affine = realize_module._split_affine(target)
     if rest is None:
         rest = RationalMatrix([[RationalFunction.zero(d, n)] * k] * k)
-    # the predictor sizes the construction as built, before the shrink
+    # the predictor sizes the pencil as written, and nothing shrinks it
     built = realize_module._br_entrywise(rest)
     assert realize_module._entrywise_size(rest) == built.m
+    assert op_shrink(built) is built
     result = _check(realize_br(target))
-    assert result.pencil.m <= built.m
-    assert result.pencil == realize_module._plus_affine(op_shrink(built),
-                                                        affine)
+    assert result.pencil == realize_module._plus_affine(built, affine)
 
     if d.characteristic != 2:
         mirrored = RationalMatrix(
@@ -168,26 +169,62 @@ def test_symmetric_diagonal_rows_are_exact(rand, n):
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
        st.integers(1, 3))
 def test_polynomial_chains_leave_nothing_to_shrink(rand, d, n):
-    # one direct chain per term: A22 has no constant pivot, so the pencil
-    # is as small as op_shrink can make it and its size is the prediction
+    # one direct chain per term of p, and for p/q the chain matrix of q
+    # negated and bordered by p's chains: A22 has no constant pivot, so the
+    # pencil is as small as op_shrink can make it and its size is the
+    # prediction
     p = random_poly(rand, d, n, max_deg=4, max_terms=4)
-    pencil = realize_module._br_poly_scalar(p)
-    assert op_shrink(pencil) is pencil
-    assert pencil.m - 1 == realize_module._scalar_rows(p)
-    assert pencil.schur_complement() == RationalMatrix.scalar(
-        RationalFunction(p))
+    q = random_poly(rand, d, n, max_deg=3, max_terms=3, nonzero=True)
+    for f in (RationalFunction(p), RationalFunction(p, q)):
+        target = RationalMatrix.scalar(f)
+        pencil = realize_module._br_entrywise(target)
+        assert op_shrink(pencil) is pencil
+        assert pencil.m == realize_module._entrywise_size(target)
+        assert pencil.schur_complement() == target
 
 
 def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
-    target = parse_expression(
-        "[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 2
-    )
-    for build, m in ((realize_br, 12), (realize_sbr, 18)):
-        monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
-        assert _check(build(target)).pencil.m == m
-        monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
-        with pytest.raises(PencilTooLarge, match="more than the limit"):
-            build(target)
+    # the second target has rational entries: each is written as q's
+    # pencil bordered by p's chains, with no constant pivot to shrink
+    for text, br_m, sbr_m in (
+        ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", 12, 18),
+        ("[[z1^2/(1+z1), z2^2],[z2^2, z1*z2/(z1+z2)]]", 8, 12),
+    ):
+        target = parse_expression(text, Q, 2)
+        for build, m in ((realize_br, br_m), (realize_sbr, sbr_m)):
+            monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
+            assert _check(build(target)).pencil.m == m
+            monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
+            with pytest.raises(PencilTooLarge, match="more than the limit"):
+                build(target)
+
+
+def test_op_shrink_runs_only_in_the_char2_symmetric_path(monkeypatch):
+    # BR and HBR pencils, and SBR and HSBR ones away from characteristic 2,
+    # are written with no constant pivot, so nothing shrinks them
+    def refuse(pencil, check=True):
+        raise AssertionError("op_shrink ran")
+
+    monkeypatch.setattr(realize_module, "op_shrink", refuse)
+    built = 0
+    for text, n_vars in TARGETS:
+        for name in FIELDS:
+            field = parse_field(name)
+            target = parse_expression(text, field, n_vars)
+            builders = [realize_br, realize_hbr]
+            if field.characteristic != 2:
+                builders += [realize_sbr, decide_and_realize_hsbr]
+            for build in builders:
+                try:
+                    result = build(target)
+                except RatPencilError:
+                    continue
+                _check(result)
+                built += 1
+    assert built > 100
+    # the characteristic-2 symmetric path still shrinks
+    with pytest.raises(AssertionError, match="op_shrink ran"):
+        realize_sbr(parse_expression("z1^4+z1", G2))
 
 
 def test_symmetrized_size_is_checked_before_building(monkeypatch):

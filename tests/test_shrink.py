@@ -1,8 +1,11 @@
 """The shrink combinator: exact, structure-keeping, idempotent, smaller.
 
-Its inputs are pencils as the builders make them before shrinking, built
-from the realize internals and the combinators, plus symmetric pencils
-whose A22 needs the pair step (a zero diagonal in characteristic 2).
+Its inputs are pencils with constant pivots, built from public
+combinators: BR pencils whose entries are atom product chains, each
+denominator inverted and multiplied in, their symmetrizations and their
+symmetric squares.  Besides, symmetric pencils whose A22 needs the pair
+step (a zero diagonal in characteristic 2), and the builders, which shrink
+only in the characteristic-2 symmetric path.
 """
 
 import importlib.util
@@ -23,8 +26,6 @@ from ratpencil.fields import parse_field, prime_field, rationals
 from ratpencil.pencil import MAX_PENCIL_SIZE, RealizationKind
 from ratpencil.realize import (
     RealizationResult,
-    _br_entry,
-    _br_entrywise,
     decide_and_realize_hsbr,
     realize_br,
     realize_hbr,
@@ -33,7 +34,7 @@ from ratpencil.realize import (
 from ratpencil.verify import check_realization
 
 from conftest import random_matrix, schur_dense_oracle
-from test_verify import _polynomial_pencil
+from test_verify import _entrywise_pencil, _polynomial_pencil
 
 Q = rationals()
 G2 = prime_field(2)
@@ -42,13 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unshrunk(rand, d, shape):
-    """A pencil as a builder makes it before the shrink: BR of a random
-    target, its symmetrization, or its symmetric square."""
+    """A pencil with constant pivots: BR of a random target from atom
+    product chains, its symmetrization, or its symmetric square."""
     n = rand.randint(1, 3)
     k = rand.choice([1, 2])
     target = random_matrix(rand, d, n, k, max_deg=2, max_terms=2)
-    base = (_br_entry(target.entries[0][0]) if k == 1
-            else _br_entrywise(target))
+    base = _entrywise_pencil(target)
     if shape == "br":
         return base
     if shape == "symmetrize":

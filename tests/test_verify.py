@@ -20,7 +20,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.pencil import LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
-from ratpencil.realize import _br_entry, realize_br, realize_sbr
+from ratpencil.realize import realize_br, realize_sbr
 from ratpencil.verify import check_realization, cross_validate_det
 
 from conftest import random_matrix
@@ -141,21 +141,32 @@ def _entry_pencil(f):
     return op_product(inv_q, None, p, check=False)
 
 
-def _two_by_two_br():
-    # every entry from atom product chains, placed by a sandwich and
-    # summed, without the shrink of realize_br, which leaves m = 8: the
-    # checks below need a larger pencil
-    target = parse_expression(
-        "[[z1+z2^3, z1*z2/(1+z1)],[z2, z3^2/(z1+z2)]]", Q, 3
-    )
-    d, k = target.descriptor, target.rows
+def _entrywise_pencil(target):
+    """F = sum_ij e_i f_ij e_j^T: the :func:`_entry_pencil` of every
+    nonzero entry, placed by a sandwich with basis vectors and summed (the
+    zero pencil for F = 0)."""
+    d, n, k = target.descriptor, target.n_vars, target.rows
     unit = [[d.one if t == i else d.zero for t in range(k)] for i in range(k)]
-    pencil = op_add(*(
+    parts = [
         op_sandwich([[x] for x in unit[i]], _entry_pencil(entry), [unit[j]],
                     check=False)
         for i, row in enumerate(target.entries)
         for j, entry in enumerate(row)
-    ), check=False)
+        if not entry.is_zero()
+    ]
+    if not parts:
+        return _constant_pencil(d, n, [[d.zero] * k for _ in range(k)])
+    return op_add(*parts, check=False)
+
+
+def _two_by_two_br():
+    # every entry from atom product chains, placed by a sandwich and
+    # summed; realize_br writes m = 8, and the checks below need a larger
+    # pencil
+    target = parse_expression(
+        "[[z1+z2^3, z1*z2/(1+z1)],[z2, z3^2/(z1+z2)]]", Q, 3
+    )
+    pencil = _entrywise_pencil(target)
     assert pencil.m > 16
     return pencil, target
 
@@ -172,7 +183,8 @@ def test_verification_runs_the_schur_elimination_once(monkeypatch):
 
     monkeypatch.setattr(_State, "eliminate", counted)
     small = parse_expression("z1/(1+z2) + z2^2", Q, 2)
-    small_pencil = _br_entry(small.entries[0][0])  # unshrunk
+    # p/q as p's pencil times q's inverted, with their constant pivots
+    small_pencil = _entry_pencil(small.entries[0][0])
     assert 6 <= small_pencil.m <= 16
     cases = [
         (_golden(), RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1))),
