@@ -569,8 +569,11 @@ class _Shrink:
 
 
 def op_shrink(p: LinearPencil, check: bool = True) -> LinearPencil:
-    """Pencil with the Schur complement and the structure classes of ``p``,
-    made smaller by exact Schur steps on constant pivots of A22.
+    """Pencil with the Schur complement of ``p``, made smaller by exact
+    Schur steps on constant pivots of A22.  It keeps every structure class
+    of ``p`` and may gain one: the LP-only pencil of 1/z1 from
+    :func:`op_inverse` and :func:`op_product` shrinks to the symmetric
+    [[0, 1], [1, -z1]].
 
     Each step removes one row and one column of A22 (or two of each) by
     the quotient formula (A/A22) = (A/C)/(A22/C) for a constant invertible

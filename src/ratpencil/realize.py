@@ -2,13 +2,16 @@
 complements: plain, homogeneous, symmetric, and homogeneous-symmetric, with
 the characteristic-2 decision procedures.
 
-A BR pencil is written in one pass (:func:`_br_entrywise`): one
-bidiagonal chain per polynomial term, and for an entry p/q the pencil of q,
-negated and bordered by the chains of p.  The symmetric pencils are
-assembled from BR pencils with the combinators.  Precondition checks are
-deferred during assembly (the outputs are verified independently by the
-:mod:`ratpencil.verify` module and the test suite).  Correctness of the
-Schur complement is the only contract.  Three steps keep pencils small:
+Every pencil is written in one pass into one coefficient list
+(:func:`_written`), after its size is counted exactly from the term maps
+and checked against ``MAX_PENCIL_SIZE``: one bidiagonal chain per
+polynomial term, and for an entry p/q the pencil of q, negated and
+bordered by the chains of p.  The symmetric pencils mirror that layout,
+which is :func:`op_symmetrize`'s; the builders call no combinator but
+:func:`op_homogenize`, and leave :func:`op_shrink` no constant pivot.  The
+outputs are verified independently by the :mod:`ratpencil.verify` module
+and the test suite; correctness of the Schur complement is the only
+contract.  Two steps keep pencils small:
 
 * :func:`realize_br` and :func:`realize_sbr` split the target as
   F = L + N, with L the part of degree at most 1 of every entry whose
@@ -17,11 +20,8 @@ Schur complement is the only contract.  Three steps keep pencils small:
   the pencil is [[0, 0], [0, 1]] plus L, of size k + 1.  The homogeneous
   builders realize the dehomogenization, so they split too.
 * In characteristic 2, each parity class of a diagonal entry is one
-  symmetric square, since (a + b)^2 = a^2 + b^2 there.
-* In characteristic 2, :func:`op_shrink` removes constant pivots of A22
-  by exact Schur steps from each diagonal square before it is placed,
-  and from their sum.  A BR pencil has no constant pivot, so nothing else
-  is shrunk.
+  symmetric square, since (a + b)^2 = a^2 + b^2 there, written straight
+  into place (:func:`_sbr_entrywise`).
 
 Pencils are not minimal.
 """
@@ -30,15 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinators import (
-    op_add,
-    op_homogenize,
-    op_product,
-    op_sandwich,
-    op_scale,
-    op_shrink,
-    op_symmetrize,
-)
+from .combinators import op_homogenize
 from .errors import (
     DimensionMismatch,
     NotHomogeneousDegreeOne,
@@ -77,25 +69,6 @@ class Char2Certificate:
     @property
     def realizable(self) -> bool:
         return self.verdict == "realizable"
-
-
-def _basis_column(descriptor, k, i):
-    return [[descriptor.one] if t == i else [descriptor.zero] for t in range(k)]
-
-
-def _basis_row(descriptor, k, i):
-    return [
-        [descriptor.one if t == i else descriptor.zero for t in range(k)]
-    ]
-
-
-def _sum(parts, descriptor, n_vars, k) -> LinearPencil:
-    """Pencil for the sum of the parts' Schur complements, left to right;
-    the k x k zero pencil [[0, 0], [0, 1]] when there are no parts."""
-    if not parts:
-        return LinearPencil(descriptor, n_vars, k + 1, k,
-                            [{(k, k): descriptor.one}] + [{}] * n_vars)
-    return op_add(*parts, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +121,7 @@ def _realize_split(f: RationalMatrix, build) -> LinearPencil:
     k + 1, which the pencil format allows no smaller (its split is less
     than m)."""
     rest, affine = _split_affine(f)
-    if rest is None:
-        pencil = _sum([], f.descriptor, f.n_vars, f.rows)
-    else:
-        pencil = build(rest)
+    pencil = _written(f, []) if rest is None else build(rest)
     return _plus_affine(pencil, affine)
 
 
@@ -190,15 +160,11 @@ def _chain(coeffs, p: Polynomial, row0, col0, row, col):
     return row
 
 
-# Pencil sizes are predicted from the term maps before anything is built.
-# Each counts the rows of the (2,2) block: a term of degree d appends
-# d - 1 chain rows (none below 2), and an entry p/q with q != 1 appends
-# q's chain and q's first row besides p's chain.  A pencil's m is its split
-# plus these, or plus one filler row when there are none.  ``op_add`` adds
-# them, ``op_sandwich`` keeps them and ``op_product`` adds both inputs' and
-# the split.  The BR pencil leaves :func:`op_shrink` no pivot, so the BR
-# size, and away from characteristic 2 the SBR size, is checked as
-# returned.
+# A pencil's size is counted from the term maps before anything is
+# written.  Each item appends the rows of its chains: a term of degree d
+# appends d - 1 (none below 2), and an entry p/q with q != 1 appends q's
+# chain and q's first row besides p's chain.  Written mirrored, each of
+# those rows is also a column, so it counts twice.
 
 
 def _chain_rows(p: Polynomial) -> int:
@@ -208,27 +174,26 @@ def _chain_rows(p: Polynomial) -> int:
 
 
 def _entry_rows(f: RationalFunction) -> int:
-    """Rows that :func:`_br_entrywise` appends for the entry f = p/q."""
+    """Rows that :func:`_written` appends for the entry f = p/q."""
     rows = _chain_rows(f.num)
     if f.is_polynomial():
         return rows
     return rows + 1 + _chain_rows(f.den)
 
 
-def _entrywise_size(f: RationalMatrix) -> int:
-    """The m of :func:`_br_entrywise`."""
-    rows = sum(_entry_rows(e) for row in f.entries for e in row
-               if not e.is_zero())
-    return f.rows + (rows or 1)
+def _written(f: RationalMatrix, items, corners: int = 0,
+             mirrored: bool = False) -> LinearPencil:
+    """The pencil of split k = ``f.rows`` over f's field and variables
+    whose coefficients are the BR layout of ``items``, written in one pass
+    after its size is checked.
 
+    An item (i, j, g) writes the entry g with chain index 0 at row i and
+    column j.  The chain rows run from k + ``corners`` on, in item order,
+    and their columns from the same index, or, ``mirrored``, from past the
+    last chain row; the ``corners`` rows between the k outer ones and the
+    chain rows are left to the items to name.
 
-def _br_entrywise(f: RationalMatrix) -> LinearPencil:
-    """BR of F = sum_ij e_i f_ij e_j^T with split k, written in one pass
-    over the nonzero entries in row-major order, after its size is
-    checked.
-
-    * A polynomial p at (i, j) is its chains with chain index 0 at row i
-      and column j (:func:`_chain`).
+    * A polynomial p is its chains (:func:`_chain`).
     * An entry p/q with q != 1 appends 1 + r_q + r_p rows for the r_p and
       r_q chain rows of p and q.  With Q the chain matrix of q (q's affine
       part in its corner) and P11, P12, P21, P22 the blocks of p's chains,
@@ -238,29 +203,44 @@ def _br_entrywise(f: RationalMatrix) -> LinearPencil:
       then Q's first row; the columns Q's first column, q's chain columns,
       then p's chain columns.
 
-    With no row appended the pencil is [[F, 0], [0, 1]].
+    ``mirrored`` then copies every entry to (j, i).  Written from the BR
+    layout of some G, that is :func:`op_symmetrize`'s layout, of Schur
+    complement G + G^T.  With no row appended the pencil is [[F, 0],
+    [0, 1]].
     """
     d, n, k = f.descriptor, f.n_vars, f.rows
-    m = _entrywise_size(f)
+    rows = sum(_entry_rows(g) for _, _, g in items)
+    start = k + corners
+    shift = rows if mirrored else 0
+    m = max(start + rows + shift, k + 1)
     require_size(m, "the realization")
     coeffs = [{} for _ in range(n + 1)]
-    row = k
-    for i, entries in enumerate(f.entries):
-        for j, entry in enumerate(entries):
-            if entry.is_zero():
-                continue
-            if entry.is_polynomial():
-                row = _chain(coeffs, entry.num, i, j, row, row)
-                continue
-            r_p, r_q = _chain_rows(entry.num), _chain_rows(entry.den)
-            first = row + r_p + r_q  # Q's first row
-            coeffs[0][(i, row)] = d.one
-            _chain(coeffs, -entry.den, first, row, row + r_p, row + 1)
-            _chain(coeffs, entry.num, first, j, row, row + 1 + r_q)
-            row = first + 1
+    row = start
+    for i, j, g in items:
+        col = row + shift
+        if g.is_polynomial():
+            row = _chain(coeffs, g.num, i, j, row, col)
+            continue
+        r_p, r_q = _chain_rows(g.num), _chain_rows(g.den)
+        first = row + r_p + r_q  # Q's first row; col is its first column
+        coeffs[0][(i, col)] = d.one
+        _chain(coeffs, -g.den, first, col, row + r_p, col + 1)
+        _chain(coeffs, g.num, first, j, row, col + 1 + r_q)
+        row = first + 1
+    if mirrored:
+        for c in coeffs:
+            c.update({(j, i): value for (i, j), value in c.items()})
     if row == k:
         coeffs[0][(k, k)] = d.one
     return LinearPencil(d, n, m, k, coeffs)
+
+
+def _br_entrywise(f: RationalMatrix) -> LinearPencil:
+    """BR of F = sum_ij e_i f_ij e_j^T: its nonzero entries in row-major
+    order, written by :func:`_written` with chain rows and columns from
+    k."""
+    return _written(f, [(i, j, g) for i, row in enumerate(f.entries)
+                        for j, g in enumerate(row) if not g.is_zero()])
 
 
 def realize_br(f: RationalMatrix) -> RealizationResult:
@@ -388,199 +368,112 @@ def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
     return certs
 
 
-def _sym_square(p: LinearPencil, x=None) -> LinearPencil:
-    """Symmetric pencil for (schur P) * X^{-1} * (schur P)^T."""
-    return op_product(p, x, p.transpose(), check=False)
+def _class_roots(cert: Char2Certificate):
+    """(s, x) for each parity class of h = sum_beta z^beta g_beta in
+    characteristic 2, less its terms of degree at most 1, so that
+    s^2 / x = z^beta (g_beta less its constant term).
 
-
-def _sbr_square_over(x: Polynomial, base: LinearPencil) -> LinearPencil:
-    """Symmetric pencil realizing x^2 * s^{-1} from a symmetric realizer of s.
-
-    Route: with A the symmetric pencil realizing s, the (1,1) entry of
-    A^{-1} is s^{-1}, so x^2 s^{-1} = e1^T (x E11) A^{-1} (x E11)^T e1 —
-    a congruence by the rank-one x E11, built by sandwiching and a pencil
-    product with middle factor A.
-    """
-    d = base.descriptor
-    size = base.m
-    col = _basis_column(d, size, 0)
-    row = _basis_row(d, size, 0)
-    x_pencil = _br_entrywise(RationalMatrix.scalar(RationalFunction(x)))
-    wrapped = op_sandwich(col, x_pencil, row, check=False)
-    return op_sandwich(row, _sym_square(wrapped, base), col, check=False)
-
-
-def _sbr_from_certificate(cert: Char2Certificate, descriptor,
-                          n_vars) -> LinearPencil:
-    """Symmetric pencil realizing h = sum_beta z^beta g_beta in char 2,
-    one square per parity class.
-
-    With g_beta = sum_a c_a z^(2a) and s = sum_a c_a z^a, the Frobenius
-    map gives s^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
+    With g_beta = sum_a c_a z^(2a) and r = sum_a c_a z^a, the Frobenius
+    map gives r^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
     GF(2), the only characteristic-2 field the library has (a field
     gf:2^k would need c^(1/2) here; see ROADMAP.md, item 9).  The even
-    class is s s^T on the BR pencil of s; the z_i class uses the
-    congruence (z_i s) z_i^{-1} (z_i s)^T = z_i s^2, with z_i carried in
-    the polynomial whose BR pencil is squared.
+    class has s = r and x = 1, the z_i class s = z_i r and x = z_i.
     """
-    parts = []
+    roots = []
     for beta in sorted(cert.decomposition, key=grlex_key, reverse=True):
-        root = Polynomial(descriptor, n_vars, {
+        g = cert.decomposition[beta].above(0)
+        if g.is_zero():
+            continue
+        d, n = g.descriptor, g.n_vars
+        root = Polynomial(d, n, {
             tuple(e // 2 + b for e, b in zip(exps, beta)): value
-            for exps, value in cert.decomposition[beta].sorted_terms()
+            for exps, value in g.sorted_terms()
         })
         index = next((t for t, b in enumerate(beta) if b), None)
-        x = None if index is None else RationalMatrix.scalar(
-            RationalFunction.variable(descriptor, n_vars, index)
-        )
-        base = _br_entrywise(RationalMatrix.scalar(RationalFunction(root)))
-        parts.append(_sym_square(base, x))
-    return _sum(parts, descriptor, n_vars, 1)
+        x = (RationalFunction.one(d, n) if index is None
+             else RationalFunction.variable(d, n, index))
+        roots.append((RationalFunction(root), x))
+    return roots
 
 
-def _without_affine(cert: Char2Certificate) -> Char2Certificate:
-    """The certificate of h less its terms of degree at most 1, which are
-    z^beta times the constant term of each g_beta."""
-    decomposition = {}
-    for beta, g in cert.decomposition.items():
-        rest = g.above(0)
-        if not rest.is_zero():
-            decomposition[beta] = rest
-    return Char2Certificate("realizable", decomposition=decomposition)
+def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
+    """SBR of N = N_upp + N_upp^T + diag N, written in one pass by
+    :func:`_written`, mirrored; ``certs`` are the parity certificates of
+    F = L + N's diagonal in characteristic 2, and ``None`` elsewhere.
 
+    Every item is written with its chain rows from k + c and their columns
+    from k + c + r, for the c corner rows and the r chain rows, and then
+    copied to (j, i), which is :func:`op_symmetrize`'s layout.  In
+    row-major order over j >= i:
 
-def _sbr_scalar(f: RationalFunction, h_pencil: LinearPencil) -> LinearPencil:
-    """Symmetric pencil for f = p/q from a symmetric pencil realizing h = p*q.
+    * an entry of N_upp is its BR layout;
+    * away from characteristic 2, an entry g of diag N is the BR layout of
+      g / 2, and its mirror image adds the other half;
+    * in characteristic 2, each parity class (s, x) of the entry at (i, i)
+      (:func:`_class_roots`) takes a new corner row t: s's chains with
+      chain index 0 at row i and column t, and -x at (t, t).  For s's BR
+      pencil P = [[a, b], [c, D]] that is the layout
+      [[0, b, 0, a], [b^T, 0, D^T, 0], [0, D, 0, c], [a, 0, c^T, -x]] of
+      :func:`op_product` (P, x, P^T) without P's filler row, whose Schur
+      complement is s x^-1 s = z^beta g_beta;
+    * in characteristic 2, an entry p/q with q != 1 is p's square around
+      -H, with H the matrix of h = p q written the same way from a new
+      corner row t_H, and h's terms of degree at most 1 at (t_H, t_H).
+      H's Schur complement is h, so (H^-1)_11 = 1 / h and the square's is
+      p^2 / h = p / q.
 
-    ``h_pencil`` comes from the characteristic-2 parity certificate of h.
+    In characteristic 2, -1 = 1, so -x and -H are written as x and H.
     """
-    if f.is_polynomial():
-        return h_pencil  # h = p * 1 is f itself
-    return _sbr_square_over(f.num, h_pencil)  # p^2 / (p q) = p / q
-
-
-def _symmetric_rows(h: Polynomial) -> int:
-    """Block rows of h's symmetric pencil from :func:`_sbr_from_certificate`,
-    where a class takes 2 max(r, 1) + 1 for the r rows the terms of its s
-    append, and a term of degree e gives s a term of degree ceil(e / 2)."""
-    lay = layout(h.n_vars)
-    parity = sum(1 << s for s in lay.shifts)
-    classes: dict[int, int] = {}
-    for key in h.packed:
-        rows = max((lay.degree(key) + 1) // 2 - 1, 0)
-        classes[key & parity] = classes.get(key & parity, 0) + rows
-    return sum(2 * max(rows, 1) + 1 for rows in classes.values()) or 1
-
-
-def _sbr_scalar_rows(g: RationalFunction, h: Polynomial) -> int:
-    """The block rows of :func:`_sbr_scalar` on g = p/q and h = p*q, with
-    h's pencil built as :func:`_symmetric_rows` counts it: q != 1 adds
-    ``2 * max(r, 1) + 1`` for the r chain rows of p."""
-    rows = _symmetric_rows(h)
-    if not g.is_polynomial():
-        rows += 2 * max(_chain_rows(g.num), 1) + 1
-    return rows
-
-
-def _strict_upper(f: RationalMatrix) -> RationalMatrix:
-    zero = RationalFunction.zero(f.descriptor, f.n_vars)
-    return RationalMatrix(
-        [
-            [f.entries[i][j] if j > i else zero for j in range(f.cols)]
-            for i in range(f.rows)
-        ]
-    )
-
-
-def _doubled_upper(f: RationalMatrix) -> RationalMatrix:
-    """G = 2 F_upp + diag F, so that G + G^T = 2F for a symmetric F."""
-    d = f.descriptor
-    two = d.add(d.one, d.one)
-    zero = RationalFunction.zero(d, f.n_vars)
-    return RationalMatrix(
-        [
-            [entry.scale(two) if j > i else entry if j == i else zero
-             for j, entry in enumerate(row)]
-            for i, row in enumerate(f.entries)
-        ]
-    )
-
-
-def _sbr_by_diagonal(f: RationalMatrix, certs) -> LinearPencil:
-    """N = N_upp + N_upp^T + diag N in characteristic 2, the symmetric
-    pieces summed; ``certs`` are the parity certificates of F = L + N's
-    diagonal.  Each diagonal entry g = p/q of N comes from a symmetric
-    pencil for h = p*q as p^2 / (p q), built from its certificate less the
-    degree-at-most-1 term of each class when q = 1 (a 1x1 N is its entry's
-    pencil).  The diagonal's size is checked before anything is built, and
-    the total before the sum."""
-    d, n, k = f.descriptor, f.n_vars, f.rows
-    diagonal = [f.entries[i][i] for i in range(k)]
-    require_size(
-        k + sum(_sbr_scalar_rows(g, g.num * g.den) for g in diagonal),
-        "the diagonal of the realization",
-    )
-    # shrunk before they are placed, so that the total checked is that of
-    # the pencil built, not of its constant pivots; the sum is shrunk too
-    scalars = [
-        op_shrink(_sbr_scalar(g, _sbr_from_certificate(
-            _without_affine(cert) if g.is_polynomial() else cert, d, n
-        )), check=False)
-        for cert, g in zip(certs, diagonal)
-    ]
-    if k == 1:
-        return scalars[0]
-    parts = []
-    upper = _strict_upper(f)
-    if any(not e.is_zero() for row in upper.entries for e in row):
-        parts.append(op_symmetrize(realize_br(upper).pencil, check=False))
-    for i, scalar in enumerate(scalars):
-        parts.append(op_sandwich(_basis_column(d, k, i), scalar,
-                                 _basis_row(d, k, i), check=False))
-    require_size(k + sum(p.m - k for p in parts), "the realization")
-    return op_shrink(_sum(parts, d, n, k), check=False)
+    d, k = f.descriptor, f.rows
+    half = d.inv(d.add(d.one, d.one)) if certs is None else None
+    items, corner = [], k
+    for i, row in enumerate(f.entries):
+        for j, g in enumerate(row[i:], i):
+            if g.is_zero():
+                continue
+            if j > i:
+                items.append((i, j, g))
+                continue
+            if certs is None:
+                items.append((i, i, g.scale(half)))
+                continue
+            row0 = i
+            if not g.is_polynomial():
+                h = g.num * g.den
+                items += [(i, corner, RationalFunction(g.num)),
+                          (corner, corner, RationalFunction(h - h.above(1)))]
+                row0, corner = corner, corner + 1
+            for s, x in _class_roots(certs[i]):
+                items += [(row0, corner, s), (corner, corner, x)]
+                corner += 1
+    return _written(f, items, corner - k, mirrored=True)
 
 
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
     F is split as L + N (see the module docs); L is symmetric, so adding it
-    into A11 keeps the pencil symmetric, and only N is built.  Away from
-    characteristic 2, N is realized as (1/2)(G + G^T) with
-    G = 2 N_upp + diag N, whose BR pencil :func:`_br_entrywise` writes
-    with each off-diagonal entry once (a 1x1 G is N); nothing is shrunk
-    there.  In characteristic 2 every diagonal entry of F must first pass
-    the parity test, run once on F (in one variable every entry passes);
-    the first failure raises :class:`NotRealizableChar2`.  N is then built
-    by :func:`_sbr_by_diagonal`, one square per parity class, and
-    :func:`op_shrink` removes the constant pivots of the squares and of
-    their sum.  Either path checks its size against ``MAX_PENCIL_SIZE``
-    before the pencil is assembled: the symmetric pencil of G as 2 m - k
-    rows for G's BR pencil of m rows, which is the size returned, and the
-    diagonal path its diagonal exactly and its total before the final
-    sum.
+    into A11 keeps the pencil symmetric, and only N is built.  In
+    characteristic 2 every diagonal entry of F must first pass the parity
+    test, run once on F (in one variable every entry passes); the first
+    failure raises :class:`NotRealizableChar2`.  N is then written by
+    :func:`_sbr_entrywise` in one pass: its off-diagonal entries mirrored,
+    and its diagonal as halves away from characteristic 2 and as one
+    square per parity class in it.  The size is counted exactly from the
+    term maps, and one past ``MAX_PENCIL_SIZE`` raises
+    :class:`PencilTooLarge` before anything is written.  The pencil has no
+    constant pivot for :func:`op_shrink`, so the size checked is the size
+    returned.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    d = f.descriptor
-    if d.characteristic == 2:
-        certs = _diagonal_certificates(f)
-
-        def build(rest):
-            return _sbr_by_diagonal(rest, certs)
-    else:
-        half = d.inv(d.add(d.one, d.one))
-
-        def build(rest):
-            g = _doubled_upper(rest)
-            # op_symmetrize doubles G's pencil less its k outer rows
-            require_size(2 * _entrywise_size(g) - f.rows, "the realization")
-            return op_scale(op_symmetrize(_br_entrywise(g), check=False),
-                            half, check=False)
-    return RealizationResult(_realize_split(f, build),
-                             RealizationKind.SBR, f)
+    certs = (_diagonal_certificates(f)
+             if f.descriptor.characteristic == 2 else None)
+    return RealizationResult(
+        _realize_split(f, lambda rest: _sbr_entrywise(rest, certs)),
+        RealizationKind.SBR, f)
 
 
 def decide_and_realize_hsbr(f: RationalMatrix):

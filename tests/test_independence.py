@@ -6,6 +6,10 @@ eliminates pivots to check them.  If ``combinators.py`` imported
 wrong pencil and then pass it, so this test reads the imports of
 ``combinators.py`` and fails on either.
 
+The builders write every pencil layout directly, so ``realize.py`` takes
+one combinator, ``op_homogenize``, and none of those that assemble or
+shrink intermediate pencils.
+
 A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
 it do not keep it alive.  So is a name that a module imports and never
@@ -51,6 +55,43 @@ def test_the_detector_finds_imports():
 def test_combinators_import_neither_elimination_nor_verify():
     source = (SRC / "combinators.py").read_text(encoding="utf-8")
     assert not imported_modules(source) & FORBIDDEN
+
+
+def names_taken(source: str, module: str) -> set[str]:
+    """What ``source`` takes from the library module ``module`` (its last
+    dotted part): the names of a ``from .module import ...``, and the
+    module itself when ``source`` imports it whole."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module != "ratpencil"
+                and node.module.rsplit(".", 1)[-1] == module):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            alias.name.rsplit(".", 1)[-1] == module for alias in node.names
+        ):
+            found.add(module)
+    return found
+
+
+def test_the_detector_finds_names_taken():
+    source = (
+        "from .combinators import op_homogenize, op_add\n"
+        "from .poly import layout\n"
+        "def f():\n"
+        "    from . import combinators\n"
+        "    import ratpencil.combinators as c\n"
+    )
+    assert names_taken(source, "combinators") == {
+        "op_homogenize", "op_add", "combinators"
+    }
+    assert names_taken("from ratpencil import combinators\n",
+                       "combinators") == {"combinators"}
+
+
+def test_builders_take_only_op_homogenize_from_combinators():
+    source = (SRC / "realize.py").read_text(encoding="utf-8")
+    assert names_taken(source, "combinators") == {"op_homogenize"}
 
 
 def _is_private(name: str) -> bool:

@@ -1,26 +1,26 @@
 """Realization builders and the characteristic-2 decision procedure."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ratpencil.pencil as pencil_module
 import ratpencil.realize as realize_module
-from ratpencil.combinators import op_shrink, op_symmetrize
+from ratpencil.combinators import op_shrink
 from ratpencil.errors import (
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
     NotSymmetric,
     PencilTooLarge,
-    RatPencilError,
     TooFewVariables,
     WrongCharacteristic,
 )
 from ratpencil.expr import parse_expression
-from ratpencil.fields import parse_field, prime_field, rationals
+from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
-from ratpencil.pencil import RealizationKind
+from ratpencil.pencil import require_size
 from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import (
     Char2Certificate,
@@ -41,7 +41,6 @@ from conftest import (
     random_ratfun,
     random_symmetric_matrix,
 )
-from test_builders_pinned import FIELDS, TARGETS
 
 Q = rationals()
 G2 = prime_field(2)
@@ -57,6 +56,18 @@ def _check(result):
     report = check_realization(result.pencil, result.target, result.kind)
     assert report.passed, report.to_json()
     return result
+
+
+def _at_checked_size(build, *args):
+    """``build(*args)``, asserting that the one size it checked against the
+    pencil-size limit is the m of the pencil it returned, and that
+    :func:`op_shrink` finds no constant pivot to remove."""
+    with mock.patch.object(realize_module, "require_size",
+                           wraps=require_size) as spy:
+        pencil = build(*args)
+    assert [call.args[0] for call in spy.call_args_list] == [pencil.m]
+    assert op_shrink(pencil) is pencil
+    return pencil
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +125,8 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
     rest, affine = realize_module._split_affine(target)
     if rest is None:
         rest = RationalMatrix([[RationalFunction.zero(d, n)] * k] * k)
-    # the predictor sizes the pencil as written, and nothing shrinks it
-    built = realize_module._br_entrywise(rest)
-    assert realize_module._entrywise_size(rest) == built.m
-    assert op_shrink(built) is built
+    # the size checked is the size written, and nothing shrinks it
+    built = _at_checked_size(realize_module._br_entrywise, rest)
     result = _check(realize_br(target))
     assert result.pencil == realize_module._plus_affine(built, affine)
 
@@ -141,30 +150,6 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
     assert _check(realize_hbr(_grid(k, homogeneous_entry))).pencil.is_homogeneous()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 3))
-def test_symmetric_diagonal_rows_are_exact(rand, n):
-    # the diagonal path of realize_sbr (characteristic 2) checks this size
-    # against the pencil-size limit before building
-    d = G2
-    g = random_ratfun(rand, d, n, max_deg=4, max_terms=3)
-    h = g.num * g.den
-    cert = realize_module._parity_certificate(g)
-    if not cert.realizable:
-        assert n >= 2
-        return
-    h_pencil = realize_module._sbr_from_certificate(cert, d, n)
-    if g.is_polynomial():
-        # N of g = L + N, from g's certificate less its affine terms
-        rest = RationalFunction(g.num.above(1))
-        cut = realize_module._without_affine(cert)
-        pencil = realize_module._sbr_from_certificate(cut, d, n)
-        assert pencil.m - 1 == realize_module._sbr_scalar_rows(rest,
-                                                               rest.num)
-    pencil = realize_module._sbr_scalar(g, h_pencil)
-    assert pencil.m - 1 == realize_module._sbr_scalar_rows(g, h)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
        st.integers(1, 3))
@@ -177,88 +162,51 @@ def test_polynomial_chains_leave_nothing_to_shrink(rand, d, n):
     q = random_poly(rand, d, n, max_deg=3, max_terms=3, nonzero=True)
     for f in (RationalFunction(p), RationalFunction(p, q)):
         target = RationalMatrix.scalar(f)
-        pencil = realize_module._br_entrywise(target)
-        assert op_shrink(pencil) is pencil
-        assert pencil.m == realize_module._entrywise_size(target)
+        pencil = _at_checked_size(realize_module._br_entrywise, target)
         assert pencil.schur_complement() == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.sampled_from([1, 2, 3]))
+def test_sbr_is_checked_at_the_size_returned(rand, d, k):
+    # every SBR pencil is written in one pass, in characteristic 2 too: the
+    # one size checked against the limit is the m returned, and op_shrink
+    # finds nothing to remove.  A diagonal x s^2 / t^2 with x in
+    # {1, z_1, ..., z_n} passes the characteristic-2 parity test.
+    n = rand.randint(1, 3)
+    grid = [[None] * k for _ in range(k)]
+    for i in range(k):
+        s = random_poly(rand, d, n, max_deg=2, max_terms=3)
+        t = random_poly(rand, d, n, max_deg=2, max_terms=2, nonzero=True)
+        x = rand.choice([Polynomial.one(d, n)] + [
+            Polynomial.variable(d, n, v) for v in range(n)])
+        grid[i][i] = RationalFunction(x * s * s, t * t)
+        for j in range(i + 1, k):
+            grid[i][j] = grid[j][i] = random_ratfun(rand, d, n, max_deg=3)
+    target = RationalMatrix(grid)
+    pencil = _at_checked_size(lambda: _check(realize_sbr(target)).pencil)
+    assert pencil.is_symmetric()
 
 
 def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
     # the second target has rational entries: each is written as q's
-    # pencil bordered by p's chains, with no constant pivot to shrink
-    for text, br_m, sbr_m in (
-        ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", 12, 18),
-        ("[[z1^2/(1+z1), z2^2],[z2^2, z1*z2/(z1+z2)]]", 8, 12),
+    # pencil bordered by p's chains, with no constant pivot to shrink; the
+    # gf2 targets are written as one square per parity class, p/q as p's
+    # square around the pencil of p q
+    for text, field, br_m, sbr_m in (
+        ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 12, 18),
+        ("[[z1^2/(1+z1), z2^2],[z2^2, z1*z2/(z1+z2)]]", Q, 8, 12),
+        ("z1^2+z2^2", G2, 3, 2),
+        ("z1^2/(1+z2)", G2, 3, 8),
     ):
-        target = parse_expression(text, Q, 2)
+        target = parse_expression(text, field, 2)
         for build, m in ((realize_br, br_m), (realize_sbr, sbr_m)):
             monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
             assert _check(build(target)).pencil.m == m
             monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
             with pytest.raises(PencilTooLarge, match="more than the limit"):
                 build(target)
-
-
-def test_op_shrink_runs_only_in_the_char2_symmetric_path(monkeypatch):
-    # BR and HBR pencils, and SBR and HSBR ones away from characteristic 2,
-    # are written with no constant pivot, so nothing shrinks them
-    def refuse(pencil, check=True):
-        raise AssertionError("op_shrink ran")
-
-    monkeypatch.setattr(realize_module, "op_shrink", refuse)
-    built = 0
-    for text, n_vars in TARGETS:
-        for name in FIELDS:
-            field = parse_field(name)
-            target = parse_expression(text, field, n_vars)
-            builders = [realize_br, realize_hbr]
-            if field.characteristic != 2:
-                builders += [realize_sbr, decide_and_realize_hsbr]
-            for build in builders:
-                try:
-                    result = build(target)
-                except RatPencilError:
-                    continue
-                _check(result)
-                built += 1
-    assert built > 100
-    # the characteristic-2 symmetric path still shrinks
-    with pytest.raises(AssertionError, match="op_shrink ran"):
-        realize_sbr(parse_expression("z1^4+z1", G2))
-
-
-def test_symmetrized_size_is_checked_before_building(monkeypatch):
-    # away from characteristic 2, realize_sbr builds the BR pencil of
-    # G = 2 N_upp + diag N for F = L + N, and then a symmetric one of
-    # 2 m_G - k rows; the second is bounded too
-    z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
-    f = RationalMatrix([[z1 * z2 + z2, z1], [z1, z2]])
-    rest, _ = realize_module._split_affine(f)
-    g = realize_module._doubled_upper(rest)
-    m_g = realize_module._entrywise_size(g)
-    assert op_symmetrize(realize_module._br_entrywise(g)).m == 2 * m_g - 2
-    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m_g)
-    realize_br(g)  # G fits
-    with pytest.raises(PencilTooLarge, match="more than the limit"):
-        realize_sbr(f)
-    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", 2 * m_g - 2)
-    _check(realize_sbr(f))
-
-
-def test_diagonal_total_is_checked_before_the_sum(monkeypatch):
-    # in characteristic 2, realize_sbr sums the symmetrized BR pencil of
-    # N_upp and the diagonal's pencils; their total is checked as well as
-    # each piece, so no pencil over the limit is returned
-    b = "z1^5*z2^2+z1*z2^5+z1^3*z2^3"
-    target = parse_expression(
-        f"[[z1^4*z2^2+z1^6, {b}], [{b}, z2^4*z1^2+z2^6]]", G2, 2
-    )
-    m = _check(realize_sbr(target)).pencil.m
-    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m - 1)
-    with pytest.raises(PencilTooLarge, match="more than the limit"):
-        realize_sbr(target)
-    monkeypatch.setattr(pencil_module, "MAX_PENCIL_SIZE", m)
-    _check(realize_sbr(target))
 
 
 @settings(max_examples=40, deadline=None)

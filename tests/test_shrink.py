@@ -4,8 +4,9 @@ Its inputs are pencils with constant pivots, built from public
 combinators: BR pencils whose entries are atom product chains, each
 denominator inverted and multiplied in, their symmetrizations and their
 symmetric squares.  Besides, symmetric pencils whose A22 needs the pair
-step (a zero diagonal in characteristic 2), and the builders, which shrink
-only in the characteristic-2 symmetric path.
+step (a zero diagonal, as in characteristic 2), and the builders, which
+write every pencil with no constant pivot, so that nothing is left to
+shrink.
 """
 
 import importlib.util
@@ -70,10 +71,23 @@ def test_shrink_keeps_the_schur_complement_and_classes(rand, d, shape):
     s = op_shrink(p)
     assert p.split + 1 <= s.m <= p.m
     assert s.split == p.split and s.n_vars == p.n_vars
-    assert s.classify() == p.classify()
+    assert p.classify() <= s.classify()
     assert not s.block_det().is_zero()
     assert _schur(s) == _schur(p)
     assert op_shrink(s) is s
+
+
+def test_shrink_can_gain_symmetry():
+    # the BR pencil of 1/z1 from op_inverse and op_product is LP only; its
+    # constant pivots go, and what is left is the symmetric [[0, 1], [1, -z1]]
+    for d in (Q, G2):
+        target = parse_expression("1/z1", d)
+        p = _entrywise_pencil(target)
+        s = op_shrink(p)
+        assert p.classify() == {"LP"}
+        assert s.classify() == {"LP", "sLP"}
+        assert s.as_matrix() == parse_expression("[[0, 1],[1, -z1]]", d)
+        assert _schur(s) == _schur(p) == target
 
 
 def _count_pairs(monkeypatch):
@@ -89,12 +103,20 @@ def _count_pairs(monkeypatch):
 
 
 def test_gf2_sbr_takes_the_pair_step(monkeypatch):
+    # the square op_product(P, x, P^T) of a BR pencil P = [[z1, 0], [0, 1]]
+    # is the layout that realize_sbr writes for a parity class in
+    # characteristic 2, there without P's filler row; here the filler's
+    # rows give A22 the constant block [[0, 1], [1, 0]], which only the
+    # pair step removes
     calls = _count_pairs(monkeypatch)
-    target = parse_expression("[[z1, z1^2],[z1^2, 1/(z1+1)]]", G2)
-    result = realize_sbr(target)
-    assert calls
-    assert result.pencil.is_symmetric()
-    assert check_realization(result.pencil, target, result.kind).passed
+    base = realize_br(parse_expression("z1", G2, 2)).pencil
+    x = parse_expression("z2", G2, 2)
+    square = op_product(base, x, base.transpose(), check=False)
+    shrunk = op_shrink(square)
+    assert calls and shrunk.m == square.m - 2
+    assert shrunk.is_symmetric()
+    assert schur_dense_oracle(shrunk) == schur_dense_oracle(square)
+    assert shrunk.schur_complement() == parse_expression("z1^2/z2", G2, 2)
 
 
 def test_pair_step_on_a_zero_diagonal(monkeypatch):
