@@ -24,7 +24,9 @@ An exponent above :data:`MAX_EXPONENT` is a :class:`ParseError`, and so is a
 power whose exponent times the base's largest degree in one variable (over
 numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
 Nesting (parentheses, unary minus) deeper than the interpreter's recursion
-limit allows is a :class:`ParseError` too.
+limit allows is a :class:`ParseError` too.  A run of ``+ -``, or of
+``* /``, is not nesting: it is one node, folded from the left in a loop, so
+a sum of any number of summands parses.
 
 Every power, product, quotient and sum, of scalars and of matrices, is
 checked against :data:`MAX_TERMS` before it is expanded.  A polynomial
@@ -125,18 +127,21 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
-            node = ("bin", op, node, self.term(), pos)
-        return node
+        return self.run(self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
+        return self.run(self.factor, ("*", "/"))
+
+    def run(self, operand, ops):
+        """One operand, or a run ``a op b op c ...`` of operators of one
+        precedence as one node ("run", a, [(op, b, pos), ...]), which
+        :func:`_evaluate` folds from the left in a loop."""
+        node = operand()
+        rest = []
+        while self.peek()[0] in ops:
             op, _, pos = self.advance()
-            node = ("bin", op, node, self.factor(), pos)
-        return node
+            rest.append((op, operand(), pos))
+        return ("run", node, rest) if rest else node
 
     def factor(self):
         tok = self.peek()
@@ -205,8 +210,9 @@ def max_variable(node) -> int:
         return max_variable(node[1])
     if kind == "pow":
         return max_variable(node[1])
-    if kind == "bin":
-        return max(max_variable(node[2]), max_variable(node[3]))
+    if kind == "run":
+        return max([max_variable(node[1])]
+                   + [max_variable(right) for _, right, _ in node[2]])
     if kind == "matrix":
         return max(max_variable(e) for row in node[1] for e in row)
     raise ValueError(f"unknown node {kind!r}")
@@ -390,44 +396,50 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
         if len(rows) == 1 and len(rows[0]) == 1:
             return rows[0][0]
         return RationalMatrix([[_lift(v) for v in row] for row in rows])
-    if kind == "bin":
-        _, op, left, right, pos = node
-        a = _evaluate(left, descriptor, n_vars, one)
-        b = _evaluate(right, descriptor, n_vars, one)
-        _check_terms(_result_terms(op, a, b, one), pos)
-        sa = not isinstance(a, RationalMatrix)
-        sb = not isinstance(b, RationalMatrix)
-        if op == "/":
-            if not sb:
-                raise ParseError("division by a matrix", pos)
-            if b.is_zero():
-                if max_variable(right) > 0:
-                    raise DivisionByZeroPolynomial(
-                        "divisor is identically zero"
-                    )
-                raise FieldLiteralError(
-                    f"constant divisor is zero in {descriptor.name()}"
-                )
-            if sa:
-                return _lower(_lift(a) / _lift(b))
-            return a.scale(_lift(b).inverse())
-        if sa and sb:
-            if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
-                a, b = _lift(a), _lift(b)
-            return _lower(_OPERATIONS[op](a, b))
-        if op == "*" and sa:
-            return b.scale(_lift(a))
-        if op == "*" and sb:
-            return a.scale(_lift(b))
-        if sa:
-            a = RationalMatrix.scalar(_lift(a))
-        if sb:
-            b = RationalMatrix.scalar(_lift(b))
-        try:
-            return _value(_OPERATIONS[op](a, b))
-        except DimensionMismatch as exc:
-            raise ParseError(str(exc), pos) from None
+    if kind == "run":
+        value = _evaluate(node[1], descriptor, n_vars, one)
+        for op, right, pos in node[2]:
+            b = _evaluate(right, descriptor, n_vars, one)
+            value = _apply(op, value, b, right, pos, descriptor, one)
+        return value
     raise ValueError(f"unknown node {kind!r}")
+
+
+def _apply(op: str, a, b, right, pos: int, descriptor: FieldDescriptor,
+           one: Polynomial):
+    """``a op b`` for the values of two operands, the right one parsed
+    from ``right``, checked against :data:`MAX_TERMS` first."""
+    _check_terms(_result_terms(op, a, b, one), pos)
+    sa = not isinstance(a, RationalMatrix)
+    sb = not isinstance(b, RationalMatrix)
+    if op == "/":
+        if not sb:
+            raise ParseError("division by a matrix", pos)
+        if b.is_zero():
+            if max_variable(right) > 0:
+                raise DivisionByZeroPolynomial("divisor is identically zero")
+            raise FieldLiteralError(
+                f"constant divisor is zero in {descriptor.name()}"
+            )
+        if sa:
+            return _lower(_lift(a) / _lift(b))
+        return a.scale(_lift(b).inverse())
+    if sa and sb:
+        if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
+            a, b = _lift(a), _lift(b)
+        return _lower(_OPERATIONS[op](a, b))
+    if op == "*" and sa:
+        return b.scale(_lift(a))
+    if op == "*" and sb:
+        return a.scale(_lift(b))
+    if sa:
+        a = RationalMatrix.scalar(_lift(a))
+    if sb:
+        b = RationalMatrix.scalar(_lift(b))
+    try:
+        return _value(_OPERATIONS[op](a, b))
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def parse_expression(text: str, descriptor: FieldDescriptor,

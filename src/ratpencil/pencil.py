@@ -26,11 +26,19 @@ from .poly import Polynomial, RationalFunction, from_packed, from_raw, layout
 MAX_PENCIL_SIZE = 5000
 
 
-def require_size(m: int, what: str) -> None:
-    """Raise :class:`PencilTooLarge` when ``m`` is past the limit."""
-    if m > MAX_PENCIL_SIZE:
+def past_size(m: int) -> bool:
+    """Whether ``m`` is past the limit."""
+    return m > MAX_PENCIL_SIZE
+
+
+def require_size(m: int, what: str, at_least: bool = False) -> None:
+    """Raise :class:`PencilTooLarge` when ``m`` is past the limit;
+    ``at_least`` says that ``m`` is only a lower bound on the size."""
+    if past_size(m):
+        relation = ">=" if at_least else "="
         raise PencilTooLarge(
-            f"{what} has m = {m}, more than the limit {MAX_PENCIL_SIZE}"
+            f"{what} has m {relation} {m}, more than the limit "
+            f"{MAX_PENCIL_SIZE}"
         )
 
 

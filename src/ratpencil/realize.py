@@ -3,16 +3,24 @@ complements: plain, homogeneous, symmetric, and homogeneous-symmetric, with
 the characteristic-2 decision procedures.
 
 Every pencil is written in one pass into one coefficient list
-(:func:`_written`), after its size is counted exactly from the term maps
-and checked against ``MAX_PENCIL_SIZE``: one bidiagonal chain per
-polynomial term, and for an entry p/q the pencil of q, negated and
-bordered by the chains of p.  The symmetric pencils mirror that layout,
-which is :func:`op_symmetrize`'s; the builders call no combinator but
-:func:`op_homogenize`, and leave :func:`op_shrink` no constant pivot.  The
-outputs are verified independently by the :mod:`ratpencil.verify` module
-and the test suite; correctness of the Schur complement is the only
-contract.  Two steps keep pencils small:
+(:func:`_written`), after its size is counted exactly from prefix tries
+and checked against ``MAX_PENCIL_SIZE``, a count refused as soon as it
+passes the limit, so high degrees cost no time: the polynomial terms whose
+chains leave one row share one chain row per distinct proper prefix of
+their variable words (the prefix states of a recognizable series, in
+Berstel and Reutenauer's sense), and an entry p/q is the pencil of q,
+negated and bordered by the pencil of p.  The symmetric pencils mirror
+that layout, which is :func:`op_symmetrize`'s; the builders call no
+combinator but :func:`op_homogenize`, and leave :func:`op_shrink` no
+constant pivot.  The outputs are verified independently by the
+:mod:`ratpencil.verify` module and the test suite; correctness of the
+Schur complement is the only contract.  Three steps keep pencils small:
 
+* Each row's trie orders the variables by how its terms use them, and
+  only then by label (:func:`_trie`), so that shared prefixes are long;
+  a best order is NP-complete to find (Comer and Sethi, *The complexity
+  of trie index construction*, 1977).  A trie has at most the
+  sum (deg - 1) rows of one chain per term.
 * :func:`realize_br` and :func:`realize_sbr` split the target as
   F = L + N, with L the part of degree at most 1 of every entry whose
   denominator is 1.  They build only N and add L into the A11
@@ -41,7 +49,7 @@ from .errors import (
 )
 from .fields import accumulate
 from .matrices import RationalMatrix
-from .pencil import LinearPencil, RealizationKind, require_size
+from .pencil import LinearPencil, RealizationKind, past_size, require_size
 from .poly import Polynomial, RationalFunction, grlex_key, layout
 
 
@@ -130,55 +138,77 @@ def _realize_split(f: RationalMatrix, build) -> LinearPencil:
 # ---------------------------------------------------------------------------
 
 
-def _chain(coeffs, p: Polynomial, row0, col0, row, col):
-    """Write the chains of p into ``coeffs``, terms in the order of
-    :meth:`Polynomial.sorted_terms`, and return the next free row.  Chain
-    index 0 is row ``row0`` and column ``col0``; the chain indices 1, 2,
-    ... are the rows ``row``, ``row + 1``, ... and the columns ``col``,
-    ``col + 1``, ....  A term c z^a of degree at most 1 goes to (0, 0).
-    One of degree d >= 2, with variable indices w_1 <= ... <= w_d, takes
-    the next chain indices r_1..r_(d-1): c z_(w_1) at (0, r_1), c z_(w_t)
-    at (r_(t-1), r_t), -c at (r_t, r_t) and c z_(w_d) at (r_(d-1), 0).
-    Its (2,2) block is -c (I - N) with N nilpotent, and the term adds
-    c z^a to the Schur complement."""
-    d, n = p.descriptor, p.n_vars
-    shift = col - row
-    for exps, c in p.sorted_terms():
-        w = [v + 1 for v in range(n) for _ in range(exps[v])]
-        if len(w) < 2:
-            coeffs[w[0] if w else 0][(row0, col0)] = c
-            continue
-        neg = d.neg(c)
-        coeffs[w[0]][(row0, row + shift)] = c
-        for v in w[1:-1]:
-            coeffs[0][(row, row + shift)] = neg
-            coeffs[v][(row, row + shift + 1)] = c
-            row += 1
-        coeffs[0][(row, row + shift)] = neg
-        coeffs[w[-1]][(row, col0)] = c
-        row += 1
-    return row
+def _trie(polys, n: int, claim):
+    """The shared chains of ``polys``, whose chain index 0 is one row, as
+    ``(edges, leaves)``.
+
+    The variables are ordered by the key (- number of the terms of degree
+    at least 2 that contain z_v, - total exponent of z_v in them, v), and
+    a term c z^a of degree d is the word w_1 ... w_d of its variables in
+    that order.  Each distinct proper prefix w_1 ... w_t (0 < t < d) of a
+    word is a node, numbered in order of first use, and ``edges[node]`` is
+    (parent node, w_t), with parent -1 for t = 1.  Each term is one leaf
+    (parent, w_d, c, s): the node of its prefix of length d - 1 (-1 for
+    d <= 1), w_d (0 for d = 0), its coefficient, and the index s of its
+    polynomial in ``polys``.  Each polynomial's terms are unpacked once,
+    in the order of :meth:`Polynomial.sorted_terms`.
+
+    A word is walked one run z_v^e at a time: the nodes that runs of z_v
+    add after one node form one chain, kept under (that node, v), so a
+    shared run costs one lookup.  ``claim(count)`` is called before
+    ``count`` nodes are made, and may raise, so the cost is the number of
+    terms times n plus the nodes claimed, however high the degrees are."""
+    terms = [p.sorted_terms() for p in polys]
+    key = [[0, 0, v] for v in range(n)]
+    for listed in terms:
+        for exps, _ in listed:
+            if sum(exps) >= 2:
+                for v, e in enumerate(exps):
+                    if e:
+                        key[v][0] -= 1
+                        key[v][1] -= e
+    order = [v for _, _, v in sorted(key)]
+    chains, edges, leaves = {}, [], []
+
+    def walk(parent, v, e):
+        """The node of z_v^e after ``parent``, made if it is new."""
+        chain = chains.setdefault((parent, v), [])
+        if len(chain) < e:
+            claim(e - len(chain))
+            for _ in range(e - len(chain)):
+                edges.append((chain[-1] if chain else parent, v))
+                chain.append(len(edges) - 1)
+        return chain[e - 1]
+
+    for s, listed in enumerate(terms):
+        for exps, c in listed:
+            parent, last, e = -1, 0, 1
+            for v in order:
+                if exps[v]:
+                    if last:
+                        parent = walk(parent, last, e)
+                    last, e = v + 1, exps[v]
+            if e > 1:
+                parent = walk(parent, last, e - 1)
+            leaves.append((parent, last, c, s))
+    return edges, leaves
 
 
-# A pencil's size is counted from the term maps before anything is
-# written.  Each item appends the rows of its chains: a term of degree d
-# appends d - 1 (none below 2), and an entry p/q with q != 1 appends q's
-# chain and q's first row besides p's chain.  Written mirrored, each of
-# those rows is also a column, so it counts twice.
-
-
-def _chain_rows(p: Polynomial) -> int:
-    """Rows that :func:`_chain` appends for p."""
-    degree = layout(p.n_vars).degree
-    return sum(max(degree(key) - 1, 0) for key in p.packed)
-
-
-def _entry_rows(f: RationalFunction) -> int:
-    """Rows that :func:`_written` appends for the entry f = p/q."""
-    rows = _chain_rows(f.num)
-    if f.is_polynomial():
-        return rows
-    return rows + 1 + _chain_rows(f.den)
+def _place(coeffs, d, trie, row0, cols, row, col) -> None:
+    """Write ``trie`` (:func:`_trie`) into ``coeffs``: chain index 0 is
+    row ``row0``, node t is row ``row + t`` and column ``col + t``, and
+    polynomial s ends in column ``cols[s]``.  Each node has -1 on its
+    diagonal and 1 z_v on the edge from its parent; each term c z^a ends
+    with c z_(w_d) on the edge from its last node into its column.  The
+    (2,2) block is -(I - N) with N nilpotent, so the Schur complement gains
+    the sum over paths, c z^a for each term."""
+    edges, leaves = trie
+    minus_one = d.neg(d.one)
+    for t, (parent, v) in enumerate(edges):
+        coeffs[0][(row + t, col + t)] = minus_one
+        coeffs[v][(row0 if parent < 0 else row + parent, col + t)] = d.one
+    for parent, v, c, s in leaves:
+        coeffs[v][(row0 if parent < 0 else row + parent, cols[s])] = c
 
 
 def _written(f: RationalMatrix, items, corners: int = 0,
@@ -188,44 +218,72 @@ def _written(f: RationalMatrix, items, corners: int = 0,
     after its size is checked.
 
     An item (i, j, g) writes the entry g with chain index 0 at row i and
-    column j.  The chain rows run from k + ``corners`` on, in item order,
-    and their columns from the same index, or, ``mirrored``, from past the
-    last chain row; the ``corners`` rows between the k outer ones and the
-    chain rows are left to the items to name.
+    column j.  The chain rows run from k + ``corners`` on, and their
+    columns from the same index, or, ``mirrored``, from past the last chain
+    row; the ``corners`` rows between the k outer ones and the chain rows
+    are left to the items to name.
 
-    * A polynomial p is its chains (:func:`_chain`).
+    * The polynomial items with chain index 0 at one row share one prefix
+      trie (:func:`_trie`, :func:`_place`), whose rows come at the first
+      of them: terms that begin with the same variables share their rows.
     * An entry p/q with q != 1 appends 1 + r_q + r_p rows for the r_p and
-      r_q chain rows of p and q.  With Q the chain matrix of q (q's affine
-      part in its corner) and P11, P12, P21, P22 the blocks of p's chains,
-      A12 has 1 at (i, Q's first column), A22 = [[-Q, e1 P12], [0, P22]]
-      and A21 = [e1 P11; P21] in column j.  The Schur complement is
-      (Q^-1)_11 p = p / q.  The rows are p's chain rows, q's chain rows,
-      then Q's first row; the columns Q's first column, q's chain columns,
-      then p's chain columns.
+      r_q rows of the tries of p and of q, at its place among the items.
+      With Q the trie matrix of q (q's affine part in its corner) and P11,
+      P12, P21, P22 the blocks of p's trie, A12 has 1 at (i, Q's first
+      column), A22 = [[-Q, e1 P12], [0, P22]] and A21 = [e1 P11; P21] in
+      column j.  The Schur complement is (Q^-1)_11 p = p / q.  The rows
+      are p's trie rows, q's trie rows, then Q's first row; the columns
+      Q's first column, q's trie columns, then p's trie columns.
 
-    ``mirrored`` then copies every entry to (j, i).  Written from the BR
-    layout of some G, that is :func:`op_symmetrize`'s layout, of Schur
-    complement G + G^T.  With no row appended the pencil is [[F, 0],
-    [0, 1]].
+    The size is counted from the tries as they are built, and refused as
+    soon as the rows counted so far take m past the limit, before
+    anything is written.  ``mirrored`` copies every entry to (j, i) once
+    it is written.  Written from the BR layout of some G, that is
+    :func:`op_symmetrize`'s layout, of Schur complement G + G^T.  With no
+    row appended the pencil is [[F, 0], [0, 1]].
     """
     d, n, k = f.descriptor, f.n_vars, f.rows
-    rows = sum(_entry_rows(g) for _, _, g in items)
-    start = k + corners
+    start, rows = k + corners, 0
+
+    def claim(count):
+        """Count ``count`` more chain rows, refusing once m must pass the
+        limit.  The bound only grows to the m checked below, so it
+        refuses no pencil that that check passes."""
+        nonlocal rows
+        rows += count
+        bound = start + rows * (2 if mirrored else 1)
+        if past_size(bound):
+            require_size(bound, "the realization", at_least=True)
+
+    groups, blocks = {}, []
+    for i, j, g in items:
+        if not g.is_polynomial():
+            claim(1)
+            blocks.append((i, j, _trie([g.num], n, claim),
+                           _trie([-g.den], n, claim)))
+            continue
+        if i not in groups:
+            groups[i] = ([], [])
+            blocks.append((i, None, None, None))
+        groups[i][0].append(g.num)
+        groups[i][1].append(j)
+    shared = {i: _trie(polys, n, claim) for i, (polys, _) in groups.items()}
     shift = rows if mirrored else 0
     m = max(start + rows + shift, k + 1)
     require_size(m, "the realization")
     coeffs = [{} for _ in range(n + 1)]
     row = start
-    for i, j, g in items:
+    for i, j, p, q in blocks:
         col = row + shift
-        if g.is_polynomial():
-            row = _chain(coeffs, g.num, i, j, row, col)
+        if j is None:
+            _place(coeffs, d, shared[i], i, groups[i][1], row, col)
+            row += len(shared[i][0])
             continue
-        r_p, r_q = _chain_rows(g.num), _chain_rows(g.den)
+        r_p, r_q = len(p[0]), len(q[0])
         first = row + r_p + r_q  # Q's first row; col is its first column
         coeffs[0][(i, col)] = d.one
-        _chain(coeffs, -g.den, first, col, row + r_p, col + 1)
-        _chain(coeffs, g.num, first, j, row, col + 1 + r_q)
+        _place(coeffs, d, q, first, [col], row + r_p, col + 1)
+        _place(coeffs, d, p, first, [j], row, col + 1 + r_q)
         row = first + 1
     if mirrored:
         for c in coeffs:
@@ -238,7 +296,7 @@ def _written(f: RationalMatrix, items, corners: int = 0,
 def _br_entrywise(f: RationalMatrix) -> LinearPencil:
     """BR of F = sum_ij e_i f_ij e_j^T: its nonzero entries in row-major
     order, written by :func:`_written` with chain rows and columns from
-    k."""
+    k; the polynomial entries of one row share its trie."""
     return _written(f, [(i, j, g) for i, row in enumerate(f.entries)
                         for j, g in enumerate(row) if not g.is_zero()])
 
@@ -247,10 +305,10 @@ def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
     F is split as L + N (see the module docs): N is written as one pencil
-    by :func:`_br_entrywise`, and L is added into A11.  A polynomial entry
-    is a bidiagonal chain per term; an entry p/q is the pencil of q,
-    negated and bordered by p's chains.  Its size is counted exactly from
-    the term maps, and one past ``MAX_PENCIL_SIZE`` raises
+    by :func:`_br_entrywise`, and L is added into A11.  The polynomial
+    entries of one row share one prefix trie of chains; an entry p/q is
+    the pencil of q, negated and bordered by p's trie.  Its size is
+    counted exactly from the tries, and one past ``MAX_PENCIL_SIZE`` raises
     :class:`PencilTooLarge` before anything is written.  The pencil has
     no constant pivot for :func:`op_shrink`, so the size checked is the
     size returned.
@@ -368,23 +426,34 @@ def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
     return certs
 
 
-def _class_roots(cert: Char2Certificate):
-    """(s, x) for each parity class of h = sum_beta z^beta g_beta in
-    characteristic 2, less its terms of degree at most 1, so that
-    s^2 / x = z^beta (g_beta less its constant term).
+def _class_roots(cert: Char2Certificate, keep_constant: bool):
+    """``(roots, kept)``: (s, x) for each parity class of h = sum_beta
+    z^beta g_beta in characteristic 2, less its terms of degree at most 1,
+    so that s^2 / x = z^beta (g_beta less its constant term), and whether
+    the even class kept h's constant term.
 
     With g_beta = sum_a c_a z^(2a) and r = sum_a c_a z^a, the Frobenius
     map gives r^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
     GF(2), the only characteristic-2 field the library has (a field
     gf:2^k would need c^(1/2) here; see ROADMAP.md, item 9).  The even
     class has s = r and x = 1, the z_i class s = z_i r and x = z_i.
+
+    With ``keep_constant``, the even class keeps h's constant term c when
+    r has a term of degree 1: s = r + c, and s^2 = r^2 + c since c^2 = c.
+    s's chains put c in the cell that r's terms of degree 1 fill anyway.
     """
-    roots = []
+    roots, kept = [], False
     for beta in sorted(cert.decomposition, key=grlex_key, reverse=True):
-        g = cert.decomposition[beta].above(0)
-        if g.is_zero():
+        g = cert.decomposition[beta]
+        cut = g.above(0)
+        if cut.is_zero():
             continue
         d, n = g.descriptor, g.n_vars
+        if (keep_constant and not any(beta) and cut is not g
+                and layout(n).degree(min(cut.packed)) == 2):
+            kept = True
+        else:
+            g = cut
         root = Polynomial(d, n, {
             tuple(e // 2 + b for e, b in zip(exps, beta)): value
             for exps, value in g.sorted_terms()
@@ -393,7 +462,7 @@ def _class_roots(cert: Char2Certificate):
         x = (RationalFunction.one(d, n) if index is None
              else RationalFunction.variable(d, n, index))
         roots.append((RationalFunction(root), x))
-    return roots
+    return roots, kept
 
 
 def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
@@ -410,15 +479,16 @@ def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
     * away from characteristic 2, an entry g of diag N is the BR layout of
       g / 2, and its mirror image adds the other half;
     * in characteristic 2, each parity class (s, x) of the entry at (i, i)
-      (:func:`_class_roots`) takes a new corner row t: s's chains with
-      chain index 0 at row i and column t, and -x at (t, t).  For s's BR
-      pencil P = [[a, b], [c, D]] that is the layout
+      (:func:`_class_roots`) takes a new corner row t: s's terms in row
+      i's trie, ending in column t, and -x at (t, t).  For s's BR pencil
+      P = [[a, b], [c, D]] alone that is the layout
       [[0, b, 0, a], [b^T, 0, D^T, 0], [0, D, 0, c], [a, 0, c^T, -x]] of
       :func:`op_product` (P, x, P^T) without P's filler row, whose Schur
       complement is s x^-1 s = z^beta g_beta;
     * in characteristic 2, an entry p/q with q != 1 is p's square around
       -H, with H the matrix of h = p q written the same way from a new
-      corner row t_H, and h's terms of degree at most 1 at (t_H, t_H).
+      corner row t_H, and h's terms of degree at most 1 at (t_H, t_H),
+      less the constant that the even class keeps (:func:`_class_roots`).
       H's Schur complement is h, so (H^-1)_11 = 1 / h and the square's is
       p^2 / h = p / q.
 
@@ -437,13 +507,15 @@ def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
             if certs is None:
                 items.append((i, i, g.scale(half)))
                 continue
-            row0 = i
-            if not g.is_polynomial():
+            rational = not g.is_polynomial()
+            row0, (roots, kept) = i, _class_roots(certs[i], rational)
+            if rational:
                 h = g.num * g.den
+                low = (h.above(0) if kept else h) - h.above(1)
                 items += [(i, corner, RationalFunction(g.num)),
-                          (corner, corner, RationalFunction(h - h.above(1)))]
+                          (corner, corner, RationalFunction(low))]
                 row0, corner = corner, corner + 1
-            for s, x in _class_roots(certs[i]):
+            for s, x in roots:
                 items += [(row0, corner, s), (corner, corner, x)]
                 corner += 1
     return _written(f, items, corner - k, mirrored=True)
@@ -460,7 +532,7 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     :func:`_sbr_entrywise` in one pass: its off-diagonal entries mirrored,
     and its diagonal as halves away from characteristic 2 and as one
     square per parity class in it.  The size is counted exactly from the
-    term maps, and one past ``MAX_PENCIL_SIZE`` raises
+    tries, and one past ``MAX_PENCIL_SIZE`` raises
     :class:`PencilTooLarge` before anything is written.  The pencil has no
     constant pivot for :func:`op_shrink`, so the size checked is the size
     returned.

@@ -211,15 +211,38 @@ def test_pencil_size_limit_exits_two_fast(capsys, kind, text):
 
 @pytest.mark.parametrize("kind", ["br", "sbr"])
 def test_one_variable_diagonal_size_limit_exits_two(capsys, kind):
-    # the symmetric path with one variable builds from the powers of z1
+    # in one variable the terms of an entry share one chain, of deg - 1
+    # rows: z1^6000 counts 5999 of them, past the limit before any is
+    # written
     start = time.perf_counter()
     code, out, err = run(
         capsys, "realize", "--field", "q", "--kind", kind,
-        "--expr", "(1+z1)^200",
+        "--expr", "*".join(["z1^1000"] * 6),
     )
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "more than the limit" in err
+
+
+@pytest.mark.parametrize("kind", ["br", "sbr"])
+@pytest.mark.parametrize("field,factor", [
+    ("q", "(1+z2+z3)^40"),
+    ("gf2", "(1+z2^2+z3^2+z4^2)^31"),
+])
+@pytest.mark.parametrize("den", ["1", "(1+z1^2)"])
+def test_high_degree_terms_exit_two_fast(capsys, kind, field, factor, den):
+    # about 1000 terms of degree about 10000 (in characteristic 2 the
+    # symmetric path also walks h = p q): the chains are walked one run of
+    # a variable at a time and refused once their rows pass the limit, so
+    # the time does not grow with the degrees
+    text = "*".join(["z1^1000"] * 10) + f"*{factor}/{den}"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--field", field, "--kind", kind, "--expr", text,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than the limit 5000" in err
 
 
 def test_oversized_pencil_file_exits_two(tmp_path, capsys):
@@ -310,6 +333,16 @@ def test_deeply_nested_expression_exits_two(capsys, text):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_long_flat_sum_realizes(capsys):
+    # 5000 summands are one run of +, not 5000 levels of nesting
+    text = " + ".join(f"{i}*z{1 + i % 3}^{1 + i % 4}" for i in range(5000))
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br", f"--expr={text}",
+    )
+    assert code == 0 and json.loads(out)["m"] == 10
+    assert err == "realized kind=br m=10 split=1 classes=LP\n"
 
 
 def test_deeply_nested_matrix_json_exits_two(tmp_path, capsys):

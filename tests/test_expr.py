@@ -10,7 +10,7 @@ from ratpencil.errors import (
 from ratpencil.expr import MAX_EXPONENT, MAX_TERMS, parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
-from ratpencil.poly import RationalFunction
+from ratpencil.poly import Polynomial, RationalFunction
 
 from conftest import random_matrix, random_ratfun
 
@@ -149,6 +149,20 @@ def test_deep_nesting_is_a_parse_error():
     for text in ["(" * 5000 + "z1" + ")" * 5000, "-" * 5000 + "z1"]:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_expression(text, Q)
+
+
+def test_a_run_of_one_precedence_is_not_nesting():
+    # a run of + - (or * /) is one node, folded from the left in a loop
+    n = 5000
+    text = " + ".join(f"{i}*z{1 + i % 3}" for i in range(n))
+    a, b, c = (sum(range(v, n, 3)) for v in range(3))
+    assert parse_expression(text, Q) == parse_expression(
+        f"{a}*z1 + {b}*z2 + {c}*z3", Q)
+    text = " - ".join(["z1"] * n)
+    assert parse_expression(text, Q) == parse_expression(f"{2 - n}*z1", Q)
+    z1, z2 = Polynomial.variable(Q, 2, 0), Polynomial.variable(Q, 2, 1)
+    assert parse_expression("*".join(["z1"] * n) + "/z2", Q) == (
+        RationalMatrix.scalar(RationalFunction(z1 ** n, z2)))
 
 
 def test_nested_powers_obey_the_exponent_limit():

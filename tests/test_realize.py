@@ -4,7 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ratpencil.pencil as pencil_module
 import ratpencil.realize as realize_module
@@ -154,8 +154,8 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
        st.integers(1, 3))
 def test_polynomial_chains_leave_nothing_to_shrink(rand, d, n):
-    # one direct chain per term of p, and for p/q the chain matrix of q
-    # negated and bordered by p's chains: A22 has no constant pivot, so the
+    # one prefix trie of p's terms, and for p/q the trie matrix of q
+    # negated and bordered by p's trie: A22 has no constant pivot, so the
     # pencil is as small as op_shrink can make it and its size is the
     # prediction
     p = random_poly(rand, d, n, max_deg=4, max_terms=4)
@@ -190,12 +190,13 @@ def test_sbr_is_checked_at_the_size_returned(rand, d, k):
 
 
 def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
-    # the second target has rational entries: each is written as q's
-    # pencil bordered by p's chains, with no constant pivot to shrink; the
-    # gf2 targets are written as one square per parity class, p/q as p's
-    # square around the pencil of p q
+    # the first target's rows share their chain prefixes (six rows, where
+    # one chain per term takes ten); the second has rational entries: each
+    # is written as q's pencil bordered by p's chains, with no constant
+    # pivot to shrink; the gf2 targets are written as one square per
+    # parity class, p/q as p's square around the pencil of p q
     for text, field, br_m, sbr_m in (
-        ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 12, 18),
+        ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 8, 12),
         ("[[z1^2/(1+z1), z2^2],[z2^2, z1*z2/(z1+z2)]]", Q, 8, 12),
         ("z1^2+z2^2", G2, 3, 2),
         ("z1^2/(1+z2)", G2, 3, 8),
@@ -244,6 +245,82 @@ def test_polynomial_pencils_meet_the_size_lower_bound(rand, d, k, affine):
             forms[i][j] = forms[j][i] = RationalFunction(p)
     for build in (realize_hbr, decide_and_realize_hsbr):
         assert _check(build(RationalMatrix(forms))).pencil.m == k + 1
+
+
+def _polynomial_grid(rand, d, n, k):
+    return RationalMatrix([
+        [RationalFunction(random_poly(rand, d, n, max_deg=4, max_terms=4))
+         for _ in range(k)] for _ in range(k)])
+
+
+def _nnz(pencil):
+    return len(set().union(*pencil.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.integers(1, 3), st.integers(1, 3))
+def test_shared_prefixes_never_pass_one_chain_per_term(rand, d, n, k):
+    # the terms that leave one row share the rows of their common prefixes,
+    # so the pencil has at most the k + sum (deg - 1) rows of one separate
+    # chain per term (and the format's k + 1)
+    target = _polynomial_grid(rand, d, n, k)
+    chains = sum(max(sum(exps) - 1, 0) for row in target.entries
+                 for g in row for exps in g.num.terms)
+    pencil = _check(realize_br(target)).pencil
+    assert pencil.m <= max(k + chains, k + 1)
+
+
+def _order_keys(target):
+    """Per row, the order key (-terms, -exponent) of each variable over the
+    row's terms of degree at least 2, for the variables they contain."""
+    keys = []
+    for row in target.entries:
+        key = {}
+        for g in row:
+            for exps in g.num.terms:
+                if sum(exps) < 2:
+                    continue
+                for v, e in enumerate(exps):
+                    if e:
+                        terms, total = key.get(v, (0, 0))
+                        key[v] = (terms - 1, total - e)
+        keys.append(key)
+    return keys
+
+
+def _relabeled(target, perm):
+    """The target with z_(v+1) renamed to z_(perm[v]+1)."""
+    def rename(p):
+        return Polynomial(p.descriptor, p.n_vars, {
+            tuple(exps[perm.index(v)] for v in range(p.n_vars)): c
+            for exps, c in p.terms.items()})
+    return RationalMatrix([[RationalFunction(rename(g.num)) for g in row]
+                           for row in target.entries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.integers(2, 3), st.integers(1, 2))
+def test_relabeling_distinctly_keyed_variables_keeps_the_size(rand, d, n, k):
+    # each row orders its variables by counts alone when their keys are
+    # pairwise distinct, so renaming the variables moves no row or cell
+    target = _polynomial_grid(rand, d, n, k)
+    assume(all(len(set(key.values())) == len(key)
+               for key in _order_keys(target)))
+    pencil = realize_br(target).pencil
+    for perm in itertools.permutations(range(n)):
+        relabeled = _check(realize_br(_relabeled(target, perm))).pencil
+        assert (relabeled.m, _nnz(relabeled)) == (pencil.m, _nnz(pencil))
+
+
+def test_char2_even_root_keeps_the_constant_of_h():
+    # h = p q = z1^2 z2^2 + z1^2 + z2^2 + 1 has one parity class, of root
+    # z1 z2 + z1 + z2: the root takes h's constant into the cell that its
+    # terms of degree 1 fill, and H's corner stays empty
+    target = parse_expression("(z2^2+1)/(z1^2+1)", G2)
+    pencil = _check(realize_sbr(target)).pencil
+    assert (pencil.m, _nnz(pencil)) == (7, 17)
 
 
 # ---------------------------------------------------------------------------
