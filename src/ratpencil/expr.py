@@ -294,8 +294,9 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
 def _sum_terms(pieces) -> int:
     """An upper bound on the terms of the numerator and of the denominator
     of the sum of x * y over ``pieces``, pairs of (num, den) pairs, added
-    left to right as :class:`RationalFunction` adds: n/d + n'/d' is
-    (n d' + n' d) / (d d')."""
+    left to right as :class:`RationalFunction` adds two denominators that
+    differ: n/d + n'/d' is (n d' + n' d) / (d d').  Over one denominator
+    it adds only the numerators, which the bound covers too."""
     num, den = 0, 1
     for (xn, xd), (yn, yd) in pieces:
         pn, pd = _product_terms(xn, yn), _product_terms(xd, yd)
@@ -372,10 +373,10 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
         if not isinstance(base, RationalMatrix):
             for part in parts:
                 _check_terms(_power_terms(part, exponent), node[3])
-            acc = one if isinstance(base, Polynomial) else RationalFunction(one)
-            for _ in range(exponent):
-                acc = acc * base
-            return _lower(acc)
+            if isinstance(base, Polynomial):
+                return base ** exponent
+            return _lower(RationalFunction(base.num ** exponent,
+                                           base.den ** exponent))
         if not base.is_square():
             raise ParseError("power of a non-square matrix", node[3])
         acc = RationalMatrix.identity(descriptor, n_vars, base.rows)

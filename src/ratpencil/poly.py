@@ -690,11 +690,15 @@ class RationalFunction:
         return self.num.times_constant(self.den, invert=True)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
         return RationalFunction(
             self.num * other.den - other.num * self.den, self.den * other.den
         )

@@ -5,28 +5,28 @@ the characteristic-2 decision procedures.
 Every pencil is written in one pass into one coefficient list
 (:func:`_written`), after its size is counted exactly from prefix tries
 and checked against ``MAX_PENCIL_SIZE``, a count refused as soon as it
-passes the limit, so high degrees cost no time: the polynomial terms whose
-chains leave one row share one chain row per distinct proper prefix of
-their variable words (the prefix states of a recognizable series, in
-Berstel and Reutenauer's sense), and an entry p/q is the pencil of q,
-negated and bordered by the pencil of p.  The symmetric pencils mirror
-that layout, which is :func:`op_symmetrize`'s; the builders call no
-combinator but :func:`op_homogenize`, and leave :func:`op_shrink` no
-constant pivot.  The outputs are verified independently by the
-:mod:`ratpencil.verify` module and the test suite; correctness of the
-Schur complement is the only contract.  Three steps keep pencils small:
+passes the limit, so high degrees cost no time.  The writer takes one kind
+of item, a polynomial cell (i, j, p): the cells of one row share one
+chain row per distinct proper prefix of their variable words (the prefix
+states of a recognizable series, in Berstel and Reutenauer's sense), and
+their terms of degree at most 1 land at (i, j) itself, since the Schur
+complement is affine in A11.  So a target with affine entries gets the
+smallest pencil the format allows, [[F, 0], [0, 1]] of size k + 1.  The
+builders name every row.  The symmetric pencils mirror the BR layout, which is
+:func:`op_symmetrize`'s; the builders call no combinator but
+:func:`op_homogenize`, and leave :func:`op_shrink` no constant pivot.
+The outputs are verified independently by the :mod:`ratpencil.verify`
+module and the test suite; correctness of the Schur complement is the
+only contract.  Three steps keep pencils small:
 
 * Each row's trie orders the variables by how its terms use them, and
   only then by label (:func:`_trie`), so that shared prefixes are long;
   a best order is NP-complete to find (Comer and Sethi, *The complexity
   of trie index construction*, 1977).  A trie has at most the
   sum (deg - 1) rows of one chain per term.
-* :func:`realize_br` and :func:`realize_sbr` split the target as
-  F = L + N, with L the part of degree at most 1 of every entry whose
-  denominator is 1.  They build only N and add L into the A11
-  coefficients, since the Schur complement is affine in A11.  For N = 0
-  the pencil is [[0, 0], [0, 1]] plus L, of size k + 1.  The homogeneous
-  builders realize the dehomogenization, so they split too.
+* An entry p/q at (i, j) is one corner row t of column u
+  (:func:`_cells`), with 1 at (i, u), -q at (t, u) and p at (t, j): p
+  and -q share row t's trie, and the Schur complement is p / q.
 * In characteristic 2, each parity class of a diagonal entry is one
   symmetric square, since (a + b)^2 = a^2 + b^2 there, written straight
   into place (:func:`_sbr_entrywise`).
@@ -47,7 +47,6 @@ from .errors import (
     TooFewVariables,
     WrongCharacteristic,
 )
-from .fields import accumulate
 from .matrices import RationalMatrix
 from .pencil import LinearPencil, RealizationKind, past_size, require_size
 from .poly import Polynomial, RationalFunction, grlex_key, layout
@@ -77,60 +76,6 @@ class Char2Certificate:
     @property
     def realizable(self) -> bool:
         return self.verdict == "realizable"
-
-
-# ---------------------------------------------------------------------------
-# the affine split F = L + N
-# ---------------------------------------------------------------------------
-
-
-def _split_affine(f: RationalMatrix):
-    """``(N, L)`` with F = L + N.  L is the part of degree at most 1 of
-    every entry whose denominator is 1, as n + 1 coefficient maps
-    ``{(i, j): value}`` (the constant one first, then one per variable).
-    N is the rest of F, or ``None`` when it is zero."""
-    n = f.n_vars
-    slot = {key: t + 1 for t, key in enumerate(layout(n).units)}
-    slot[0] = 0
-    affine = [{} for _ in range(n + 1)]
-    rows, nonzero = [], False
-    for i, row in enumerate(f.entries):
-        out = []
-        for j, entry in enumerate(row):
-            # a denominator is monic, so a constant one is 1
-            high = entry.num.above(1) if entry.is_polynomial() else entry.num
-            if high is not entry.num:
-                for key, value in entry.num.raw_items():
-                    t = slot.get(key)
-                    if t is not None:
-                        affine[t][(i, j)] = value
-                entry = RationalFunction(high)
-            nonzero = nonzero or not entry.is_zero()
-            out.append(entry)
-        rows.append(out)
-    return (RationalMatrix(rows) if nonzero else None), affine
-
-
-def _plus_affine(p: LinearPencil, affine) -> LinearPencil:
-    """``p`` with L added into its (1,1) block, one accumulate per
-    coefficient: the Schur complement is affine in A11, so it gains L.  A
-    symmetric L keeps a symmetric ``p`` symmetric."""
-    if not any(affine):
-        return p
-    add = p.descriptor.add
-    coeffs = [accumulate(dict(c), a.items(), add)
-              for c, a in zip(p.coeffs, affine)]
-    return LinearPencil(p.descriptor, p.n_vars, p.m, p.split, coeffs)
-
-
-def _realize_split(f: RationalMatrix, build) -> LinearPencil:
-    """The pencil of F = L + N: ``build(N)`` with L added into A11.  For
-    N = 0 it is the k x k zero pencil [[0, 0], [0, 1]] plus L, of size
-    k + 1, which the pencil format allows no smaller (its split is less
-    than m)."""
-    rest, affine = _split_affine(f)
-    pencil = _written(f, []) if rest is None else build(rest)
-    return _plus_affine(pencil, affine)
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +156,28 @@ def _place(coeffs, d, trie, row0, cols, row, col) -> None:
         coeffs[v][(row0 if parent < 0 else row + parent, cols[s])] = c
 
 
-def _written(f: RationalMatrix, items, corners: int = 0,
+def _written(f: RationalMatrix, cells, corners: int = 0,
              mirrored: bool = False) -> LinearPencil:
     """The pencil of split k = ``f.rows`` over f's field and variables
-    whose coefficients are the BR layout of ``items``, written in one pass
+    whose coefficients are the BR layout of ``cells``, written in one pass
     after its size is checked.
 
-    An item (i, j, g) writes the entry g with chain index 0 at row i and
-    column j.  The chain rows run from k + ``corners`` on, and their
-    columns from the same index, or, ``mirrored``, from past the last chain
-    row; the ``corners`` rows between the k outer ones and the chain rows
-    are left to the items to name.
-
-    * The polynomial items with chain index 0 at one row share one prefix
-      trie (:func:`_trie`, :func:`_place`), whose rows come at the first
-      of them: terms that begin with the same variables share their rows.
-    * An entry p/q with q != 1 appends 1 + r_q + r_p rows for the r_p and
-      r_q rows of the tries of p and of q, at its place among the items.
-      With Q the trie matrix of q (q's affine part in its corner) and P11,
-      P12, P21, P22 the blocks of p's trie, A12 has 1 at (i, Q's first
-      column), A22 = [[-Q, e1 P12], [0, P22]] and A21 = [e1 P11; P21] in
-      column j.  The Schur complement is (Q^-1)_11 p = p / q.  The rows
-      are p's trie rows, q's trie rows, then Q's first row; the columns
-      Q's first column, q's trie columns, then p's trie columns.
+    A cell (i, j, p) writes the polynomial p with chain index 0 at row i
+    and column j.  The cells of one row share one prefix trie
+    (:func:`_trie`, :func:`_place`), so terms that begin with the same
+    variables share their rows; the tries' rows come in the order in which
+    the cells first use their rows.  The chain rows run from k +
+    ``corners`` on, and their columns from the same index, or,
+    ``mirrored``, from past the last chain row; the ``corners`` rows
+    between the k outer ones and the chain rows are left to the cells to
+    name (:func:`_cells`).
 
     The size is counted from the tries as they are built, and refused as
     soon as the rows counted so far take m past the limit, before
     anything is written.  ``mirrored`` copies every entry to (j, i) once
     it is written.  Written from the BR layout of some G, that is
     :func:`op_symmetrize`'s layout, of Schur complement G + G^T.  With no
-    row appended the pencil is [[F, 0], [0, 1]].
+    row past the k outer ones the pencil is [[F, 0], [0, 1]].
     """
     d, n, k = f.descriptor, f.n_vars, f.rows
     start, rows = k + corners, 0
@@ -255,36 +192,21 @@ def _written(f: RationalMatrix, items, corners: int = 0,
         if past_size(bound):
             require_size(bound, "the realization", at_least=True)
 
-    groups, blocks = {}, []
-    for i, j, g in items:
-        if not g.is_polynomial():
-            claim(1)
-            blocks.append((i, j, _trie([g.num], n, claim),
-                           _trie([-g.den], n, claim)))
-            continue
-        if i not in groups:
-            groups[i] = ([], [])
-            blocks.append((i, None, None, None))
-        groups[i][0].append(g.num)
-        groups[i][1].append(j)
-    shared = {i: _trie(polys, n, claim) for i, (polys, _) in groups.items()}
+    groups = {}
+    for i, j, p in cells:
+        polys, cols = groups.setdefault(i, ([], []))
+        polys.append(p)
+        cols.append(j)
+    tries = [(i, cols, _trie(polys, n, claim))
+             for i, (polys, cols) in groups.items()]
     shift = rows if mirrored else 0
     m = max(start + rows + shift, k + 1)
     require_size(m, "the realization")
     coeffs = [{} for _ in range(n + 1)]
     row = start
-    for i, j, p, q in blocks:
-        col = row + shift
-        if j is None:
-            _place(coeffs, d, shared[i], i, groups[i][1], row, col)
-            row += len(shared[i][0])
-            continue
-        r_p, r_q = len(p[0]), len(q[0])
-        first = row + r_p + r_q  # Q's first row; col is its first column
-        coeffs[0][(i, col)] = d.one
-        _place(coeffs, d, q, first, [col], row + r_p, col + 1)
-        _place(coeffs, d, p, first, [j], row, col + 1 + r_q)
-        row = first + 1
+    for i, cols, trie in tries:
+        _place(coeffs, d, trie, i, cols, row, row + shift)
+        row += len(trie[0])
     if mirrored:
         for c in coeffs:
             c.update({(j, i): value for (i, j), value in c.items()})
@@ -293,30 +215,52 @@ def _written(f: RationalMatrix, items, corners: int = 0,
     return LinearPencil(d, n, m, k, coeffs)
 
 
+def _cells(i, j, p: Polynomial, q: Polynomial, corner: int,
+           mirrored: bool = False):
+    """``(cells, corner)``: the cells of the entry p/q at (i, j) for
+    :func:`_written`, and the first corner row past those they take.
+
+    A polynomial (q = 1) is the one cell (i, j, p).  Otherwise the entry
+    takes the corner row t = ``corner``, whose column u is t, or,
+    ``mirrored``, t + 1, so that the mirror is :func:`op_symmetrize`'s
+    layout: 1 at (i, u), -q at (t, u) and p at (t, j).  p and -q share
+    row t's trie, and p's branches reach no leaf of -q, so eliminating
+    the trie's chain rows leaves -q at (t, u) and p at (t, j), and the
+    entry's Schur complement is -1 (-q)^-1 p = p / q."""
+    if q.is_constant():
+        return [(i, j, p)], corner
+    u = corner + 1 if mirrored else corner
+    one = Polynomial.one(q.descriptor, q.n_vars)
+    return [(i, u, one), (corner, u, -q), (corner, j, p)], u + 1
+
+
 def _br_entrywise(f: RationalMatrix) -> LinearPencil:
-    """BR of F = sum_ij e_i f_ij e_j^T: its nonzero entries in row-major
-    order, written by :func:`_written` with chain rows and columns from
-    k; the polynomial entries of one row share its trie."""
-    return _written(f, [(i, j, g) for i, row in enumerate(f.entries)
-                        for j, g in enumerate(row) if not g.is_zero()])
+    """BR of F = sum_ij e_i f_ij e_j^T: the cells (:func:`_cells`) of its
+    nonzero entries in row-major order, written by :func:`_written` with
+    chain rows and columns from k + c, for the c corner rows."""
+    cells, corner = [], f.rows
+    for i, row in enumerate(f.entries):
+        for j, g in enumerate(row):
+            if not g.is_zero():
+                new, corner = _cells(i, j, g.num, g.den, corner)
+                cells += new
+    return _written(f, cells, corner - f.rows)
 
 
 def realize_br(f: RationalMatrix) -> RealizationResult:
     """Bessmertnyi realization of an arbitrary square rational matrix.
 
-    F is split as L + N (see the module docs): N is written as one pencil
-    by :func:`_br_entrywise`, and L is added into A11.  The polynomial
-    entries of one row share one prefix trie of chains; an entry p/q is
-    the pencil of q, negated and bordered by p's trie.  Its size is
-    counted exactly from the tries, and one past ``MAX_PENCIL_SIZE`` raises
-    :class:`PencilTooLarge` before anything is written.  The pencil has
-    no constant pivot for :func:`op_shrink`, so the size checked is the
-    size returned.
+    F is written as one pencil by :func:`_br_entrywise`.  The polynomial
+    entries of one row share one prefix trie of chains, whose terms of
+    degree at most 1 land in A11; an entry p/q is a corner row whose trie
+    holds p and -q.  Its size is counted exactly from the tries, and one
+    past ``MAX_PENCIL_SIZE`` raises :class:`PencilTooLarge` before
+    anything is written.  The pencil has no constant pivot for
+    :func:`op_shrink`, so the size checked is the size returned.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
-    return RealizationResult(_realize_split(f, _br_entrywise),
-                             RealizationKind.BR, f)
+    return RealizationResult(_br_entrywise(f), RealizationKind.BR, f)
 
 
 def _homogeneous_pairs(f: RationalMatrix):
@@ -459,32 +403,37 @@ def _class_roots(cert: Char2Certificate, keep_constant: bool):
             for exps, value in g.sorted_terms()
         })
         index = next((t for t, b in enumerate(beta) if b), None)
-        x = (RationalFunction.one(d, n) if index is None
-             else RationalFunction.variable(d, n, index))
-        roots.append((RationalFunction(root), x))
+        x = (Polynomial.one(d, n) if index is None
+             else Polynomial.variable(d, n, index))
+        roots.append((root, x))
     return roots, kept
 
 
 def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
-    """SBR of N = N_upp + N_upp^T + diag N, written in one pass by
+    """SBR of F = F_upp + F_upp^T + diag F, written in one pass by
     :func:`_written`, mirrored; ``certs`` are the parity certificates of
-    F = L + N's diagonal in characteristic 2, and ``None`` elsewhere.
+    F's diagonal in characteristic 2, and ``None`` elsewhere.
 
-    Every item is written with its chain rows from k + c and their columns
+    Every cell is written with its chain rows from k + c and their columns
     from k + c + r, for the c corner rows and the r chain rows, and then
-    copied to (j, i), which is :func:`op_symmetrize`'s layout.  In
-    row-major order over j >= i:
+    copied to (j, i), which is :func:`op_symmetrize`'s layout.  The copy
+    puts a cell (i, i) onto itself but doubles every chain.  In row-major
+    order over j >= i:
 
-    * an entry of N_upp is its BR layout;
-    * away from characteristic 2, an entry g of diag N is the BR layout of
-      g / 2, and its mirror image adds the other half;
+    * an entry of F_upp is its cells (:func:`_cells`), an entry p/q with
+      q != 1 taking the corner rows t and t + 1;
+    * away from characteristic 2, an entry g of diag F is written as
+      g_(<=1) + g_(>=2) / 2 for a polynomial, its parts of degree at most
+      1 and at least 2, and as (p / 2) / q for p/q: the mirror doubles
+      what has a chain or leaves (i, i);
     * in characteristic 2, each parity class (s, x) of the entry at (i, i)
       (:func:`_class_roots`) takes a new corner row t: s's terms in row
       i's trie, ending in column t, and -x at (t, t).  For s's BR pencil
       P = [[a, b], [c, D]] alone that is the layout
       [[0, b, 0, a], [b^T, 0, D^T, 0], [0, D, 0, c], [a, 0, c^T, -x]] of
       :func:`op_product` (P, x, P^T) without P's filler row, whose Schur
-      complement is s x^-1 s = z^beta g_beta;
+      complement is s x^-1 s = z^beta g_beta.  The roots drop the terms
+      of degree at most 1, so a polynomial entry g adds g_(<=1) at (i, i);
     * in characteristic 2, an entry p/q with q != 1 is p's square around
       -H, with H the matrix of h = p q written the same way from a new
       corner row t_H, and h's terms of degree at most 1 at (t_H, t_H),
@@ -496,46 +445,45 @@ def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
     """
     d, k = f.descriptor, f.rows
     half = d.inv(d.add(d.one, d.one)) if certs is None else None
-    items, corner = [], k
+    cells, corner = [], k
     for i, row in enumerate(f.entries):
         for j, g in enumerate(row[i:], i):
             if g.is_zero():
                 continue
-            if j > i:
-                items.append((i, j, g))
+            p, rational = g.num, not g.is_polynomial()
+            if j == i and certs is None:
+                p = p.scale(half) if rational else p - p.above(1).scale(half)
+            if j > i or certs is None:
+                new, corner = _cells(i, j, p, g.den, corner, mirrored=True)
+                cells += new
                 continue
-            if certs is None:
-                items.append((i, i, g.scale(half)))
-                continue
-            rational = not g.is_polynomial()
             row0, (roots, kept) = i, _class_roots(certs[i], rational)
             if rational:
-                h = g.num * g.den
+                h = p * g.den
                 low = (h.above(0) if kept else h) - h.above(1)
-                items += [(i, corner, RationalFunction(g.num)),
-                          (corner, corner, RationalFunction(low))]
+                cells += [(i, corner, p), (corner, corner, low)]
                 row0, corner = corner, corner + 1
+            else:
+                cells.append((i, i, p - p.above(1)))
             for s, x in roots:
-                items += [(row0, corner, s), (corner, corner, x)]
+                cells += [(row0, corner, s), (corner, corner, x)]
                 corner += 1
-    return _written(f, items, corner - k, mirrored=True)
+    return _written(f, cells, corner - k, mirrored=True)
 
 
 def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
-    F is split as L + N (see the module docs); L is symmetric, so adding it
-    into A11 keeps the pencil symmetric, and only N is built.  In
-    characteristic 2 every diagonal entry of F must first pass the parity
-    test, run once on F (in one variable every entry passes); the first
-    failure raises :class:`NotRealizableChar2`.  N is then written by
-    :func:`_sbr_entrywise` in one pass: its off-diagonal entries mirrored,
-    and its diagonal as halves away from characteristic 2 and as one
-    square per parity class in it.  The size is counted exactly from the
-    tries, and one past ``MAX_PENCIL_SIZE`` raises
-    :class:`PencilTooLarge` before anything is written.  The pencil has no
-    constant pivot for :func:`op_shrink`, so the size checked is the size
-    returned.
+    In characteristic 2 every diagonal entry of F must first pass the
+    parity test, run once on F (in one variable every entry passes); the
+    first failure raises :class:`NotRealizableChar2`.  F is then written
+    by :func:`_sbr_entrywise` in one pass: its off-diagonal entries
+    mirrored, and its diagonal as halves of what the mirror doubles away
+    from characteristic 2 and as one square per parity class in it.  The
+    size is counted exactly from the tries, and one past
+    ``MAX_PENCIL_SIZE`` raises :class:`PencilTooLarge` before anything is
+    written.  The pencil has no constant pivot for :func:`op_shrink`, so
+    the size checked is the size returned.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
@@ -543,9 +491,8 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
         raise NotSymmetric("matrix is not symmetric")
     certs = (_diagonal_certificates(f)
              if f.descriptor.characteristic == 2 else None)
-    return RealizationResult(
-        _realize_split(f, lambda rest: _sbr_entrywise(rest, certs)),
-        RealizationKind.SBR, f)
+    return RealizationResult(_sbr_entrywise(f, certs), RealizationKind.SBR,
+                             f)
 
 
 def decide_and_realize_hsbr(f: RationalMatrix):

@@ -181,6 +181,29 @@ def test_nested_powers_obey_the_exponent_limit():
         assert info.value.position == position, text
 
 
+def test_a_power_is_taken_by_squaring(monkeypatch):
+    # z1^1000 is about 2 log2(1000) products, not 1000; a fraction raises
+    # its numerator and its denominator
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    out = parse_expression("z1^1000", Q)
+    assert len(calls) < 40
+    monkeypatch.undo()
+    z1 = Polynomial.variable(Q, 1, 0)
+    assert out == RationalMatrix.scalar(RationalFunction(z1 ** 1000))
+    for d in (Q, G2):
+        z1, z2 = Polynomial.variable(d, 2, 0), Polynomial.variable(d, 2, 1)
+        one = Polynomial.one(d, 2)
+        assert parse_expression("(z1/(1+z2))^3", d) == RationalMatrix.scalar(
+            RationalFunction(z1 * z1 * z1, (one + z2) * (one + z2) * (one + z2)))
+
+
 def test_matrix_arithmetic_in_expressions():
     out = parse_expression("[[1,0],[0,1]] * [[z1, 0],[0, z2]]", Q)
     assert out == parse_expression("[[z1, 0],[0, z2]]", Q)

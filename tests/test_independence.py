@@ -8,7 +8,9 @@ wrong pencil and then pass it, so this test reads the imports of
 
 The builders write every pencil layout directly, so ``realize.py`` takes
 one combinator, ``op_homogenize``, and none of those that assemble or
-shrink intermediate pencils.
+shrink intermediate pencils.  They all go through one writer, so the only
+function of ``realize.py`` that constructs a ``LinearPencil`` is
+``_written``.
 
 A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
@@ -92,6 +94,46 @@ def test_the_detector_finds_names_taken():
 def test_builders_take_only_op_homogenize_from_combinators():
     source = (SRC / "realize.py").read_text(encoding="utf-8")
     assert names_taken(source, "combinators") == {"op_homogenize"}
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The module-level functions and classes of ``source`` that call
+    ``name``, as a bare name or as an attribute, nested functions
+    included; ``<module>`` for a call outside them."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = (node.name if isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            else "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and name in (
+                    getattr(sub.func, "id", None),
+                    getattr(sub.func, "attr", None)):
+                found.add(owner)
+    return found
+
+
+def test_the_detector_finds_callers():
+    source = (
+        "from . import pencil\n"
+        "EMPTY = LinearPencil(d, 0, 1, 0, [{}])\n"
+        "def _writer():\n"
+        "    def inner():\n"
+        "        return LinearPencil(d, n, m, k, coeffs)\n"
+        "    return inner()\n"
+        "def _other(p):\n"
+        "    return pencil.LinearPencil(p.descriptor, 0, 1, 0, [{}])\n"
+        "def _reader(p):\n"
+        "    return p.with_split(1), LinearPencil\n"
+    )
+    assert callers(source, "LinearPencil") == {
+        "<module>", "_writer", "_other"
+    }
+
+
+def test_only_the_writer_constructs_pencils():
+    source = (SRC / "realize.py").read_text(encoding="utf-8")
+    assert callers(source, "LinearPencil") == {"_written"}
 
 
 def _is_private(name: str) -> bool:

@@ -121,14 +121,9 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
         return RationalFunction(f.num, common) if shared else f
 
     target = _grid(k, entry)
-    # the construction builds N of F = L + N, and L goes into A11
-    rest, affine = realize_module._split_affine(target)
-    if rest is None:
-        rest = RationalMatrix([[RationalFunction.zero(d, n)] * k] * k)
     # the size checked is the size written, and nothing shrinks it
-    built = _at_checked_size(realize_module._br_entrywise, rest)
-    result = _check(realize_br(target))
-    assert result.pencil == realize_module._plus_affine(built, affine)
+    built = _at_checked_size(realize_module._br_entrywise, target)
+    assert _check(realize_br(target)).pencil == built
 
     if d.characteristic != 2:
         mirrored = RationalMatrix(
@@ -154,16 +149,37 @@ def test_br_builds_each_entry_at_its_predicted_size(rand, d, k, shared):
 @given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
        st.integers(1, 3))
 def test_polynomial_chains_leave_nothing_to_shrink(rand, d, n):
-    # one prefix trie of p's terms, and for p/q the trie matrix of q
-    # negated and bordered by p's trie: A22 has no constant pivot, so the
-    # pencil is as small as op_shrink can make it and its size is the
-    # prediction
+    # one prefix trie of p's terms, and for p/q one corner row whose trie
+    # holds p and -q: A22 has no constant pivot, so the pencil is as small
+    # as op_shrink can make it and its size is the prediction
     p = random_poly(rand, d, n, max_deg=4, max_terms=4)
     q = random_poly(rand, d, n, max_deg=3, max_terms=3, nonzero=True)
     for f in (RationalFunction(p), RationalFunction(p, q)):
         target = RationalMatrix.scalar(f)
         pencil = _at_checked_size(realize_module._br_entrywise, target)
         assert pencil.schur_complement() == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([Q, G2, G101]),
+       st.integers(1, 3))
+def test_a_fraction_is_one_corner_row_with_one_trie(rand, d, n):
+    # p/q takes one corner row t, whose trie holds -q and p: m = k + 1 + r
+    # for the r rows of that trie, and twice the corner and the trie when
+    # mirrored (away from characteristic 2, where the diagonal is p/2 over
+    # q).  Sharing saves the rows of common prefixes, but one variable
+    # order serves both, so r is not bounded by the rows of p's and q's
+    # own tries.
+    p = random_poly(rand, d, n, max_deg=4, max_terms=4, nonzero=True)
+    q = random_poly(rand, d, n, max_deg=3, max_terms=3, nonzero=True)
+    assume(not q.is_constant())
+    f = RationalFunction(p, q)
+    target = RationalMatrix.scalar(f)
+    edges, _ = realize_module._trie([-f.den, f.num], n, lambda count: None)
+    rows = len(edges)
+    assert _check(realize_br(target)).pencil.m == 2 + rows
+    if d.characteristic != 2:
+        assert _check(realize_sbr(target)).pencil.m == 3 + 2 * rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,15 +205,28 @@ def test_sbr_is_checked_at_the_size_returned(rand, d, k):
     assert pencil.is_symmetric()
 
 
+def test_a_sum_over_one_denominator_keeps_it():
+    # the numerators of fractions over one denominator are added over it,
+    # so the denominator does not grow with the number of summands
+    target = parse_expression(" + ".join(["1/(1+z1)"] * 50), Q)
+    z1, one = Polynomial.variable(Q, 1, 0), Polynomial.one(Q, 1)
+    assert target.entries[0][0].den == one + z1
+    assert target == RationalMatrix.scalar(
+        RationalFunction(one.scale(50), one + z1))
+    assert _check(realize_br(target)).pencil.m == 2
+
+
 def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
     # the first target's rows share their chain prefixes (six rows, where
-    # one chain per term takes ten); the second has rational entries: each
-    # is written as q's pencil bordered by p's chains, with no constant
+    # one chain per term takes ten); the next have rational entries: each
+    # p/q is a corner row whose one trie holds p and -q, with no constant
     # pivot to shrink; the gf2 targets are written as one square per
     # parity class, p/q as p's square around the pencil of p q
     for text, field, br_m, sbr_m in (
         ("[[z1^3*z2+z2^2, z1^2*z2],[z1^2*z2, z2^3]]", Q, 8, 12),
         ("[[z1^2/(1+z1), z2^2],[z2^2, z1*z2/(z1+z2)]]", Q, 8, 12),
+        ("z1^5/(1+z1^2)", Q, 6, 11),
+        ("(z1^2+z2)/(1+z1^2)", Q, 3, 5),
         ("z1^2+z2^2", G2, 3, 2),
         ("z1^2/(1+z2)", G2, 3, 8),
     ):
@@ -216,7 +245,7 @@ def test_polynomial_targets_are_checked_at_the_size_returned(monkeypatch):
 def test_polynomial_pencils_meet_the_size_lower_bound(rand, d, k, affine):
     # for an entry p of total degree d, the minor of A that gives p det A22
     # has size m - k + 1, so m >= k - 1 + d; the format needs m >= k + 1.
-    # A target with N = 0 in F = L + N reaches the bound k + 1.
+    # An affine target, written wholly into A11, reaches the bound k + 1.
     n = rand.randint(1, 3)
     grid = [[None] * k for _ in range(k)]
     for i in range(k):
