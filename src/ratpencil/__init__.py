@@ -34,6 +34,7 @@ from .errors import (
     SingularSchurComplement,
     SingularX,
     TooFewVariables,
+    TooManyVariables,
     WrongCharacteristic,
     ZeroScalar,
 )

@@ -263,14 +263,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except NotRealizableChar2 as exc:
+        # only realize raises this, and its certificate names a monomial
         cert = exc.certificate
-        descriptor = _field(args) if hasattr(args, "field") else None
-        doc = {"verdict": "not_realizable", "diagonal": exc.diagonal}
-        if cert.offending_monomial is not None and descriptor is not None:
-            doc["offending_monomial"] = _monomial_text(
-                descriptor, len(cert.offending_monomial), cert.offending_monomial
-            )
-        _print(doc)
+        _print(_certificate_doc(_field(args), len(cert.offending_monomial),
+                                cert, exc.diagonal))
         return 1
     except (RatPencilError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,14 @@ their offsets (:func:`_split`), and each output coefficient is one
 :func:`op_sandwich` weights entries, spreading the first block through the
 constant factors U and V.
 
+Every operation that makes a larger pencil refuses an output past
+``MAX_PENCIL_SIZE`` (:func:`ratpencil.pencil.require_size`) before
+assembling it, as the pencil reader does.
+
 :func:`op_shrink` has no layout: it makes a pencil smaller by exact Schur
-steps on constant pivots of A22.  It shares no code with
-:mod:`ratpencil.elimination`, so that verifying a built pencil never runs
-the builder's own elimination.
+steps on constant pivots of A22.  No builder calls it; it shares no code
+with :mod:`ratpencil.elimination`, so that checking a shrunk pencil never
+runs the elimination that made it.
 
 All precondition checks on block invertibility run eagerly by exact
 determinant; pass ``check=False`` to defer them when composing long
@@ -39,7 +43,7 @@ from .errors import (
 )
 from .fields import accumulate
 from .matrices import RationalMatrix, mat_det
-from .pencil import LinearPencil
+from .pencil import LinearPencil, require_size
 from .poly import layout
 
 
@@ -115,6 +119,7 @@ def op_add(p: LinearPencil, *others: LinearPencil,
     for q in others:
         indices.append(_split(k, q.m, 0, m))
         m += q.m - k
+    require_size(m, "the sum")
     d = p.descriptor
     coeffs = [
         accumulate(dict(pc), chain.from_iterable(
@@ -140,6 +145,7 @@ def op_symmetrize(p: LinearPencil, check: bool = True) -> LinearPencil:
     if check:
         _require_block(p)
     k, m = p.split, p.m
+    require_size(2 * m - k, "the symmetrization")
     d = p.descriptor
     rows, cols = _split(k, m, 0, k), _split(k, m, 0, m)
     coeffs = [
@@ -175,6 +181,7 @@ def op_sandwich(u, p: LinearPencil, v, check: bool = True) -> LinearPencil:
     if check:
         _require_block(p)
     l = u_rows
+    require_size(l + m - k, "the sandwich")
     us = [[d.coerce(value) for value in row] for row in u]
     vs = [[d.coerce(value) for value in row] for row in v]
     # Row t < k of A spreads over the rows of U's column t, column t < k
@@ -260,6 +267,7 @@ def op_product(p: LinearPencil, x, q: LinearPencil,
                 raise SingularX("middle factor X has zero determinant")
     m, l = p.m, q.m
     size = m + l
+    require_size(size, "the product")
     last = size - k                        # offset of the last row/column group
     a_rows, a_cols = _split(k, m, 0, l), _split(k, m, last, k)
     b_rows, b_cols = _split(k, l, last, k), _split(k, l, 0, m)
@@ -292,6 +300,7 @@ def op_inverse(p: LinearPencil, check: bool = True) -> LinearPencil:
         if mat_det(p.schur_complement()).is_zero():
             raise SingularSchurComplement("Schur complement is not invertible")
     k, m = p.split, p.m
+    require_size(m + k, "the inverse")
     d = p.descriptor
     index = _split(k, m, k, 2 * k)
     identity = {}
@@ -316,6 +325,7 @@ def op_kron_identity(p: LinearPencil, copies: int, check: bool = True) -> Linear
         _require_block(p)
     if copies == 1:
         return p
+    require_size(p.m * copies, "the Kronecker product")
     coeffs = []
     for pc in p.coeffs:
         c = {}
@@ -345,229 +355,6 @@ def _loose(entry: dict) -> bool:
     return len(entry) > 1 or 0 not in entry
 
 
-class _Shrink:
-    """Working state of :func:`op_shrink`: sparse rows ``{i: {j: entry}}``
-    whose entries map a coefficient index (0 for the constant term) to a
-    nonzero value, the row set of each column, and per row and per column
-    the number of entries that are not constants."""
-
-    def __init__(self, p: LinearPencil):
-        self.d = p.descriptor
-        self.split = p.split
-        self.size = p.m - p.split
-        self.symmetric = p.is_symmetric()
-        rows: dict[int, dict[int, dict]] = {}
-        for t, c in enumerate(p.coeffs):
-            for (i, j), value in c.items():
-                rows.setdefault(i, {}).setdefault(j, {})[t] = value
-        self.rows = rows
-        self.cols: dict[int, set[int]] = {}
-        self.loose_rows = dict.fromkeys(rows, 0)
-        self.loose_cols: dict[int, int] = {}
-        for i, row in rows.items():
-            for j, entry in row.items():
-                self.cols.setdefault(j, set()).add(i)
-                loose = _loose(entry)
-                self.loose_rows[i] += loose
-                self.loose_cols[j] = self.loose_cols.get(j, 0) + loose
-        self.removed_rows: set[int] = set()
-        self.removed_cols: set[int] = set()
-        # (score, i, j) of candidate pivots; stale keys stay until they
-        # reach the top and fail the check in run
-        self.heap: list[tuple[int, int, int]] = []
-        self._push(rows)
-
-    def score(self, i: int, j: int):
-        """Markowitz score of the pivot (i, j), or None when it is none.
-
-        A plain pivot is a nonzero constant whose row or column holds only
-        constants.  Over a symmetric pencil, a diagonal pivot needs a
-        constant row, and (i, j) with i < j names the pair {i, j}: two
-        constant rows whose 2x2 block is invertible.
-        """
-        row = self.rows.get(i)
-        entry = row.get(j) if row else None
-        if entry is None or _loose(entry):
-            return None
-        if not self.symmetric:
-            if self.loose_rows[i] and self.loose_cols[j]:
-                return None
-            return (len(row) - 1) * (len(self.cols[j]) - 1)
-        if self.loose_rows[i]:
-            return None
-        if i == j:
-            return (len(row) - 1) ** 2
-        other = self.rows[j]
-        if self.loose_rows[j] or not self._pair_det(row, other, i, j):
-            return None
-        return (len(row.keys() | other.keys()) - 2) ** 2
-
-    def _value(self, row: dict, j: int):
-        """The constant at column j of a constant row (zero when absent)."""
-        entry = row.get(j)
-        return entry[0] if entry else self.d.zero
-
-    def _pair_det(self, row_a, row_b, a, b):
-        d = self.d
-        ab = row_a[b][0]
-        return d.sub(d.mul(self._value(row_a, a), self._value(row_b, b)),
-                     d.mul(ab, ab))
-
-    def _push(self, touched_rows, touched_cols=()):
-        """Push the keys of the candidates in the rows and the columns
-        whose entries or counts a step changed."""
-        split, rows, cols = self.split, self.rows, self.cols
-        cells = set()
-        for i in touched_rows:
-            if i >= split:
-                cells.update((i, j) for j in rows[i] if j >= split)
-        for j in touched_cols:
-            if j >= split:
-                cells.update((i, j) for i in cols[j] if i >= split)
-        if self.symmetric:
-            cells = {(min(cell), max(cell)) for cell in cells}
-        for i, j in cells:
-            score = self.score(i, j)
-            if score is not None:
-                heapq.heappush(self.heap, (score, i, j))
-
-    def _sub(self, x: int, y: int, entry: dict, s) -> None:
-        """A_xy -= s * entry, with s a nonzero constant."""
-        d = self.d
-        mul, sub = d.mul, d.sub
-        row = self.rows[x]
-        old = row.get(y)
-        if old is None:
-            new = {t: d.neg(mul(v, s)) for t, v in entry.items()}
-            row[y] = new
-            self.cols[y].add(x)
-            if _loose(new):
-                self.loose_rows[x] += 1
-                self.loose_cols[y] += 1
-            return
-        was = _loose(old)
-        for t, v in entry.items():
-            merged = sub(old.get(t, d.zero), mul(v, s))
-            if merged:
-                old[t] = merged
-            else:
-                del old[t]
-        if not old:
-            del row[y]
-            self.cols[y].discard(x)
-            now = False
-        else:
-            now = _loose(old)
-        if now != was:
-            step = 1 if now else -1
-            self.loose_rows[x] += step
-            self.loose_cols[y] += step
-
-    def _unlink(self, i: int, j: int) -> tuple[dict, set]:
-        """Remove row i and column j; return row i without its entry at j,
-        and the rows other than i that had an entry in column j."""
-        prow = self.rows.pop(i)
-        prow.pop(j, None)
-        col = self.cols.pop(j)
-        col.discard(i)
-        for y, entry in prow.items():
-            self.cols[y].discard(i)
-            if _loose(entry):
-                self.loose_cols[y] -= 1
-        self.removed_rows.add(i)
-        self.removed_cols.add(j)
-        return prow, col
-
-    def eliminate(self, i: int, j: int) -> None:
-        """One Schur step on the constant pivot c = A_ij:
-        A_xy -= A_xj * A_iy / c, every product with a constant factor."""
-        d = self.d
-        inv = d.inv(self.rows[i][j][0])
-        constant_row = not self.loose_rows.pop(i)
-        prow, col = self._unlink(i, j)
-        for x in col:
-            entry = self.rows[x].pop(j)
-            if _loose(entry):
-                self.loose_rows[x] -= 1
-            if constant_row:
-                for y, value in prow.items():
-                    self._sub(x, y, entry, d.mul(value[0], inv))
-            else:
-                s = d.mul(entry[0], inv)
-                for y, value in prow.items():
-                    self._sub(x, y, value, s)
-        self.size -= 1
-        self._push(col, () if self.symmetric else prow)
-
-    def eliminate_pair(self, a: int, b: int) -> None:
-        """The congruence A -= X B^-1 X^T on the constant rows a and b,
-        where X holds columns a and b and B = [[A_aa, A_ab], [A_ab, A_bb]]."""
-        d, rows, cols = self.d, self.rows, self.cols
-        mul, add, value = d.mul, d.add, self._value
-        row_a, row_b = rows.pop(a), rows.pop(b)
-        inv = d.inv(self._pair_det(row_a, row_b, a, b))
-        b00 = mul(value(row_b, b), inv)
-        b01 = mul(d.neg(row_a[b][0]), inv)
-        b11 = mul(value(row_a, a), inv)
-        del self.loose_rows[a], self.loose_rows[b]
-        for index, row in ((a, row_a), (b, row_b)):
-            row.pop(a, None)
-            row.pop(b, None)
-            for y in row:
-                cols[y].discard(index)
-        del cols[a], cols[b]
-        self.removed_rows.update((a, b))
-        self.removed_cols.update((a, b))
-        # X_x = (A_xa, A_xb) = u_x, and the update of A_xy is w_x . u_y
-        # with w_x = B^-1 u_x
-        others = sorted(row_a.keys() | row_b.keys())
-        u, w = {}, {}
-        for x in others:
-            rows[x].pop(a, None)
-            rows[x].pop(b, None)
-            u[x] = u0, u1 = value(row_a, x), value(row_b, x)
-            w[x] = (add(mul(b00, u0), mul(b01, u1)),
-                    add(mul(b01, u0), mul(b11, u1)))
-        one = d.one
-        for x in others:
-            w0, w1 = w[x]
-            for y in others:
-                u0, u1 = u[y]
-                delta = add(mul(w0, u0), mul(w1, u1))
-                if delta:
-                    self._sub(x, y, {0: delta}, one)
-        self.size -= 2
-        self._push(others)
-
-    def run(self) -> None:
-        heap, symmetric = self.heap, self.symmetric
-        while self.size > 1 and heap:
-            score, i, j = heapq.heappop(heap)
-            if self.score(i, j) != score:
-                continue
-            if i == j or not symmetric:
-                self.eliminate(i, j)
-            elif self.size > 2:
-                self.eliminate_pair(i, j)
-
-    def pencil(self, p: LinearPencil) -> LinearPencil:
-        """The remaining rows and columns, renumbered in their order."""
-        row_index = {i: r for r, i in enumerate(
-            i for i in range(p.m) if i not in self.removed_rows)}
-        col_index = {j: c for c, j in enumerate(
-            j for j in range(p.m) if j not in self.removed_cols)}
-        coeffs = [{} for _ in p.coeffs]
-        for i in sorted(self.rows):
-            row = self.rows[i]
-            r = row_index[i]
-            for j in sorted(row):
-                cell = (r, col_index[j])
-                for t, value in row[j].items():
-                    coeffs[t][cell] = value
-        return LinearPencil(p.descriptor, p.n_vars, len(row_index), p.split,
-                            coeffs)
-
-
 def op_shrink(p: LinearPencil, check: bool = True) -> LinearPencil:
     """Pencil with the Schur complement of ``p``, made smaller by exact
     Schur steps on constant pivots of A22.  It keeps every structure class
@@ -593,8 +380,114 @@ def op_shrink(p: LinearPencil, check: bool = True) -> LinearPencil:
     """
     if check:
         _require_block(p)
-    state = _Shrink(p)
-    state.run()
-    if not state.removed_rows:
+    d, split = p.descriptor, p.split
+    symmetric = p.is_symmetric()
+    # sparse rows {i: {j: entry}}, an entry mapping a coefficient index (0
+    # for the constant term) to a nonzero value, and the row set of each
+    # column; both keep their indices in order as steps delete them
+    rows: dict[int, dict[int, dict]] = {i: {} for i in range(p.m)}
+    cols: dict[int, set[int]] = {j: set() for j in range(p.m)}
+    for t, c in enumerate(p.coeffs):
+        for (i, j), value in c.items():
+            rows[i].setdefault(j, {})[t] = value
+            cols[j].add(i)
+
+    def score(i: int, j: int):
+        """Markowitz score of the pivot (i, j), or None when it is none;
+        over a symmetric pencil, (i, j) with i < j names the pair {i, j}."""
+        row = rows.get(i)
+        entry = row.get(j) if row else None
+        if entry is None or _loose(entry):
+            return None
+        loose_row = any(map(_loose, row.values()))
+        if not symmetric:
+            if loose_row and any(_loose(rows[x][j]) for x in cols[j]):
+                return None
+            return (len(row) - 1) * (len(cols[j]) - 1)
+        if loose_row:
+            return None
+        if i == j:
+            return (len(row) - 1) ** 2
+        other, zero = rows[j], {0: d.zero}
+        if any(map(_loose, other.values())) or d.mul(entry[0], entry[0]) == \
+                d.mul(row.get(i, zero)[0], other.get(j, zero)[0]):
+            return None
+        return (len(row.keys() | other.keys()) - 2) ** 2
+
+    # (score, i, j) of candidate pivots; stale keys stay until they reach
+    # the top and fail the recheck
+    heap: list[tuple[int, int, int]] = []
+
+    def push(touched_rows, touched_cols=()):
+        """Push the keys of the candidates in the rows and the columns
+        that a step changed."""
+        cells = {(i, j) for i in touched_rows if i >= split
+                 for j in rows[i] if j >= split}
+        cells.update((i, j) for j in touched_cols if j >= split
+                     for i in cols[j] if i >= split)
+        if symmetric:
+            cells = {(min(cell), max(cell)) for cell in cells}
+        for i, j in cells:
+            key = score(i, j)
+            if key is not None:
+                heapq.heappush(heap, (key, i, j))
+
+    def eliminate(i: int, j: int):
+        """One Schur step on the constant pivot A_ij, whose row or column
+        holds only constants: A_xy -= A_xj * A_iy / A_ij, scaling whichever
+        factor is not a constant.  Returns row i and the rows it changed."""
+        prow = rows.pop(i)
+        inv = d.inv(prow.pop(j)[0])
+        col = cols.pop(j)
+        col.discard(i)
+        for y in prow:
+            cols[y].discard(i)
+        constant_row = not any(map(_loose, prow.values()))
+        for x in col:
+            row = rows[x]
+            xj = row.pop(j)
+            for y, iy in prow.items():
+                entry, s = (xj, iy[0]) if constant_row else (iy, xj[0])
+                s = d.mul(s, inv)
+                old = row.setdefault(y, {})
+                if not old:
+                    cols[y].add(x)
+                for t, v in entry.items():
+                    merged = d.sub(old.get(t, d.zero), d.mul(v, s))
+                    if merged:
+                        old[t] = merged
+                    else:
+                        del old[t]
+                if not old:
+                    del row[y]
+                    cols[y].discard(x)
+        return prow, col
+
+    push(rows)
+    size = p.m - split
+    while size > 1 and heap:
+        key, i, j = heapq.heappop(heap)
+        if score(i, j) != key:
+            continue
+        if i == j or not symmetric:
+            prow, col = eliminate(i, j)
+            push(col, () if symmetric else prow)
+            size -= 1
+        elif size > 2:
+            # the pair {i, j} as two plain steps: after the first, row j
+            # still holds only constants and A_ji = -det / A_ij != 0
+            touched = eliminate(i, j)[1]
+            touched |= eliminate(j, i)[1]
+            touched.discard(j)
+            push(touched)
+            size -= 2
+    if len(rows) == p.m:
         return p
-    return state.pencil(p)
+    # the remaining rows and columns, renumbered in their order
+    col_index = {j: c for c, j in enumerate(cols)}
+    coeffs = [{} for _ in p.coeffs]
+    for r, row in enumerate(rows.values()):
+        for j in sorted(row):
+            for t, value in row[j].items():
+                coeffs[t][(r, col_index[j])] = value
+    return LinearPencil(d, p.n_vars, len(rows), split, coeffs)

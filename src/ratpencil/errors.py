@@ -51,6 +51,10 @@ class RingTooLarge(RatPencilError):
     index sets."""
 
 
+class TooManyVariables(RatPencilError):
+    """A polynomial would have more than ``poly.MAX_VARIABLES`` variables."""
+
+
 class BlockSizeMismatch(DimensionMismatch):
     """Two pencils disagree on the size of the (1,1) block."""
 

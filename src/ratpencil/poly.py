@@ -38,7 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DegreeTooLarge, DescriptorMismatch, DivisionByZero
+from .errors import (
+    DegreeTooLarge,
+    DescriptorMismatch,
+    DivisionByZero,
+    TooManyVariables,
+)
 from .fields import FieldDescriptor, FieldElement, accumulate
 
 NEG_INFINITY = float("-inf")
@@ -46,6 +51,9 @@ BITS = 20
 _GUARD = 1 << (BITS - 1)
 _FIELD = _GUARD - 1
 MAX_DEGREE = _GUARD - 1
+# a layout holds one key per variable, each BITS bits per variable long,
+# so its size grows with the square of the variable count
+MAX_VARIABLES = 1000
 
 
 def grlex_key(exps: tuple[int, ...]):
@@ -88,6 +96,10 @@ class Layout:
 
 @lru_cache(maxsize=None)
 def layout(n: int) -> Layout:
+    if n > MAX_VARIABLES:
+        raise TooManyVariables(
+            f"{n} variables is over the limit of {MAX_VARIABLES}"
+        )
     return Layout(n)
 
 

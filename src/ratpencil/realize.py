@@ -379,7 +379,7 @@ def _class_roots(cert: Char2Certificate, keep_constant: bool):
     With g_beta = sum_a c_a z^(2a) and r = sum_a c_a z^a, the Frobenius
     map gives r^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
     GF(2), the only characteristic-2 field the library has (a field
-    gf:2^k would need c^(1/2) here; see ROADMAP.md, item 9).  The even
+    gf:2^k would need c^(1/2) here; see ROADMAP.md, item 8).  The even
     class has s = r and x = 1, the z_i class s = z_i r and x = z_i.
 
     With ``keep_constant``, the even class keeps h's constant term c when

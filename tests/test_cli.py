@@ -84,7 +84,22 @@ def test_realize_not_realizable_exit_code(capsys):
         "--expr", "z1*z2",
     )
     assert code == 1
-    assert json.loads(out)["verdict"] == "not_realizable"
+    assert out == (
+        '{\n'
+        '  "diagonal": 0,\n'
+        '  "offending_monomial": "z1*z2",\n'
+        '  "verdict": "not_realizable"\n'
+        '}\n'
+    )
+
+
+def test_realize_refuses_too_many_variables(capsys):
+    for args in (("--expr", "z1001"), ("--nvars", "1001", "--expr", "z1")):
+        code, _, err = run(
+            capsys, "realize", "--field", "q", "--kind", "br", *args
+        )
+        assert code == 2
+        assert "1001 variables is over the limit" in err
 
 
 def test_verify_shipped_fixture(capsys):

@@ -17,13 +17,14 @@ from ratpencil.combinators import (
 from ratpencil.errors import (
     BlockSizeMismatch,
     DescriptorMismatch,
+    PencilTooLarge,
     SingularBlock,
     SingularSchurComplement,
     ZeroScalar,
 )
 from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_det, mat_inv
-from ratpencil.pencil import LinearPencil
+from ratpencil.pencil import MAX_PENCIL_SIZE, LinearPencil
 from ratpencil.poly import RationalFunction
 from ratpencil.realize import realize_br, realize_sbr
 
@@ -383,3 +384,33 @@ def test_structure_transfer(rng):
         x = RationalMatrix.scalar(RationalFunction.variable(d, n + 1, 0))
         hom_prod = op_product(hom, x, hom.transpose(), check=False)
         assert hom_prod.classify() >= {"hLP", "sLP", "hsLP"}
+
+
+def _diagonal_pencil(m):
+    """diag(z1, 1, ..., 1): an m-row pencil of z1 with split 1."""
+    return LinearPencil(Q, 1, m, 1, [
+        {(i, i): 1 for i in range(1, m)}, {(0, 0): 1}
+    ])
+
+
+def test_combinators_refuse_outputs_past_the_size_limit():
+    # each output is one row past MAX_PENCIL_SIZE, a pencil that
+    # LinearPencil.from_json would refuse to read back
+    limit = MAX_PENCIL_SIZE
+    two, half = _diagonal_pencil(2), _diagonal_pencil(limit // 2 + 1)
+    full = _diagonal_pencil(limit)
+    outputs = {
+        "the sum": lambda: op_add(*[two] * limit, check=False),
+        "the symmetrization": lambda: op_symmetrize(half, check=False),
+        "the sandwich": lambda: op_sandwich([[1], [1]], full, [[1, 1]],
+                                            check=False),
+        "the product": lambda: op_product(half, None, half, check=False),
+        "the inverse": lambda: op_inverse(full, check=False),
+        "the Kronecker product": lambda: op_kron_identity(
+            two, limit // 2 + 1, check=False),
+    }
+    for what, make in outputs.items():
+        with pytest.raises(PencilTooLarge, match=what):
+            make()
+    assert op_kron_identity(two, limit // 2, check=False).m == limit
+    assert op_add(*[two] * (limit - 1), check=False).m == limit

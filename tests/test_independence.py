@@ -1,10 +1,10 @@
 """The builders never run the verifier's code, and no private name is dead.
 
-``op_shrink`` eliminates pivots of built pencils, and the verifier
-eliminates pivots to check them.  If ``combinators.py`` imported
-``elimination`` or ``verify``, a fault in that shared code could build a
-wrong pencil and then pass it, so this test reads the imports of
-``combinators.py`` and fails on either.
+``op_shrink`` eliminates pivots to make a pencil smaller, and the
+verifier eliminates pivots to check a pencil.  If ``combinators.py``
+imported ``elimination`` or ``verify``, a fault in that shared code could
+shrink a pencil wrongly and then pass it, so this test reads the imports
+of ``combinators.py`` and fails on either.
 
 The builders write every pencil layout directly, so ``realize.py`` takes
 one combinator, ``op_homogenize``, and none of those that assemble or

@@ -3,9 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratpencil.errors import DescriptorMismatch, DivisionByZero
+from ratpencil.errors import (
+    DescriptorMismatch,
+    DivisionByZero,
+    TooManyVariables,
+)
+from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
 from ratpencil.poly import (
+    MAX_VARIABLES,
     NEG_INFINITY,
     Polynomial,
     RationalFunction,
@@ -29,6 +35,15 @@ def _vars(descriptor, n):
 def test_constructor_rejects_bad_monomials(exps):
     with pytest.raises(ValueError):
         Polynomial(Q, 2, {exps: 1})
+
+
+def test_variable_count_is_bounded():
+    # a layout holds one key per variable, each BITS bits per variable
+    # long, so the count is refused before the layout is built
+    with pytest.raises(TooManyVariables):
+        Polynomial.variable(Q, MAX_VARIABLES + 1, 0)
+    with pytest.raises(TooManyVariables):
+        parse_expression(f"z{MAX_VARIABLES + 1}", Q)
 
 
 def test_poly_add_mul_examples():
