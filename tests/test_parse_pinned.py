@@ -109,6 +109,18 @@ TEXTS = [
     ("[[(1+z1+z2+z3)^15, 0], [0, 1]] * [[(1+z4+z5+z6)^15, 0], [0, 1]]",
      None),
     ("(1+z1+z2+z3)^15/(1+z4+z5+z6)^15 + 1/(1+z4+z5+z6)^15", None),
+    # term order and cancellation inside runs of + - and of *
+    ("z1 + z2 - z1 + z1", None),
+    ("2*z1 + z2", None),
+    ("0*z1^3 + z2", None),
+    ("2*-z1*z2 - -3*z2", None),
+    ("z1^0*z2", None),
+    ("z1 + (z2 + z3) + 1/z1 + z2", None),
+    ("z1/2 + z2", None),
+    ("*".join(["z1^1000"] * 524), None),
+    ("*".join(["z1^1000"] * 525), None),
+    ("[[z1 + z2 - z1, 3 - 2*z1*z2 + z1^2],"
+     " [z2*z1 + 1 + z1*z2, -z2 + 5 + z2]]", None),
 ]
 
 
