@@ -9,7 +9,8 @@ a factor)::
     power   := atom ('^' nonneg_integer)?     (at most MAX_EXPONENT)
     atom    := integer | variable | '(' expr ')' | matrix
     matrix  := '[' row (',' row)* ']'      row := '[' expr (',' expr)* ']'
-    variable := 'z' digits                  (z1, z2, ...)
+    variable := 'z' integer                 (z1, z2, ...)
+    integer  := digit digit*                (ASCII '0'-'9' only)
 
 The result is an exact :class:`RationalMatrix` (a scalar is 1x1), but
 scalars stay polynomials until a ``/``: a scalar is a :class:`Polynomial`
@@ -27,6 +28,18 @@ Nesting (parentheses, unary minus) deeper than the interpreter's recursion
 limit allows is a :class:`ParseError` too.  A run of ``+ -``, or of
 ``* /``, is not nesting: it is one node, folded from the left in a loop, so
 a sum of any number of summands parses.
+
+The fold builds no polynomial per atom.  A monomial (an integer, a
+variable, a variable's power, a unary minus of one, or a ``*`` run of them)
+is one (key, coefficient) pair: keys add under the degree check of
+:meth:`Polynomial.__mul__` (:func:`ratpencil.poly.product_key`), and a zero
+factor skips it, as there.  A ``+ -`` run keeps one term map while its
+operands are pairs or polynomials over 1: each operand's terms go in, in
+order, a sum that cancels deletes its key, and the bound on the terms is
+checked first, all as :meth:`Polynomial._plus` does.  So the term order,
+every error and its position are what arithmetic at every node gives.  Any
+other operand turns the map into a polynomial, which goes on through
+:func:`_apply`.
 
 Every power, product, quotient and sum, of scalars and of matrices, is
 checked against :data:`MAX_TERMS` before it is expanded.  A polynomial
@@ -52,51 +65,51 @@ from .errors import (
     FieldLiteralError,
     ParseError,
 )
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, accumulate
 from .matrices import RationalMatrix
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, from_packed, layout, product_key
 
 _SYMBOLS = "+-*/^()[],"
+_DIGITS = frozenset("0123456789")
 MAX_EXPONENT = 1000
 MAX_TERMS = 20000
 _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def tokenize(text: str):
+    """The (kind, value, position) tokens of ``text``, then ("end", None,
+    len(text)).  Digits are ASCII only, as in ``gf:p``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text)
+    while pos < end:
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS or ch == "z":
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            if ch == "z":
+                pos += 1
+            digits = pos
+            while pos < end and text[pos] in _DIGITS:
                 pos += 1
             try:
-                value = int(text[start:pos])
+                value = int(text[digits:pos] or "0")
             except ValueError:  # beyond Python's integer string limit
-                raise ParseError("integer literal is too long", start) from None
-            tokens.append(("int", value, start))
-            continue
-        if ch == "z":
-            start = pos
-            pos += 1
-            digits = ""
-            while pos < len(text) and text[pos].isdigit():
-                digits += text[pos]
-                pos += 1
-            if not digits or int(digits) < 1:
+                raise ParseError("integer literal is too long", digits) from None
+            if ch != "z":
+                tokens.append(("int", value, start))
+            elif value < 1:
                 raise ParseError("variables are z1, z2, ...", start)
-            tokens.append(("var", int(digits), start))
+            else:
+                tokens.append(("var", value, start))
             continue
         if ch in _SYMBOLS:
             tokens.append((ch, None, pos))
             pos += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", None, len(text)))
+    tokens.append(("end", None, end))
     return tokens
 
 
@@ -197,25 +210,19 @@ class _Parser:
 
 
 def parse_ast(text: str):
-    return _Parser(tokenize(text)).parse()
+    """The syntax tree of ``text`` and its largest variable index (0 when
+    it names no variable)."""
+    tokens = tokenize(text)
+    needed = max([value for kind, value, _ in tokens if kind == "var"],
+                 default=0)
+    return _Parser(tokens).parse(), needed
 
 
-def max_variable(node) -> int:
-    kind = node[0]
-    if kind == "var":
-        return node[1]
-    if kind == "int":
-        return 0
-    if kind == "neg":
-        return max_variable(node[1])
-    if kind == "pow":
-        return max_variable(node[1])
-    if kind == "run":
-        return max([max_variable(node[1])]
-                   + [max_variable(right) for _, right, _ in node[2]])
-    if kind == "matrix":
-        return max(max_variable(e) for row in node[1] for e in row)
-    raise ValueError(f"unknown node {kind!r}")
+def _names_a_variable(tree) -> bool:
+    """Whether a variable occurs in the syntax tree ``tree``."""
+    if type(tree) is tuple and tree[0] == "var":
+        return True
+    return type(tree) in (tuple, list) and any(map(_names_a_variable, tree))
 
 
 def _lift(value) -> RationalFunction:
@@ -348,20 +355,64 @@ def _check_terms(bound: int, pos: int) -> None:
         )
 
 
-def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
-              one: Polynomial):
+class _Scope:
+    """What the nodes of one expression are evaluated in."""
+
+    def __init__(self, descriptor: FieldDescriptor, n_vars: int):
+        self.descriptor, self.n_vars = descriptor, n_vars
+        self.one = Polynomial.one(descriptor, n_vars)
+        self.modulus, self.units = descriptor.modulus, layout(n_vars).units
+
+
+def _evaluate(node, scope: _Scope):
     """The value of ``node``: a :class:`Polynomial`, a
     :class:`RationalFunction` with a non-constant denominator, or a
     :class:`RationalMatrix` that is not 1x1."""
-    kind = node[0]
+    return _polynomial(_term(node, scope), scope)
+
+
+def _polynomial(value, scope: _Scope):
+    """A value, with a (key, coefficient) pair turned into its polynomial."""
+    if type(value) is not tuple:
+        return value
+    key, c = value
+    return from_packed(scope.descriptor, scope.n_vars, {key: c} if c else {})
+
+
+def _items(value):
+    """The (key, coefficient) items of a pair or of a polynomial over 1;
+    None for any other value."""
+    if type(value) is tuple:
+        return (value,) if value[1] else ()
+    if type(value) is Polynomial and value.denom == 1:
+        return value.packed.items()
+    return None
+
+
+def _term(node, scope: _Scope):
+    """The value of ``node`` as :func:`_evaluate` gives it, but a monomial
+    as its (key, coefficient) pair, the coefficient as ``packed`` holds it."""
+    kind, p = node[0], scope.modulus
+    if kind == "neg":  # a chain of minuses is a loop, not nesting
+        negated, node = True, node[1]
+        while node[0] == "neg":
+            negated, node = not negated, node[1]
+        value = _term(node, scope)
+        if not negated:
+            return value
+        if type(value) is not tuple:
+            return -value
+        return value[0], (-value[1] % p if p else -value[1])
     if kind == "int":
-        return Polynomial.constant(descriptor, n_vars, node[1])
+        return 0, (node[1] % p if p else node[1])
     if kind == "var":
-        return Polynomial.variable(descriptor, n_vars, node[1] - 1)
-    if kind == "neg":
-        return -_evaluate(node[1], descriptor, n_vars, one)
+        return scope.units[node[1] - 1], 1
+    if kind == "run":
+        return _run(node, scope)
     if kind == "pow":
-        base = _evaluate(node[1], descriptor, n_vars, one)
+        if node[1][0] == "var":
+            return node[2] * scope.units[node[1][1] - 1], 1
+        base = _evaluate(node[1], scope)
         exponent = node[2]
         parts = _parts(base)
         degree = _max_variable_degree(parts)
@@ -379,9 +430,10 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
                                            base.den ** exponent))
         if not base.is_square():
             raise ParseError("power of a non-square matrix", node[3])
-        acc = RationalMatrix.identity(descriptor, n_vars, base.rows)
+        acc = RationalMatrix.identity(scope.descriptor, scope.n_vars,
+                                      base.rows)
         for _ in range(exponent):
-            _check_terms(_result_terms("*", acc, base, one), node[3])
+            _check_terms(_result_terms("*", acc, base, scope.one), node[3])
             acc = acc * base
         return acc
     if kind == "matrix":
@@ -389,7 +441,7 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
         for row in node[1]:
             out_row = []
             for e in row:
-                value = _evaluate(e, descriptor, n_vars, one)
+                value = _evaluate(e, scope)
                 if isinstance(value, RationalMatrix):
                     raise ParseError("matrix entries must be scalars", e[-1])
                 out_row.append(value)
@@ -397,30 +449,54 @@ def _evaluate(node, descriptor: FieldDescriptor, n_vars: int,
         if len(rows) == 1 and len(rows[0]) == 1:
             return rows[0][0]
         return RationalMatrix([[_lift(v) for v in row] for row in rows])
-    if kind == "run":
-        value = _evaluate(node[1], descriptor, n_vars, one)
-        for op, right, pos in node[2]:
-            b = _evaluate(right, descriptor, n_vars, one)
-            value = _apply(op, value, b, right, pos, descriptor, one)
-        return value
     raise ValueError(f"unknown node {kind!r}")
 
 
-def _apply(op: str, a, b, right, pos: int, descriptor: FieldDescriptor,
-           one: Polynomial):
+def _run(node, scope: _Scope):
+    """A run node folded from the left (see the module docs)."""
+    p, n_vars = scope.modulus, scope.n_vars
+    value, terms = _term(node[1], scope), None
+    for op, right, pos in node[2]:
+        b = _term(right, scope)
+        if op == "*" and type(value) is tuple and type(b) is tuple:
+            if value[1] and b[1]:  # as Polynomial.__mul__, 0 skips the check
+                value = (product_key(value[0], b[0], n_vars),
+                         value[1] * b[1] % p if p else value[1] * b[1])
+            else:
+                value = 0, 0
+            continue
+        if op in "+-" and terms is None and (items := _items(value)) is not None:
+            terms = dict(items)
+        items = None if terms is None else _items(b)
+        if items is None:
+            if terms is not None:
+                value, terms = from_packed(scope.descriptor, n_vars, terms), None
+            value = _apply(op, _polynomial(value, scope),
+                           _polynomial(b, scope), right, pos, scope)
+            continue
+        _check_terms(len(terms) + len(items), pos)
+        if op == "-":
+            items = [(k, p - v if p else -v) for k, v in items]
+        accumulate(terms, items, scope.descriptor.add)
+    if terms is None:
+        return value
+    return from_packed(scope.descriptor, n_vars, terms)
+
+
+def _apply(op: str, a, b, right, pos: int, scope: _Scope):
     """``a op b`` for the values of two operands, the right one parsed
     from ``right``, checked against :data:`MAX_TERMS` first."""
-    _check_terms(_result_terms(op, a, b, one), pos)
+    _check_terms(_result_terms(op, a, b, scope.one), pos)
     sa = not isinstance(a, RationalMatrix)
     sb = not isinstance(b, RationalMatrix)
     if op == "/":
         if not sb:
             raise ParseError("division by a matrix", pos)
         if b.is_zero():
-            if max_variable(right) > 0:
+            if _names_a_variable(right):
                 raise DivisionByZeroPolynomial("divisor is identically zero")
             raise FieldLiteralError(
-                f"constant divisor is zero in {descriptor.name()}"
+                f"constant divisor is zero in {scope.descriptor.name()}"
             )
         if sa:
             return _lower(_lift(a) / _lift(b))
@@ -447,8 +523,7 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
                      n_vars: int | None = None) -> RationalMatrix:
     """Parse and evaluate an expression into an exact rational matrix."""
     try:
-        ast = parse_ast(text)
-        needed = max_variable(ast)
+        ast, needed = parse_ast(text)
         if n_vars is None:
             n_vars = needed
         elif n_vars < needed:
@@ -456,8 +531,7 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
                 f"expression uses z{needed} but only {n_vars} variables "
                 "allowed", 0
             )
-        one = Polynomial.one(descriptor, n_vars)
-        value = _evaluate(ast, descriptor, n_vars, one)
+        value = _evaluate(ast, _Scope(descriptor, n_vars))
     except RecursionError:
         raise ParseError("expression is nested too deeply", 0) from None
     if isinstance(value, RationalMatrix):

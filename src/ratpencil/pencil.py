@@ -21,8 +21,9 @@ from .matrices import RationalMatrix, mat_det
 from .poly import Polynomial, RationalFunction, from_packed, from_raw, layout
 
 
-# The largest m of a pencil file, and of a construction as the builders
-# predict it before building.
+# The largest m of any pencil: of a pencil file before its cells are read,
+# of a construction as the builders predict it before building, and of every
+# LinearPencil built.
 MAX_PENCIL_SIZE = 5000
 
 
@@ -78,6 +79,7 @@ class LinearPencil:
             raise ValueError("pencil size must be at least 2")
         if not 1 <= split < m:
             raise ValueError("split must satisfy 1 <= split < m")
+        require_size(m, "the pencil")
         if len(coeffs) != n_vars + 1:
             raise ValueError(f"expected {n_vars + 1} coefficient matrices")
         frozen = []

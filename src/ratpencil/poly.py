@@ -103,6 +103,18 @@ def layout(n: int) -> Layout:
     return Layout(n)
 
 
+def product_key(a: int, b: int, n_vars: int) -> int:
+    """The key of the product of the monomials of keys ``a`` and ``b``;
+    :class:`~ratpencil.errors.DegreeTooLarge` if its degree would pass
+    :data:`MAX_DEGREE`."""
+    key = a + b
+    if key >= _GUARD << BITS * n_vars:
+        raise DegreeTooLarge(
+            f"product degree is over the limit of {MAX_DEGREE}"
+        )
+    return key
+
+
 def from_packed(descriptor, n_vars, packed, denom=1) -> "Polynomial":
     """Wrap a canonical ``packed`` map and ``denom`` (see the module docs)."""
     out = _new(Polynomial)
@@ -314,10 +326,7 @@ class Polynomial:
             ((ka, va),) = a.items()
             if not ka and va == 1 and short.denom == 1:
                 return long
-        if max(a) + max(b) >= _GUARD << BITS * n:
-            raise DegreeTooLarge(
-                f"product degree is over the limit of {MAX_DEGREE}"
-            )
+        product_key(max(a), max(b), n)
         if len(a) == 1:
             if p:
                 out = {kb + ka: vb * va % p for kb, vb in b.items()}

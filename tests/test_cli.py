@@ -350,6 +350,15 @@ def test_deeply_nested_expression_exits_two(capsys, text):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text", ["z\u0663", "\u0663*z1", "\uff11*z1", "z\u00b2"])
+def test_non_ascii_digits_exit_two(capsys, text):
+    code, out, err = run(
+        capsys, "realize", "--field", "q", "--kind", "br", f"--expr={text}",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_long_flat_sum_realizes(capsys):
     # 5000 summands are one run of +, not 5000 levels of nesting
     text = " + ".join(f"{i}*z{1 + i % 3}^{1 + i % 4}" for i in range(5000))

@@ -3,6 +3,7 @@
 import pytest
 
 from ratpencil.errors import (
+    DegreeTooLarge,
     DivisionByZeroPolynomial,
     FieldLiteralError,
     ParseError,
@@ -90,6 +91,23 @@ def test_parse_errors_carry_position():
         parse_expression("[[ [[1,0],[0,1]] ]]", Q)
 
 
+def test_digits_are_ascii_only():
+    # other digits (Arabic-Indic, fullwidth, superscript) are unexpected
+    # characters at their position, not digits and not a bare ValueError
+    for text, position in [("\u0663*z1", 0), ("\uff11*z1", 0), ("5\u00b2", 1),
+                           ("z1^\u00b2", 3), ("z1\u0663", 2)]:
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_expression(text, Q)
+        assert info.value.position == position, text
+    for text in ["z\u0663", "z\u00b2"]:
+        with pytest.raises(ParseError, match="variables are z1") as info:
+            parse_expression(text, Q)
+        assert info.value.position == 0
+    with pytest.raises(ParseError, match="too long") as info:
+        parse_expression("z" + "9" * 5000, Q)
+    assert info.value.position == 1
+
+
 def test_exponent_limit():
     z1 = _z(Q, 1, 0)
     assert parse_expression(f"z1^{MAX_EXPONENT}", Q) == RationalMatrix.scalar(
@@ -115,6 +133,39 @@ def test_term_limit():
         with pytest.raises(ParseError, match=str(MAX_TERMS)) as info:
             parse_expression(text, Q)
         assert info.value.position == position, text
+
+
+def test_a_flat_sum_meets_the_term_limit():
+    monomials = [f"z1^{i // 150}*z2^{i % 150}" for i in range(MAX_TERMS + 1)]
+    text = " + ".join(monomials[:MAX_TERMS])
+    assert len(parse_expression(text, Q)[0, 0].num.terms) == MAX_TERMS
+    with pytest.raises(ParseError, match=f"{MAX_TERMS + 1} terms, over the "
+                       f"limit of {MAX_TERMS}") as info:
+        parse_expression(f"{text} + {monomials[-1]}", Q)
+    assert info.value.position == len(text) + 1
+
+
+def test_a_sum_of_monomials_takes_no_polynomial_arithmetic(monkeypatch):
+    # each monomial is one (key, coefficient) pair and the sum one term map
+    calls = []
+    for name in ("_plus", "__mul__"):
+        method = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda self, *args, m=method:
+                            calls.append(1) or m(self, *args))
+    text = " - ".join(f"{i % 7 - 3}*z1^{i % 10}*z2^{i // 10}*-z3"
+                      for i in range(1000))
+    out = parse_expression(text, Q)[0, 0]
+    assert not calls
+    assert len(out.num.terms) == sum(i % 7 != 3 for i in range(1000))
+
+
+def test_a_zero_factor_skips_the_degree_check():
+    # as in Polynomial.__mul__, a product is 0 before its degree matters
+    past = "*".join(["z1^1000"] * 525)
+    assert parse_expression(f"0*{past}", Q)[0, 0].is_zero()
+    assert parse_expression(f"z1*2*{past}", G2)[0, 0].is_zero()
+    with pytest.raises(DegreeTooLarge, match="product degree"):
+        parse_expression(f"{past}*0", Q)
 
 
 def test_matrix_term_limit():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratpencil.elimination import _parity_sign
-from ratpencil.errors import FieldLiteralError, SingularBlock
+from ratpencil.errors import FieldLiteralError, PencilTooLarge, SingularBlock
 from ratpencil.fields import FieldDescriptor, prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_det
-from ratpencil.pencil import LinearPencil, RealizationKind
+from ratpencil.pencil import MAX_PENCIL_SIZE, LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import realize_br
 
@@ -306,3 +306,15 @@ def test_json_reader_parses_only_the_nonzero_cells(monkeypatch,
     calls = _count_calls(monkeypatch, "parse_value")
     assert LinearPencil.from_json(text) == wide_sparse_pencil
     assert len(calls) <= len(cells)
+
+
+def test_a_pencil_past_the_size_limit_is_refused():
+    # the limit from_json applies holds for every pencil built
+    def diagonal(m):
+        """diag(z1, 1, ..., 1) with split 1."""
+        return LinearPencil(Q, 1, m, 1, [{(i, i): 1 for i in range(1, m)},
+                                         {(0, 0): 1}])
+
+    assert diagonal(MAX_PENCIL_SIZE).transpose().m == MAX_PENCIL_SIZE
+    with pytest.raises(PencilTooLarge, match=f"m = {MAX_PENCIL_SIZE + 1}"):
+        diagonal(MAX_PENCIL_SIZE + 1)
