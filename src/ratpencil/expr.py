@@ -67,7 +67,8 @@ from .errors import (
 )
 from .fields import FieldDescriptor, accumulate
 from .matrices import RationalMatrix
-from .poly import Polynomial, RationalFunction, from_packed, layout, product_key
+from .poly import (Polynomial, RationalFunction, from_packed, layout,
+                   product_key)
 
 _SYMBOLS = "+-*/^()[],"
 _DIGITS = frozenset("0123456789")
@@ -465,12 +466,14 @@ def _run(node, scope: _Scope):
             else:
                 value = 0, 0
             continue
-        if op in "+-" and terms is None and (items := _items(value)) is not None:
-            terms = dict(items)
+        if op in "+-" and terms is None:
+            items = _items(value)
+            terms = None if items is None else dict(items)
         items = None if terms is None else _items(b)
         if items is None:
             if terms is not None:
-                value, terms = from_packed(scope.descriptor, n_vars, terms), None
+                value = from_packed(scope.descriptor, n_vars, terms)
+                terms = None
             value = _apply(op, _polynomial(value, scope),
                            _polynomial(b, scope), right, pos, scope)
             continue
