@@ -1,6 +1,8 @@
 """Verification reports and determinant cross-validation."""
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -217,42 +219,62 @@ def test_verification_builds_the_sparse_rows_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _full_scan_pivot(self, split):
-    # the pivot rule as a scan over every candidate at every step
-    best = best_key = None
-    for i, row in self.work.items():
-        if i < split:
-            continue
-        for j in row:
-            if j < split:
-                continue
-            score = (len(row) - 1) * (len(self.cols[j]) - 1)
-            key = (score, len(row[j].terms), i, j)
-            if best_key is None or key < best_key:
-                best_key, best = key, (i, j)
-    return best
+# Schur outputs of pencils that exercise the pivot rule, recorded as the
+# SHA-256 of ``test_schur_pinned.schur_text``.  The table was recorded with
+# the pivot chosen by a scan over every candidate at every step, and the
+# lazy heap gave the same outputs; re-record it with
+# ``PYTHONPATH=src python tests/test_verify.py > tests/schur_pivot_digests.json``
+# only for a change that alters the pivot rule on purpose.
+PIVOT_TABLE = Path(__file__).resolve().parent / "schur_pivot_digests.json"
 
 
-def test_heap_pivots_match_a_full_scan(monkeypatch, rng):
-    from test_schur_pinned import schur_text
-
+def _pivot_pencils():
+    """Name to pencil: fixed builder outputs, ten random BR pencils, and
+    ``op_inverse``/``op_product`` pencils whose A22 pivots include a
+    monomial and a non-monomial polynomial, so that the monomial-content
+    strip of the elimination runs."""
+    rng = random.Random(20240817)
     three = parse_expression(
         "[[z1+z2^3, z1*z2/(1+z1), z3],[z2, z3^2/(z1+z2), 1],"
         "[z1*z2*z3, 0, 1/(1+z3)]]", Q, 3,
     )
-    pencils = [
-        _golden(), _golden_h(), _two_by_two_br()[0],
-        realize_br(three).pencil, realize_sbr(three + three.transpose()).pencil,
-        realize_br(parse_expression("(z1^2+z2)/(1+z1^2) + z1/(z1+z2)", Q)).pencil,
-    ]
+    pencils = {
+        "golden sbr": _golden(),
+        "golden hsbr": _golden_h(),
+        "2x2 entrywise": _two_by_two_br()[0],
+        "3x3 br": realize_br(three).pencil,
+        "3x3 sbr": realize_sbr(three + three.transpose()).pencil,
+        "scalar br": realize_br(parse_expression(
+            "(z1^2+z2)/(1+z1^2) + z1/(z1+z2)", Q)).pencil,
+    }
     for trial in range(10):
         d = [Q, prime_field(3)][trial % 2]
         target = random_matrix(rng, d, rng.randint(1, 3), rng.choice([1, 2]),
                                max_deg=2, max_terms=2)
-        pencils.append(realize_br(target).pencil)
-    heap = [schur_text(p) for p in pencils]
-    monkeypatch.setattr(_State, "_choose_pivot", _full_scan_pivot)
-    assert [schur_text(p) for p in pencils] == heap
+        pencils[f"random {trial} {d.name()}"] = realize_br(target).pencil
+
+    def entry(text):
+        return _entry_pencil(parse_expression(text, Q, 2).entries[0][0])
+
+    pencils["product, monomial pivots"] = op_product(
+        entry("z2/z1"), None, entry("1/(z1*z2)"), check=False)
+    pencils["inverse, monomial pivots"] = op_inverse(
+        entry("z1/(z1*z2)"), check=False)
+    pencils["product, polynomial pivot"] = op_product(
+        entry("z1/z2"), None, entry("1/(z1+z1*z2)"), check=False)
+    return pencils
+
+
+def pivot_digests() -> dict:
+    from test_schur_pinned import schur_text
+
+    return {name: hashlib.sha256(schur_text(p).encode()).hexdigest()
+            for name, p in _pivot_pencils().items()}
+
+
+def test_heap_pivots_match_a_full_scan():
+    expected = json.loads(PIVOT_TABLE.read_text(encoding="utf-8"))
+    assert pivot_digests() == expected
 
 
 def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
@@ -322,3 +344,7 @@ def test_three_by_three_br_with_shared_denominators_verifies():
     result = realize_br(target)
     assert result.pencil.m <= 36
     assert check_realization(result.pencil, target, result.kind).passed
+
+
+if __name__ == "__main__":
+    print(json.dumps(pivot_digests(), indent=1, sort_keys=True))
