@@ -2,9 +2,9 @@
 
 Realization pencils are large but very sparse and block structured: about
 1.5 nonzeros per row, mostly singleton rows and columns or constant entries.
-The Schur elimination (:func:`schur_eliminate`) runs plain Gaussian
-elimination over the fraction field while keeping one shared polynomial
-denominator per row: the update
+The Schur elimination (:func:`schur_eliminate`, one function) runs plain
+Gaussian elimination over the fraction field while keeping one shared
+polynomial denominator per row: the update
 
     row_i  <-  row_i * piv - row_i[pc] * row_pr,      den_i <- den_i * piv
 
@@ -14,16 +14,18 @@ columns of the (2,2) block, the surviving top-left entries over their row
 denominators are exactly the Schur complement, and the product of pivot values
 (over the pivot-row denominators, with the permutation sign) is the block
 determinant.  Pivots are chosen by a Markowitz-style score to limit fill-in,
-preferring short polynomials, and are taken from a lazy min-heap of keys that
-is refreshed only where a step changed a row or a column count; a cheap
-monomial-content strip keeps rows small when pivots are monomials.
+preferring short polynomials.  They come from a lazy min-heap of keys: a step
+pushes fresh keys only for the rows and columns it changed, and a stale key
+is dropped when it is popped.  A cheap monomial-content strip keeps rows small
+when pivots are monomials.
 
-The full determinant (:func:`sparse_determinant`) is a separate elimination
-that shares no code with it.  It first follows the structure: it expands
-along singleton rows and columns and eliminates constant pivots, which keeps
-every row an exact row of the current Schur complement without any division.
-What is left, with no singleton and no constant, goes to fraction-free
-Bareiss elimination with Markowitz pivots.
+The full determinant (:func:`sparse_determinant`) is a separate elimination,
+so that the determinant identity checks one against the other: of this
+module, the two share only :func:`_parity_sign`.  It first follows the
+structure: it expands along singleton rows and columns and eliminates
+constant pivots, which keeps every row an exact row of the current Schur
+complement without any division.  What is left, with no singleton and no
+constant, goes to fraction-free Bareiss elimination with Markowitz pivots.
 """
 
 from __future__ import annotations
@@ -73,29 +75,37 @@ def _shift_down(p: Polynomial, key: int) -> Polynomial:
                        {k - key: v for k, v in p.packed.items()}, p.denom)
 
 
-class _State:
-    def __init__(self, rows, m, descriptor, n_vars):
-        self.descriptor = descriptor
-        self.one = Polynomial.one(descriptor, n_vars)
-        self.work = {i: dict(rows.get(i, {})) for i in range(m)}
-        self.cols: dict[int, set[int]] = {}
-        for i, row in self.work.items():
-            for j in row:
-                self.cols.setdefault(j, set()).add(i)
-        self.dens = {i: self.one for i in range(m)}
-        self.row_order: list[int] = []
-        self.col_order: list[int] = []
-        self.piv_num = self.one
-        self.piv_den = self.one
-        # (score, terms, i, j) for candidate pivots; stale keys stay until
-        # they reach the top and fail the check in _choose_pivot
-        self.heap: list[tuple[int, int, int, int]] = []
+def schur_eliminate(
+    rows: dict[int, dict[int, Polynomial]], m: int, split: int, descriptor,
+    n_vars: int,
+) -> tuple[list[list[RationalFunction]], RationalFunction]:
+    """``(schur, det_block)``: the Schur complement, as split-by-split rows,
+    and the (2,2)-block determinant of a sparse polynomial matrix.
 
-    def _push_keys(self, rows, columns, split):
-        """Push the current keys of the candidates (i, j >= split) in
-        ``rows`` and in ``columns``."""
-        work, cols, heap = self.work, self.cols, self.heap
-        for i in rows:
+    ``rows`` is the m-by-m matrix in dict-of-dicts form, left unchanged;
+    ``split`` is the size of the (1,1) block.  The pivot is the candidate
+    (i, j >= split) with the smallest ``(score, terms, i, j)``, where score
+    is (row count - 1) * (column count - 1).  Raises :class:`SingularBlock`
+    when the (2,2) block has identically zero determinant.
+    """
+    one = Polynomial.one(descriptor, n_vars)
+    work = {i: dict(rows.get(i, {})) for i in range(m)}
+    cols: dict[int, set[int]] = {}
+    for i, row in work.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    dens = dict.fromkeys(work, one)
+    row_order: list[int] = []
+    col_order: list[int] = []
+    piv_num = piv_den = one
+    # (score, terms, i, j) of candidate pivots; stale keys stay until they
+    # reach the top and fail the recheck
+    heap: list[tuple[int, int, int, int]] = []
+
+    def push(touched_rows, touched_cols=()):
+        """Push the current keys of the candidates in the rows and the
+        columns that a step changed."""
+        for i in touched_rows:
             row = work[i]
             row_nnz = len(row) - 1
             for j, v in row.items():
@@ -103,121 +113,67 @@ class _State:
                     heapq.heappush(
                         heap, (row_nnz * (len(cols[j]) - 1), len(v.packed), i, j)
                     )
-        for j in columns:
+        for j in touched_cols:
             col_nnz = len(cols[j]) - 1
             for i in cols[j]:
-                if i >= split and i not in rows:
+                if i >= split and i not in touched_rows:
                     row = work[i]
                     heapq.heappush(
                         heap, ((len(row) - 1) * col_nnz, len(row[j].packed), i, j)
                     )
 
-    def _choose_pivot(self, split):
-        """The candidate with the smallest ``(score, terms, i, j)``, where
-        score is (row count - 1) * (column count - 1)."""
-        work, cols, heap = self.work, self.cols, self.heap
-        while heap:
-            score, terms, i, j = heapq.heappop(heap)
-            row = work.get(i)
-            if (row is not None and j in row and len(row[j].packed) == terms
-                    and (len(row) - 1) * (len(cols[j]) - 1) == score):
-                return i, j
-        return None
-
-    def _strip_row_content(self, i):
-        row = self.work[i]
-        if not row:
-            return
-        den = self.dens[i]
-        if 0 in den.packed:
-            return
-        key = _common_monomial([den, *row.values()], den.n_vars)
-        if not key:
-            return
-        self.dens[i] = _shift_down(den, key)
-        for j in list(row):
-            row[j] = _shift_down(row[j], key)
-
-    def eliminate(self, split: int) -> int:
-        # pivot columns leave every row, so rows and columns >= split remain
-        self._push_keys([i for i in self.work if i >= split], (), split)
-        while True:
-            found = self._choose_pivot(split)
-            if found is None:
-                break
-            pr, pc = found
-            prow = self.work.pop(pr)
-            piv = prow.pop(pc)
-            self.cols[pc].discard(pr)
-            for j in prow:
-                self.cols[j].discard(pr)
-            self.piv_num = self.piv_num * piv
-            self.piv_den = self.piv_den * self.dens[pr]
-            self.row_order.append(pr)
-            self.col_order.append(pc)
-            piv_const = piv.is_constant()
-            piv_is_one = piv_const and piv.packed[0] == 1 and piv.denom == 1
-            touched = sorted(self.cols.get(pc, ()))
-            changed = set(prow)
-            for i in touched:
-                row = self.work[i]
-                f = row.pop(pc)
-                if not piv_is_one:
-                    self.dens[i] = self.dens[i] * piv
-                    if piv_const:
-                        for j in list(row):
-                            row[j] = row[j].times_constant(piv)
-                    else:
-                        for j in list(row):
-                            row[j] = row[j] * piv
-                for j, w in prow.items():
-                    delta = f * w
-                    cur = row.get(j)
-                    new = -delta if cur is None else cur - delta
-                    if new.is_zero():
-                        if cur is not None:
-                            del row[j]
-                            self.cols[j].discard(i)
-                    else:
-                        row[j] = new
-                        if cur is None:
-                            self.cols[j].add(i)
-                if not piv_is_one:
-                    self._strip_row_content(i)
-            self.cols[pc] = set()
-            self._push_keys({i for i in touched if i >= split},
-                            [j for j in changed if j >= split], split)
-        return len(self.row_order)
-
-    def det_fraction(self) -> RationalFunction:
-        sign = _parity_sign(self.row_order) * _parity_sign(self.col_order)
-        num = self.piv_num if sign > 0 else -self.piv_num
-        return RationalFunction(num, self.piv_den)
-
-
-def schur_eliminate(
-    rows: dict[int, dict[int, Polynomial]],
-    m: int,
-    split: int,
-    descriptor,
-    n_vars: int,
-) -> tuple[list[list[RationalFunction]], RationalFunction]:
-    """``(schur, det_block)``: the Schur complement, as split-by-split rows,
-    and the (2,2)-block determinant of a sparse polynomial matrix.
-
-    ``rows`` is the m-by-m matrix in dict-of-dicts form, left unchanged;
-    ``split`` is the size of the (1,1) block.  Raises :class:`SingularBlock`
-    when the (2,2) block has identically zero determinant.
-    """
-    state = _State(rows, m, descriptor, n_vars)
-    if state.eliminate(split) < m - split:
+    # pivot columns leave every row, so rows and columns >= split remain
+    push([i for i in work if i >= split])
+    while heap:
+        score, terms, pr, pc = heapq.heappop(heap)
+        prow = work.get(pr)
+        if (prow is None or pc not in prow or len(prow[pc].packed) != terms
+                or (len(prow) - 1) * (len(cols[pc]) - 1) != score):
+            continue
+        del work[pr]
+        piv = prow.pop(pc)
+        touched = cols.pop(pc)
+        touched.discard(pr)
+        for j in prow:
+            cols[j].discard(pr)
+        piv_num = piv_num * piv
+        piv_den = piv_den * dens[pr]
+        row_order.append(pr)
+        col_order.append(pc)
+        piv_const = piv.is_constant()
+        piv_is_one = piv_const and piv.packed[0] == 1 and piv.denom == 1
+        for i in touched:
+            row = work[i]
+            f = row.pop(pc)
+            if not piv_is_one:
+                dens[i] = dens[i] * piv
+                for j, v in row.items():
+                    row[j] = v.times_constant(piv) if piv_const else v * piv
+            for j, w in prow.items():
+                new = row[j] - f * w if j in row else -(f * w)
+                if new.packed:
+                    row[j] = new
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            # divide the row and its denominator by their common monomial
+            den = dens[i]
+            if not piv_is_one and row and 0 not in den.packed:
+                key = _common_monomial([den, *row.values()], n_vars)
+                if key:
+                    dens[i] = _shift_down(den, key)
+                    for j, v in row.items():
+                        row[j] = _shift_down(v, key)
+        push({i for i in touched if i >= split}, [j for j in prow if j >= split])
+    if len(row_order) < m - split:
         raise SingularBlock("the (2,2) block has zero determinant")
-    det_block = state.det_fraction()
+    if _parity_sign(row_order) * _parity_sign(col_order) < 0:
+        piv_num = -piv_num
     zero = RationalFunction.zero(descriptor, n_vars)
-    work, dens = state.work, state.dens
     schur = [[RationalFunction(work[i][j], dens[i]) if j in work[i] else zero
               for j in range(split)] for i in range(split)]
-    return schur, det_block
+    return schur, RationalFunction(piv_num, piv_den)
 
 
 def _times(p: Polynomial, c: Polynomial) -> Polynomial:

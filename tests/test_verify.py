@@ -15,7 +15,7 @@ from ratpencil.combinators import (
     op_sandwich,
     op_scale,
 )
-from ratpencil.elimination import _State
+from ratpencil import elimination, pencil as pencil_module
 from ratpencil.errors import DimensionMismatch
 from ratpencil.expr import parse_expression
 from ratpencil.fields import prime_field, rationals
@@ -173,17 +173,24 @@ def _two_by_two_br():
     return pencil, target
 
 
+def _patch_schur_eliminate(monkeypatch, replacement):
+    """Put ``replacement`` where the library defines ``schur_eliminate``
+    and where ``pencil`` imports it."""
+    for module in (elimination, pencil_module):
+        monkeypatch.setattr(module, "schur_eliminate", replacement)
+
+
 def test_verification_runs_the_schur_elimination_once(monkeypatch):
     # The independent side of the determinant identity must not share the
     # sparse elimination it checks, at any size.
     calls = []
-    eliminate = _State.eliminate
+    real = elimination.schur_eliminate
 
-    def counted(self, *args):
-        calls.append(self)
-        return eliminate(self, *args)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(_State, "eliminate", counted)
+    _patch_schur_eliminate(monkeypatch, counted)
     small = parse_expression("z1/(1+z2) + z2^2", Q, 2)
     # p/q as p's pencil times q's inverted, with their constant pivots
     small_pencil = _entry_pencil(small.entries[0][0])
@@ -280,10 +287,13 @@ def test_heap_pivots_match_a_full_scan():
 def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     pencil, target = _two_by_two_br()
     assert check_realization(pencil, target, RealizationKind.BR).passed
-    det_fraction = _State.det_fraction
-    monkeypatch.setattr(
-        _State, "det_fraction", lambda self: -det_fraction(self)
-    )
+    real = elimination.schur_eliminate
+
+    def negated(*args):
+        schur, det_block = real(*args)
+        return schur, -det_block
+
+    _patch_schur_eliminate(monkeypatch, negated)
     report = check_realization(pencil, target, RealizationKind.BR)
     assert report.schur_ok and report.structure_ok
     assert not report.det_ok and not report.passed
