@@ -66,13 +66,21 @@ def _field(args):
         raise RatPencilError(f"--field: {exc}") from None
 
 
+def _nvars(args):
+    """The variable count that ``--nvars`` gives, if any; a negative one is
+    an input error that names the option."""
+    if args.nvars is not None and args.nvars < 0:
+        raise RatPencilError(f"--nvars: {args.nvars} is negative")
+    return args.nvars
+
+
 def _cmd_realize(args) -> int:
     descriptor = _field(args)
     text = args.expr
     if text is None:
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
-    target = parse_expression(text, descriptor, args.nvars)
+    target = parse_expression(text, descriptor, _nvars(args))
     kind = RealizationKind(args.kind)
     if kind is RealizationKind.BR:
         result = realize_br(target)
@@ -116,7 +124,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decide(args) -> int:
     descriptor = _field(args)
-    target = parse_expression(args.expr, descriptor, args.nvars)
+    target = parse_expression(args.expr, descriptor, _nvars(args))
     if args.kind == "sbr":
         decision = decide_sbr(target)
         cert_vars = target.n_vars

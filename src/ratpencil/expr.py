@@ -525,6 +525,8 @@ def _apply(op: str, a, b, right, pos: int, scope: _Scope):
 def parse_expression(text: str, descriptor: FieldDescriptor,
                      n_vars: int | None = None) -> RationalMatrix:
     """Parse and evaluate an expression into an exact rational matrix."""
+    if n_vars is not None and n_vars < 0:
+        raise ParseError(f"variable count {n_vars} is negative", 0)
     try:
         ast, needed = parse_ast(text)
         if n_vars is None:

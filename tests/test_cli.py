@@ -154,6 +154,15 @@ def test_bad_field_modulus_exits_two_fast(capsys, field):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("command", ["realize", "decide"])
+def test_negative_nvars_names_the_option(capsys, command):
+    kind = "br" if command == "realize" else "sbr"
+    code, out, err = run(capsys, command, "--field", "q", "--kind", kind,
+                         "--expr", "1", "--nvars", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --nvars: -1 is negative\n"
+
+
 def test_absurd_exponent_exits_two_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(

@@ -76,6 +76,14 @@ def test_nvars_inference_and_override():
         parse_expression("z3", Q, n_vars=2)
 
 
+def test_negative_variable_count_is_refused_first():
+    # no variable z0 exists, so the message must not blame one
+    for text in ["1", "z1", "z1 + "]:
+        with pytest.raises(ParseError, match="variable count -1 is negative"):
+            parse_expression(text, Q, n_vars=-1)
+    assert parse_expression("1", Q, n_vars=0).n_vars == 0
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_expression("z1 + ", Q)

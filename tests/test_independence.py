@@ -12,6 +12,11 @@ shrink intermediate pencils.  They all go through one writer, so the only
 function of ``realize.py`` that constructs a ``LinearPencil`` is
 ``_written``.
 
+The full determinant is the left side of the identity that checks the
+Schur elimination, so of the functions, classes and constants that
+``elimination.py`` defines, the two eliminations reach only one in common,
+the permutation sign ``_parity_sign``.
+
 A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
 it do not keep it alive.  So is a name that a module imports and never
@@ -134,6 +139,59 @@ def test_the_detector_finds_callers():
 def test_only_the_writer_constructs_pencils():
     source = (SRC / "realize.py").read_text(encoding="utf-8")
     assert callers(source, "LinearPencil") == {"_written"}
+
+
+def reached(source: str, name: str) -> set[str]:
+    """The module-level functions, classes and constants of ``source``
+    that the definition of ``name`` reads, directly or through others of
+    them (``name`` itself only when it is reached again)."""
+    definitions = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            definitions.update((t.id, node) for t in targets
+                               if isinstance(t, ast.Name))
+    found, todo = set(), [name]
+    while todo:
+        for sub in ast.walk(definitions[todo.pop()]):
+            if (isinstance(sub, ast.Name) and sub.id in definitions
+                    and sub.id not in found):
+                found.add(sub.id)
+                todo.append(sub.id)
+    return found
+
+
+def test_the_detector_follows_definitions():
+    source = (
+        "import heapq\n"
+        "LIMIT = 3\n"
+        "def _a(x):\n"
+        "    return _b(x) + LIMIT\n"
+        "def _b(x):\n"
+        "    return heapq.nsmallest(x, [])\n"
+        "def _c():\n"
+        "    return 1\n"
+        "def top():\n"
+        "    def inner():\n"
+        "        return _a(1)\n"
+        "    return inner()\n"
+        "def other():\n"
+        "    return _c(), other\n"
+    )
+    assert reached(source, "top") == {"_a", "_b", "LIMIT"}
+    assert reached(source, "other") == {"_c", "other"}
+
+
+def test_the_eliminations_share_only_the_parity_sign():
+    source = (SRC / "elimination.py").read_text(encoding="utf-8")
+    schur = reached(source, "schur_eliminate")
+    full = reached(source, "sparse_determinant")
+    assert "_common_monomial" in schur and "_times" in full
+    assert schur & full == {"_parity_sign"}
 
 
 def _is_private(name: str) -> bool:

@@ -284,6 +284,32 @@ def test_heap_pivots_match_a_full_scan():
     assert pivot_digests() == expected
 
 
+def _cells(rows):
+    """Every cell of sparse rows, in order: its place, the entry object and
+    the entry's terms."""
+    return [(i, j, id(p), list(p.packed.items()), p.denom)
+            for i, row in rows.items() for j, p in row.items()]
+
+
+def test_eliminations_leave_the_shared_rows_unchanged(monkeypatch):
+    pencils = _pivot_pencils()
+    cases = [_two_by_two_br(), (pencils["product, polynomial pivot"], None),
+             (pencils["3x3 sbr"], None)]
+    for pencil, target in cases:
+        rows = pencil.sparse_rows()
+        before = _cells(rows)
+        d, n, m = pencil.descriptor, pencil.n_vars, pencil.m
+        elimination.schur_eliminate(rows, m, pencil.split, d, n)
+        elimination.sparse_determinant(rows, m, d, n)
+        assert _cells(rows) == before
+        if target is None:
+            target = pencil.schur_complement()
+        monkeypatch.setattr(LinearPencil, "sparse_rows", lambda self: rows)
+        assert check_realization(pencil, target, RealizationKind.BR).passed
+        monkeypatch.undo()
+        assert _cells(rows) == before
+
+
 def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     pencil, target = _two_by_two_br()
     assert check_realization(pencil, target, RealizationKind.BR).passed
