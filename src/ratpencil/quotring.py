@@ -642,6 +642,14 @@ def add_transform(matrix: QuotMatrix, i: int, j: int,
     return clean(_matrix(matrix.context, matrix.split, grid))
 
 
+def _note(trace, step) -> None:
+    """Append ``step()``, a (label, snapshot) pair, to ``trace`` when there
+    is one.  ``step`` runs only then, so an untraced call builds no label
+    and no snapshot."""
+    if trace is not None:
+        trace.append(step())
+
+
 def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
     """Zero out row and column i except the diagonal via ADD steps.
 
@@ -670,10 +678,9 @@ def isolate(matrix: QuotMatrix, i: int, trace=None) -> QuotMatrix:
             if t != j:
                 row_j[t] = _absolute(row_j[t], dead)
                 row[j] = _absolute(row[j], dead)
-        if trace is not None:
-            trace.append((f"add i={i + 1} j={j + 1} "
-                          f"alpha={_element(context, alpha)}",
-                          _matrix(context, split, grid)))
+        _note(trace, lambda: (f"add i={i + 1} j={j + 1} "
+                              f"alpha={_element(context, alpha)}",
+                              _matrix(context, split, grid)))
     return _matrix(context, split, grid)
 
 
@@ -712,8 +719,8 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
         raise NotARealizer("input matrix is not a realizer of r")
     dead = matrix.context.dead
     work = clean(matrix)
-    if trace is not None and work is not matrix:
-        trace.append(("clean", work))
+    if work is not matrix:
+        _note(trace, lambda: ("clean", work))
     while work.m > 2:
         k = work.split
         diag = [(t, work.monomials[t][t]) for t in range(k, work.m)]
@@ -723,11 +730,9 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
         if invertible:
             t = invertible[0]
             work = isolate(work, t, trace=trace)
-            if trace is not None:
-                trace.append((f"isolate i={t + 1}", work))
+            _note(trace, lambda: (f"isolate i={t + 1}", work))
             work = work.delete_row_col(t)
-            if trace is not None:
-                trace.append((f"delete i={t + 1}", work))
+            _note(trace, lambda: (f"delete i={t + 1}", work))
             continue
         nonzero = [t for t, a in diag if a]
         if nonzero:
@@ -736,13 +741,11 @@ def reduce_realizer(matrix: QuotMatrix, r: QuotElement,
         # all (2,2) diagonals zero: det(A22) is a constant, read off r
         det_all, det_block = work.dets()
         value = det_all * det_block.inverse()
-        if trace is not None:
-            trace.append((f"read off det/det22 = {value}", work))
+        _note(trace, lambda: (f"read off det/det22 = {value}", work))
         return value
     l1, c, l2 = work[0, 0], work[0, 1], work[1, 1]
     value = l1 + c * c * l2.inverse()
-    if trace is not None:
-        trace.append((f"base case 2x2 = {value}", work))
+    _note(trace, lambda: (f"base case 2x2 = {value}", work))
     return value
 
 
@@ -760,9 +763,8 @@ def _augment(matrix: QuotMatrix, index: int, trace) -> QuotMatrix:
         grid[index], grid[k] = grid[k], grid[index]
         for row in grid:
             row[index], row[k] = row[k], row[index]
-        if trace is not None:
-            trace.append((f"swap i={index + 1} with i={k + 1}",
-                          _matrix(ctx, k, grid)))
+        _note(trace, lambda: (f"swap i={index + 1} with i={k + 1}",
+                              _matrix(ctx, k, grid)))
     # the new row and column k: a 1 on the diagonal, hooked by a 1 to the
     # bumped entry, whose diagonal gains a 1
     grid[k][k] ^= _ONE
@@ -772,12 +774,9 @@ def _augment(matrix: QuotMatrix, index: int, trace) -> QuotMatrix:
         row.insert(k, hook[i if i < k else i + 1])
     grid.insert(k, hook)
     out = _matrix(ctx, k, grid)
-    if trace is not None:
-        trace.append((f"augment i={k + 1}", out))
+    _note(trace, lambda: (f"augment i={k + 1}", out))
     out = isolate(out, k + 1, trace=trace)
-    if trace is not None:
-        trace.append((f"isolate i={k + 2}", out))
+    _note(trace, lambda: (f"isolate i={k + 2}", out))
     out = out.delete_row_col(k + 1)
-    if trace is not None:
-        trace.append((f"delete i={k + 2}", out))
+    _note(trace, lambda: (f"delete i={k + 2}", out))
     return out
