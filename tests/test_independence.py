@@ -141,20 +141,28 @@ def test_only_the_writer_constructs_pencils():
     assert callers(source, "LinearPencil") == {"_written"}
 
 
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The module-level functions, classes and constants."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node) for name in names)
+    return found
+
+
 def reached(source: str, name: str) -> set[str]:
     """The module-level functions, classes and constants of ``source``
     that the definition of ``name`` reads, directly or through others of
     them (``name`` itself only when it is reached again)."""
-    definitions = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            definitions[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [
-                node.target]
-            definitions.update((t.id, node) for t in targets
-                               if isinstance(t, ast.Name))
+    definitions = _definitions(ast.parse(source))
     found, todo = set(), [name]
     while todo:
         for sub in ast.walk(definitions[todo.pop()]):
@@ -198,21 +206,6 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """The module-level private functions, classes and constants."""
-    found = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [
-                node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        found.update((name, node) for name in names if _is_private(name))
-    return found
 
 
 def _references(node: ast.AST) -> Counter:
@@ -237,8 +230,8 @@ def dead_private_names(sources: dict[str, str]) -> set[str]:
         used.update(_references(tree))
     dead = set()
     for module, tree in trees.items():
-        for name, node in _private_definitions(tree).items():
-            if used[name] - _references(node)[name] <= 0:
+        for name, node in _definitions(tree).items():
+            if _is_private(name) and used[name] - _references(node)[name] <= 0:
                 dead.add(f"{module}.{name}")
     return dead
 
