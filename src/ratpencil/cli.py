@@ -12,11 +12,11 @@ import functools
 import json
 import sys
 
-from .errors import NotRealizableChar2, RatPencilError
+from .errors import NotRealizableChar2, RatPencilError, TooManyVariables
 from .expr import parse_expression
 from .fields import parse_field
 from .pencil import LinearPencil, RealizationKind
-from .poly import Polynomial
+from .poly import MAX_VARIABLES, Polynomial
 from .quotring import (
     QuotContext,
     QuotMatrix,
@@ -67,10 +67,16 @@ def _field(args):
 
 
 def _nvars(args):
-    """The variable count that ``--nvars`` gives, if any; a negative one is
-    an input error that names the option."""
+    """The variable count that ``--nvars`` gives, if any; a negative one,
+    or one past ``poly.MAX_VARIABLES``, is an input error that names the
+    option."""
     if args.nvars is not None and args.nvars < 0:
         raise RatPencilError(f"--nvars: {args.nvars} is negative")
+    if args.nvars is not None and args.nvars > MAX_VARIABLES:
+        raise TooManyVariables(
+            f"--nvars: {args.nvars} variables is over the limit of "
+            f"{MAX_VARIABLES}"
+        )
     return args.nvars
 
 

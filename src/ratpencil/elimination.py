@@ -21,11 +21,14 @@ when pivots are monomials.
 
 The full determinant (:func:`sparse_determinant`) is a separate elimination,
 so that the determinant identity checks one against the other: of this
-module, the two share only :func:`_parity_sign`.  It first follows the
-structure: it expands along singleton rows and columns and eliminates
-constant pivots, which keeps every row an exact row of the current Schur
-complement without any division.  What is left, with no singleton and no
-constant, goes to fraction-free Bareiss elimination with Markowitz pivots.
+module, the two share only :func:`_parity_sign`.  It runs in three stages.
+It first follows the structure: it expands along singleton rows and columns
+and eliminates constant pivots, which keeps every row an exact row of the
+current Schur complement without any division.  A rest of at most
+``_COFACTOR_ROWS`` rows, with no singleton and no constant, is expanded by
+cofactors with each minor memoized on its free columns, again without a
+division; a longer rest goes to fraction-free Bareiss elimination with
+Markowitz pivots.
 """
 
 from __future__ import annotations
@@ -188,13 +191,56 @@ def _over(p: Polynomial, c: Polynomial) -> Polynomial:
     return p.divide_exact(c)
 
 
+# a rest of at most this many rows is expanded by cofactors, a longer one
+# goes to Bareiss elimination
+_COFACTOR_ROWS = 4
+
+
+def _expand_cofactors(work: dict[int, dict[int, Polynomial]],
+                      row_ids: list[int], col_ids: list[int],
+                      one: Polynomial) -> Polynomial:
+    """Determinant of ``work`` on the rows ``row_ids`` and the columns
+    ``col_ids``, in that order, by cofactor expansion along the rows.
+
+    The minor on the last rows and the columns still free is memoized on
+    the bitmask of those columns, whose size fixes its first row; the sign
+    of an entry is the parity of the free columns before it.  A zero minor
+    is skipped without a product, and nothing is divided.
+    """
+    size, zero = len(row_ids), one - one
+    minors = {0: one}
+
+    def minor(mask: int) -> Polynomial:
+        if mask in minors:
+            return minors[mask]
+        row = work[row_ids[size - mask.bit_count()]]
+        total = zero
+        before = 0
+        for b, j in enumerate(col_ids):
+            bit = 1 << b
+            if not mask & bit:
+                continue
+            v = row.get(j)
+            if v is not None:
+                rest = mask ^ bit
+                sub = minor(rest)
+                if sub.packed:
+                    term = v * sub if rest else v
+                    total = total - term if before % 2 else total + term
+            before += 1
+        minors[mask] = total
+        return total
+
+    return minor((1 << size) - 1)
+
+
 def sparse_determinant(
     rows: dict[int, dict[int, Polynomial]], m: int, descriptor, n_vars: int
 ) -> RationalFunction:
     """Determinant (a polynomial) of the m-by-m matrix ``rows``, left
-    unchanged, in two phases.
+    unchanged, in three stages.
 
-    Phase 1 needs no fraction-free step.  A row or column with one nonzero
+    Stage 1 needs no fraction-free step.  A row or column with one nonzero
     is expanded along: its entry joins the result (constants in one field
     scalar, polynomials in a factor list) and its row and column leave.
     Failing that, a constant pivot c with the smallest
@@ -204,14 +250,20 @@ def sparse_determinant(
     stays an exact row of the current Schur complement, so nothing is ever
     divided.  A zero row or column means the determinant is zero.
 
-    Phase 2 is Bareiss elimination with pivots anywhere on what is left,
+    Stage 2 takes a rest of at most ``_COFACTOR_ROWS`` rows: its rows and
+    columns join the permutation in sorted order, and
+    :func:`_expand_cofactors` expands it along the rows, with no division;
+    at four rows that is at most 16 memoized minors and 32 products.
+
+    Stage 3, for a longer rest, is Bareiss elimination with pivots anywhere,
     keyed by ((row count - 1)(column count - 1), terms, i, j).  Row i keeps
     the step s of its last update; since an untouched row only gains
     p_k / p_s, pivot p_k updates the rows it meets to
     ``(p_k row_i - row_i[pc] prow) / p_s``, exactly, and a stale pivot row is
     brought up to date first.  A pivot alone in its row or in its column
     changes no other row, so only its own value is brought up to date.  The
-    determinant is sign * scalar * factors * the last pivot.
+    determinant is sign * scalar * factors * the last pivot, which after
+    stage 2 is the expanded rest.
     """
     work = {i: {j: v for j, v in rows.get(i, {}).items() if v.packed}
             for i in range(m)}
@@ -225,7 +277,7 @@ def sparse_determinant(
     row_order: list[int] = []
     col_order: list[int] = []
 
-    # phase 1: singletons and constant pivots
+    # stage 1: singletons and constant pivots
     short_rows = [i for i, row in work.items() if len(row) <= 1]
     short_cols = [j for j, col in cols.items() if len(col) <= 1]
     while True:
@@ -299,8 +351,18 @@ def sparse_determinant(
                 short_rows.append(i)
         short_cols.extend(j for j in prow if len(cols[j]) <= 1)
 
-    # phase 2: fraction-free elimination of the rest
+    # stage 2: a short rest by cofactors
     pivots = [Polynomial.one(descriptor, n_vars)]
+    if len(work) <= _COFACTOR_ROWS:
+        row_ids, col_ids = sorted(work), sorted(cols)
+        rest = _expand_cofactors(work, row_ids, col_ids, pivots[0])
+        if not rest.packed:
+            return zero_det
+        pivots.append(rest)
+        row_order += row_ids
+        col_order += col_ids
+        work = {}
+    # stage 3: fraction-free elimination of a longer rest
     step = dict.fromkeys(work, 0)
     while work:
         _, _, pr, pc = min(

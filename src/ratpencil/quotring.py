@@ -35,8 +35,8 @@ realizer down to its linear value.  ISOLATE works on one mutable grid: each
 ADD step changes only row and column j, so only those are CLEANed.
 
 The ring has zero divisors, so matrix determinants avoid division by
-anything but units, in two phases like ``elimination.sparse_determinant``
-(:meth:`QuotMatrix.dets`).  Phase 1 eliminates unit pivots of the (2,2)
+anything but units, in two phases like the first and last stages of
+``elimination.sparse_determinant`` (:meth:`QuotMatrix.dets`).  Phase 1 eliminates unit pivots of the (2,2)
 block: a unit is its own inverse, so a Schur step on it multiplies and adds
 only.  Phase 2 runs Berkowitz's division-free walk (O(m^4) ring operations)
 once on the remainder, which gives both det A and det A22; it is the only

@@ -540,7 +540,9 @@ def decide_sbr(f: RationalMatrix) -> Decision:
     """Does the symmetric matrix f have a symmetric realization?"""
     if not f.is_square() or not f.is_symmetric():
         return Decision(False, "matrix is not symmetric")
-    if f.n_vars <= 1:
+    if f.n_vars == 0:
+        return Decision(True, "constant functions always realize")
+    if f.n_vars == 1:
         return Decision(True, "single-variable functions always realize")
     if f.descriptor.characteristic != 2:
         return Decision(True, "characteristic is not 2")

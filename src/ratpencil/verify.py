@@ -5,8 +5,9 @@ Schur complement equals the target entrywise (cross-multiplication), the
 pencil's derived structure classes cover the claimed kind, and the block
 determinant identity det A = det(A22) det(A/A22) holds.  The left side is
 the full determinant (:meth:`LinearPencil.det`): singleton expansions and
-constant pivots while the pencil's structure allows them, then fraction-free
-elimination, sharing no code with the Schur elimination under test, at every
+constant pivots while the pencil's structure allows them, then a cofactor
+expansion of a rest of at most four rows or fraction-free elimination of a
+longer one, sharing no code with the Schur elimination under test, at every
 size.  The pencil's sparse rows are built once and read by both
 eliminations, each of which works on its own copy.
 """

@@ -163,6 +163,28 @@ def test_negative_nvars_names_the_option(capsys, command):
     assert err == "error: --nvars: -1 is negative\n"
 
 
+@pytest.mark.parametrize("command", ["realize", "decide"])
+def test_nvars_past_the_limit_names_the_option(capsys, command):
+    kind = "br" if command == "realize" else "sbr"
+    code, out, err = run(capsys, command, "--field", "q", "--kind", kind,
+                         "--expr", "1", "--nvars", "5000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --nvars: 5000 variables is over the limit of 1000\n"
+    )
+
+
+def test_decide_gives_no_variables_its_own_reason(capsys):
+    reasons = []
+    for nvars in ("0", "1"):
+        code, out, _ = run(capsys, "decide", "--field", "q", "--kind", "sbr",
+                           "--expr", "1", "--nvars", nvars)
+        assert code == 0
+        reasons.append(json.loads(out)["reason"])
+    assert reasons == ["constant functions always realize",
+                       "single-variable functions always realize"]
+
+
 def test_absurd_exponent_exits_two_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(

@@ -1,10 +1,12 @@
 """Rational matrix arithmetic, determinants, inverses."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratpencil import elimination
 from ratpencil.elimination import sparse_determinant
 from ratpencil.errors import DimensionMismatch, SingularMatrix
 from ratpencil.expr import parse_expression
@@ -15,6 +17,7 @@ from ratpencil.poly import Polynomial, RationalFunction
 from conftest import det_cofactor_oracle, random_matrix, random_poly
 
 Q = rationals()
+FIELDS = [Q, prime_field(2), prime_field(101)]
 
 
 def _z(descriptor, n, i):
@@ -89,7 +92,7 @@ def test_det_matches_cofactor_oracle_random(rng):
 
 @settings(max_examples=80, deadline=None)
 @given(st.randoms(use_true_random=False),
-       st.sampled_from([Q, prime_field(2), prime_field(101)]),
+       st.sampled_from(FIELDS),
        st.integers(1, 6),
        st.sampled_from(["dense", "sparse", "zero_row", "duplicate_row",
                         "dependent_row"]))
@@ -121,6 +124,24 @@ def test_sparse_determinant_matches_cofactor_oracle(rand, d, k, shape):
     assert mat_det(matrix) == expected
     if singular:
         assert expected.is_zero()
+
+
+def _sparse(grid):
+    return {i: {j: p for j, p in enumerate(row) if not p.is_zero()}
+            for i, row in enumerate(grid)}
+
+
+def _shuffled(rand, grid):
+    rows, cols = list(range(len(grid))), list(range(len(grid)))
+    rand.shuffle(rows)
+    rand.shuffle(cols)
+    return [[grid[i][j] for j in cols] for i in rows]
+
+
+def _nonconstant(rand, d, n):
+    p = random_poly(rand, d, n, max_deg=2, max_terms=2)
+    return p if p.total_degree() > 0 else Polynomial.variable(
+        d, n, rand.randrange(n))
 
 
 def _structured_grid(rand, d, n, k, shape):
@@ -167,12 +188,8 @@ def _structured_grid(rand, d, n, k, shape):
             c = const(True).constant_value()
             grid[1] = [p.scale(c) for p in grid[0]]
     elif shape == "no_constants":
-        # nothing for the structural phase: fraction-free steps only
-        def nonconstant():
-            p = poly()
-            return p if p.total_degree() > 0 else Polynomial.variable(
-                d, n, rand.randrange(n))
-        grid = [[nonconstant() if rand.random() < 0.6 else zero
+        # nothing for the structural phase
+        grid = [[_nonconstant(rand, d, n) if rand.random() < 0.6 else zero
                  for _ in range(k)] for _ in range(k)]
     else:  # zero_column
         grid = [[poly() if rand.random() < 0.7 else zero for _ in range(k)]
@@ -180,23 +197,19 @@ def _structured_grid(rand, d, n, k, shape):
         j = rand.randrange(k)
         for row in grid:
             row[j] = zero
-    rows, cols = list(range(k)), list(range(k))
-    rand.shuffle(rows)
-    rand.shuffle(cols)
-    return [[grid[i][j] for j in cols] for i in rows]
+    return _shuffled(rand, grid)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.randoms(use_true_random=False),
-       st.sampled_from([Q, prime_field(2), prime_field(101)]),
+       st.sampled_from(FIELDS),
        st.integers(1, 8),
        st.sampled_from(["triangular", "z_identity_block", "constants",
                         "late_zero_row", "zero_column", "no_constants"]))
 def test_sparse_determinant_on_pencil_structures(rand, d, k, shape):
     n = rand.randint(1, 3)
     grid = _structured_grid(rand, d, n, k, shape)
-    rows = {r: {c: p for c, p in enumerate(row) if not p.is_zero()}
-            for r, row in enumerate(grid)}
+    rows = _sparse(grid)
     copy = {r: dict(row) for r, row in rows.items()}
     got = sparse_determinant(rows, k, d, n)
     assert rows == copy
@@ -207,8 +220,7 @@ def test_sparse_determinant_on_pencil_structures(rand, d, k, shape):
 
 
 def test_sparse_determinant_brings_lone_pivots_up_to_date():
-    # after the singleton row 1, Bareiss takes a pivot alone in its column
-    # and then, from a row that missed an update, a pivot alone in its row
+    # after the singleton row 1, the four rows left are expanded by cofactors
     a = parse_expression(
         "[[z1-z2, z2, 0, z2-1, 0], [0, 0, 0, z1+z2, 0],"
         " [0, 0, z1+1, 2*z1, z2-1], [0, 2*z1, z1*z2, z1, 0],"
@@ -218,6 +230,101 @@ def test_sparse_determinant_brings_lone_pivots_up_to_date():
             for i, row in enumerate(a.entries)}
     det = sparse_determinant(rows, 5, Q, 2)
     assert not det.is_zero() and det == det_cofactor_oracle(a)
+
+
+def test_bareiss_brings_lone_pivots_up_to_date(monkeypatch):
+    # after the singleton row 1, five rows go to Bareiss: it takes a pivot
+    # alone in its row and then, from a row that missed that update, a
+    # pivot alone in its column
+    def no_expansion(*args):
+        raise AssertionError("a five-row rest was expanded by cofactors")
+
+    monkeypatch.setattr(elimination, "_expand_cofactors", no_expansion)
+    a = parse_expression(
+        "[[0, 4*z2+4, 2*z2+2, 0, 2*z1-4*z2, 0], [0, -2*z2, 0, 0, 0, 0],"
+        " [0, 0, 0, -3*z2, 0, -z2], [4*z2, 0, 0, 3*z1, 0, z1],"
+        " [-2*z2, z1-1, 4*z2, 0, z2+2, 0], [0, 0, 0, 0, -3*z1, z1+1]]", Q,
+    )
+    grid = [[e.num for e in row] for row in a.entries]
+    det = sparse_determinant(_sparse(grid), 6, Q, 2)
+    assert not det.is_zero() and det == det_cofactor_oracle(a)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_cofactor_expansion_in_any_row_and_column_order(d, size):
+    rand = random.Random(size)
+    zero, one = Polynomial.zero(d, 2), Polynomial.one(d, 2)
+    for _ in range(10):
+        grid = [[_nonconstant(rand, d, 2) if rand.random() < 0.7 else zero
+                 for _ in range(size)] for _ in range(size)]
+        row_ids = rand.sample(range(10), size)
+        col_ids = rand.sample(range(10), size)
+        work = {i: {j: grid[a][b] for b, j in enumerate(col_ids)
+                    if not grid[a][b].is_zero()}
+                for a, i in enumerate(row_ids)}
+        got = elimination._expand_cofactors(work, row_ids, col_ids, one)
+        assert RationalFunction(got) == det_cofactor_oracle(
+            RationalMatrix.from_polynomials(grid))
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_sparse_determinant_expands_permuted_rests(d, size):
+    # no constant and no singleton: the whole matrix is the rest
+    rand = random.Random(10 + size)
+    for _ in range(10):
+        grid = [[_nonconstant(rand, d, 2) for _ in range(size)]
+                for _ in range(size)]
+        grid = _shuffled(rand, grid)
+        expected = det_cofactor_oracle(RationalMatrix.from_polynomials(grid))
+        assert sparse_determinant(_sparse(grid), size, d, 2) == expected
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_cofactor_expansion_spends_no_product_on_a_zero_minor(d, monkeypatch):
+    # the rest is rows 0, 2, 3 on columns 0, 1, 2 (row 1 is a singleton);
+    # the minor of rows 2, 3 on columns 1, 2 is z1 * z1*z2 - z2 * z1^2 = 0
+    a = parse_expression(
+        "[[z1+z2, z2, z1, z2], [0, 0, 0, 3], [z1, z1, z2, z1],"
+        " [z2, z1^2, z1*z2, 0]]", d,
+    )
+    grid = [[e.num for e in row] for row in a.entries]
+    products = []
+    times = Polynomial.__mul__
+
+    def counted(p, q):
+        products.append(1)
+        return times(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    det = sparse_determinant(_sparse(grid), 4, d, 2)
+    monkeypatch.undo()
+    assert not det.is_zero()
+    assert det == det_cofactor_oracle(RationalMatrix.from_polynomials(grid))
+    # two for each of the three 2x2 minors, and one for each of the two
+    # nonzero ones in row 0: the zero minor costs no product
+    assert len(products) == 8
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_cofactor_expansion_cancels_to_zero(d, size):
+    # the last row is z1 * row 0 + z2 * row 1 (z1 * row 0 for two rows), so
+    # the determinant is zero although no row or column is
+    rand = random.Random(20 + size)
+    z1, z2 = Polynomial.variable(d, 2, 0), Polynomial.variable(d, 2, 1)
+    for _ in range(5):
+        grid = [[_nonconstant(rand, d, 2) for _ in range(size)]
+                for _ in range(size - 1)]
+        last = [z1 * p for p in grid[0]]
+        if size > 2:
+            last = [p + z2 * q for p, q in zip(last, grid[1])]
+        grid.append(last)
+        grid = _shuffled(rand, grid)
+        matrix = RationalMatrix.from_polynomials(grid)
+        assert det_cofactor_oracle(matrix).is_zero()
+        assert sparse_determinant(_sparse(grid), size, d, 2).is_zero()
 
 
 def test_det_denominator_is_the_product_of_row_denominators():
