@@ -41,7 +41,9 @@ def schur_text(pencil) -> str:
     return "\n".join(parts)
 
 
-def outcomes() -> dict:
+def outcomes(text=schur_text) -> dict:
+    """The digest of ``text(pencil)`` for every pencil that a builder
+    returns, keyed by target and field, then by builder."""
     table = {}
     for expr, n_vars in TARGETS:
         for name in FIELDS:
@@ -58,8 +60,8 @@ def outcomes() -> dict:
                 except RatPencilError:
                     continue
                 if isinstance(result, RealizationResult):
-                    text = schur_text(result.pencil)
-                    row[builder] = hashlib.sha256(text.encode()).hexdigest()
+                    data = text(result.pencil).encode()
+                    row[builder] = hashlib.sha256(data).hexdigest()
             table[key] = row
     return table
 
