@@ -295,8 +295,7 @@ def op_inverse(p: LinearPencil, check: bool = True) -> LinearPencil:
     Symmetry is preserved; homogeneity is not (the identity blocks are
     constant).
     """
-    if check:
-        _require_block(p)
+    if check:  # schur_complement raises SingularBlock when det A22 == 0
         if mat_det(p.schur_complement()).is_zero():
             raise SingularSchurComplement("Schur complement is not invertible")
     k, m = p.split, p.m

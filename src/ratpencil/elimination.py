@@ -22,13 +22,13 @@ when pivots are monomials.
 The full determinant (:func:`sparse_determinant`) is a separate elimination,
 so that the determinant identity checks one against the other: of this
 module, the two share only :func:`_parity_sign`.  It runs in three stages.
-It first follows the structure: it expands along singleton rows and columns
-and eliminates constant pivots, which keeps every row an exact row of the
-current Schur complement without any division.  A rest of at most
-``_COFACTOR_ROWS`` rows, with no singleton and no constant, is expanded by
-cofactors with each minor memoized on its free columns, again without a
-division; a longer rest goes to fraction-free Bareiss elimination with
-Markowitz pivots.
+It first follows the structure: it picks a singleton row or column or,
+failing that, a constant, and runs one elimination step on the pivot, which
+keeps every row an exact row of the current Schur complement without any
+division.  A rest of at most ``_COFACTOR_ROWS`` rows, with no singleton and
+no constant, is expanded by cofactors with each minor memoized on its free
+columns, again without a division; a longer rest goes to fraction-free
+Bareiss elimination with Markowitz pivots, one step for every pivot.
 """
 
 from __future__ import annotations
@@ -240,15 +240,17 @@ def sparse_determinant(
     """Determinant (a polynomial) of the m-by-m matrix ``rows``, left
     unchanged, in three stages.
 
-    Stage 1 needs no fraction-free step.  A row or column with one nonzero
-    is expanded along: its entry joins the result (constants in one field
-    scalar, polynomials in a factor list) and its row and column leave.
-    Failing that, a constant pivot c with the smallest
-    (row count - 1)(column count - 1), then i, then j, is eliminated: the
-    pivot row is scaled by 1/c once, every other row of its column gets
-    ``row_i -= row_i[pc] * prow / c``, and c joins the scalar.  Every row
-    stays an exact row of the current Schur complement, so nothing is ever
-    divided.  A zero row or column means the determinant is zero.
+    Stage 1 needs no fraction-free step.  It picks a pivot: the entry of a
+    row or column with one nonzero, or failing that the constant c with the
+    smallest (row count - 1)(column count - 1), then i, then j.  One step
+    then eliminates it: its row and column leave, and its value joins the
+    result (constants in one field scalar, polynomials in a factor list).
+    When c is a constant whose column has other rows, the pivot row is
+    scaled by 1/c once and each of those rows gets
+    ``row_i -= row_i[pc] * prow / c``; a polynomial pivot is a singleton, so
+    its row or its column is otherwise empty.  Every row stays an exact row
+    of the current Schur complement, so nothing is ever divided.  A zero row
+    or column means the determinant is zero.
 
     Stage 2 takes a rest of at most ``_COFACTOR_ROWS`` rows: its rows and
     columns join the permutation in sorted order, and
@@ -260,8 +262,8 @@ def sparse_determinant(
     the step s of its last update; since an untouched row only gains
     p_k / p_s, pivot p_k updates the rows it meets to
     ``(p_k row_i - row_i[pc] prow) / p_s``, exactly, and a stale pivot row is
-    brought up to date first.  A pivot alone in its row or in its column
-    changes no other row, so only its own value is brought up to date.  The
+    brought up to date first.  A pivot alone in its row subtracts nothing,
+    so the rows it meets only lose column pc and keep their step.  The
     determinant is sign * scalar * factors * the last pivot, which after
     stage 2 is the expanded rest.
     """
@@ -281,61 +283,49 @@ def sparse_determinant(
     short_rows = [i for i, row in work.items() if len(row) <= 1]
     short_cols = [j for j, col in cols.items() if len(col) <= 1]
     while True:
-        if short_rows or short_cols:
-            if short_rows:
-                pr = short_rows.pop()
-                row = work.get(pr)
-                if row is None or len(row) > 1:
-                    continue
-                if not row:
-                    return zero_det
-                (pc,) = row
-            else:
-                pc = short_cols.pop()
-                col = cols.get(pc)
-                if col is None or len(col) > 1:
-                    continue
-                if not col:
-                    return zero_det
-                (pr,) = col
-            value = work[pr][pc]
-            if len(value.packed) == 1 and 0 in value.packed:
-                scalar = scalar.times_constant(value)
-            else:
-                factors.append(value)
-            row_order.append(pr)
-            col_order.append(pc)
-            for j in work.pop(pr):
-                col = cols[j]
-                col.discard(pr)
-                if len(col) <= 1 and j != pc:
-                    short_cols.append(j)
-            for i in cols.pop(pc):
-                row = work[i]
-                del row[pc]
-                if len(row) <= 1:
-                    short_rows.append(i)
-            continue
-        best = None
-        for i, row in work.items():
-            row_nnz = len(row) - 1
-            for j, v in row.items():
-                if len(v.packed) == 1 and 0 in v.packed:
-                    key = (row_nnz * (len(cols[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, pr, pc = best
+        if short_rows:
+            pr = short_rows.pop()
+            row = work.get(pr)
+            if row is None or len(row) > 1:
+                continue
+            if not row:
+                return zero_det
+            (pc,) = row
+        elif short_cols:
+            pc = short_cols.pop()
+            col = cols.get(pc)
+            if col is None or len(col) > 1:
+                continue
+            if not col:
+                return zero_det
+            (pr,) = col
+        else:
+            best = None
+            for i, row in work.items():
+                row_nnz = len(row) - 1
+                for j, v in row.items():
+                    if len(v.packed) == 1 and 0 in v.packed:
+                        key = (row_nnz * (len(cols[j]) - 1), i, j)
+                        if best is None or key < best:
+                            best = key
+            if best is None:
+                break
+            _, pr, pc = best
         prow = work.pop(pr)
         for j in prow:
             cols[j].discard(pr)
         c = prow.pop(pc)
-        scalar = scalar.times_constant(c)
-        prow = {j: v.times_constant(c, invert=True) for j, v in prow.items()}
+        others = cols.pop(pc)
         row_order.append(pr)
         col_order.append(pc)
-        for i in cols.pop(pc):
+        if len(c.packed) == 1 and 0 in c.packed:
+            scalar = scalar.times_constant(c)
+            if others:
+                prow = {j: v.times_constant(c, invert=True)
+                        for j, v in prow.items()}
+        else:
+            factors.append(c)
+        for i in others:
             row = work[i]
             f = row.pop(pc)
             for j, w in prow.items():
@@ -375,17 +365,6 @@ def sparse_determinant(
         others = cols.pop(pc)
         row_order.append(pr)
         col_order.append(pc)
-        if len(prow) == 1 or not others:
-            piv = prow[pc]
-            if last < len(pivots) - 1:
-                piv = _over(_times(piv, pivots[-1]), pivots[last])
-            for i in others:
-                row = work[i]
-                del row[pc]
-                if not row:
-                    return zero_det
-            pivots.append(piv)
-            continue
         if last < len(pivots) - 1:
             prow = {j: _over(_times(v, pivots[-1]), pivots[last])
                     for j, v in prow.items()}
@@ -393,21 +372,22 @@ def sparse_determinant(
         for i in others:
             row, d = work[i], pivots[step[i]]
             f = row.pop(pc)
-            for j, v in row.items():
-                row[j] = _times(v, piv)
-            for j, w in prow.items():
-                new = row[j] - f * w if j in row else -(f * w)
-                if new.packed:
-                    row[j] = new
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
+            if prow:  # else row i only loses pc and keeps its step
+                for j, v in row.items():
+                    row[j] = _times(v, piv)
+                for j, w in prow.items():
+                    new = row[j] - f * w if j in row else -(f * w)
+                    if new.packed:
+                        row[j] = new
+                        cols[j].add(i)
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                for j, v in row.items():
+                    row[j] = _over(v, d)
+                step[i] = len(pivots)
             if not row:
                 return zero_det
-            for j, v in row.items():
-                row[j] = _over(v, d)
-            step[i] = len(pivots)
         pivots.append(piv)
     if _parity_sign(row_order) * _parity_sign(col_order) < 0:
         scalar = -scalar

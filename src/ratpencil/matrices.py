@@ -198,7 +198,10 @@ def mat_arith(a: RationalMatrix, b, op: str):
 
 def bareiss_det(grid: list[list[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix, by the sparse elimination
-    :func:`sparse_determinant` on its nonzero cells."""
+    :func:`sparse_determinant` on its nonzero cells: singletons and constant
+    pivots first, then cofactors for a rest of at most four rows, and
+    Bareiss elimination only for a longer rest.  The name stays because the
+    benchmark probe ``matrices.bareiss_det`` reads it."""
     first = grid[0][0]
     rows = {i: dict(enumerate(row)) for i, row in enumerate(grid)}
     return sparse_determinant(rows, len(grid), first.descriptor, first.n_vars).num
@@ -209,7 +212,10 @@ def mat_det(a: RationalMatrix) -> RationalFunction:
 
     Row i is multiplied by D_i, the product of its distinct non-constant
     entry denominators; the result is the determinant of the cleared rows
-    (:func:`bareiss_det`) over D_1 * ... * D_m.
+    over D_1 * ... * D_m.  That determinant is :func:`bareiss_det`, named
+    for the benchmark probe ``matrices.bareiss_det``: it follows the
+    structure first, expands a rest of at most four rows by cofactors, and
+    runs Bareiss elimination only on a longer rest.
     """
     if not a.is_square():
         raise DimensionMismatch("determinant needs a square matrix")

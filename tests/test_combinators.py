@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ratpencil import pencil as pencil_module
 from ratpencil.combinators import (
     op_add,
     op_homogenize,
@@ -237,6 +238,24 @@ def test_inverse_examples():
     zero = _scalar_br(Q, 1, RationalFunction.zero(Q, 1))
     with pytest.raises(SingularSchurComplement):
         op_inverse(zero)
+
+
+def test_inverse_eliminates_once(monkeypatch):
+    calls = []
+    schur_eliminate = pencil_module.schur_eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return schur_eliminate(*args)
+
+    monkeypatch.setattr(pencil_module, "schur_eliminate", counted)
+    op_inverse(_scalar_br(Q, 1, _z(Q, 1, 0)))
+    assert len(calls) == 1
+    # A22 = [0]: the Schur complement itself refuses the singular block
+    singular = LinearPencil(Q, 2, 2, 1, [{(0, 0): 1, (0, 1): 1}, {}, {}])
+    with pytest.raises(SingularBlock) as info:
+        op_inverse(singular)
+    assert str(info.value) == "the (2,2) block has zero determinant"
 
 
 def test_kron_examples():

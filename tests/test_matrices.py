@@ -187,6 +187,17 @@ def _structured_grid(rand, d, n, k, shape):
         if k > 1:
             c = const(True).constant_value()
             grid[1] = [p.scale(c) for p in grid[0]]
+    elif shape == "late_zero_column":
+        # the transpose: column 1 is c * column 0, and column 0 has a
+        # constant entry, so the elimination of a constant pivot leaves a
+        # zero column
+        grid = [[poly() if rand.random() < 0.7 else zero for _ in range(k)]
+                for _ in range(k)]
+        grid[rand.randrange(k)][0] = const(True)
+        if k > 1:
+            c = const(True).constant_value()
+            for row in grid:
+                row[1] = row[0].scale(c)
     elif shape == "no_constants":
         # nothing for the structural phase
         grid = [[_nonconstant(rand, d, n) if rand.random() < 0.6 else zero
@@ -205,7 +216,8 @@ def _structured_grid(rand, d, n, k, shape):
        st.sampled_from(FIELDS),
        st.integers(1, 8),
        st.sampled_from(["triangular", "z_identity_block", "constants",
-                        "late_zero_row", "zero_column", "no_constants"]))
+                        "late_zero_row", "late_zero_column", "zero_column",
+                        "no_constants"]))
 def test_sparse_determinant_on_pencil_structures(rand, d, k, shape):
     n = rand.randint(1, 3)
     grid = _structured_grid(rand, d, n, k, shape)
@@ -215,12 +227,13 @@ def test_sparse_determinant_on_pencil_structures(rand, d, k, shape):
     assert rows == copy
     expected = det_cofactor_oracle(RationalMatrix.from_polynomials(grid))
     assert got.is_polynomial() and got == expected
-    if shape == "zero_column" or (shape == "late_zero_row" and k > 1):
+    if shape == "zero_column" or (shape.startswith("late_zero") and k > 1):
         assert expected.is_zero()
 
 
 def test_sparse_determinant_brings_lone_pivots_up_to_date():
-    # after the singleton row 1, the four rows left are expanded by cofactors
+    # the singleton row 1 goes through the shared stage-1 step, and the four
+    # rows left are expanded by cofactors
     a = parse_expression(
         "[[z1-z2, z2, 0, z2-1, 0], [0, 0, 0, z1+z2, 0],"
         " [0, 0, z1+1, 2*z1, z2-1], [0, 2*z1, z1*z2, z1, 0],"
@@ -233,9 +246,10 @@ def test_sparse_determinant_brings_lone_pivots_up_to_date():
 
 
 def test_bareiss_brings_lone_pivots_up_to_date(monkeypatch):
-    # after the singleton row 1, five rows go to Bareiss: it takes a pivot
-    # alone in its row and then, from a row that missed that update, a
-    # pivot alone in its column
+    # after the singleton row 1, five rows go to Bareiss, whose one step
+    # takes a pivot alone in its row, which leaves the rows it meets at
+    # their step, and then, from such a stale row, a pivot alone in its
+    # column, which the step brings up to date first
     def no_expansion(*args):
         raise AssertionError("a five-row rest was expanded by cofactors")
 
