@@ -121,6 +121,16 @@ TEXTS = [
     ("*".join(["z1^1000"] * 525), None),
     ("[[z1 + z2 - z1, 3 - 2*z1*z2 + z1^2],"
      " [z2*z1 + 1 + z1*z2, -z2 + 5 + z2]]", None),
+    # a parenthesized base, a chained exponent, and zero divisors with and
+    # without a variable in them
+    ("(z1)^3", None),
+    ("((z1))^0", None),
+    ("-(z1)^2", None),
+    ("2^3^2", None),
+    ("1/(0*z1)", None),
+    ("(1-1)/(2-2)", None),
+    ("z1*z2/z3*z1 - z1^2*z2/z3", None),
+    ("[[z1, 1],[1, z2]]^2 * (z1+1)", None),
 ]
 
 
