@@ -26,12 +26,20 @@ power whose exponent times the base's largest degree in one variable (over
 numerators and denominators) exceeds it, as in ``(z1^1000)^1000``.
 Nesting (parentheses, unary minus) deeper than the interpreter's recursion
 limit allows is a :class:`ParseError` too.  A run of ``+ -``, or of
-``* /``, is not nesting: it is one node, folded from the left in a loop, so
-a sum of any number of summands parses.
+``* /``, is not nesting: it is folded from the left in a loop, so a sum of
+any number of summands parses.
+
+The text is read twice: :func:`tokenize` scans it, which fixes the variable
+count, and one recursive-descent pass of :class:`_Parser` evaluates it as
+it reads, each rule returning the value of what it read; no syntax tree is
+built.  So a character or literal fault, and then a variable count below an
+index or over :data:`ratpencil.poly.MAX_VARIABLES`, are reported before any
+other fault; after that the first fault in reading order is, since an
+operation is checked as soon as its right operand has been read.
 
 The fold builds no polynomial per atom.  A monomial (an integer, a
-variable, a variable's power, a unary minus of one, or a ``*`` run of them)
-is one (key, coefficient) pair: keys add under the degree check of
+variable, a bare variable's power, a unary minus of one, or a ``*`` run of
+them) is one (key, coefficient) pair: keys add under the degree check of
 :meth:`Polynomial.__mul__` (:func:`ratpencil.poly.product_key`), and a zero
 factor skips it, as there.  A ``+ -`` run keeps one term map while its
 operands are pairs or polynomials over 1: each operand's terms go in, in
@@ -39,7 +47,7 @@ order, a sum that cancels deletes its key, and the bound on the terms is
 checked first, all as :meth:`Polynomial._plus` does.  So the term order,
 every error and its position are what arithmetic at every node gives.  Any
 other operand turns the map into a polynomial, which goes on through
-:func:`_apply`.
+:meth:`_Parser.apply`.
 
 Every power, product, quotient and sum, of scalars and of matrices, is
 checked against :data:`MAX_TERMS` before it is expanded.  A polynomial
@@ -112,118 +120,6 @@ def tokenize(text: str):
         raise ParseError(f"unexpected character {ch!r}", pos)
     tokens.append(("end", None, end))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
-        return node
-
-    def expr(self):
-        return self.run(self.term, ("+", "-"))
-
-    def term(self):
-        return self.run(self.factor, ("*", "/"))
-
-    def run(self, operand, ops):
-        """One operand, or a run ``a op b op c ...`` of operators of one
-        precedence as one node ("run", a, [(op, b, pos), ...]), which
-        :func:`_evaluate` folds from the left in a loop."""
-        node = operand()
-        rest = []
-        while self.peek()[0] in ops:
-            op, _, pos = self.advance()
-            rest.append((op, operand(), pos))
-        return ("run", node, rest) if rest else node
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return ("neg", self.factor(), tok[2])
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.advance()
-            exp = self.advance()
-            if exp[0] != "int":
-                raise ParseError("exponent must be a non-negative integer", exp[2])
-            if exp[1] > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent exceeds the limit of {MAX_EXPONENT}", exp[2]
-                )
-            node = ("pow", node, exp[1], pos)
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "int":
-            return ("int", value, pos)
-        if kind == "var":
-            return ("var", value, pos)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "[":
-            rows = [self.matrix_row()]
-            while self.peek()[0] == ",":
-                self.advance()
-                rows.append(self.matrix_row())
-            self.expect("]")
-            if any(len(r) != len(rows[0]) for r in rows):
-                raise ParseError("matrix rows have unequal lengths", pos)
-            return ("matrix", rows, pos)
-        raise ParseError(f"unexpected {kind!r}", pos)
-
-    def matrix_row(self):
-        self.expect("[")
-        entries = [self.expr()]
-        while self.peek()[0] == ",":
-            self.advance()
-            entries.append(self.expr())
-        self.expect("]")
-        return entries
-
-
-def parse_ast(text: str):
-    """The syntax tree of ``text`` and its largest variable index (0 when
-    it names no variable)."""
-    tokens = tokenize(text)
-    needed = max([value for kind, value, _ in tokens if kind == "var"],
-                 default=0)
-    return _Parser(tokens).parse(), needed
-
-
-def _names_a_variable(tree) -> bool:
-    """Whether a variable occurs in the syntax tree ``tree``."""
-    if type(tree) is tuple and tree[0] == "var":
-        return True
-    return type(tree) in (tuple, list) and any(map(_names_a_variable, tree))
 
 
 def _lift(value) -> RationalFunction:
@@ -356,30 +252,6 @@ def _check_terms(bound: int, pos: int) -> None:
         )
 
 
-class _Scope:
-    """What the nodes of one expression are evaluated in."""
-
-    def __init__(self, descriptor: FieldDescriptor, n_vars: int):
-        self.descriptor, self.n_vars = descriptor, n_vars
-        self.one = Polynomial.one(descriptor, n_vars)
-        self.modulus, self.units = descriptor.modulus, layout(n_vars).units
-
-
-def _evaluate(node, scope: _Scope):
-    """The value of ``node``: a :class:`Polynomial`, a
-    :class:`RationalFunction` with a non-constant denominator, or a
-    :class:`RationalMatrix` that is not 1x1."""
-    return _polynomial(_term(node, scope), scope)
-
-
-def _polynomial(value, scope: _Scope):
-    """A value, with a (key, coefficient) pair turned into its polynomial."""
-    if type(value) is not tuple:
-        return value
-    key, c = value
-    return from_packed(scope.descriptor, scope.n_vars, {key: c} if c else {})
-
-
 def _items(value):
     """The (key, coefficient) items of a pair or of a polynomial over 1;
     None for any other value."""
@@ -390,136 +262,213 @@ def _items(value):
     return None
 
 
-def _term(node, scope: _Scope):
-    """The value of ``node`` as :func:`_evaluate` gives it, but a monomial
-    as its (key, coefficient) pair, the coefficient as ``packed`` holds it."""
-    kind, p = node[0], scope.modulus
-    if kind == "neg":  # a chain of minuses is a loop, not nesting
-        negated, node = True, node[1]
-        while node[0] == "neg":
-            negated, node = not negated, node[1]
-        value = _term(node, scope)
-        if not negated:
+class _Parser:
+    """One recursive-descent pass over the tokens of one expression: each
+    rule returns the value of what it read, a :class:`Polynomial`, a
+    :class:`RationalFunction` with a non-constant denominator, a
+    :class:`RationalMatrix` that is not 1x1, or a monomial as its (key,
+    coefficient) pair, the coefficient as ``packed`` holds it."""
+
+    def __init__(self, tokens, descriptor: FieldDescriptor, n_vars: int):
+        self.tokens, self.index = tokens, 0
+        self.descriptor, self.n_vars = descriptor, n_vars
+        self.one = Polynomial.one(descriptor, n_vars)
+        self.modulus, self.units = descriptor.modulus, layout(n_vars).units
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
+        return self.polynomial(value)
+
+    def expr(self):
+        return self.run(self.term, ("+", "-"))
+
+    def term(self):
+        return self.run(self.factor, ("*", "/"))
+
+    def run(self, operand, ops):
+        """One operand, or a run ``a op b op c ...`` of operators of one
+        precedence, folded from the left in a loop (see the module docs)."""
+        p, n_vars = self.modulus, self.n_vars
+        value, terms = operand(), None
+        while self.peek()[0] in ops:
+            op, _, pos = self.advance()
+            start = self.index
+            b = operand()
+            if op == "*" and type(value) is tuple and type(b) is tuple:
+                if value[1] and b[1]:  # as Polynomial.__mul__, 0 skips the check
+                    value = (product_key(value[0], b[0], n_vars),
+                             value[1] * b[1] % p if p else value[1] * b[1])
+                else:
+                    value = 0, 0
+                continue
+            if op in "+-" and terms is None:
+                items = _items(value)
+                terms = None if items is None else dict(items)
+            items = None if terms is None else _items(b)
+            if items is None:
+                if terms is not None:
+                    value = from_packed(self.descriptor, n_vars, terms)
+                    terms = None
+                value = self.apply(op, self.polynomial(value),
+                                   self.polynomial(b), start, pos)
+                continue
+            _check_terms(len(terms) + len(items), pos)
+            if op == "-":
+                items = [(k, p - v if p else -v) for k, v in items]
+            accumulate(terms, items, self.descriptor.add)
+        if terms is None:
             return value
+        return from_packed(self.descriptor, n_vars, terms)
+
+    def factor(self):
+        if self.peek()[0] != "-":
+            return self.power()
+        self.advance()
+        value = self.factor()
         if type(value) is not tuple:
             return -value
+        p = self.modulus
         return value[0], (-value[1] % p if p else -value[1])
-    if kind == "int":
-        return 0, (node[1] % p if p else node[1])
-    if kind == "var":
-        return scope.units[node[1] - 1], 1
-    if kind == "run":
-        return _run(node, scope)
-    if kind == "pow":
-        if node[1][0] == "var":
-            return node[2] * scope.units[node[1][1] - 1], 1
-        base = _evaluate(node[1], scope)
-        exponent = node[2]
+
+    def power(self):
+        kind, index, _ = self.peek()
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        _, _, pos = self.advance()
+        exp = self.advance()
+        if exp[0] != "int":
+            raise ParseError("exponent must be a non-negative integer", exp[2])
+        exponent = exp[1]
+        if exponent > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent exceeds the limit of {MAX_EXPONENT}", exp[2]
+            )
+        if kind == "var":
+            return exponent * self.units[index - 1], 1
+        base = self.polynomial(base)
         parts = _parts(base)
         degree = _max_variable_degree(parts)
         if exponent * degree > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {exponent} takes a base of degree {degree} in one "
-                f"variable past the limit of {MAX_EXPONENT}", node[3]
+                f"variable past the limit of {MAX_EXPONENT}", pos
             )
         if not isinstance(base, RationalMatrix):
             for part in parts:
-                _check_terms(_power_terms(part, exponent), node[3])
+                _check_terms(_power_terms(part, exponent), pos)
             if isinstance(base, Polynomial):
                 return base ** exponent
             return _lower(RationalFunction(base.num ** exponent,
                                            base.den ** exponent))
         if not base.is_square():
-            raise ParseError("power of a non-square matrix", node[3])
-        acc = RationalMatrix.identity(scope.descriptor, scope.n_vars,
-                                      base.rows)
+            raise ParseError("power of a non-square matrix", pos)
+        acc = RationalMatrix.identity(self.descriptor, self.n_vars, base.rows)
         for _ in range(exponent):
-            _check_terms(_result_terms("*", acc, base, scope.one), node[3])
+            _check_terms(_result_terms("*", acc, base, self.one), pos)
             acc = acc * base
         return acc
-    if kind == "matrix":
-        rows = []
-        for row in node[1]:
-            out_row = []
-            for e in row:
-                value = _evaluate(e, scope)
-                if isinstance(value, RationalMatrix):
-                    raise ParseError("matrix entries must be scalars", e[-1])
-                out_row.append(value)
-            rows.append(out_row)
-        if len(rows) == 1 and len(rows[0]) == 1:
-            return rows[0][0]
-        return RationalMatrix([[_lift(v) for v in row] for row in rows])
-    raise ValueError(f"unknown node {kind!r}")
 
+    def atom(self):
+        kind, value, pos = self.advance()
+        if kind == "int":
+            return 0, (value % self.modulus if self.modulus else value)
+        if kind == "var":
+            return self.units[value - 1], 1
+        if kind == "(":
+            value = self.expr()
+            self.expect(")")
+            return value
+        if kind == "[":
+            rows = [self.matrix_row()]
+            while self.peek()[0] == ",":
+                self.advance()
+                rows.append(self.matrix_row())
+            self.expect("]")
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise ParseError("matrix rows have unequal lengths", pos)
+            if len(rows) == 1 and len(rows[0]) == 1:
+                return rows[0][0]
+            return RationalMatrix([[_lift(v) for v in row] for row in rows])
+        raise ParseError(f"unexpected {kind!r}", pos)
 
-def _run(node, scope: _Scope):
-    """A run node folded from the left (see the module docs)."""
-    p, n_vars = scope.modulus, scope.n_vars
-    value, terms = _term(node[1], scope), None
-    for op, right, pos in node[2]:
-        b = _term(right, scope)
-        if op == "*" and type(value) is tuple and type(b) is tuple:
-            if value[1] and b[1]:  # as Polynomial.__mul__, 0 skips the check
-                value = (product_key(value[0], b[0], n_vars),
-                         value[1] * b[1] % p if p else value[1] * b[1])
-            else:
-                value = 0, 0
-            continue
-        if op in "+-" and terms is None:
-            items = _items(value)
-            terms = None if items is None else dict(items)
-        items = None if terms is None else _items(b)
-        if items is None:
-            if terms is not None:
-                value = from_packed(scope.descriptor, n_vars, terms)
-                terms = None
-            value = _apply(op, _polynomial(value, scope),
-                           _polynomial(b, scope), right, pos, scope)
-            continue
-        _check_terms(len(terms) + len(items), pos)
-        if op == "-":
-            items = [(k, p - v if p else -v) for k, v in items]
-        accumulate(terms, items, scope.descriptor.add)
-    if terms is None:
-        return value
-    return from_packed(scope.descriptor, n_vars, terms)
+    def matrix_row(self):
+        self.expect("[")
+        entries = []
+        while True:
+            pos = self.peek()[2]
+            value = self.polynomial(self.expr())
+            if isinstance(value, RationalMatrix):
+                raise ParseError("matrix entries must be scalars", pos)
+            entries.append(value)
+            if self.peek()[0] != ",":
+                break
+            self.advance()
+        self.expect("]")
+        return entries
 
+    def polynomial(self, value):
+        """A value, with a (key, coefficient) pair turned into its
+        polynomial."""
+        if type(value) is not tuple:
+            return value
+        key, c = value
+        return from_packed(self.descriptor, self.n_vars, {key: c} if c else {})
 
-def _apply(op: str, a, b, right, pos: int, scope: _Scope):
-    """``a op b`` for the values of two operands, the right one parsed
-    from ``right``, checked against :data:`MAX_TERMS` first."""
-    _check_terms(_result_terms(op, a, b, scope.one), pos)
-    sa = not isinstance(a, RationalMatrix)
-    sb = not isinstance(b, RationalMatrix)
-    if op == "/":
-        if not sb:
-            raise ParseError("division by a matrix", pos)
-        if b.is_zero():
-            if _names_a_variable(right):
-                raise DivisionByZeroPolynomial("divisor is identically zero")
-            raise FieldLiteralError(
-                f"constant divisor is zero in {scope.descriptor.name()}"
-            )
+    def apply(self, op: str, a, b, start: int, pos: int):
+        """``a op b`` for the values of two operands, the right one read
+        from the tokens from ``start`` on, checked against
+        :data:`MAX_TERMS` first."""
+        _check_terms(_result_terms(op, a, b, self.one), pos)
+        sa = not isinstance(a, RationalMatrix)
+        sb = not isinstance(b, RationalMatrix)
+        if op == "/":
+            if not sb:
+                raise ParseError("division by a matrix", pos)
+            if b.is_zero():
+                if any(tok[0] == "var"
+                       for tok in self.tokens[start:self.index]):
+                    raise DivisionByZeroPolynomial(
+                        "divisor is identically zero")
+                raise FieldLiteralError(
+                    f"constant divisor is zero in {self.descriptor.name()}"
+                )
+            if sa:
+                return _lower(_lift(a) / _lift(b))
+            return a.scale(_lift(b).inverse())
+        if sa and sb:
+            if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
+                a, b = _lift(a), _lift(b)
+            return _lower(_OPERATIONS[op](a, b))
+        if op == "*" and sa:
+            return b.scale(_lift(a))
+        if op == "*" and sb:
+            return a.scale(_lift(b))
         if sa:
-            return _lower(_lift(a) / _lift(b))
-        return a.scale(_lift(b).inverse())
-    if sa and sb:
-        if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
-            a, b = _lift(a), _lift(b)
-        return _lower(_OPERATIONS[op](a, b))
-    if op == "*" and sa:
-        return b.scale(_lift(a))
-    if op == "*" and sb:
-        return a.scale(_lift(b))
-    if sa:
-        a = RationalMatrix.scalar(_lift(a))
-    if sb:
-        b = RationalMatrix.scalar(_lift(b))
-    try:
-        return _value(_OPERATIONS[op](a, b))
-    except DimensionMismatch as exc:
-        raise ParseError(str(exc), pos) from None
+            a = RationalMatrix.scalar(_lift(a))
+        if sb:
+            b = RationalMatrix.scalar(_lift(b))
+        try:
+            return _value(_OPERATIONS[op](a, b))
+        except DimensionMismatch as exc:
+            raise ParseError(str(exc), pos) from None
 
 
 def parse_expression(text: str, descriptor: FieldDescriptor,
@@ -528,7 +477,9 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
     if n_vars is not None and n_vars < 0:
         raise ParseError(f"variable count {n_vars} is negative", 0)
     try:
-        ast, needed = parse_ast(text)
+        tokens = tokenize(text)
+        needed = max([value for kind, value, _ in tokens if kind == "var"],
+                     default=0)
         if n_vars is None:
             n_vars = needed
         elif n_vars < needed:
@@ -536,7 +487,7 @@ def parse_expression(text: str, descriptor: FieldDescriptor,
                 f"expression uses z{needed} but only {n_vars} variables "
                 "allowed", 0
             )
-        value = _evaluate(ast, _Scope(descriptor, n_vars))
+        value = _Parser(tokens, descriptor, n_vars).parse()
     except RecursionError:
         raise ParseError("expression is nested too deeply", 0) from None
     if isinstance(value, RationalMatrix):

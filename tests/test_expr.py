@@ -99,6 +99,27 @@ def test_parse_errors_carry_position():
         parse_expression("[[ [[1,0],[0,1]] ]]", Q)
 
 
+def test_a_matrix_entry_that_is_a_matrix_is_reported_at_its_first_token():
+    for text in ["[[ [[z1, 1]] + [[1, 2]], 2 ]]", "[[ [[z1, 1],[1, 1]]^2, 2 ]]",
+                 "[[ ([[z1, 1]]), 2 ]]", "[[ -[[z1, 1]], 2 ]]"]:
+        with pytest.raises(ParseError, match="entries must be scalars") as info:
+            parse_expression(text, Q)
+        assert type(info.value.position) is int and info.value.position == 3
+
+
+def test_the_first_fault_in_reading_order_is_reported():
+    # an index past --nvars comes first, as the tokens are read first
+    with pytest.raises(ParseError, match="uses z2") as info:
+        parse_expression("z1 + ) + z2", Q, 1)
+    assert info.value.position == 0
+    # a value is checked as soon as it is read, before a later syntax fault
+    with pytest.raises(FieldLiteralError):
+        parse_expression("z1/(2-2) + )", Q)
+    with pytest.raises(ParseError, match="unexpected '\\)'") as info:
+        parse_expression("z1 + ) + z1/(2-2)", Q)
+    assert info.value.position == 5
+
+
 def test_digits_are_ascii_only():
     # other digits (Arabic-Indic, fullwidth, superscript) are unexpected
     # characters at their position, not digits and not a bare ValueError
@@ -205,7 +226,8 @@ def test_deep_nesting_is_a_parse_error():
     assert parse_expression("(" * 50 + "-" * 51 + "z1" + ")" * 50, Q) == (
         -parse_expression("z1", Q)
     )
-    for text in ["(" * 5000 + "z1" + ")" * 5000, "-" * 5000 + "z1"]:
+    for text in ["(" * 5000 + "z1" + ")" * 5000, "(" * 5000 + "z1",
+                 "-" * 5000 + "z1"]:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_expression(text, Q)
 

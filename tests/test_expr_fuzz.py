@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ratpencil.errors import RatPencilError
+from ratpencil.errors import ParseError, RatPencilError
 from ratpencil.expr import parse_expression
 from ratpencil.fields import parse_field
 
@@ -213,6 +213,10 @@ def test_parse_agrees_with_a_point_evaluator(tree, field):
         error = None
     except RatPencilError as exc:
         matrix, error = None, exc
+    if isinstance(error, ParseError):
+        position = error.position
+        assert type(position) is int and 0 <= position <= len(text), (
+            text, error)
     for point in _points(field, text):
         evaluator = PointEval(p, point)
         try:
