@@ -557,6 +557,8 @@ def decide_hsbr(f: RationalMatrix) -> Decision:
         pairs = _homogeneous_pairs(f)
     except NotHomogeneousDegreeOne:
         return Decision(False, "entries are not homogeneous of degree 1")
+    if f.n_vars < 1:  # a homogeneous pencil in no variables is all zero
+        return Decision(False, "need at least one variable")
     if f.n_vars <= 2:
         return Decision(True, "at most two variables always realize")
     if f.descriptor.characteristic != 2:

@@ -185,6 +185,18 @@ def test_decide_gives_no_variables_its_own_reason(capsys):
                        "single-variable functions always realize"]
 
 
+def test_hsbr_decide_and_realize_agree_with_no_variables(capsys):
+    code, out, _ = run(capsys, "decide", "--field", "q", "--kind", "hsbr",
+                       "--expr", "0")
+    assert code == 1
+    assert json.loads(out) == {"realizable": False,
+                               "reason": "need at least one variable"}
+    code, out, err = run(capsys, "realize", "--field", "q", "--kind", "hsbr",
+                         "--expr", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need at least one variable\n"
+
+
 def test_absurd_exponent_exits_two_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(
