@@ -287,7 +287,6 @@ class _Parser:
         tok = self.advance()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
 
     def parse(self):
         value = self.expr()

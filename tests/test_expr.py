@@ -233,7 +233,7 @@ def test_deep_nesting_is_a_parse_error():
 
 
 def test_a_run_of_one_precedence_is_not_nesting():
-    # a run of + - (or * /) is one node, folded from the left in a loop
+    # a run of + - (or * /) is folded from the left in a loop, not nested
     n = 5000
     text = " + ".join(f"{i}*z{1 + i % 3}" for i in range(n))
     a, b, c = (sum(range(v, n, 3)) for v in range(3))
