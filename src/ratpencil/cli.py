@@ -35,22 +35,17 @@ from .realize import (
 from .verify import check_realization
 
 
-def _monomial_text(descriptor, n_vars, exps) -> str:
-    return str(Polynomial.monomial(descriptor, n_vars, exps))
-
-
-def _certificate_doc(descriptor, n_vars, cert: Char2Certificate, diagonal=None):
-    doc = {"verdict": cert.verdict, "diagonal": diagonal}
-    if cert.offending_monomial is not None:
-        doc["offending_monomial"] = _monomial_text(
-            descriptor, n_vars, cert.offending_monomial
-        )
-    if cert.decomposition is not None:
-        doc["decomposition"] = {
-            _monomial_text(descriptor, n_vars, beta): str(g)
-            for beta, g in sorted(cert.decomposition.items())
-        }
-    return doc
+def _certificate_doc(descriptor, cert: Char2Certificate, diagonal) -> dict:
+    """The document of a not-realizable certificate; its offending
+    monomial names the variables it is written in."""
+    exps = cert.offending_monomial
+    return {
+        "verdict": cert.verdict,
+        "diagonal": diagonal,
+        "offending_monomial": str(
+            Polynomial.monomial(descriptor, len(exps), exps)
+        ),
+    }
 
 
 def _print(doc):
@@ -97,8 +92,9 @@ def _cmd_realize(args) -> int:
     else:
         result = decide_and_realize_hsbr(target)
         if isinstance(result, Char2Certificate):
-            _print(_certificate_doc(descriptor, target.n_vars - 1, result))
-            return 1
+            # the bare certificate does not name its diagonal; the
+            # decision over the same dehomogenization does
+            raise NotRealizableChar2(result, decide_hsbr(target).diagonal)
     report = check_realization(result.pencil, target, kind)
     if not report.passed:
         print(report.to_json(), file=sys.stderr)
@@ -131,16 +127,12 @@ def _cmd_verify(args) -> int:
 def _cmd_decide(args) -> int:
     descriptor = _field(args)
     target = parse_expression(args.expr, descriptor, _nvars(args))
-    if args.kind == "sbr":
-        decision = decide_sbr(target)
-        cert_vars = target.n_vars
-    else:
-        decision = decide_hsbr(target)
-        cert_vars = target.n_vars - 1
+    decide = decide_sbr if args.kind == "sbr" else decide_hsbr
+    decision = decide(target)
     doc = {"realizable": decision.realizable, "reason": decision.reason}
     if decision.certificate is not None:
         doc["certificate"] = _certificate_doc(
-            descriptor, cert_vars, decision.certificate, decision.diagonal
+            descriptor, decision.certificate, decision.diagonal
         )
     _print(doc)
     return 0 if decision.realizable else 1
@@ -277,10 +269,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except NotRealizableChar2 as exc:
-        # only realize raises this, and its certificate names a monomial
-        cert = exc.certificate
-        _print(_certificate_doc(_field(args), len(cert.offending_monomial),
-                                cert, exc.diagonal))
+        # only realize raises this
+        _print(_certificate_doc(_field(args), exc.certificate, exc.diagonal))
         return 1
     except (RatPencilError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

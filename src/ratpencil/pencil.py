@@ -18,7 +18,7 @@ from .elimination import schur_eliminate, sparse_determinant
 from .errors import DimensionMismatch, PencilTooLarge, RatPencilError
 from .fields import FieldDescriptor, parse_field
 from .matrices import RationalMatrix, mat_det
-from .poly import Polynomial, RationalFunction, from_packed, from_raw, layout
+from .poly import Polynomial, RationalFunction, from_raw, layout
 
 
 # The largest m of any pencil: of a pencil file before its cells are read,
@@ -170,37 +170,30 @@ class LinearPencil:
 
     def entry(self, i: int, j: int) -> Polynomial:
         """The (i, j) entry as a degree <= 1 polynomial."""
-        terms = {}
-        c0 = self.coeffs[0].get((i, j))
-        if c0:
-            terms[(0,) * self.n_vars] = c0
-        for v in range(self.n_vars):
-            cv = self.coeffs[v + 1].get((i, j))
-            if cv:
-                exps = tuple(1 if t == v else 0 for t in range(self.n_vars))
-                terms[exps] = cv
-        return Polynomial(self.descriptor, self.n_vars, terms)
+        zero = Polynomial.zero(self.descriptor, self.n_vars)
+        return self.sparse_rows().get(i, {}).get(j, zero)
 
     def sparse_rows(self) -> dict[int, dict[int, Polynomial]]:
         """The nonzero entries as ``{i: {j: entry}}``, built from the
-        coefficient maps (whose values are coerced and nonzero) in one pass."""
+        coefficient maps (whose values are coerced and nonzero) in one pass;
+        the one place that turns coefficients into entry polynomials."""
         n, d = self.n_vars, self.descriptor
         cells: dict[int, dict[int, dict]] = {}
         for key, c in zip((0, *layout(n).units), self.coeffs):
             for (i, j), value in c.items():
                 cells.setdefault(i, {}).setdefault(j, {})[key] = value
-        make = from_packed if d.modulus else from_raw
-        return {i: {j: make(d, n, raw) for j, raw in row.items()}
+        return {i: {j: from_raw(d, n, raw) for j, raw in row.items()}
                 for i, row in cells.items()}
 
     def as_matrix(self) -> RationalMatrix:
         """Dense matrix of degree <= 1 polynomials A0 + sum z_j A_j."""
-        return RationalMatrix(
-            [
-                [RationalFunction(self.entry(i, j)) for j in range(self.m)]
-                for i in range(self.m)
-            ]
-        )
+        rows = self.sparse_rows()
+        zero = Polynomial.zero(self.descriptor, self.n_vars)
+        return RationalMatrix([
+            [RationalFunction(rows.get(i, {}).get(j, zero))
+             for j in range(self.m)]
+            for i in range(self.m)
+        ])
 
     # -- Schur complement and determinants ---------------------------------------
 

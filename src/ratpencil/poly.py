@@ -17,7 +17,10 @@ coefficients, and ``denom``, one positive int.  Over GF(p) the ints lie in
 mod p once, at the end.  Over Q the polynomial is ``packed / denom`` with
 the gcd of ``denom`` and all coefficients equal to 1, so the form is
 canonical; ``denom`` is 1 for integer coefficients, the common case.  The
-kernels build no ``Fraction`` and no exponent tuple.
+kernels build no ``Fraction`` and no exponent tuple, and every one of them
+ends in :func:`from_packed` (or :func:`from_raw`), which makes the form
+canonical for both kinds of field; a kernel branches on the field only
+where its arithmetic differs.
 
 ``terms`` is the boundary view for everything outside the kernels: a
 read-only mapping from exponent tuples to raw field values (see
@@ -36,7 +39,6 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import (
     DegreeTooLarge,
@@ -116,23 +118,22 @@ def product_key(a: int, b: int, n_vars: int) -> int:
 
 
 def from_packed(descriptor, n_vars, packed, denom=1) -> "Polynomial":
-    """Wrap a canonical ``packed`` map and ``denom`` (see the module docs)."""
+    """The canonical polynomial ``packed / denom`` (see the module docs).
+
+    ``packed`` maps keys to nonzero stored ints.  A ``denom`` other than 1,
+    which only Q has, is reduced with the coefficients by their gcd.
+    """
+    if denom != 1:
+        g = math.gcd(denom, *packed.values())
+        if g != 1:
+            packed = {k: v // g for k, v in packed.items()}
+            denom //= g
     out = _new(Polynomial)
     _set_descriptor(out, descriptor)
     _set_n_vars(out, n_vars)
     _set_packed(out, packed)
     _set_denom(out, denom)
     return out
-
-
-def _over_q(descriptor, n_vars, packed, denom) -> "Polynomial":
-    """``packed / denom`` over Q, with its common factor taken out."""
-    if denom != 1:
-        g = math.gcd(denom, *packed.values())
-        if g != 1:
-            packed = {k: v // g for k, v in packed.items()}
-            denom //= g
-    return from_packed(descriptor, n_vars, packed, denom)
 
 
 def from_raw(descriptor, n_vars, raw: dict) -> "Polynomial":
@@ -158,19 +159,17 @@ class Polynomial:
         coerces; zero sums are dropped."""
         if n_vars < 0:
             raise ValueError("n_vars must be non-negative")
-        packed, denom = {}, 1
+        raw = {}
         if terms:
             pack, coerce = layout(n_vars).pack, descriptor.coerce
-            packed = accumulate({}, ((pack(exps), coerce(value))
-                                     for exps, value in terms.items()),
-                                descriptor.add)
-            if not descriptor.modulus:
-                proto = from_raw(descriptor, n_vars, packed)
-                packed, denom = proto.packed, proto.denom
+            raw = accumulate({}, ((pack(exps), coerce(value))
+                                  for exps, value in terms.items()),
+                             descriptor.add)
+        proto = from_raw(descriptor, n_vars, raw)
         _set_descriptor(self, descriptor)
         _set_n_vars(self, n_vars)
-        _set_packed(self, packed)
-        _set_denom(self, denom)
+        _set_packed(self, proto.packed)
+        _set_denom(self, proto.denom)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -293,9 +292,7 @@ class Polynomial:
                 out[k] = s
             else:
                 del out[k]
-        if p:
-            return from_packed(d, n, out)
-        return _over_q(d, n, out, denom)
+        return from_packed(d, n, out, denom)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, 1)
@@ -343,22 +340,19 @@ class Polynomial:
                 out = {k: r for k, v in out.items() if (r := v % p)}
             elif 0 in out.values():
                 out = {k: v for k, v in out.items() if v}
-        if p:
-            return from_packed(d, n, out)
-        return _over_q(d, n, out, self.denom * other.denom)
+        return from_packed(d, n, out, self.denom * other.denom)
 
     def _scaled(self, num: int, den: int = 1) -> "Polynomial":
         """self * num / den for ints num != 0 and den > 0 (1 over GF(p))."""
         if num == 1 and den == 1:
             return self
-        d, n = self.descriptor, self.n_vars
-        p = d.modulus
+        p = self.descriptor.modulus
         if p:
-            return from_packed(
-                d, n, {k: v * num % p for k, v in self.packed.items()}
-            )
-        return _over_q(d, n, {k: v * num for k, v in self.packed.items()},
-                       self.denom * den)
+            packed = {k: v * num % p for k, v in self.packed.items()}
+        else:
+            packed = {k: v * num for k, v in self.packed.items()}
+        return from_packed(self.descriptor, self.n_vars, packed,
+                           self.denom * den)
 
     def times_constant(self, c: "Polynomial", invert=False) -> "Polynomial":
         """self * c, or self / c when ``invert``, for a nonzero constant c."""
@@ -375,8 +369,6 @@ class Polynomial:
         raw = self.descriptor.coerce(value)
         if not raw:
             return Polynomial.zero(self.descriptor, self.n_vars)
-        if self.descriptor.modulus:
-            return self._scaled(raw)
         return self._scaled(raw.numerator, raw.denominator)
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -505,10 +497,7 @@ class Polynomial:
         packed = {k: v for k, v in self.packed.items() if k >= cut}
         if len(packed) == len(self.packed):
             return self
-        d, n = self.descriptor, self.n_vars
-        if d.modulus:
-            return from_packed(d, n, packed)
-        return _over_q(d, n, packed, self.denom)
+        return from_packed(self.descriptor, self.n_vars, packed, self.denom)
 
     def graded_components(self) -> dict[int, "Polynomial"]:
         shift = BITS * self.n_vars
@@ -516,42 +505,22 @@ class Polynomial:
         for k, v in self.packed.items():
             buckets.setdefault(k >> shift, {})[k] = v
         d, n = self.descriptor, self.n_vars
-        if d.modulus:
-            return {deg: from_packed(d, n, t) for deg, t in buckets.items()}
-        return {deg: _over_q(d, n, t, self.denom) for deg, t in buckets.items()}
+        return {deg: from_packed(d, n, t, self.denom)
+                for deg, t in buckets.items()}
 
-    # -- evaluation and substitution ---------------------------------------------
-
-    def evaluate(self, point: Iterable):
-        """Evaluate at a tuple of raw field values; returns a raw value."""
-        d = self.descriptor
-        point = [d.coerce(v) for v in point]
-        if len(point) != self.n_vars:
-            raise ValueError("point has wrong length")
-        acc = d.zero
-        for exps, value in self.terms.items():
-            term = value
-            for v, e in zip(point, exps):
-                if e:
-                    term = d.mul(term, d.pow(v, e))
-            acc = d.add(acc, term)
-        return acc
+    # -- substitution --------------------------------------------------------------
 
     def dehomogenize_last(self) -> "Polynomial":
         """Substitute 1 for the last variable and drop it."""
         n = self.n_vars
         if n < 1:
             raise ValueError("no variable to drop")
-        d, p = self.descriptor, self.descriptor.modulus
+        d = self.descriptor
         shift, kept = BITS * n, BITS * (n - 1)
         rest = (1 << kept) - 1
         pairs = ((((k >> shift) - (k & _FIELD)) << kept | k >> BITS & rest, v)
                  for k, v in self.packed.items())
-        if p:
-            return from_packed(d, n - 1, accumulate(
-                {}, pairs, lambda x, y: (x + y) % p))
-        return _over_q(d, n - 1, accumulate({}, pairs, int.__add__),
-                       self.denom)
+        return from_packed(d, n - 1, accumulate({}, pairs, d.add), self.denom)
 
     def homogenize_new_var(self) -> "Polynomial":
         """Append a variable and pad every term up to the total degree."""
@@ -718,11 +687,7 @@ class RationalFunction:
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.den == other.den:
-            return RationalFunction(self.num - other.num, self.den)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + -other
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)

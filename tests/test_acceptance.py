@@ -36,7 +36,7 @@ from ratpencil.combinators import (
 )
 from ratpencil.verify import check_realization
 
-from conftest import (
+from ratpencil_testkit import (
     random_matrix,
     random_poly,
     random_ratfun,

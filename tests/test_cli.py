@@ -93,6 +93,59 @@ def test_realize_not_realizable_exit_code(capsys):
     )
 
 
+def test_every_certificate_names_its_diagonal(capsys):
+    # diagonal 1 fails the parity test: z1*z2*z3 as it is, and z1*z2
+    # after dehomogenizing at z3
+    expr = "[[z1^2/z3, z2],[z2, z1*z2/z3]]"
+
+    def cert(monomial):
+        return ('{\n'
+                '  "diagonal": 1,\n'
+                f'  "offending_monomial": "{monomial}",\n'
+                '  "verdict": "not_realizable"\n'
+                '}')
+
+    for kind, monomial in (("sbr", "z1*z2*z3"), ("hsbr", "z1*z2")):
+        code, out, _ = run(capsys, "realize", "--field", "gf2", "--kind",
+                           kind, "--expr", expr)
+        assert (code, out) == (1, cert(monomial) + "\n")
+    code, out, _ = run(capsys, "decide", "--field", "gf2", "--kind", "hsbr",
+                       "--expr", expr)
+    assert code == 1
+    assert out == (
+        '{\n'
+        '  "certificate": ' + cert("z1*z2").replace("\n", "\n  ") + ',\n'
+        '  "realizable": false,\n'
+        '  "reason": "parity obstruction after dehomogenizing"\n'
+        '}\n'
+    )
+
+
+@pytest.mark.parametrize("kind", ["br", "sbr", "hbr", "hsbr"])
+def test_realize_refuses_a_matrix_that_is_not_square(capsys, kind):
+    code, out, err = run(capsys, "realize", "--field", "q", "--kind", kind,
+                         "--expr", "[[z1, z2]]")
+    assert (code, out) == (2, "")
+    assert err == "error: realization needs a square matrix\n"
+
+
+def test_realize_hbr_from_a_file(tmp_path, capsys):
+    expr = "[[z1*z2/z3, z1],[z2, z1+z3]]"
+    source = tmp_path / "target.txt"
+    source.write_text(expr + "\n", encoding="utf-8")
+    code, from_file, err = run(capsys, "realize", "--field", "q", "--kind",
+                               "hbr", "--in", str(source))
+    assert code == 0 and "realized kind=hbr" in err and "hLP" in err
+    code, from_expr, _ = run(capsys, "realize", "--field", "q", "--kind",
+                             "hbr", "--expr", expr)
+    assert code == 0 and from_expr == from_file
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(from_file, encoding="utf-8")
+    code, _, _ = run(capsys, "verify", "--pencil", str(pencil), "--expr",
+                     expr, "--kind", "hbr")
+    assert code == 0
+
+
 def test_realize_refuses_too_many_variables(capsys):
     for args in (("--expr", "z1001"), ("--nvars", "1001", "--expr", "z1")):
         code, _, err = run(

@@ -18,9 +18,11 @@ from ratpencil.combinators import (
 from ratpencil.errors import (
     BlockSizeMismatch,
     DescriptorMismatch,
+    DimensionMismatch,
     PencilTooLarge,
     SingularBlock,
     SingularSchurComplement,
+    SingularX,
     ZeroScalar,
 )
 from ratpencil.fields import prime_field, rationals
@@ -29,7 +31,7 @@ from ratpencil.pencil import MAX_PENCIL_SIZE, LinearPencil
 from ratpencil.poly import RationalFunction
 from ratpencil.realize import realize_br, realize_sbr
 
-from conftest import random_matrix, random_symmetric_matrix
+from ratpencil_testkit import random_matrix, random_symmetric_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 Q = rationals()
@@ -376,6 +378,50 @@ def test_product_with_nontrivial_x(rng):
         assert prod.schur_complement() == (
             p.schur_complement() * mat_inv(x) * q.schur_complement()
         )
+
+
+def _random_x_pencil(rng, d, n):
+    """A 2x2 pencil whose matrix X is invertible."""
+    while True:
+        x = LinearPencil(d, n, 2, 1, [
+            {(i, j): rng.randrange(-2, 3) for i in range(2) for j in range(2)}
+            for _ in range(n + 1)
+        ])
+        if not mat_det(x.as_matrix()).is_zero():
+            return x
+
+
+def test_product_with_pencil_x(rng):
+    for trial in range(8):
+        d = FIELDS[trial % len(FIELDS)]
+        n = rng.randint(1, 2)
+        p = _random_pencil(rng, d, n, k=2)
+        q = _random_pencil(rng, d, n, k=2)
+        x = _random_x_pencil(rng, d, n)
+        prod = op_product(p, x, q)
+        assert prod.schur_complement() == (
+            p.schur_complement() * mat_inv(x.as_matrix())
+            * q.schur_complement()
+        )
+
+
+def test_product_refuses_bad_x():
+    z1 = _z(Q, 1, 0)
+    p = _scalar_br(Q, 1, z1)
+    p2 = realize_br(RationalMatrix([[z1, z1], [z1, z1 + z1]])).pencil
+    x2 = LinearPencil(Q, 1, 2, 1, [{(0, 0): 1, (1, 1): 1}, {}])
+    with pytest.raises(DescriptorMismatch):
+        op_product(p2, LinearPencil(Q, 2, 2, 1, [{(0, 0): 1}, {}, {}]), p2)
+    with pytest.raises(DimensionMismatch):
+        op_product(p, x2, p)
+    with pytest.raises(TypeError):
+        op_product(p, [[1]], p)
+    with pytest.raises(ValueError, match="degree at most 1"):
+        op_product(p, RationalMatrix.scalar(z1 * z1), p)
+    singular = LinearPencil(Q, 1, 2, 1, [{}, {(i, j): 1 for i in range(2)
+                                             for j in range(2)}])
+    with pytest.raises(SingularX):
+        op_product(p2, singular, p2)
 
 
 def test_structure_transfer(rng):

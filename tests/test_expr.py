@@ -13,7 +13,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix
 from ratpencil.poly import Polynomial, RationalFunction
 
-from conftest import random_matrix, random_ratfun
+from ratpencil_testkit import random_matrix, random_ratfun
 
 Q = rationals()
 G2 = prime_field(2)

@@ -14,7 +14,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.matrices import RationalMatrix, mat_arith, mat_det, mat_inv
 from ratpencil.poly import Polynomial, RationalFunction
 
-from conftest import det_cofactor_oracle, random_matrix, random_poly
+from ratpencil_testkit import det_cofactor_oracle, random_matrix, random_poly
 
 Q = rationals()
 FIELDS = [Q, prime_field(2), prime_field(101)]
@@ -264,6 +264,25 @@ def test_bareiss_brings_lone_pivots_up_to_date(monkeypatch):
     assert not det.is_zero() and det == det_cofactor_oracle(a)
 
 
+def test_bareiss_update_that_empties_a_row_ends_at_zero(monkeypatch):
+    # found by a seeded search: no constant and no singleton, so all six
+    # rows go to Bareiss, whose first pivot is in row 1; row 2 is 3 times
+    # row 1, and that pivot's update cancels every entry of it
+    def no_expansion(*args):
+        raise AssertionError("a six-row rest was expanded by cofactors")
+
+    monkeypatch.setattr(elimination, "_expand_cofactors", no_expansion)
+    a = parse_expression(
+        "[[0, 0, -4*z2, 2*z1-2*z2, 0, 0], [0, 0, -12*z2, 6*z1-6*z2, 0, 0],"
+        " [-2*z1, 0, 3*z2, 0, -2*z1, -4*z1], [3*z2, -4*z2, 0, 0, 2*z2, 3*z2],"
+        " [-4*z1, 0, -2*z1, 0, 0, 2*z2], [3*z2, 3*z2, -4*z1, -4*z2, 2*z1, 0]]",
+        Q,
+    )
+    grid = [[e.num for e in row] for row in a.entries]
+    det = sparse_determinant(_sparse(grid), 6, Q, 2)
+    assert det.is_zero() and det == det_cofactor_oracle(a)
+
+
 @pytest.mark.parametrize("d", FIELDS)
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_cofactor_expansion_in_any_row_and_column_order(d, size):
@@ -390,7 +409,7 @@ def test_inverse_singular():
 
 def test_det_degree_law(rng):
     # determinant of a homogeneous degree-d matrix is homogeneous of m*d
-    from conftest import random_homogeneous_poly
+    from ratpencil_testkit import random_homogeneous_poly
 
     for _ in range(25):
         d = rng.choice([Q, prime_field(2), prime_field(3)])

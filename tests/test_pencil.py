@@ -15,7 +15,7 @@ from ratpencil.pencil import MAX_PENCIL_SIZE, LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import realize_br
 
-from conftest import (
+from ratpencil_testkit import (
     det_cofactor_oracle,
     random_matrix,
     schur_dense_oracle,

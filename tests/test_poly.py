@@ -19,7 +19,7 @@ from ratpencil.poly import (
     ratfun_arith,
 )
 
-from conftest import random_poly, random_ratfun
+from ratpencil_testkit import random_poly, random_ratfun
 
 Q = rationals()
 G2 = prime_field(2)
@@ -168,7 +168,7 @@ def test_monomial_degree_laws(a, b, n):
 
 def test_homogeneous_product_law(rng):
     # products of homogeneous functions add degrees; inverse negates
-    from conftest import random_degree_one_ratfun
+    from ratpencil_testkit import random_degree_one_ratfun
 
     for _ in range(60):
         d = rng.choice([Q, G2])

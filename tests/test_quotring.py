@@ -34,7 +34,7 @@ from ratpencil.quotring import (
     reduce_realizer,
 )
 
-from conftest import random_poly, random_realizer
+from ratpencil_testkit import random_poly, random_realizer
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 G2 = prime_field(2)
@@ -564,6 +564,26 @@ def test_reduce_walkthrough_cases():
     a = _load_matrix("ring_3x3_ell11.json", ctx1)
     result = reduce_realizer(a, ctx1.variable(0))
     assert result == ctx1.variable(0)
+
+
+def test_reduce_augments_a_diagonal_swapped_to_the_split():
+    # found by a seeded search over random_realizer: after two deletions no
+    # (2,2) diagonal is invertible, and the first nonzero one is row 3, not
+    # row 2, so AUGMENT swaps it there first
+    ctx = _ctx(3, [0, 0, 1])
+    cells = [["z1+z2+1", "0", "1", "1", "0"],
+             ["0", "z2+1", "0", "0", "1"],
+             ["1", "0", "z1+1", "1", "1"],
+             ["1", "0", "1", "z1+1", "0"],
+             ["0", "1", "1", "0", "z2+z3+1"]]
+    grid = [[parse_expression(cell, G2, 3).entries[0][0].as_polynomial()
+             for cell in row] for row in cells]
+    matrix = QuotMatrix.from_polynomials(ctx, 1, grid)
+    trace = []
+    assert reduce_realizer(matrix, ctx.variable(1), trace=trace) == \
+        ctx.variable(1)
+    labels = [label for label, _ in trace]
+    assert labels[labels.index("swap i=3 with i=2") + 1] == "augment i=2"
 
 
 def test_reduce_base_case():

@@ -10,6 +10,7 @@ import ratpencil.pencil as pencil_module
 import ratpencil.realize as realize_module
 from ratpencil.combinators import op_shrink
 from ratpencil.errors import (
+    DimensionMismatch,
     NotHomogeneousDegreeOne,
     NotRealizableChar2,
     NotSymmetric,
@@ -33,7 +34,7 @@ from ratpencil.realize import (
 )
 from ratpencil.verify import check_realization
 
-from conftest import (
+from ratpencil_testkit import (
     random_degree_one_ratfun,
     random_homogeneous_poly,
     random_matrix,
@@ -514,6 +515,14 @@ def test_sbr_not_symmetric():
     zero = RationalFunction.zero(Q, 2)
     with pytest.raises(NotSymmetric):
         realize_sbr(RationalMatrix([[zero, z1], [z2, zero]]))
+
+
+@pytest.mark.parametrize("build", [realize_br, realize_sbr, realize_hbr,
+                                   decide_and_realize_hsbr])
+def test_builders_refuse_a_matrix_that_is_not_square(build):
+    with pytest.raises(DimensionMismatch,
+                       match="realization needs a square matrix"):
+        build(parse_expression("[[z1, z2]]", Q))
 
 
 def test_sbr_mixed_verdict_reports_first_diagonal():

@@ -28,7 +28,7 @@ from ratpencil.cli import main
 from ratpencil.fields import prime_field
 from ratpencil.quotring import QuotContext, add_transform
 
-from conftest import random_realizer
+from ratpencil_testkit import random_realizer
 
 HERE = Path(__file__).resolve().parent
 TABLE = HERE / "reduce_digests.json"

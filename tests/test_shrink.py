@@ -33,7 +33,7 @@ from ratpencil.realize import (
 )
 from ratpencil.verify import check_realization
 
-from conftest import random_matrix, schur_dense_oracle
+from ratpencil_testkit import random_matrix, schur_dense_oracle
 from test_verify import _entrywise_pencil, _polynomial_pencil
 
 Q = rationals()

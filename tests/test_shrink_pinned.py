@@ -24,7 +24,7 @@ from ratpencil.fields import parse_field
 from ratpencil.pencil import LinearPencil
 from ratpencil.realize import realize_br
 
-from conftest import random_matrix
+from ratpencil_testkit import random_matrix
 from test_verify import _entrywise_pencil, _polynomial_pencil
 
 TABLE = Path(__file__).resolve().parent / "shrink_digests.json"

@@ -25,7 +25,7 @@ from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import realize_br, realize_sbr
 from ratpencil.verify import check_realization, cross_validate_det
 
-from conftest import random_matrix
+from ratpencil_testkit import random_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 Q = rationals()
