@@ -25,11 +25,11 @@ from .quotring import (
 )
 from .realize import (
     Char2Certificate,
-    decide_and_realize_hsbr,
     decide_hsbr,
     decide_sbr,
     realize_br,
     realize_hbr,
+    realize_hsbr,
     realize_sbr,
 )
 from .verify import check_realization
@@ -90,11 +90,8 @@ def _cmd_realize(args) -> int:
     elif kind is RealizationKind.HBR:
         result = realize_hbr(target)
     else:
-        result = decide_and_realize_hsbr(target)
-        if isinstance(result, Char2Certificate):
-            # the bare certificate does not name its diagonal; the
-            # decision over the same dehomogenization does
-            raise NotRealizableChar2(result, decide_hsbr(target).diagonal)
+        # like realize_sbr, raises NotRealizableChar2 naming the diagonal
+        result = realize_hsbr(target)
     report = check_realization(result.pencil, target, kind)
     if not report.passed:
         print(report.to_json(), file=sys.stderr)

@@ -4,20 +4,28 @@ Realization pencils are large but very sparse and block structured: about
 1.5 nonzeros per row, mostly singleton rows and columns or constant entries.
 The Schur elimination (:func:`schur_eliminate`, one function) runs plain
 Gaussian elimination over the fraction field while keeping one shared
-polynomial denominator per row: the update
+polynomial denominator per row.  A constant pivot c scales the pivot row by
+1/c once, and each row with a nonzero in the pivot column gets
 
-    row_i  <-  row_i * piv - row_i[pc] * row_pr,      den_i <- den_i * piv
+    row_i  <-  row_i - row_i[pc] * row_pr / c,
 
-touches only rows with a nonzero entry in the pivot column, stays entirely in
-polynomial arithmetic, and never divides.  After eliminating the rows and
-columns of the (2,2) block, the surviving top-left entries over their row
-denominators are exactly the Schur complement, and the product of pivot values
-(over the pivot-row denominators, with the permutation sign) is the block
-determinant.  Pivots are chosen by a Markowitz-style score to limit fill-in,
-preferring short polynomials.  They come from a lazy min-heap of keys: a step
-pushes fresh keys only for the rows and columns it changed, and a stale key
-is dropped when it is popped.  A cheap monomial-content strip keeps rows small
-when pivots are monomials.
+its denominator unchanged; a polynomial pivot p instead updates
+
+    row_i  <-  row_i * p - row_i[pc] * row_pr,      den_i <- den_i * p,
+
+so the row denominators change only at polynomial pivots.  Either update
+touches only the rows with a nonzero in the pivot column, and nothing is
+ever divided by a polynomial.  After eliminating the rows and columns of
+the (2,2) block, the surviving top-left entries over their row denominators
+are exactly the Schur complement, and the product of pivot values over the
+pivot-row denominators, with the permutation sign, is the block
+determinant: constant pivots go into one field scalar, polynomial ones
+into a product, and a pivot-row denominator of 1 is skipped.  Pivots are
+chosen by a Markowitz-style score to limit fill-in, preferring short
+polynomials.  They come from a lazy min-heap of keys: a step pushes fresh
+keys only for the rows and columns it changed, and a stale key is dropped
+when it is popped.  A cheap monomial-content strip keeps rows small when
+pivots are monomials.
 
 The full determinant (:func:`sparse_determinant`) is a separate elimination,
 so that the determinant identity checks one against the other: of this
@@ -100,7 +108,9 @@ def schur_eliminate(
     dens = dict.fromkeys(work, one)
     row_order: list[int] = []
     col_order: list[int] = []
-    piv_num = piv_den = one
+    # the block determinant is sign * scalar * piv_num / piv_den: constant
+    # pivots go into the field scalar, the others into piv_num
+    piv_num = piv_den = scalar = one
     # (score, terms, i, j) of candidate pivots; stale keys stay until they
     # reach the top and fail the recheck
     heap: list[tuple[int, int, int, int]] = []
@@ -139,19 +149,26 @@ def schur_eliminate(
         touched.discard(pr)
         for j in prow:
             cols[j].discard(pr)
-        piv_num = piv_num * piv
-        piv_den = piv_den * dens[pr]
+        if dens[pr] != one:
+            piv_den = piv_den * dens[pr]
         row_order.append(pr)
         col_order.append(pc)
         piv_const = piv.is_constant()
         piv_is_one = piv_const and piv.packed[0] == 1 and piv.denom == 1
+        if not piv_const:
+            piv_num = piv_num * piv
+        elif not piv_is_one:
+            scalar = scalar.times_constant(piv)
+            if touched:
+                inverse = one.times_constant(piv, invert=True)
+                prow = {j: w.times_constant(inverse) for j, w in prow.items()}
         for i in touched:
             row = work[i]
             f = row.pop(pc)
-            if not piv_is_one:
+            if not piv_const:
                 dens[i] = dens[i] * piv
                 for j, v in row.items():
-                    row[j] = v.times_constant(piv) if piv_const else v * piv
+                    row[j] = v * piv
             for j, w in prow.items():
                 new = row[j] - f * w if j in row else -(f * w)
                 if new.packed:
@@ -172,11 +189,12 @@ def schur_eliminate(
     if len(row_order) < m - split:
         raise SingularBlock("the (2,2) block has zero determinant")
     if _parity_sign(row_order) * _parity_sign(col_order) < 0:
-        piv_num = -piv_num
-    zero = RationalFunction.zero(descriptor, n_vars)
+        scalar = -scalar
+    zero = (RationalFunction.zero(descriptor, n_vars)
+            if any(len(work[i]) < split for i in range(split)) else None)
     schur = [[RationalFunction(work[i][j], dens[i]) if j in work[i] else zero
               for j in range(split)] for i in range(split)]
-    return schur, RationalFunction(piv_num, piv_den)
+    return schur, RationalFunction(piv_num.times_constant(scalar), piv_den)
 
 
 def _times(p: Polynomial, c: Polynomial) -> Polynomial:
@@ -273,8 +291,8 @@ def sparse_determinant(
     for i, row in work.items():
         for j in row:
             cols[j].add(i)
-    zero_det = RationalFunction.zero(descriptor, n_vars)
-    scalar = Polynomial.one(descriptor, n_vars)  # a nonzero constant
+    one = Polynomial.one(descriptor, n_vars)
+    scalar = one  # a nonzero constant
     factors: list[Polynomial] = []
     row_order: list[int] = []
     col_order: list[int] = []
@@ -289,7 +307,7 @@ def sparse_determinant(
             if row is None or len(row) > 1:
                 continue
             if not row:
-                return zero_det
+                return RationalFunction.zero(descriptor, n_vars)
             (pc,) = row
         elif short_cols:
             pc = short_cols.pop()
@@ -297,7 +315,7 @@ def sparse_determinant(
             if col is None or len(col) > 1:
                 continue
             if not col:
-                return zero_det
+                return RationalFunction.zero(descriptor, n_vars)
             (pr,) = col
         else:
             best = None
@@ -321,8 +339,8 @@ def sparse_determinant(
         if len(c.packed) == 1 and 0 in c.packed:
             scalar = scalar.times_constant(c)
             if others:
-                prow = {j: v.times_constant(c, invert=True)
-                        for j, v in prow.items()}
+                inverse = one.times_constant(c, invert=True)
+                prow = {j: v.times_constant(inverse) for j, v in prow.items()}
         else:
             factors.append(c)
         for i in others:
@@ -342,12 +360,12 @@ def sparse_determinant(
         short_cols.extend(j for j in prow if len(cols[j]) <= 1)
 
     # stage 2: a short rest by cofactors
-    pivots = [Polynomial.one(descriptor, n_vars)]
+    pivots = [one]
     if len(work) <= _COFACTOR_ROWS:
         row_ids, col_ids = sorted(work), sorted(cols)
-        rest = _expand_cofactors(work, row_ids, col_ids, pivots[0])
+        rest = _expand_cofactors(work, row_ids, col_ids, one)
         if not rest.packed:
-            return zero_det
+            return RationalFunction.zero(descriptor, n_vars)
         pivots.append(rest)
         row_order += row_ids
         col_order += col_ids
@@ -387,7 +405,7 @@ def sparse_determinant(
                     row[j] = _over(v, d)
                 step[i] = len(pivots)
             if not row:
-                return zero_det
+                return RationalFunction.zero(descriptor, n_vars)
         pivots.append(piv)
     if _parity_sign(row_order) * _parity_sign(col_order) < 0:
         scalar = -scalar

@@ -28,8 +28,9 @@ read-only mapping from exponent tuples to raw field values (see
 ``packed``.
 
 A :class:`RationalFunction` is an unreduced fraction of two polynomials —
-there is no multivariate GCD anywhere, equality is by cross-multiplication,
-and the only normalization is scalar: the denominator is made monic in the
+there is no multivariate GCD anywhere, equality is by cross-multiplication
+(by the numerators alone when the denominators are equal), and the only
+normalization is scalar: the denominator is made monic in the
 graded-lexicographic leading term.
 """
 
@@ -178,7 +179,9 @@ class Polynomial:
 
     @classmethod
     def zero(cls, descriptor, n_vars) -> "Polynomial":
-        return cls(descriptor, n_vars)
+        if n_vars < 0:
+            raise ValueError("n_vars must be non-negative")
+        return from_packed(descriptor, n_vars, {})
 
     @classmethod
     def constant(cls, descriptor, n_vars, value) -> "Polynomial":
@@ -312,6 +315,11 @@ class Polynomial:
         if self.descriptor is not other.descriptor or self.n_vars != other.n_vars:
             self._match(other)
         d, n = self.descriptor, self.n_vars
+        if len(self.packed) == 1 == len(other.packed):
+            ((ka, va),), ((kb, vb),) = self.packed.items(), other.packed.items()
+            v = va * vb % d.modulus if d.modulus else va * vb
+            return from_packed(d, n, {product_key(ka, kb, n): v},
+                               self.denom * other.denom)
         short, long = (self, other) if len(self.packed) <= len(other.packed) \
             else (other, self)
         a, b = short.packed, long.packed
@@ -709,9 +717,12 @@ class RationalFunction:
         return RationalFunction(self.num.scale(value), self.den)
 
     def __eq__(self, other):
-        """Cross-multiplication equality; representation independent."""
+        """Cross-multiplication equality; representation independent.
+        Equal denominators, which are never zero, compare the numerators."""
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

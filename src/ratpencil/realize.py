@@ -495,22 +495,30 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
                              f)
 
 
-def decide_and_realize_hsbr(f: RationalMatrix):
-    """Homogeneous symmetric realization, or the failing parity certificate.
+def realize_hsbr(f: RationalMatrix) -> RealizationResult:
+    """Homogeneous symmetric realization of a symmetric matrix of degree-1
+    homogeneous entries.
 
     The :func:`realize_sbr` realization of the dehomogenization at the last
     variable, homogenized back (linear forms get m = k + 1, as in
     :func:`realize_hbr`).  In characteristic 2 every dehomogenized diagonal
     entry must pass the parity test in n-1 variables, which it always does
-    for n <= 2; the first failure is returned as a
-    :class:`Char2Certificate` instead of a pencil.
+    for n <= 2; the first failure raises :class:`NotRealizableChar2`, which
+    names the diagonal, as in :func:`realize_sbr`.
     """
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
+    return _realize_homogeneous(f, realize_sbr, RealizationKind.HSBR)
+
+
+def decide_and_realize_hsbr(f: RationalMatrix):
+    """:func:`realize_hsbr`, or the failing parity certificate: a failure
+    in characteristic 2 is returned as a bare :class:`Char2Certificate`
+    instead of a pencil."""
     try:
-        return _realize_homogeneous(f, realize_sbr, RealizationKind.HSBR)
+        return realize_hsbr(f)
     except NotRealizableChar2 as exc:
         return exc.certificate
 

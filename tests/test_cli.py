@@ -589,6 +589,27 @@ def test_reduce_decides_realizer_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_realize_hsbr_decides_parity_once(monkeypatch, capsys):
+    # the builder raises with the failing diagonal, so the CLI needs no
+    # second decision to name it
+    import ratpencil.realize as realize
+
+    calls = []
+    original = realize._diagonal_certificates
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(realize, "_diagonal_certificates", counting)
+    code, out, _ = run(capsys, "realize", "--field", "gf2", "--kind", "hsbr",
+                       "--expr", "[[z1^2/z3, z2],[z2, z1*z2/z3]]")
+    assert code == 1
+    assert json.loads(out) == {"diagonal": 1, "offending_monomial": "z1*z2",
+                               "verdict": "not_realizable"}
+    assert len(calls) == 1
+
+
 def test_expression_values_may_start_with_minus(tmp_path, capsys):
     # `--expr -z1` once stopped at argparse ("expected one argument")
     realize = ("realize", "--field", "q", "--kind", "br")

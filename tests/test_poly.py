@@ -112,6 +112,38 @@ def test_ratfun_zero_handling():
         zero.inverse()
 
 
+@pytest.mark.parametrize("d", [Q, G2, prime_field(7)],
+                         ids=lambda d: d.name())
+def test_ratfun_equality_with_equal_and_unequal_denominators(d):
+    z1, z2 = _vars(d, 2)
+    one = Polynomial.one(d, 2)
+    den = z1 + z2 + one
+    # equal denominators compare the numerators
+    assert RationalFunction(z1 * z2, den) == RationalFunction(z2 * z1, den)
+    assert RationalFunction(z1, den) != RationalFunction(z2, den)
+    assert RationalFunction(z1, den) != RationalFunction(z1 + one, den)
+    # unequal denominators of equal values cross-multiply
+    f = RationalFunction(z1, den)
+    g = RationalFunction(z1 * (z2 + one), den * (z2 + one))
+    assert g.den != f.den
+    assert f == g and g == f
+    assert RationalFunction(z1 * z2, den) != g
+    # zero has denominator 1, whatever it was built over
+    zero = RationalFunction.zero(d, 2)
+    assert RationalFunction(z1 - z1, den) == zero
+    assert zero == RationalFunction(Polynomial.zero(d, 2), den)
+    assert zero != f and f != zero
+    assert RationalFunction(z1 - z1, den) - f != zero
+    assert f - g == zero
+
+
+def test_zero_polynomial_refuses_a_negative_variable_count():
+    with pytest.raises(ValueError):
+        Polynomial.zero(Q, -1)
+    assert Polynomial.zero(Q, 0).is_zero()
+    assert Polynomial.zero(G2, 2) == Polynomial(G2, 2)
+
+
 def test_homogenize_dehomogenize():
     z1, z2, z3 = (RationalFunction.variable(Q, 3, i) for i in range(3))
     f = z1 * z2 / z3

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratpencil.cli import main
-from ratpencil.errors import DegreeTooLarge
+from ratpencil.errors import DegreeTooLarge, DescriptorMismatch
 from ratpencil.fields import prime_field, rationals
 from ratpencil.poly import MAX_DEGREE, NEG_INFINITY, Polynomial, grlex_key
 
@@ -240,6 +240,32 @@ def test_an_exponent_past_the_limit_never_carries(d):
     below = Polynomial.monomial(d, 2, (0, MAX_DEGREE - 1)) * z2
     assert below.terms == {(0, MAX_DEGREE): d.one}
     assert below.divide_exact(top) == Polynomial.one(d, 2)
+
+
+@pytest.mark.parametrize("d", FIELDS, ids=lambda d: d.name())
+def test_one_term_products(d):
+    # both operands have one term: the product is one term, its key checked
+    # against the degree limit and its operands against each other
+    top = Polynomial.monomial(d, 2, (MAX_DEGREE, 0))
+    c = Polynomial.constant(d, 2, 3)
+    assert (top * c).terms == {(MAX_DEGREE, 0): d.coerce(3)}
+    assert (c * top).terms == (top * c).terms
+    with pytest.raises(DegreeTooLarge):
+        top * Polynomial.variable(d, 2, 1)
+    with pytest.raises(DegreeTooLarge):
+        Polynomial.variable(d, 2, 0) * top
+    for other in (Polynomial.variable(prime_field(7), 2, 0),
+                  Polynomial.variable(d, 3, 0)):
+        with pytest.raises(DescriptorMismatch):
+            c * other
+        with pytest.raises(DescriptorMismatch):
+            other * c
+    rational = d.characteristic == 0
+    a = Polynomial.monomial(d, 2, (1, 0), Fraction(1, 2) if rational else 1)
+    b = Polynomial.monomial(d, 2, (0, 2), Fraction(2, 3) if rational else 1)
+    product = a * b
+    assert product.terms == ref_mul(d, dict(a.terms), dict(b.terms))
+    assert product == Polynomial(d, 2, dict(product.terms))
 
 
 def test_degree_past_the_limit_exits_two(capsys):

@@ -30,6 +30,7 @@ from ratpencil.realize import (
     decide_sbr_scalar_char2,
     realize_br,
     realize_hbr,
+    realize_hsbr,
     realize_sbr,
 )
 from ratpencil.verify import check_realization
@@ -599,6 +600,17 @@ def test_hsbr_examples():
     single = decide_and_realize_hsbr(RationalMatrix.scalar(_z(Q, 1, 0)))
     _check(single)
     assert single.pencil.classify() >= {"hsLP"}
+
+
+def test_realize_hsbr_raises_with_the_failing_diagonal():
+    # diagonal 0 passes; diagonal 1 is z1*z2 after dehomogenizing at z3
+    g1, g2, g3 = (_z(G2, 3, i) for i in range(3))
+    target = RationalMatrix([[g1 * g1 / g3, g2], [g2, g1 * g2 / g3]])
+    with pytest.raises(NotRealizableChar2) as caught:
+        realize_hsbr(target)
+    assert caught.value.diagonal == 1
+    assert caught.value.certificate == decide_and_realize_hsbr(target)
+    assert caught.value.certificate.offending_monomial == (1, 1)
 
 
 def test_hsbr_two_vars_char2_always_works(rng):

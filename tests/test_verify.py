@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,16 +17,20 @@ from ratpencil.combinators import (
     op_scale,
 )
 from ratpencil import elimination, pencil as pencil_module
-from ratpencil.errors import DimensionMismatch
+from ratpencil.errors import DimensionMismatch, SingularBlock
 from ratpencil.expr import parse_expression
-from ratpencil.fields import prime_field, rationals
-from ratpencil.matrices import RationalMatrix
+from ratpencil.fields import parse_field, prime_field, rationals
+from ratpencil.matrices import RationalMatrix, mat_det, mat_inv
 from ratpencil.pencil import LinearPencil, RealizationKind
 from ratpencil.poly import Polynomial, RationalFunction
-from ratpencil.realize import realize_br, realize_sbr
+from ratpencil.realize import realize_br, realize_hbr, realize_sbr
 from ratpencil.verify import check_realization, cross_validate_det
 
-from ratpencil_testkit import random_matrix
+from ratpencil_testkit import (
+    random_degree_one_ratfun,
+    random_matrix,
+    random_symmetric_matrix,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 Q = rationals()
@@ -326,6 +331,69 @@ def test_corrupted_schur_determinant_fails_the_identity(monkeypatch):
     assert not cross_validate_det(pencil)
 
 
+def _mixed_pivot_rows(rng, d, n_vars, m):
+    """A random sparse m x m polynomial matrix whose entries are constants
+    other than +-1 (3 and 1/2 over Q, 5 over GF(7)), +-1, and polynomials,
+    some of them monomials; the diagonal is mostly filled."""
+    z1, z2 = (Polynomial.variable(d, n_vars, i) for i in range(2))
+    one = Polynomial.one(d, n_vars)
+    if d.characteristic == 0:
+        constants = [Fraction(1, 2), 3, -1, 1, Fraction(-2, 3)]
+    elif d.characteristic == 7:
+        constants = [5, 3, 6, 1]
+    else:
+        constants = [1]
+    values = [Polynomial.constant(d, n_vars, c) for c in constants]
+    values += [z1, z2 + one, z1 * z2 + one.scale(2), z1.scale(3) + z2,
+               z1 * z1, (z1 + one).scale(5)]
+    values = [v for v in values if v.packed]
+    rows = {}
+    for i in range(m):
+        for j in range(m):
+            if rng.random() < (0.8 if i == j else 0.35):
+                rows.setdefault(i, {})[j] = rng.choice(values)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["q", "gf2", "gf:7"])
+def test_schur_elimination_with_constant_and_polynomial_pivots(name):
+    """``schur_eliminate`` against A11 - A12 A22^-1 A21 and det A22,
+    computed densely, on matrices whose pivots mix constants with
+    polynomials and whose rows gain denominators."""
+    d = parse_field(name)
+    rng = random.Random(20261021)
+    n_vars, checked = 2, 0
+    for _ in range(40):
+        m = rng.randint(2, 5)
+        split = rng.randint(1, min(2, m - 1))
+        rows = _mixed_pivot_rows(rng, d, n_vars, m)
+        dense = RationalMatrix([
+            [RationalFunction(rows[i][j]) if j in rows.get(i, {})
+             else RationalFunction.zero(d, n_vars) for j in range(m)]
+            for i in range(m)
+        ])
+
+        def block(r, c):
+            return RationalMatrix([[dense.entries[i][j] for j in c]
+                                   for i in r])
+
+        top, bottom = range(split), range(split, m)
+        a22 = block(bottom, bottom)
+        det22 = mat_det(a22)
+        if det22.is_zero():
+            with pytest.raises(SingularBlock):
+                elimination.schur_eliminate(rows, m, split, d, n_vars)
+            continue
+        schur, det_block = elimination.schur_eliminate(rows, m, split, d,
+                                                       n_vars)
+        expected = (block(top, top)
+                    - block(top, bottom) * mat_inv(a22) * block(bottom, top))
+        assert RationalMatrix(schur) == expected
+        assert det_block == det22
+        checked += 1
+    assert checked >= 25
+
+
 def _shared_denominator_pencil(f):
     """BR of F = (1/q) P for a k x k F with k >= 2 and some denominator
     other than 1: q is the product of the distinct denominators other than
@@ -380,6 +448,66 @@ def test_three_by_three_br_with_shared_denominators_verifies():
     result = realize_br(target)
     assert result.pencil.m <= 36
     assert check_realization(result.pencil, target, result.kind).passed
+
+
+# see test_verification_products_stay_within_the_recorded_count
+PRODUCTS_RECORDED = 469  # 792 before constant pivots stayed scalars
+
+
+def _product_cases():
+    """(pencil, target, kind): the two shipped pencils of the acceptance
+    criteria, then builder outputs on seeded BR, SBR and HBR targets over
+    Q, GF(2) and GF(5)."""
+    target = RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1))
+    target_h = RationalMatrix.scalar(_z(Q, 3, 0) * _z(Q, 3, 1) / _z(Q, 3, 2))
+    cases = [(_golden(), target, RealizationKind.SBR),
+             (_golden_h(), target_h, RealizationKind.HSBR)]
+    rng = random.Random(31)
+    for trial in range(12):
+        d = [Q, prime_field(2), prime_field(5)][trial % 3]
+        n, k = rng.randint(1, 3), rng.choice([1, 2])
+        builds = [
+            realize_br(random_matrix(rng, d, n, k)),
+            realize_hbr(RationalMatrix.scalar(
+                random_degree_one_ratfun(rng, d, n + 1))),
+        ]
+        if d.characteristic != 2 or n == 1:  # one variable always passes
+            builds.append(realize_sbr(random_symmetric_matrix(rng, d, n, k)))
+        cases += [(r.pencil, r.target, r.kind) for r in builds]
+    return cases
+
+
+def check_products() -> int:
+    """The Polynomial products that check_realization makes on
+    _product_cases(); each check must pass."""
+    cases = _product_cases()
+    real, count = Polynomial.__mul__, [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    Polynomial.__mul__ = counting
+    try:
+        for pencil, target, kind in cases:
+            assert check_realization(pencil, target, kind).passed
+    finally:
+        Polynomial.__mul__ = real
+    return count[0]
+
+
+def test_verification_products_stay_within_the_recorded_count():
+    """check_realization makes at most PRODUCTS_RECORDED Polynomial
+    products on _product_cases(), all checks together.
+
+    The count is exact, so host speed never moves it.  A change that lowers
+    it lowers PRODUCTS_RECORDED with it.  A change that needs more products
+    on purpose, or changes the cases or the builders that make them,
+    re-records it with
+    ``PYTHONPATH=src:tests python -c "import test_verify as t; print(t.check_products())"``
+    and says why in CHANGES.md.
+    """
+    assert check_products() <= PRODUCTS_RECORDED
 
 
 if __name__ == "__main__":
