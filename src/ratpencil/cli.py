@@ -83,15 +83,14 @@ def _cmd_realize(args) -> int:
             text = handle.read()
     target = parse_expression(text, descriptor, _nvars(args))
     kind = RealizationKind(args.kind)
-    if kind is RealizationKind.BR:
-        result = realize_br(target)
-    elif kind is RealizationKind.SBR:
-        result = realize_sbr(target)
-    elif kind is RealizationKind.HBR:
-        result = realize_hbr(target)
-    else:
-        # like realize_sbr, raises NotRealizableChar2 naming the diagonal
-        result = realize_hsbr(target)
+    # looked up at call time, so that a rebound module global is the one used
+    builders = {"br": realize_br, "sbr": realize_sbr, "hbr": realize_hbr,
+                "hsbr": realize_hsbr}
+    try:
+        result = builders[kind.value](target)
+    except NotRealizableChar2 as exc:
+        _print(_certificate_doc(descriptor, exc.certificate, exc.diagonal))
+        return 1
     report = check_realization(result.pencil, target, kind)
     if not report.passed:
         print(report.to_json(), file=sys.stderr)
@@ -265,10 +264,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_expression_values(argv))
     try:
         return args.handler(args)
-    except NotRealizableChar2 as exc:
-        # only realize raises this
-        _print(_certificate_doc(_field(args), exc.certificate, exc.diagonal))
-        return 1
     except (RatPencilError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

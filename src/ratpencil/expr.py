@@ -47,7 +47,11 @@ order, a sum that cancels deletes its key, and the bound on the terms is
 checked first, all as :meth:`Polynomial._plus` does.  So the term order,
 every error and its position are what arithmetic at every node gives.  Any
 other operand turns the map into a polynomial, which goes on through
-:meth:`_Parser.apply`.
+:meth:`_Parser.apply`, the one place that knows the shape of an operation:
+two polynomials, ``/`` by a scalar, a scalar times a matrix, a product of
+matrices, and ``+ -`` of equal shapes.  Each of these cases forms the
+(num, den) pairs of its entries, checks their bound, and computes them; a
+matrix power multiplies through it too.
 
 Every power, product, quotient and sum, of scalars and of matrices, is
 checked against :data:`MAX_TERMS` before it is expanded.  A polynomial
@@ -154,24 +158,9 @@ def _pairs(value, one: Polynomial) -> list:
     return [[(value.num, value.den)]]
 
 
-def _parts(value) -> list:
-    """The numerators and denominators of a value, none for den = 1."""
-    if isinstance(value, RationalMatrix):
-        return [part for row in value.entries for e in row
-                for part in (e.num, e.den)]
-    if isinstance(value, Polynomial):
-        return [value]
-    return [value.num, value.den]
-
-
 def _degrees(p: Polynomial):
     """The degree of ``p`` in each variable (none for 0)."""
     return p.degrees()[1] if p.packed else ()
-
-
-def _max_variable_degree(parts) -> int:
-    """Largest exponent of one variable in any of the polynomials."""
-    return max((d for poly in parts for d in _degrees(poly)), default=0)
 
 
 def _product_terms(a: Polynomial, b: Polynomial) -> int:
@@ -208,48 +197,18 @@ def _sum_terms(pieces) -> int:
     return max(num, den)
 
 
-def _result_terms(op: str, a, b, one: Polynomial) -> int:
-    """The largest :func:`_sum_terms` bound of an entry of ``a op b``, from
-    the operands' (num, den) pairs alone; 0 when the operation itself is an
-    error."""
-    if op != "/" and isinstance(a, Polynomial) and isinstance(b, Polynomial):
-        # the bound below with den = 1 on both sides
-        if op == "*":
-            return _product_terms(a, b)
-        return len(a.packed) + len(b.packed)
-    sa = not isinstance(a, RationalMatrix)
-    sb = not isinstance(b, RationalMatrix)
-    parts, other = _pairs(a, one), _pairs(b, one)
-    rows, cols = len(parts), len(parts[0])
-    if op == "/":
-        if not sb or b.is_zero():
-            return 0
-        num, den = other[0][0]
-        entries = [[(x, (den, num))] for row in parts for x in row]
-    elif op == "*" and sa != sb:
-        scalar, matrix = (parts, other) if sa else (other, parts)
-        entries = [[(scalar[0][0], x)] for row in matrix for x in row]
-    elif op == "*":
-        if cols != len(other):
-            return 0
-        entries = [[(parts[i][t], other[t][j]) for t in range(cols)
-                    if parts[i][t][0].packed and other[t][j][0].packed]
-                   for i in range(rows) for j in range(len(other[0]))]
-    else:
-        if rows != len(other) or cols != len(other[0]):
-            return 0
-        entries = [[(x, (one, one)), (y, (one, one))]
-                   for row_x, row_y in zip(parts, other)
-                   for x, y in zip(row_x, row_y)]
-    return max(map(_sum_terms, entries))
-
-
 def _check_terms(bound: int, pos: int) -> None:
     if bound > MAX_TERMS:
         raise ParseError(
             f"the result could have {bound} terms, over the limit of "
             f"{MAX_TERMS}", pos
         )
+
+
+def _check_entries(entries, pos: int) -> None:
+    """Refuse a result one of whose ``entries``, lists of the pairs of
+    (num, den) pairs it multiplies and adds, could pass :data:`MAX_TERMS`."""
+    _check_terms(max(map(_sum_terms, entries)), pos)
 
 
 def _items(value):
@@ -363,8 +322,9 @@ class _Parser:
         if kind == "var":
             return exponent * self.units[index - 1], 1
         base = self.polynomial(base)
-        parts = _parts(base)
-        degree = _max_variable_degree(parts)
+        parts = [part for row in _pairs(base, self.one) for pair in row
+                 for part in pair]
+        degree = max((d for part in parts for d in _degrees(part)), default=0)
         if exponent * degree > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {exponent} takes a base of degree {degree} in one "
@@ -381,8 +341,7 @@ class _Parser:
             raise ParseError("power of a non-square matrix", pos)
         acc = RationalMatrix.identity(self.descriptor, self.n_vars, base.rows)
         for _ in range(exponent):
-            _check_terms(_result_terms("*", acc, base, self.one), pos)
-            acc = acc * base
+            acc = self.apply("*", acc, base, pos, pos)
         return acc
 
     def atom(self):
@@ -433,11 +392,19 @@ class _Parser:
 
     def apply(self, op: str, a, b, start: int, pos: int):
         """``a op b`` for the values of two operands, the right one read
-        from the tokens from ``start`` on, checked against
-        :data:`MAX_TERMS` first."""
-        _check_terms(_result_terms(op, a, b, self.one), pos)
+        from the tokens from ``start`` on.  Each case forms the (num, den)
+        pairs that its entries multiply and add, checks their bound against
+        :data:`MAX_TERMS`, and only then computes them.  An operation that
+        is itself an error (a shape mismatch, a zero or matrix divisor) is
+        refused with no bound."""
+        if op != "/" and isinstance(a, Polynomial) and isinstance(b, Polynomial):
+            # the bound of _sum_terms with den = 1 on both sides
+            _check_terms(_product_terms(a, b) if op == "*"
+                         else len(a.packed) + len(b.packed), pos)
+            return _OPERATIONS[op](a, b)
         sa = not isinstance(a, RationalMatrix)
         sb = not isinstance(b, RationalMatrix)
+        x, y = _pairs(a, self.one), _pairs(b, self.one)
         if op == "/":
             if not sb:
                 raise ParseError("division by a matrix", pos)
@@ -449,17 +416,28 @@ class _Parser:
                 raise FieldLiteralError(
                     f"constant divisor is zero in {self.descriptor.name()}"
                 )
+            num, den = y[0][0]
+            _check_entries([[(e, (den, num))] for row in x for e in row], pos)
             if sa:
                 return _lower(_lift(a) / _lift(b))
             return a.scale(_lift(b).inverse())
+        if op == "*" and sa != sb:
+            scalar, matrix = (x, y) if sa else (y, x)
+            _check_entries([[(scalar[0][0], e)] for row in matrix
+                            for e in row], pos)
+            return b.scale(_lift(a)) if sa else a.scale(_lift(b))
+        if op == "*":
+            if len(x[0]) == len(y):
+                _check_entries([[(x[i][t], y[t][j]) for t in range(len(y))
+                                 if x[i][t][0].packed and y[t][j][0].packed]
+                                for i in range(len(x))
+                                for j in range(len(y[0]))], pos)
+        elif len(x) == len(y) and len(x[0]) == len(y[0]):
+            one = self.one, self.one
+            _check_entries([[(e, one), (f, one)] for row_x, row_y in zip(x, y)
+                            for e, f in zip(row_x, row_y)], pos)
         if sa and sb:
-            if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
-                a, b = _lift(a), _lift(b)
-            return _lower(_OPERATIONS[op](a, b))
-        if op == "*" and sa:
-            return b.scale(_lift(a))
-        if op == "*" and sb:
-            return a.scale(_lift(b))
+            return _lower(_OPERATIONS[op](_lift(a), _lift(b)))
         if sa:
             a = RationalMatrix.scalar(_lift(a))
         if sb:

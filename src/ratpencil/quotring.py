@@ -16,8 +16,12 @@ context's ``dead`` mask).  A product of k linear forms in n variables can
 hold 2^n monomials, so a product of more than ``MAX_PRODUCT_PAIRS`` pairs
 is refused with :class:`~ratpencil.errors.RingTooLarge` before it is
 formed.  The absolute value, the normal form at ell, is the parity of the
-monomials that avoid ``dead``, and r^2 = |r|^2 makes an invertible element
-its own inverse.  Polynomials appear only at the boundary:
+monomials that avoid ``dead``.  Every square is that constant, r^2 = |r|
+(z_i^2 = ell_i^2 = ell_i in characteristic 2), so an invertible element is
+its own inverse, a power is r, 1 or 0 with no product, and the pair term
+a_ij a_ji = a_ij^2 of a symmetric determinant is the parity of a_ij.  Those
+two steps form no ring product, so ``MAX_PRODUCT_PAIRS`` never refuses
+them.  Polynomials appear only at the boundary:
 :meth:`QuotContext.project` maps one in, and the ``nf`` property builds the
 normal-form polynomial back.
 
@@ -262,17 +266,15 @@ class QuotElement:
         ))
 
     def __pow__(self, e: int) -> "QuotElement":
+        """r^2 = |r| is a constant, so r^e is r for odd e and 1 for even e,
+        except that it is 0 from e = 2 on when |r| = 0."""
         if e < 0:
             raise ValueError("negative power of a quotient-ring element")
-        dead = self.context.dead
-        out, base = _ONE, self.monomials
-        while e:
-            if e & 1:
-                out = _times(out, base, dead)
-            e >>= 1
-            if e:
-                base = _times(base, base, dead)
-        return _element(self.context, out)
+        if e == 1:
+            return self
+        if e and not self.is_invertible():
+            return _element(self.context, _EMPTY)
+        return self if e & 1 else _element(self.context, _ONE)
 
     def __eq__(self, other):
         if not isinstance(other, QuotElement):
@@ -590,12 +592,9 @@ def det_involution_sum(matrix: QuotMatrix) -> QuotElement:
             if row[i]:
                 total = _times(row[i], involution_sum(rest), dead)
             for t, j in enumerate(rest):
-                if row[j]:
-                    pair = _times(row[j], grid[j][i], dead)
-                    if pair:
-                        total ^= _times(
-                            pair, involution_sum(rest[:t] + rest[t + 1:]), dead
-                        )
+                # a_ij a_ji = a_ij^2 = |a_ij|, a constant
+                if row[j] and _parity(row[j], dead):
+                    total ^= involution_sum(rest[:t] + rest[t + 1:])
             memo[free] = total
             if len(memo) > MAX_INVOLUTION_SETS:
                 raise RingTooLarge(

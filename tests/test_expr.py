@@ -149,19 +149,30 @@ def test_exponent_limit():
         parse_expression("z1^" + "9" * 5000, Q)
 
 
+def _refused(text, message, position):
+    """``text`` over Q is a ParseError with exactly this message and
+    position."""
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, Q)
+    assert str(info.value) == f"{message} (at position {position})", text
+    assert info.value.position == position, text
+
+
+def _over(count):
+    return f"the result could have {count} terms, over the limit of {MAX_TERMS}"
+
+
 def test_term_limit():
     # C(3 + 19, 20) = 231 terms, below the limit
     assert len(parse_expression("(1+z1+z2)^20", Q).entries[0][0].num.terms) == 231
     # C(1003, 1000) terms for the power; 816 * 816 for each product
     a, b = "(1+z1+z2+z3)^15", "(1+z4+z5+z6)^15"
-    for text, position in [("(1+z1+z2+z3)^1000", 12),
-                           ("1/(1+z1+z2+z3)^1000", 14),
-                           (f"{a} * {b}", 16),
-                           (f"{a} / (1/{b})", 16),
-                           (f"1/{a} - 1/{b}", 18)]:
-        with pytest.raises(ParseError, match=str(MAX_TERMS)) as info:
-            parse_expression(text, Q)
-        assert info.value.position == position, text
+    for text, count, position in [("(1+z1+z2+z3)^1000", 167668501, 12),
+                                  ("1/(1+z1+z2+z3)^1000", 167668501, 14),
+                                  (f"{a} * {b}", 665856, 16),
+                                  (f"{a} / (1/{b})", 665856, 16),
+                                  (f"1/{a} - 1/{b}", 665856, 18)]:
+        _refused(text, _over(count), position)
 
 
 def test_a_flat_sum_meets_the_term_limit():
@@ -200,15 +211,20 @@ def test_a_zero_factor_skips_the_degree_check():
 def test_matrix_term_limit():
     a, b = "(1+z1+z2+z3)^15", "(1+z4+z5+z6)^15"
     big_a, big_b = f"[[{a}, 0], [0, 1]]", f"[[{b}, 0], [0, 1]]"
-    for text, position in [(f"{big_a} * {big_b}", 31),
-                           (f"{a} * {big_b}", 16),
-                           (f"{big_a} * {b}", 31),
-                           (f"{big_a} / (1/{b})", 31),
-                           (f"[[1/{a}, 0], [0, 1]] - [[1/{b}, 0], [0, 1]]", 33),
-                           (f"{big_a}^2", 30)]:
-        with pytest.raises(ParseError, match=str(MAX_TERMS)) as info:
-            parse_expression(text, Q)
-        assert info.value.position == position, text
+    for text, count, position in [
+        (f"{big_a} * {big_b}", 665856, 31),
+        (f"{a} * {big_b}", 665856, 16),
+        (f"{big_a} * {b}", 665856, 31),
+        (f"{big_a} / (1/{b})", 665856, 31),
+        (f"[[1/{a}, 0], [0, 1]] - [[1/{b}, 0], [0, 1]]", 665856, 33),
+        (f"{big_a}^2", 29791, 30),
+        # an entry that sums two products: 816 * 816 twice, over den 1
+        (f"[[{a}, {a}], [0, 1]] * [[{b}, 0], [{b}, 1]]", 1331712, 45),
+    ]:
+        _refused(text, _over(count), position)
+    # the shapes are checked before the bound
+    _refused(f"{big_a} * [[{b}, 0, 0], [0, 1, 0], [0, 0, 1]]",
+             "cannot multiply 2x2 by 3x3", 31)
     z1, z2 = _z(Q, 2, 0), _z(Q, 2, 1)
     one, zero = RationalFunction.one(Q, 2), RationalFunction.zero(Q, 2)
     assert parse_expression("[[z1, 0], [0, 1]] * [[z2, 0], [0, 1]]", Q) == (
