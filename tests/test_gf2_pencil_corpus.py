@@ -13,9 +13,11 @@ verifier.
 Each such target is a symmetric Schur complement by construction, so it
 must pass the parity decision, be built by the symmetric builder, and
 verify.  A target that fails any of the three is named in the failure; no
-target is skipped.
+target is skipped.  The pencils built are pinned, in target order, by the
+sum and maximum of their m and a SHA-256 over their files.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -105,11 +107,12 @@ def _as_matrix(num: frozenset, den: frozenset, n_vars: int) -> RationalMatrix:
     return RationalMatrix([[RationalFunction(poly(num), poly(den))]])
 
 
-def _failures(targets: dict, n_vars: int, homogeneous: bool) -> list:
-    """The targets that fail to decide, build or verify, each named with
-    the pencil bits it came from."""
+def _built(targets: dict, n_vars: int, homogeneous: bool):
+    """``(failures, pencils)``: the targets that fail to decide, build or
+    verify, each named with the pencil bits it came from, and the pencils
+    built, in target order."""
     kind = RealizationKind.HSBR if homogeneous else RealizationKind.SBR
-    failures = []
+    failures, pencils = [], []
     for (num, den), bits in targets.items():
         f = _as_matrix(num, den, n_vars)
         name = f"{f[0, 0]} (pencil bits {bits:#x})"
@@ -121,10 +124,20 @@ def _failures(targets: dict, n_vars: int, homogeneous: bool) -> list:
         if isinstance(result, Char2Certificate):
             failures.append(f"{name}: builder returned {result}")
             continue
+        pencils.append(result.pencil)
         report = check_realization(result.pencil, f, kind)
         if not report.passed:
             failures.append(f"{name}: {report.to_json()}")
-    return failures
+    return failures, pencils
+
+
+def _pins(pencils: list):
+    """(sum of m, largest m, SHA-256 over the pencil files in order)."""
+    digest = hashlib.sha256()
+    for pencil in pencils:
+        digest.update(pencil.to_json().encode() + b"\n")
+    return (sum(p.m for p in pencils), max(p.m for p in pencils),
+            digest.hexdigest())
 
 
 def test_the_reference_determinant():
@@ -145,20 +158,29 @@ def test_the_reference_determinant():
 def test_every_affine_pencil_with_m_2():
     targets = _targets(2, 2, True, range(1 << 9))
     assert len(targets) == 224
-    failures = _failures(targets, 2, homogeneous=False)
+    failures, pencils = _built(targets, 2, homogeneous=False)
     assert not failures, failures[:5]
+    assert _pins(pencils) == (
+        1624, 13,
+        "e3777fb3d4c5f68772df1e50a52967db92abb44c720df4920e811d56bec1f50a")
 
 
 def test_every_homogeneous_pencil_with_m_2():
     targets = _targets(2, 3, False, range(1 << 9))
     assert len(targets) == 224
-    failures = _failures(targets, 3, homogeneous=True)
+    failures, pencils = _built(targets, 3, homogeneous=True)
     assert not failures, failures[:5]
+    assert _pins(pencils) == (
+        1624, 13,
+        "223f70cbb16df3c39b4209b665db3080483ac6439df128e0a0dfb51ee15f6c42")
 
 
 def test_a_sample_of_affine_pencils_with_m_3():
     rng = random.Random(10)
-    pencils = iter(lambda: rng.getrandbits(18), None)
-    targets = _targets(3, 2, True, pencils, count=300)
-    failures = _failures(targets, 2, homogeneous=False)
+    bits = iter(lambda: rng.getrandbits(18), None)
+    targets = _targets(3, 2, True, bits, count=300)
+    failures, pencils = _built(targets, 2, homogeneous=False)
     assert not failures, failures[:5]
+    assert _pins(pencils) == (
+        4565, 25,
+        "360633d2156722c09b24f841a8a19693d311f5ba94126c194d8664d6016ab67d")
