@@ -71,6 +71,7 @@ from .realize import (
     decide_sbr_scalar_char2,
     realize_br,
     realize_hbr,
+    realize_hsbr,
     realize_sbr,
 )
 from .quotring import (

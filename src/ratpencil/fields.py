@@ -260,8 +260,11 @@ class FieldElement:
     __slots__ = ("descriptor", "value")
 
     def __init__(self, descriptor: FieldDescriptor, value):
-        self.descriptor = descriptor
-        self.value = descriptor.coerce(value)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "value", descriptor.coerce(value))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):

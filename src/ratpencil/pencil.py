@@ -27,15 +27,10 @@ from .poly import Polynomial, RationalFunction, from_raw, layout
 MAX_PENCIL_SIZE = 5000
 
 
-def past_size(m: int) -> bool:
-    """Whether ``m`` is past the limit."""
-    return m > MAX_PENCIL_SIZE
-
-
 def require_size(m: int, what: str, at_least: bool = False) -> None:
     """Raise :class:`PencilTooLarge` when ``m`` is past the limit;
     ``at_least`` says that ``m`` is only a lower bound on the size."""
-    if past_size(m):
+    if m > MAX_PENCIL_SIZE:
         relation = ">=" if at_least else "="
         raise PencilTooLarge(
             f"{what} has m {relation} {m}, more than the limit "

@@ -59,20 +59,18 @@ MAX_DEGREE = _GUARD - 1
 MAX_VARIABLES = 1000
 
 
-def grlex_key(exps: tuple[int, ...]):
-    return (sum(exps), exps)
-
-
 class Layout:
     """The packing of exponent vectors of ``n`` variables into keys."""
 
-    __slots__ = ("n", "shifts", "degree_shift", "guards", "units")
+    __slots__ = ("n", "shifts", "degree_shift", "guards", "lows", "units")
 
     def __init__(self, n: int):
         self.n = n
         self.shifts = tuple(BITS * (n - 1 - i) for i in range(n))
         self.degree_shift = BITS * n
         self.guards = sum(_GUARD << s for s in self.shifts)
+        # the lowest bit of each variable's field
+        self.lows = sum(1 << s for s in self.shifts)
         # the key of each variable
         self.units = tuple((1 << self.degree_shift) + (1 << s)
                            for s in self.shifts)
@@ -95,6 +93,12 @@ class Layout:
 
     def degree(self, key: int) -> int:
         return key >> self.degree_shift
+
+    def parity(self, key: int) -> int:
+        """The key of z^beta, for beta the exponent vector of ``key`` mod 2;
+        its :meth:`degree` is the weight of beta."""
+        odd = key & self.lows
+        return odd.bit_count() << self.degree_shift | odd
 
 
 @lru_cache(maxsize=None)

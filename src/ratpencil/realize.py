@@ -48,8 +48,8 @@ from .errors import (
     WrongCharacteristic,
 )
 from .matrices import RationalMatrix
-from .pencil import LinearPencil, RealizationKind, past_size, require_size
-from .poly import Polynomial, RationalFunction, grlex_key, layout
+from .pencil import LinearPencil, RealizationKind, require_size
+from .poly import Polynomial, RationalFunction, from_packed, layout
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,8 @@ def _written(f: RationalMatrix, cells, corners: int = 0,
         refuses no pencil that that check passes."""
         nonlocal rows
         rows += count
-        bound = start + rows * (2 if mirrored else 1)
-        if past_size(bound):
-            require_size(bound, "the realization", at_least=True)
+        require_size(start + rows * (2 if mirrored else 1),
+                     "the realization", at_least=True)
 
     groups = {}
     for i, j, p in cells:
@@ -332,87 +331,66 @@ def decide_sbr_scalar_char2(f: RationalFunction) -> Char2Certificate:
         raise TooFewVariables(
             "one variable is unconditionally realizable; nothing to decide"
         )
-    return _parity_certificate(f)
+    classes = _parity_classes(f.num * f.den)
+    if isinstance(classes, tuple):
+        return Char2Certificate("not_realizable", offending_monomial=classes)
+    d, n = f.descriptor, f.n_vars
+    return Char2Certificate("realizable", decomposition={
+        layout(n).unpack(beta): from_packed(d, n, g)
+        for beta, g in classes.items()
+    })
 
 
-def _parity_certificate(f: RationalFunction) -> Char2Certificate:
-    """The parity test of :func:`decide_sbr_scalar_char2` in any number of
-    variables; with at most one every monomial passes."""
-    h = f.num * f.den
-    terms = h.sorted_terms()
-    for exps, _ in terms:
-        parity = tuple(e % 2 for e in exps)
-        if sum(parity) >= 2:
-            return Char2Certificate("not_realizable", offending_monomial=exps)
-    buckets: dict[tuple[int, ...], dict] = {}
-    for exps, value in terms:
-        parity = tuple(e % 2 for e in exps)
-        reduced = tuple(e - b for e, b in zip(exps, parity))
-        buckets.setdefault(parity, {})[reduced] = value
-    decomposition = {
-        beta: Polynomial(f.descriptor, f.n_vars, terms)
-        for beta, terms in buckets.items()
-    }
-    return Char2Certificate("realizable", decomposition=decomposition)
+def _parity_classes(h: Polynomial):
+    """The parity classes of h in characteristic 2, as ``{key of z^beta:
+    packed g_beta}`` for h = sum_beta z^beta g_beta with every g_beta
+    supported on even exponent vectors, or, if a monomial of h has an
+    exponent parity vector of weight >= 2, the largest such monomial, as
+    an exponent tuple."""
+    lay = layout(h.n_vars)
+    classes, worst = {}, -1
+    for key, value in h.packed.items():
+        beta = lay.parity(key)
+        if lay.degree(beta) >= 2:
+            worst = max(worst, key)
+        else:
+            classes.setdefault(beta, {})[key - beta] = value
+    return lay.unpack(worst) if worst >= 0 else classes
 
 
-def _diagonal_certificates(f: RationalMatrix) -> list[Char2Certificate]:
-    """The parity certificate of every diagonal entry, each computed once.
-
-    Raises :class:`NotRealizableChar2` naming the first failing diagonal.
-    """
-    certs = []
-    for i in range(f.rows):
-        cert = _parity_certificate(f.entries[i][i])
-        if not cert.realizable:
-            raise NotRealizableChar2(cert, diagonal=i)
-        certs.append(cert)
-    return certs
-
-
-def _class_roots(cert: Char2Certificate, keep_constant: bool):
+def _class_roots(classes, keep_constant: bool, d, n: int):
     """``(roots, kept)``: (s, x) for each parity class of h = sum_beta
-    z^beta g_beta in characteristic 2, less its terms of degree at most 1,
-    so that s^2 / x = z^beta (g_beta less its constant term), and whether
-    the even class kept h's constant term.
+    z^beta g_beta in characteristic 2 (:func:`_parity_classes`), less its
+    terms of degree at most 1, so that s^2 / x = z^beta (g_beta less its
+    constant term), and whether the even class kept h's constant term.
 
     With g_beta = sum_a c_a z^(2a) and r = sum_a c_a z^a, the Frobenius
     map gives r^2 = sum_a c_a^2 z^(2a) = g_beta, because c^2 = c over
     GF(2), the only characteristic-2 field the library has (a field
-    gf:2^k would need c^(1/2) here; see ROADMAP.md, item 8).  The even
-    class has s = r and x = 1, the z_i class s = z_i r and x = z_i.
+    gf:2^k would need c^(1/2) here; see ROADMAP.md, item 8).  s = z^beta r,
+    whose keys are half those of g_beta plus beta's, and x = z^beta.
 
     With ``keep_constant``, the even class keeps h's constant term c when
     r has a term of degree 1: s = r + c, and s^2 = r^2 + c since c^2 = c.
     s's chains put c in the cell that r's terms of degree 1 fill anyway.
     """
     roots, kept = [], False
-    for beta in sorted(cert.decomposition, key=grlex_key, reverse=True):
-        g = cert.decomposition[beta]
-        cut = g.above(0)
-        if cut.is_zero():
+    for beta in sorted(classes, reverse=True):
+        g = classes[beta]
+        cut = {key: value for key, value in g.items() if key}
+        if not cut:
             continue
-        d, n = g.descriptor, g.n_vars
-        if (keep_constant and not any(beta) and cut is not g
-                and layout(n).degree(min(cut.packed)) == 2):
-            kept = True
-        else:
-            g = cut
-        root = Polynomial(d, n, {
-            tuple(e // 2 + b for e, b in zip(exps, beta)): value
-            for exps, value in g.sorted_terms()
-        })
-        index = next((t for t, b in enumerate(beta) if b), None)
-        x = (Polynomial.one(d, n) if index is None
-             else Polynomial.variable(d, n, index))
-        roots.append((root, x))
+        if (keep_constant and not beta and 0 in g
+                and layout(n).degree(min(cut)) == 2):
+            kept, cut = True, g
+        root = {(key >> 1) + beta: value for key, value in cut.items()}
+        roots.append((from_packed(d, n, root), from_packed(d, n, {beta: 1})))
     return roots, kept
 
 
-def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
+def _sbr_entrywise(f: RationalMatrix) -> LinearPencil:
     """SBR of F = F_upp + F_upp^T + diag F, written in one pass by
-    :func:`_written`, mirrored; ``certs`` are the parity certificates of
-    F's diagonal in characteristic 2, and ``None`` elsewhere.
+    :func:`_written`, mirrored.
 
     Every cell is written with its chain rows from k + c and their columns
     from k + c + r, for the c corner rows and the r chain rows, and then
@@ -426,40 +404,48 @@ def _sbr_entrywise(f: RationalMatrix, certs) -> LinearPencil:
       g_(<=1) + g_(>=2) / 2 for a polynomial, its parts of degree at most
       1 and at least 2, and as (p / 2) / q for p/q: the mirror doubles
       what has a chain or leaves (i, i);
-    * in characteristic 2, each parity class (s, x) of the entry at (i, i)
-      (:func:`_class_roots`) takes a new corner row t: s's terms in row
-      i's trie, ending in column t, and -x at (t, t).  For s's BR pencil
-      P = [[a, b], [c, D]] alone that is the layout
+    * in characteristic 2, the entry p/q at (i, i) must pass the parity
+      test on h = p q (:func:`_parity_classes`), or
+      :class:`NotRealizableChar2` names diagonal i.  Each parity class
+      (s, x) of h (:func:`_class_roots`) takes a new corner row t: s's
+      terms in row i's trie, ending in column t, and -x at (t, t).  For
+      s's BR pencil P = [[a, b], [c, D]] alone that is the layout
       [[0, b, 0, a], [b^T, 0, D^T, 0], [0, D, 0, c], [a, 0, c^T, -x]] of
       :func:`op_product` (P, x, P^T) without P's filler row, whose Schur
       complement is s x^-1 s = z^beta g_beta.  The roots drop the terms
-      of degree at most 1, so a polynomial entry g adds g_(<=1) at (i, i);
+      of degree at most 1, so a polynomial entry g = h adds g_(<=1) at
+      (i, i);
     * in characteristic 2, an entry p/q with q != 1 is p's square around
-      -H, with H the matrix of h = p q written the same way from a new
-      corner row t_H, and h's terms of degree at most 1 at (t_H, t_H),
-      less the constant that the even class keeps (:func:`_class_roots`).
-      H's Schur complement is h, so (H^-1)_11 = 1 / h and the square's is
+      -H, with H the matrix of h written the same way from a new corner
+      row t_H, and h's terms of degree at most 1 at (t_H, t_H), less the
+      constant that the even class keeps (:func:`_class_roots`).  H's
+      Schur complement is h, so (H^-1)_11 = 1 / h and the square's is
       p^2 / h = p / q.
 
     In characteristic 2, -1 = 1, so -x and -H are written as x and H.
     """
-    d, k = f.descriptor, f.rows
-    half = d.inv(d.add(d.one, d.one)) if certs is None else None
+    d, n, k = f.descriptor, f.n_vars, f.rows
+    char2 = d.characteristic == 2
+    half = None if char2 else d.inv(d.add(d.one, d.one))
     cells, corner = [], k
     for i, row in enumerate(f.entries):
         for j, g in enumerate(row[i:], i):
             if g.is_zero():
                 continue
             p, rational = g.num, not g.is_polynomial()
-            if j == i and certs is None:
+            if j == i and not char2:
                 p = p.scale(half) if rational else p - p.above(1).scale(half)
-            if j > i or certs is None:
+            if j > i or not char2:
                 new, corner = _cells(i, j, p, g.den, corner, mirrored=True)
                 cells += new
                 continue
-            row0, (roots, kept) = i, _class_roots(certs[i], rational)
+            h = p * g.den
+            classes = _parity_classes(h)
+            if isinstance(classes, tuple):
+                raise NotRealizableChar2(Char2Certificate(
+                    "not_realizable", offending_monomial=classes), diagonal=i)
+            row0, (roots, kept) = i, _class_roots(classes, rational, d, n)
             if rational:
-                h = p * g.den
                 low = (h.above(0) if kept else h) - h.above(1)
                 cells += [(i, corner, p), (corner, corner, low)]
                 row0, corner = corner, corner + 1
@@ -475,9 +461,10 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
     """Symmetric realization of a symmetric rational matrix.
 
     In characteristic 2 every diagonal entry of F must first pass the
-    parity test, run once on F (in one variable every entry passes); the
-    first failure raises :class:`NotRealizableChar2`.  F is then written
-    by :func:`_sbr_entrywise` in one pass: its off-diagonal entries
+    parity test, run once per entry as the writer reaches it (in one
+    variable every entry passes); the first failure raises
+    :class:`NotRealizableChar2`.  F is written by :func:`_sbr_entrywise`
+    in one pass: its off-diagonal entries
     mirrored, and its diagonal as halves of what the mirror doubles away
     from characteristic 2 and as one square per parity class in it.  The
     size is counted exactly from the tries, and one past
@@ -489,10 +476,7 @@ def realize_sbr(f: RationalMatrix) -> RealizationResult:
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    certs = (_diagonal_certificates(f)
-             if f.descriptor.characteristic == 2 else None)
-    return RealizationResult(_sbr_entrywise(f, certs), RealizationKind.SBR,
-                             f)
+    return RealizationResult(_sbr_entrywise(f), RealizationKind.SBR, f)
 
 
 def realize_hsbr(f: RationalMatrix) -> RealizationResult:
@@ -537,10 +521,12 @@ class Decision:
 
 
 def _parity_decision(f: RationalMatrix, obstruction: str) -> Decision:
-    try:
-        _diagonal_certificates(f)
-    except NotRealizableChar2 as exc:
-        return Decision(False, obstruction, exc.diagonal, exc.certificate)
+    for i in range(f.rows):
+        g = f.entries[i][i]
+        classes = _parity_classes(g.num * g.den)
+        if isinstance(classes, tuple):
+            return Decision(False, obstruction, i, Char2Certificate(
+                "not_realizable", offending_monomial=classes))
     return Decision(True, "all diagonal parity certificates pass")
 
 

@@ -594,20 +594,22 @@ def test_realize_hsbr_decides_parity_once(monkeypatch, capsys):
     # second decision to name it
     import ratpencil.realize as realize
 
-    calls = []
-    original = realize._diagonal_certificates
+    verdicts = []
+    original = realize._parity_classes
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
+    def counting(h):
+        verdicts.append(original(h))
+        return verdicts[-1]
 
-    monkeypatch.setattr(realize, "_diagonal_certificates", counting)
+    monkeypatch.setattr(realize, "_parity_classes", counting)
     code, out, _ = run(capsys, "realize", "--field", "gf2", "--kind", "hsbr",
                        "--expr", "[[z1^2/z3, z2],[z2, z1*z2/z3]]")
     assert code == 1
     assert json.loads(out) == {"diagonal": 1, "offending_monomial": "z1*z2",
                                "verdict": "not_realizable"}
-    assert len(calls) == 1
+    # one test per diagonal, and one of them finds the obstruction
+    assert len(verdicts) == 2
+    assert [v for v in verdicts if isinstance(v, tuple)] == [(1, 1)]
 
 
 def test_expression_values_may_start_with_minus(tmp_path, capsys):

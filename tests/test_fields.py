@@ -134,6 +134,16 @@ def test_descriptor_mismatch():
         FieldElement(prime_field(2), 1) + FieldElement(prime_field(3), 1)
 
 
+def test_field_elements_are_immutable():
+    g5 = prime_field(5)
+    e = FieldElement(g5, 3)
+    held = {e}
+    for name, value in (("value", 5), ("descriptor", prime_field(7))):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(e, name, value)
+    assert e.value == 3 and e.descriptor == g5 and e in held
+
+
 def test_canonical_rational_form():
     q = rationals()
     assert FieldElement(q, Fraction(2, -4)).value == Fraction(-1, 2)

@@ -17,6 +17,10 @@ Schur elimination, so of the functions, classes and constants that
 ``elimination.py`` defines, the two eliminations reach only one in common,
 the permutation sign ``_parity_sign``.
 
+The GF(2) corpus test checks the library against Schur complements that
+it computes itself, so its reference functions reach no name imported
+from the library.
+
 A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
 it do not keep it alive.  So is a name that a module imports and never
@@ -27,7 +31,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ratpencil"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ratpencil"
 FORBIDDEN = {"elimination", "verify"}
 
 
@@ -200,6 +205,53 @@ def test_the_eliminations_share_only_the_parity_sign():
     full = reached(source, "sparse_determinant")
     assert "_common_monomial" in schur and "_times" in full
     assert schur & full == {"_parity_sign"}
+
+
+def library_names_read(source: str, names) -> set[str]:
+    """The names bound by an import from ``ratpencil`` that the
+    module-level definitions ``names`` of ``source``, or the definitions
+    they reach, read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "ratpencil"):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "ratpencil")
+    definitions = _definitions(tree)
+    scope = set(names).union(*(reached(source, name) for name in names))
+    return {sub.id for name in scope for sub in ast.walk(definitions[name])
+            if isinstance(sub, ast.Name) and sub.id in imported}
+
+
+def test_the_detector_finds_library_names_read():
+    source = (
+        "import itertools\n"
+        "import ratpencil.poly as rp\n"
+        "from ratpencil.fields import prime_field\n"
+        "from ratpencil import realize\n"
+        "G2 = prime_field(2)\n"
+        "def _ref(n):\n"
+        "    return _helper(n), itertools.count()\n"
+        "def _helper(n):\n"
+        "    return n + 1\n"
+        "def _field():\n"
+        "    return G2\n"
+        "def _poly():\n"
+        "    return rp.Polynomial, realize\n"
+    )
+    assert library_names_read(source, {"_ref"}) == set()
+    assert library_names_read(source, {"_ref", "_field"}) == {"prime_field"}
+    assert library_names_read(source, {"_poly"}) == {"rp", "realize"}
+
+
+def test_the_corpus_reference_reaches_no_library_name():
+    source = (TESTS / "test_gf2_pencil_corpus.py").read_text(encoding="utf-8")
+    reference = {"_times", "_det", "_pencil", "_schur", "_units", "_targets"}
+    assert not library_names_read(source, reference)
 
 
 def _is_private(name: str) -> bool:

@@ -15,6 +15,7 @@ from ratpencil.poly import (
     NEG_INFINITY,
     Polynomial,
     RationalFunction,
+    layout,
     poly_arith,
     ratfun_arith,
 )
@@ -44,6 +45,14 @@ def test_variable_count_is_bounded():
         Polynomial.variable(Q, MAX_VARIABLES + 1, 0)
     with pytest.raises(TooManyVariables):
         parse_expression(f"z{MAX_VARIABLES + 1}", Q)
+
+
+@given(st.lists(st.integers(0, 40), min_size=0, max_size=4))
+def test_parity_key_is_the_exponents_mod_2(exps):
+    lay = layout(len(exps))
+    beta = lay.parity(lay.pack(exps))
+    assert beta == lay.pack([e % 2 for e in exps])
+    assert lay.degree(beta) == sum(e % 2 for e in exps)
 
 
 def test_poly_add_mul_examples():

@@ -11,9 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import ratpencil.quotring as quotring
 from ratpencil.errors import (
+    BadIndices,
     NotARealizer,
+    NotCleaned,
     NotInvertible,
     NotInvertibleDiagonal,
+    NotLinearEntries,
+    NotSymmetric,
     RingTooLarge,
     WrongCharacteristic,
 )
@@ -428,6 +432,29 @@ def test_isolate_untouched_when_alpha_zero():
     assert isolate(matrix, 1) == matrix
     with pytest.raises(NotInvertibleDiagonal):
         isolate(QuotMatrix(ctx, 1, [[zero, zero], [zero, ctx.variable(0)]]), 1)
+
+
+def test_matrix_steps_refuse_what_they_do_not_take():
+    ctx = _ctx(2, [0, 0])
+    zero, one = ctx.zero(), ctx.one()
+    z1, z2 = ctx.variable(0), ctx.variable(1)
+    b = _load_matrix("ring_4x4_ell00.json", ctx)  # split 1
+    for index, message in ((0, r"inside the \(1,1\) block"),
+                           (4, "index 4 out of range"),
+                           (-1, "index -1 out of range")):
+        with pytest.raises(BadIndices, match=message):
+            b.delete_row_col(index)
+    with pytest.raises(BadIndices, match=r"bad ADD indices \(2, 2\)"):
+        add_transform(b, 2, 2, one)
+    with pytest.raises(NotCleaned):
+        isolate(QuotMatrix(ctx, 1, [[one, z1], [z1, one]]), 0)
+    with pytest.raises(NotLinearEntries):
+        is_ring_realizer(QuotMatrix(ctx, 1, [[z1 * z2, one], [one, z1]]), one)
+    asymmetric = QuotMatrix(ctx, 1, [[one, one], [zero, one]])
+    for step in (det_involution_sum, lambda a: isolate(a, 0),
+                 lambda a: is_ring_realizer(a, one)):
+        with pytest.raises(NotSymmetric):
+            step(asymmetric)
 
 
 def test_is_ring_realizer_examples():

@@ -61,13 +61,17 @@ def _check(result):
 
 
 def _at_checked_size(build, *args):
-    """``build(*args)``, asserting that the one size it checked against the
-    pencil-size limit is the m of the pencil it returned, and that
+    """``build(*args)``, asserting that the one exact size it checked
+    against the pencil-size limit is the m of the pencil it returned, that
+    each lower bound it checked on the way is at most that m, and that
     :func:`op_shrink` finds no constant pivot to remove."""
     with mock.patch.object(realize_module, "require_size",
                            wraps=require_size) as spy:
         pencil = build(*args)
-    assert [call.args[0] for call in spy.call_args_list] == [pencil.m]
+    sizes = [(call.args[0], call.kwargs.get("at_least", False))
+             for call in spy.call_args_list]
+    assert [m for m, at_least in sizes if not at_least] == [pencil.m]
+    assert all(m <= pencil.m for m, _ in sizes)
     assert op_shrink(pencil) is pencil
     return pencil
 
@@ -536,13 +540,13 @@ def test_sbr_mixed_verdict_reports_first_diagonal():
 
 def test_parity_test_runs_once_per_diagonal(monkeypatch):
     calls = []
-    original = realize_module._parity_certificate
+    original = realize_module._parity_classes
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+    def counted(h):
+        calls.append(h)
+        return original(h)
 
-    monkeypatch.setattr(realize_module, "_parity_certificate", counted)
+    monkeypatch.setattr(realize_module, "_parity_classes", counted)
     g1, g2 = _z(G2, 2, 0), _z(G2, 2, 1)
     _check(realize_sbr(RationalMatrix([[g1, g2], [g2, g1 * g1 + g2]])))
     assert len(calls) == 2
@@ -611,6 +615,11 @@ def test_realize_hsbr_raises_with_the_failing_diagonal():
     assert caught.value.diagonal == 1
     assert caught.value.certificate == decide_and_realize_hsbr(target)
     assert caught.value.certificate.offending_monomial == (1, 1)
+
+
+def test_realize_hsbr_is_exported():
+    from ratpencil import realize_hsbr as exported
+    assert exported is realize_hsbr
 
 
 def test_hsbr_two_vars_char2_always_works(rng):
