@@ -1,4 +1,15 @@
-"""Exact scalar arithmetic over Q and prime fields GF(p).
+"""Exact scalar arithmetic over Q and prime fields GF(p), and the base of
+every value type.
+
+:class:`Value` is the one immutability policy of the library.  The value
+types (descriptors, field elements, polynomials and their layouts,
+rational functions and matrices, pencils, and the quotient-ring context,
+elements and matrices) derive from it: setting or deleting an attribute
+raises ``AttributeError``, and two values are equal when they have the
+same type and equal slots, and hashed over them.  A rational function
+overrides the equality (by cross-multiplication) and is unhashable, as
+are the matrices and pencils (``__hash__ = None``); a polynomial keeps
+its own equality and hash over its packed map.
 
 A :class:`FieldDescriptor` names the field and implements arithmetic on raw
 values; higher layers store raw values and only look at the descriptor.  Raw
@@ -20,8 +31,39 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import DescriptorMismatch, DivisionByZero, FieldLiteralError
+
+
+class Value:
+    """Base of the immutable value types (see the module docs).
+    Constructors fill the slots with ``object.__setattr__`` or the slots'
+    own descriptors."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # reads a value's slots in one C call: equality and hash are hot
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
 
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -58,7 +100,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldDescriptor:
+class FieldDescriptor(Value):
     """Immutable descriptor of Q or GF(p), with raw-value arithmetic kernels."""
 
     __slots__ = ("kind", "modulus")
@@ -78,19 +120,6 @@ class FieldDescriptor:
             raise ValueError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldDescriptor is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldDescriptor)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
 
     def __repr__(self):
         return f"FieldDescriptor({self.name()!r})"
@@ -254,7 +283,7 @@ def characteristic(descriptor: FieldDescriptor) -> int:
     return descriptor.characteristic
 
 
-class FieldElement:
+class FieldElement(Value):
     """A field value paired with its descriptor; arithmetic closes over it."""
 
     __slots__ = ("descriptor", "value")
@@ -262,9 +291,6 @@ class FieldElement:
     def __init__(self, descriptor: FieldDescriptor, value):
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "value", descriptor.coerce(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
@@ -296,14 +322,6 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.descriptor, self.descriptor.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.descriptor == other.descriptor and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.descriptor, self.value))
 
     def __bool__(self):
         return bool(self.value)

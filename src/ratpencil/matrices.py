@@ -18,11 +18,11 @@ import math
 
 from .elimination import sparse_determinant
 from .errors import DimensionMismatch, SingularMatrix
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, Value
 from .poly import Polynomial, RationalFunction
 
 
-class RationalMatrix:
+class RationalMatrix(Value):
     """Immutable grid of rational functions sharing descriptor and n_vars."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -44,9 +44,6 @@ class RationalMatrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @property
     def descriptor(self) -> FieldDescriptor:
@@ -79,19 +76,7 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def __hash__(self):
-        raise TypeError("RationalMatrix is compared by value; not hashable")
+    __hash__ = None
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:

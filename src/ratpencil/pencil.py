@@ -16,7 +16,7 @@ from enum import Enum
 
 from .elimination import schur_eliminate, sparse_determinant
 from .errors import DimensionMismatch, PencilTooLarge, RatPencilError
-from .fields import FieldDescriptor, parse_field
+from .fields import FieldDescriptor, Value, parse_field
 from .matrices import RationalMatrix, mat_det
 from .poly import Polynomial, RationalFunction, from_raw, layout
 
@@ -63,7 +63,7 @@ class RealizationKind(Enum):
         return out
 
 
-class LinearPencil:
+class LinearPencil(Value):
     """An m-by-m affine pencil over n variables with (1,1) block size split."""
 
     __slots__ = ("descriptor", "n_vars", "m", "split", "coeffs")
@@ -93,9 +93,6 @@ class LinearPencil:
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "coeffs", tuple(frozen))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearPencil is immutable")
-
     @classmethod
     def from_dense(cls, descriptor, n_vars, split, matrices) -> "LinearPencil":
         """Build from n+1 dense m-by-m grids of raw values."""
@@ -106,19 +103,7 @@ class LinearPencil:
         ]
         return cls(descriptor, n_vars, len(matrices[0]), split, coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearPencil):
-            return NotImplemented
-        return (
-            self.descriptor == other.descriptor
-            and self.n_vars == other.n_vars
-            and self.m == other.m
-            and self.split == other.split
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("LinearPencil is compared by value; not hashable")
+    __hash__ = None
 
     def __repr__(self):
         return (

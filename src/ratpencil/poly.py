@@ -9,7 +9,10 @@ top bit of each field is a guard that exponents never reach, so a sum of
 keys cannot carry into the next variable, and in ``(a | guards) - b`` a
 guard bit is cleared exactly where b has the larger exponent.  Every degree
 stays at most :data:`MAX_DEGREE`; a product that would pass it raises
-:class:`~ratpencil.errors.DegreeTooLarge` instead of wrapping.
+:class:`~ratpencil.errors.DegreeTooLarge` instead of wrapping.  A
+:class:`Layout` holds that packing for one variable count; it is frozen,
+because :func:`layout` shares one per count with every polynomial in that
+many variables.
 
 A :class:`Polynomial` stores ``packed``, a map from keys to nonzero int
 coefficients, and ``denom``, one positive int.  Over GF(p) the ints lie in
@@ -47,7 +50,7 @@ from .errors import (
     DivisionByZero,
     TooManyVariables,
 )
-from .fields import FieldDescriptor, FieldElement, accumulate
+from .fields import FieldDescriptor, FieldElement, Value, accumulate
 
 NEG_INFINITY = float("-inf")
 BITS = 20
@@ -59,21 +62,23 @@ MAX_DEGREE = _GUARD - 1
 MAX_VARIABLES = 1000
 
 
-class Layout:
+class Layout(Value):
     """The packing of exponent vectors of ``n`` variables into keys."""
 
     __slots__ = ("n", "shifts", "degree_shift", "guards", "lows", "units")
 
     def __init__(self, n: int):
-        self.n = n
-        self.shifts = tuple(BITS * (n - 1 - i) for i in range(n))
-        self.degree_shift = BITS * n
-        self.guards = sum(_GUARD << s for s in self.shifts)
+        shifts = tuple(BITS * (n - 1 - i) for i in range(n))
+        degree_shift = BITS * n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "degree_shift", degree_shift)
+        object.__setattr__(self, "guards", sum(_GUARD << s for s in shifts))
         # the lowest bit of each variable's field
-        self.lows = sum(1 << s for s in self.shifts)
+        object.__setattr__(self, "lows", sum(1 << s for s in shifts))
         # the key of each variable
-        self.units = tuple((1 << self.degree_shift) + (1 << s)
-                           for s in self.shifts)
+        object.__setattr__(self, "units", tuple(
+            (1 << degree_shift) + (1 << s) for s in shifts))
 
     def pack(self, exps) -> int:
         exps = tuple(exps)
@@ -154,7 +159,7 @@ def from_raw(descriptor, n_vars, raw: dict) -> "Polynomial":
     }, denom)
 
 
-class Polynomial:
+class Polynomial(Value):
     """Immutable sparse polynomial; see the module docs for its form."""
 
     __slots__ = ("descriptor", "n_vars", "packed", "denom")
@@ -175,9 +180,6 @@ class Polynomial:
         _set_n_vars(self, n_vars)
         _set_packed(self, proto.packed)
         _set_denom(self, proto.denom)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -623,7 +625,7 @@ class TermsView(Mapping):
         return repr(dict(self.items()))
 
 
-class RationalFunction:
+class RationalFunction(Value):
     """Unreduced fraction of polynomials; denominator kept monic, never zero."""
 
     __slots__ = ("num", "den")
@@ -651,9 +653,6 @@ class RationalFunction:
                 den = den._scaled(num_c, den_c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def descriptor(self):
@@ -729,8 +728,7 @@ class RationalFunction:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        raise TypeError("RationalFunction equality is by value; not hashable")
+    __hash__ = None
 
     # -- homogeneity -----------------------------------------------------------
 

@@ -29,7 +29,8 @@ The arithmetic runs on the monomial sets themselves: one product kernel
 ``_times`` (with the sum ``^``) serves the element operators, both
 determinants, and the CLEAN / ADD / ISOLATE steps.  A :class:`QuotElement`
 is made only at the API boundary.  A :class:`QuotMatrix` keeps the grid of
-its entries' sets in ``monomials`` and wraps ``entries`` on first use.  A
+its entries' sets in ``monomials`` and wraps them as ``entries`` on each
+access, with no cache, so its slots are set once, at construction.  A
 matrix built from the sets of an already-checked matrix skips the
 per-entry context check and keeps the O(1) shape and split checks.
 
@@ -68,7 +69,7 @@ from .errors import (
     RingTooLarge,
     WrongCharacteristic,
 )
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, Value
 from .poly import BITS, Polynomial, from_packed, layout
 
 _EMPTY = frozenset()
@@ -90,7 +91,7 @@ def require_ring_size(m: int, what: str) -> None:
         )
 
 
-class QuotContext:
+class QuotContext(Value):
     """The ring of multilinear normal forms modulo z_i^2 = ell_i^2."""
 
     __slots__ = ("descriptor", "n_vars", "ell", "dead")
@@ -107,22 +108,6 @@ class QuotContext:
         object.__setattr__(
             self, "dead", sum(1 << i for i, v in enumerate(ell) if not v)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotContext is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, QuotContext)
-            and self.descriptor == other.descriptor
-            and self.n_vars == other.n_vars
-            and self.ell == other.ell
-        )
-
-    def __hash__(self):
-        return hash((self.descriptor, self.n_vars, self.ell))
 
     def __repr__(self):
         vals = ",".join(self.descriptor.format_value(v) for v in self.ell)
@@ -236,7 +221,7 @@ def _absolute(a: frozenset, dead: int) -> frozenset:
     return _ONE if _parity(a, dead) else _EMPTY
 
 
-class QuotElement:
+class QuotElement(Value):
     """Ring element as its set of multilinear monomials (bitmasks).
 
     Equality is normal-form equality; ``nf`` is the normal-form polynomial.
@@ -247,9 +232,6 @@ class QuotElement:
     def __init__(self, context: QuotContext, nf: Polynomial):
         _set_context(self, context)
         _set_monomials(self, context._monomials(nf))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotElement is immutable")
 
     @property
     def nf(self) -> Polynomial:
@@ -275,16 +257,6 @@ class QuotElement:
         if e and not self.is_invertible():
             return _element(self.context, _EMPTY)
         return self if e & 1 else _element(self.context, _ONE)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotElement):
-            return NotImplemented
-        return self.monomials == other.monomials and (
-            self.context is other.context or self.context == other.context
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.monomials))
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -343,15 +315,15 @@ def qe_inv(r: QuotElement) -> QuotElement:
     return r.inverse()
 
 
-class QuotMatrix:
+class QuotMatrix(Value):
     """Matrix over a quotient ring with the 2x2 split of a realizer.
 
     ``monomials`` is the grid of the entries' monomial sets, on which every
     method computes; ``entries`` wraps them as :class:`QuotElement`s on
-    first use.
+    each access.
     """
 
-    __slots__ = ("context", "m", "split", "monomials", "_entries")
+    __slots__ = ("context", "m", "split", "monomials")
 
     def __init__(self, context: QuotContext, split: int, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -362,10 +334,6 @@ class QuotMatrix:
                 _check(context, e)
         _init_matrix(self, context, split,
                      tuple(tuple(e.monomials for e in row) for row in entries))
-        object.__setattr__(self, "_entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotMatrix is immutable")
 
     @classmethod
     def from_polynomials(cls, context, split, grid) -> "QuotMatrix":
@@ -375,26 +343,11 @@ class QuotMatrix:
 
     @property
     def entries(self) -> tuple:
-        try:
-            return self._entries
-        except AttributeError:
-            ctx = self.context
-            entries = tuple(tuple(_element(ctx, a) for a in row)
-                            for row in self.monomials)
-            object.__setattr__(self, "_entries", entries)
-            return entries
+        ctx = self.context
+        return tuple(tuple(_element(ctx, a) for a in row)
+                     for row in self.monomials)
 
-    def __eq__(self, other):
-        if not isinstance(other, QuotMatrix):
-            return NotImplemented
-        return (
-            self.context == other.context
-            and self.split == other.split
-            and self.monomials == other.monomials
-        )
-
-    def __hash__(self):
-        raise TypeError("QuotMatrix is compared by value; not hashable")
+    __hash__ = None
 
     def __getitem__(self, key):
         i, j = key

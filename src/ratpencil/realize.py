@@ -290,15 +290,16 @@ def _dehomogenize(pairs) -> RationalMatrix:
     )
 
 
-def _realize_homogeneous(f: RationalMatrix, realize,
+def _realize_homogeneous(f: RationalMatrix, build,
                          kind: RealizationKind) -> RealizationResult:
-    """The path of :func:`realize_hbr`, with ``realize`` building the
-    realization of the dehomogenization."""
+    """The path of :func:`realize_hbr`, with ``build`` writing the pencil
+    of the dehomogenization.  Setting the last variable to 1 is a ring
+    map, so a symmetric F dehomogenizes to a symmetric matrix."""
     if not f.is_square():
         raise DimensionMismatch("realization needs a square matrix")
     if f.n_vars < 1:
         raise NotHomogeneousDegreeOne("need at least one variable")
-    pencil = realize(_dehomogenize(_homogeneous_pairs(f))).pencil
+    pencil = build(_dehomogenize(_homogeneous_pairs(f)))
     return RealizationResult(op_homogenize(pencil, check=False), kind, f)
 
 
@@ -310,7 +311,7 @@ def realize_hbr(f: RationalMatrix) -> RealizationResult:
     entries, so they get m = k + 1; in one variable that is
     z1 [[C, 0], [0, 1]] for the constant matrix C of the dehomogenization.
     """
-    return _realize_homogeneous(f, realize_br, RealizationKind.HBR)
+    return _realize_homogeneous(f, _br_entrywise, RealizationKind.HBR)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def realize_hsbr(f: RationalMatrix) -> RealizationResult:
         raise DimensionMismatch("realization needs a square matrix")
     if not f.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    return _realize_homogeneous(f, realize_sbr, RealizationKind.HSBR)
+    return _realize_homogeneous(f, _sbr_entrywise, RealizationKind.HSBR)
 
 
 def decide_and_realize_hsbr(f: RationalMatrix):
@@ -532,7 +533,7 @@ def _parity_decision(f: RationalMatrix, obstruction: str) -> Decision:
 
 def decide_sbr(f: RationalMatrix) -> Decision:
     """Does the symmetric matrix f have a symmetric realization?"""
-    if not f.is_square() or not f.is_symmetric():
+    if not f.is_symmetric():
         return Decision(False, "matrix is not symmetric")
     if f.n_vars == 0:
         return Decision(True, "constant functions always realize")
@@ -545,7 +546,7 @@ def decide_sbr(f: RationalMatrix) -> Decision:
 
 def decide_hsbr(f: RationalMatrix) -> Decision:
     """Does f have a homogeneous symmetric realization?"""
-    if not f.is_square() or not f.is_symmetric():
+    if not f.is_symmetric():
         return Decision(False, "matrix is not symmetric")
     try:
         pairs = _homogeneous_pairs(f)

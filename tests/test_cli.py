@@ -552,6 +552,19 @@ def test_reduce_rejects_matrix_literal_cells(tmp_path, capsys):
     assert err.startswith("error:") and "2x2 matrix" in err
 
 
+def test_reduce_rejects_a_fraction_cell(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"split": 1, "entries": [
+        ["1/z1", "1"], ["1", "z2"],
+    ]}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "reduce", "--field", "gf2", "--ell", "1,1",
+        "--matrix", str(path), "--r", "z1+1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "is not a polynomial" in err
+
+
 def test_reduce_rejects_matrix_literal_r(capsys):
     code, out, err = run(
         capsys, "reduce", "--field", "gf2", "--ell", "1,1",

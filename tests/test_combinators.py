@@ -416,6 +416,10 @@ def test_product_refuses_bad_x():
         op_product(p, x2, p)
     with pytest.raises(TypeError):
         op_product(p, [[1]], p)
+    with pytest.raises(DescriptorMismatch):
+        op_product(p, RationalMatrix.scalar(_z(prime_field(2), 1, 0)), p)
+    with pytest.raises(DimensionMismatch):
+        op_product(p, RationalMatrix.identity(Q, 1, 2), p)
     with pytest.raises(ValueError, match="degree at most 1"):
         op_product(p, RationalMatrix.scalar(z1 * z1), p)
     singular = LinearPencil(Q, 1, 2, 1, [{}, {(i, j): 1 for i in range(2)
@@ -479,3 +483,15 @@ def test_combinators_refuse_outputs_past_the_size_limit():
             make()
     assert op_kron_identity(two, limit // 2, check=False).m == limit
     assert op_add(*[two] * (limit - 1), check=False).m == limit
+
+
+def test_combinators_refuse_mismatched_shapes():
+    z1 = _z(Q, 1, 0)
+    p = _scalar_br(Q, 1, z1)
+    p2 = realize_br(RationalMatrix([[z1, z1], [z1, z1 + z1]])).pencil
+    with pytest.raises(DimensionMismatch, match="sandwich shapes"):
+        op_sandwich([[1, 0]], p, [[1]])
+    with pytest.raises(BlockSizeMismatch):
+        op_product(p, None, p2)
+    with pytest.raises(ValueError, match="positive number"):
+        op_kron_identity(p, 0)

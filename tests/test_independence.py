@@ -25,6 +25,10 @@ A module-level private function, class or constant that nothing in the
 library uses beyond its own definition is dead code; tests reaching into
 it do not keep it alive.  So is a name that a module imports and never
 reads, except the re-exports of ``__init__.py``.
+
+Immutability is written once, in ``fields.Value``: no other class
+defines ``__setattr__`` or ``__delattr__``, and every class that declares
+``__slots__`` derives from ``Value``, except the read-only ``TermsView``.
 """
 
 import ast
@@ -360,3 +364,57 @@ def test_every_import_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert not unused
+
+
+def value_type_faults(source: str) -> set[str]:
+    """``class: fault`` for each class of ``source`` other than ``Value``
+    that defines ``__setattr__`` or ``__delattr__``, and for each class
+    other than ``Value`` and ``TermsView`` that declares ``__slots__``
+    without deriving from ``Value``."""
+    faults = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or node.name == "Value":
+            continue
+        defined = {item.name for item in node.body
+                   if isinstance(item, ast.FunctionDef)}
+        defined.update(target.id for item in node.body
+                       if isinstance(item, ast.Assign)
+                       for target in item.targets
+                       if isinstance(target, ast.Name))
+        for name in sorted(defined & {"__setattr__", "__delattr__"}):
+            faults.add(f"{node.name}: defines {name}")
+        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+        if ("__slots__" in defined and "Value" not in bases
+                and node.name != "TermsView"):
+            faults.add(f"{node.name}: has __slots__ but is not a Value")
+    return faults
+
+
+def test_the_detector_finds_value_type_faults():
+    source = (
+        "class Value:\n"
+        "    __slots__ = ()\n"
+        "    def __setattr__(self, name, value):\n"
+        "        pass\n"
+        "class Guarded(Value):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __delattr__(self, name):\n"
+        "        pass\n"
+        "class Loose:\n"
+        "    __slots__ = ('a',)\n"
+        "class TermsView:\n"
+        "    __slots__ = ('_poly',)\n"
+        "class Plain:\n"
+        "    pass\n"
+    )
+    assert value_type_faults(source) == {
+        "Guarded: defines __delattr__",
+        "Loose: has __slots__ but is not a Value",
+    }
+
+
+def test_value_alone_guards_attributes():
+    faults = set()
+    for path in sorted(SRC.glob("*.py")):
+        faults |= value_type_faults(path.read_text(encoding="utf-8"))
+    assert not faults

@@ -427,3 +427,17 @@ def test_det_degree_law(rng):
         )
         det = mat_det(a)
         assert det.is_zero() or det.is_homogeneous(m * deg)
+
+
+def test_the_constructor_refuses_malformed_grids():
+    z1 = _z(Q, 2, 0)
+    for empty in ([], [[]]):
+        with pytest.raises(ValueError, match="non-empty"):
+            RationalMatrix(empty)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        RationalMatrix([[z1, z1], [z1]])
+    for other in (_z(prime_field(2), 2, 0), _z(Q, 3, 0)):
+        with pytest.raises(DimensionMismatch, match="disagree"):
+            RationalMatrix([[z1, other]])
+    with pytest.raises(TypeError, match="RationalFunction"):
+        RationalMatrix([[z1, Polynomial.variable(Q, 2, 1)]])

@@ -318,3 +318,17 @@ def test_a_pencil_past_the_size_limit_is_refused():
     assert diagonal(MAX_PENCIL_SIZE).transpose().m == MAX_PENCIL_SIZE
     with pytest.raises(PencilTooLarge, match=f"m = {MAX_PENCIL_SIZE + 1}"):
         diagonal(MAX_PENCIL_SIZE + 1)
+
+
+@pytest.mark.parametrize("m, split, coeffs, message", [
+    (1, 1, [{}, {}], "at least 2"),
+    (3, 0, [{}, {}], "split"),
+    (3, 3, [{}, {}], "split"),
+    (3, 1, [{}], "expected 2 coefficient matrices"),
+    (3, 1, [{}, {(0, 3): 1}], r"entry \(0, 3\) outside 3x3"),
+    (3, 1, [{(-1, 0): 1}, {}], r"entry \(-1, 0\) outside 3x3"),
+])
+def test_the_constructor_refuses_a_malformed_pencil(m, split, coeffs,
+                                                    message):
+    with pytest.raises(ValueError, match=message):
+        LinearPencil(Q, 1, m, split, coeffs)

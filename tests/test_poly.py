@@ -219,3 +219,22 @@ def test_homogeneous_product_law(rng):
         assert (f * g).is_homogeneous(2)
         assert f.inverse().is_homogeneous(-1)
         assert (f + g).is_homogeneous(1)
+
+
+def test_polynomial_guards():
+    for build in (lambda: Polynomial(Q, -1), lambda: Polynomial.one(Q, -1),
+                  lambda: Polynomial.constant(Q, -1, 2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            build()
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.variable(Q, 2, index)
+    z1 = Polynomial.variable(Q, 2, 0)
+    with pytest.raises(ValueError, match="negative power"):
+        z1 ** -1
+    with pytest.raises(ValueError, match="no variable"):
+        Polynomial.one(Q, 0).dehomogenize_last()
+    with pytest.raises(ValueError, match="shrink"):
+        z1.extend_vars(1)
+    with pytest.raises(DivisionByZero):
+        z1.divide_exact(Polynomial.zero(Q, 2))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import ratpencil.quotring as quotring
 from ratpencil.errors import (
     BadIndices,
+    DescriptorMismatch,
     NotARealizer,
     NotCleaned,
     NotInvertible,
@@ -26,6 +27,7 @@ from ratpencil.fields import prime_field, rationals
 from ratpencil.poly import Polynomial
 from ratpencil.quotring import (
     QuotContext,
+    QuotElement,
     QuotMatrix,
     add_transform,
     clean,
@@ -647,3 +649,25 @@ def test_reduce_nine_and_ten_square_realizers(rng, pad):
     assert matrix.m == 2 + pad
     assert is_ring_realizer(matrix, r)
     assert reduce_realizer(matrix, r) == r
+
+
+def test_contexts_and_matrices_refuse_bad_shapes():
+    with pytest.raises(ValueError, match="one entry per variable"):
+        QuotContext(G2, 2, [1])
+    ctx = _ctx(2, [1, 0])
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.variable(index)
+    with pytest.raises(DescriptorMismatch):
+        ctx.project(Polynomial.variable(rationals(), 2, 0))
+    with pytest.raises(ValueError, match="square"):
+        QuotMatrix(ctx, 1, [[ctx.one(), ctx.variable(0)]])
+
+
+def test_the_element_constructor_projects():
+    # z1^3*z2 + z2^2 + 1 is z1*z2 + 1 modulo z1^2 = 1, z2^2 = 0
+    ctx = _ctx(2, [1, 0])
+    nf = _poly(2, {(3, 1): 1, (0, 2): 1, (0, 0): 1})
+    element = QuotElement(ctx, nf)
+    assert element == ctx.project(nf)
+    assert element.nf == _poly(2, {(1, 1): 1, (0, 0): 1})

@@ -26,6 +26,7 @@ from ratpencil.poly import Polynomial, RationalFunction
 from ratpencil.realize import (
     Char2Certificate,
     decide_and_realize_hsbr,
+    decide_hsbr,
     decide_sbr,
     decide_sbr_scalar_char2,
     realize_br,
@@ -375,6 +376,18 @@ def test_hbr_examples():
         realize_hbr(RationalMatrix.scalar(_z(Q, 2, 0) * _z(Q, 2, 1)))
 
 
+@pytest.mark.parametrize("d", [Q, G2, G101], ids=lambda d: d.name())
+def test_a_fraction_of_inhomogeneous_parts_is_paired_by_degree(d):
+    # (z1^2*z2 + z1*z2)/(z1*z2 + z2) is z1: neither part is homogeneous,
+    # but the graded components z1*z2 and z2 form an equal pair
+    target = parse_expression("(z1^2*z2 + z1*z2)/(z1*z2 + z2)", d)
+    entry = target.entries[0][0]
+    assert entry.num.homogeneous_degree() is None
+    assert entry.is_homogeneous(1)
+    for build in (realize_hbr, realize_hsbr):
+        assert _check(build(target)).pencil.m == 2
+
+
 def test_hbr_randomized(rng):
     for trial in range(25):
         d = [Q, G2, G3][trial % 3]
@@ -615,6 +628,20 @@ def test_realize_hsbr_raises_with_the_failing_diagonal():
     assert caught.value.diagonal == 1
     assert caught.value.certificate == decide_and_realize_hsbr(target)
     assert caught.value.certificate.offending_monomial == (1, 1)
+
+
+def test_a_paired_fraction_meets_the_obstruction_of_its_pair():
+    # (z1*z2*z3 + z1*z2)/(z3^2 + z3) is z1*z2/z3, paired by graded components
+    paired = parse_expression("(z1*z2*z3 + z1*z2)/(z3^2 + z3)", G2)
+    for target in (paired, parse_expression("z1*z2/z3", G2)):
+        decision = decide_hsbr(target)
+        assert (decision.realizable, decision.diagonal) == (False, 0)
+        assert decision.certificate.offending_monomial == (1, 1)
+        with pytest.raises(NotRealizableChar2) as caught:
+            realize_hsbr(target)
+        assert caught.value.diagonal == 0
+        assert caught.value.certificate.offending_monomial == (1, 1)
+    _check(realize_hbr(paired))
 
 
 def test_realize_hsbr_is_exported():
